@@ -45,7 +45,6 @@ from .simulate import (
     correlation_estimate,
     correlation_exact,
     cylinder_measure,
-    sample_uniform,
 )
 
 __version__ = "0.1.0"

@@ -642,24 +642,29 @@ def evaluation_shape_search(
     if rational:
         # Precompute the modular column of each candidate point once; the
         # inner loop over shapes then only needs a small rank computation.
+        # A value that is 0 or has no inverse mod the filter prime has no
+        # column, and shapes containing it go straight to exact arithmetic.
         value: Dict[Tuple[int, ...], Fraction] = {}
-        mod_col: Dict[Tuple[int, ...], List[int]] = {}
+        mod_col: Dict[Tuple[int, ...], Optional[List[int]]] = {}
         for q in [origin] + points:
             x = _unit_power(m, q).coeffs[0]
             value[q] = x
-            res = (x.numerator % _FILTER_PRIME) * pow(
-                x.denominator % _FILTER_PRIME, -1, _FILTER_PRIME
-            ) % _FILTER_PRIME
-            mod_col[q] = [pow(res, n, _FILTER_PRIME) for n in dilations]
+            num, den = x.numerator % _FILTER_PRIME, x.denominator % _FILTER_PRIME
+            if num and den:
+                res = num * pow(den, -1, _FILTER_PRIME) % _FILTER_PRIME
+                mod_col[q] = [pow(res, n, _FILTER_PRIME) for n in dilations]
+            else:
+                mod_col[q] = None
     for rest in combinations(points, r - 1):
         shape = (origin,) + rest
         shapes_examined += 1
         if rational:
             # Fast modular full-rank filter; exact arithmetic on the rare misses.
             cols = [mod_col[q] for q in shape]
-            square = [[col[i] for col in cols] for i in range(r)]
-            if _det_mod(square, _FILTER_PRIME) != 0:
-                continue
+            if all(cols):
+                square = [[col[i] for col in cols] for i in range(r)]
+                if _det_mod(square, _FILTER_PRIME) != 0:
+                    continue
             base = [value[q] for q in shape]
             rows = [[x ** n for x in base] for n in dilations]
             kernel = _fraction_kernel(rows, r)

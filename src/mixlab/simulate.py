@@ -1,11 +1,14 @@
 """Exact cylinder measures and Monte Carlo sampling for char-p group shifts.
 
 Configurations on a finite window satisfy one F_p linear constraint per
-fully-contained translate of each ideal generator (free boundary).  Cylinder
-and correlation measures are computed exactly by rank counting; sampling
-assigns the free variables of the row-reduced system uniformly at random
-with a counter-based generator, so every empirical number is reproducible
-from its seed.
+fully-contained translate of each ideal generator (free boundary).  A
+window space row-reduces its constraints once and keeps a kernel basis K:
+row f of K is the valid configuration that is 1 at free site f and 0 at the
+other free sites, so the valid configurations are exactly the combinations
+x @ K mod p of the free values x.  A cylinder or correlation measure is then
+p^-rank of the pinned columns of K (0 if the pins are inconsistent), and a
+uniform sample draws x with a counter-based generator and multiplies, so
+every empirical number is reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -94,8 +97,10 @@ class WindowConfigSpace:
                     row[self.site_index[site]] = c % self.p
                 rows.append(row)
         self.rows = rows
-        self._rref, self._pivots = linalg.rref(rows, self.p) if rows else ([], [])
-        self.rank = len(self._pivots)
+        nsites = len(self.sites)
+        kernel = linalg.nullspace(rows, nsites, self.p)
+        self.kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), nsites)
+        self.rank = nsites - len(kernel)
 
     @property
     def solution_dimension(self) -> int:
@@ -107,20 +112,8 @@ class WindowConfigSpace:
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
         """Uniform samples of valid configurations; Philox keyed by the seed."""
         rng = np.random.Generator(np.random.Philox(seed))
-        nsites = len(self.sites)
-        free_cols = [c for c in range(nsites) if c not in set(self._pivots)]
-        out = np.zeros((count, nsites), dtype=np.int64)
-        free_vals = rng.integers(0, self.p, size=(count, len(free_cols)))
-        out[:, free_cols] = free_vals
-        # Back-substitute pivots: row reads x_pivot + sum(coeff * x_free) = 0.
-        reduced = [r for r in self._rref if any(x % self.p for x in r)]
-        for row, pivot in zip(reduced, self._pivots):
-            acc = np.zeros(count, dtype=np.int64)
-            for c in free_cols:
-                if row[c] % self.p:
-                    acc += row[c] * out[:, c]
-            out[:, pivot] = (-acc) % self.p
-        return out
+        free = rng.integers(0, self.p, size=(count, len(self.kernel)))
+        return (free @ self.kernel) % self.p
 
     def grid_text(self, config: np.ndarray) -> str:
         """A sample as a text grid (2D windows row per second coordinate)."""
@@ -138,21 +131,22 @@ class WindowConfigSpace:
 def _measure_given_pins(
     space: WindowConfigSpace, pins: Sequence[Tuple[Site, int]]
 ) -> Fraction:
+    """p^-rank of the pinned kernel columns, or 0 if the pins contradict."""
     p = space.p
     for site, _ in pins:
         if site not in space.site_index:
             raise WindowError(f"pinned site {site} lies outside the window")
-    n = len(space.sites)
-    base_rank = space.rank
-    aug = [row + [0] for row in space.rows]
-    for site, value in pins:
-        row = [0] * n
-        row[space.site_index[site]] = 1
-        aug.append(row + [value % p])
-    consistent, combined_rank = linalg.affine_consistent_rank(aug, p)
+    if not pins:
+        return Fraction(1)
+    # Pin (site, value) reads free values x with x @ K[:, site] = value.
+    aug = [
+        space.kernel[:, space.site_index[site]].tolist() + [value % p]
+        for site, value in pins
+    ]
+    consistent, rank = linalg.affine_consistent_rank(aug, p)
     if not consistent:
         return Fraction(0)
-    return Fraction(1, p ** (combined_rank - base_rank))
+    return Fraction(1, p ** rank)
 
 
 @dataclass
@@ -213,10 +207,6 @@ def correlation_exact(
     return _measure_given_pins(space, pins)
 
 
-def sample_uniform(space: WindowConfigSpace, count: int, seed: int) -> np.ndarray:
-    return space.sample_uniform(count, seed)
-
-
 @dataclass
 class EstimateResult:
     estimate: float
@@ -258,24 +248,15 @@ def correlation_estimate(
         (i, min(_BLOCK, samples - i * _BLOCK))
         for i in range((samples + _BLOCK - 1) // _BLOCK)
     ]
+    pin_cols = space.kernel[:, [space.site_index[site] for site, _ in pins]]
+    pin_vals = np.array([v for _, v in pins], dtype=np.int64)
 
     def run_block(block):
         index, size = block
         rng = np.random.Generator(np.random.Philox(key=(seed, index)))
-        free_cols = [c for c in range(len(space.sites)) if c not in set(space._pivots)]
-        configs = np.zeros((size, len(space.sites)), dtype=np.int64)
-        configs[:, free_cols] = rng.integers(0, space.p, size=(size, len(free_cols)))
-        reduced = [r for r in space._rref if any(x % space.p for x in r)]
-        for row, pivot in zip(reduced, space._pivots):
-            acc = np.zeros(size, dtype=np.int64)
-            for c in free_cols:
-                if row[c] % space.p:
-                    acc += row[c] * configs[:, c]
-            configs[:, pivot] = (-acc) % space.p
-        hits = np.ones(size, dtype=bool)
-        for site, v in pins:
-            hits &= configs[:, space.site_index[site]] == v
-        return int(np.count_nonzero(hits))
+        free = rng.integers(0, space.p, size=(size, len(space.kernel)))
+        pinned = (free @ pin_cols) % space.p
+        return int(np.count_nonzero((pinned == pin_vals).all(axis=1)))
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -74,6 +74,29 @@ class TestCertify:
         assert code == 3
         assert "bounded evidence" in out
 
+    def test_unit_at_the_filter_prime_exits_empty(self, capsys, tmp_path):
+        # u1 -> 2^61 - 1 has no inverse modulo the search's filter prime.
+        path = tmp_path / "mersenne61.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "name": "mersenne61",
+            "group": {"kind": "free_abelian", "d": 1},
+            "module": {
+                "type": "evaluation",
+                "modulus": ["-1", "1"],
+                "assignment": {"u1": [str((1 << 61) - 1)]},
+                "level": 1,
+            },
+        }))
+        out_dir = tmp_path / "certs"
+        code, out, _ = run(
+            capsys, "certify", str(path), "--order", "2", "--box", "1",
+            "--out", str(out_dir),
+        )
+        assert code == 3
+        assert "no certificates" in out
+        assert not list(tmp_path.glob("**/*.cert.json"))
+
     def test_rational_dual_order3(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "certify", RATIONAL_DUAL, "--order", "3", "--out", str(tmp_path)

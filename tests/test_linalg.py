@@ -1,0 +1,141 @@
+"""Packed F_p elimination against a slow dense reference."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mixlab import linalg
+
+
+# -- dense reference: plain Gauss-Jordan on lists of ints ---------------------
+
+def ref_rref(rows, p, ncols=None):
+    work = [list(r) for r in rows]
+    width = len(work[0]) if work else 0
+    limit = width if ncols is None else ncols
+    pivots = []
+    row = 0
+    for col in range(limit):
+        pivot = next((r for r in range(row, len(work)) if work[r][col] % p != 0), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = pow(work[row][col], -1, p)
+        work[row] = [(x * inv) % p for x in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col] % p != 0:
+                factor = work[r][col]
+                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    return work, pivots
+
+
+def ref_affine_consistent_rank(rows_aug, p):
+    reduced, pivots = ref_rref(rows_aug, p, ncols=len(rows_aug[0]) - 1)
+    for r in reduced:
+        if all(x % p == 0 for x in r[:-1]) and r[-1] % p != 0:
+            return False, len(pivots)
+    return True, len(pivots)
+
+
+def ref_nullspace(rows, ncols, p):
+    if not rows:
+        rows = [[0] * ncols]
+    reduced, pivots = ref_rref(rows, p)
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    nonzero_rows = [r for r in reduced if any(x % p for x in r)]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, pc in zip(nonzero_rows, pivots):
+            vec[pc] = (-r[f]) % p
+        basis.append(vec)
+    return basis
+
+
+def nonzero_rows(rows, p):
+    return [[x % p for x in r] for r in rows if any(x % p for x in r)]
+
+
+# -- matrices: random, all-zero and rank-deficient, entries not yet reduced ---
+
+@st.composite
+def matrices(draw, max_rows=12, max_cols=12):
+    p = draw(st.sampled_from([2, 3, 5]))
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    entry = st.integers(-p, 2 * p)
+    kind = draw(st.sampled_from(["random", "zero", "deficient"]))
+    if kind == "zero":
+        rows = [[0] * ncols for _ in range(nrows)]
+    elif kind == "deficient" and nrows:
+        basis = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=1, max_size=max(1, min(nrows, ncols) - 1)))
+        rows = []
+        for _ in range(nrows):
+            weights = draw(st.lists(entry, min_size=len(basis), max_size=len(basis)))
+            rows.append([sum(w * b[c] for w, b in zip(weights, basis)) for c in range(ncols)])
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    return p, ncols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_matches_reference(case):
+    p, _, rows = case
+    reduced, pivots = linalg.rref(rows, p)
+    ref_reduced, ref_pivots = ref_rref(rows, p)
+    assert pivots == ref_pivots
+    assert nonzero_rows(reduced, p) == nonzero_rows(ref_reduced, p)
+    assert all(0 <= x < p for r in reduced for x in r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_nullspace_matches_reference(case):
+    p, ncols, rows = case
+    kernel = linalg.nullspace(rows, ncols, p)
+    assert kernel == ref_nullspace(rows, ncols, p)
+    for vec in kernel:
+        assert all(sum(a * x for a, x in zip(r, vec)) % p == 0 for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_cols=13), st.data())
+def test_affine_consistent_rank_matches_reference(case, data):
+    p, width, rows = case
+    if not rows:
+        rows = [[0] * width]
+    # Half the time plant a consistent right-hand side b = A x.
+    if width > 1 and data.draw(st.booleans()):
+        x = data.draw(st.lists(st.integers(0, p - 1), min_size=width - 1, max_size=width - 1))
+        rows = [r[:-1] + [sum(a * b for a, b in zip(r, x))] for r in rows]
+    assert linalg.affine_consistent_rank(rows, p) == ref_affine_consistent_rank(rows, p)
+    # rref with an augmented column agrees on pivots and nonzero rows too.
+    reduced, pivots = linalg.rref(rows, p, ncols=width - 1)
+    ref_reduced, ref_pivots = ref_rref(rows, p, ncols=width - 1)
+    assert pivots == ref_pivots
+    assert nonzero_rows(reduced, p) == nonzero_rows(ref_reduced, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_window_sized_system(p):
+    # A banded system far wider than the random cases: x_c + x_{c+1} + x_{c+7} = 0.
+    ncols = 200
+    rows = []
+    for c in range(ncols - 7):
+        row = [0] * ncols
+        row[c] = row[c + 1] = row[c + 7] = 1
+        rows.append(row)
+    reduced, pivots = linalg.rref(rows, p)
+    assert (reduced, pivots) == ref_rref(rows, p)
+    kernel = linalg.nullspace(rows, ncols, p)
+    assert len(kernel) == 7
+    for vec in kernel:
+        assert all(sum(a * x for a, x in zip(r, vec)) % p == 0 for r in rows)

@@ -1,5 +1,6 @@
 """Window configuration spaces, exact measures, and Monte Carlo estimates."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from mixlab.simulate import (
     correlation_estimate,
     correlation_exact,
     cylinder_measure,
-    sample_uniform,
 )
 from mixlab.systems import (
     AlgebraicSystem,
@@ -60,15 +60,29 @@ class TestConfigSpace:
 
     def test_samples_satisfy_constraints(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
-        samples = sample_uniform(space, 50, seed=11)
+        samples = space.sample_uniform(50, seed=11)
         rows = np.array(space.rows) % 2
         assert ((rows @ samples.T) % 2 == 0).all()
 
     def test_sampling_is_deterministic(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
-        a = sample_uniform(space, 10, seed=3)
-        b = sample_uniform(space, 10, seed=3)
+        a = space.sample_uniform(10, seed=3)
+        b = space.sample_uniform(10, seed=3)
         assert (a == b).all()
+
+    def test_kernel_rows_are_valid_configurations(self, three_dot):
+        space = WindowConfigSpace(three_dot, WINDOW)
+        assert space.kernel.shape == (13, 49)
+        assert ((np.array(space.rows) @ space.kernel.T) % 2 == 0).all()
+
+    def test_samples_are_pinned(self, three_dot):
+        # Digest of the samples drawn before the kernel-basis sampler; any
+        # change to the draws or to the configurations they give fails here.
+        space = WindowConfigSpace(three_dot, WINDOW)
+        samples = space.sample_uniform(257, seed=7)
+        assert samples.dtype == np.int64 and samples.shape == (257, 49)
+        digest = hashlib.sha1(samples.tobytes()).hexdigest()
+        assert digest == "cd9eb07efde0d993317371673e96ac15aabbd8fc"
 
     def test_grid_text(self, three_dot):
         space = WindowConfigSpace(three_dot, [(0, 2), (0, 2)])
@@ -117,6 +131,13 @@ class TestExactMeasures:
         )
         assert exact == Fraction(1, 8)
 
+    def test_correlation_collapse_on_a_large_window(self, three_dot):
+        cyl = CylinderSet.make({(0, 0): 0})
+        exact = correlation_exact(
+            three_dot, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], [(0, 23), (0, 23)]
+        )
+        assert exact == Fraction(1, 4)
+
     def test_full_shift_measures_multiply(self, full_shift):
         cyl = CylinderSet.make({(0, 0): 1})
         exact = correlation_exact(
@@ -147,6 +168,21 @@ class TestEstimates:
             samples=50_000, seed=5,
         )
         assert est.within_sigma(Fraction(1, 4), sigma=4.0)
+
+    @pytest.mark.parametrize(
+        "shifts, window, seed, estimate, stderr",
+        [
+            ([(0, 0), (4, 0), (0, 4)], [(0, 6)] * 2, 0, 0.24719, 0.0013641374707118047),
+            ([(0, 0), (3, 0), (0, 3)], [(0, 11)] * 2, 5, 0.12473, 0.001044856100618645),
+        ],
+    )
+    def test_estimates_are_pinned(self, three_dot, shifts, window, seed, estimate, stderr):
+        # Figures drawn before the kernel-basis sampler: sampling must not drift.
+        cyl = CylinderSet.make({(0, 0): 0})
+        est = correlation_estimate(
+            three_dot, [cyl] * 3, shifts, window, samples=100_000, seed=seed
+        )
+        assert (est.estimate, est.stderr) == (estimate, stderr)
 
     def test_thread_count_does_not_change_the_estimate(self, three_dot):
         cyl = CylinderSet.make({(0, 0): 0})
