@@ -10,9 +10,11 @@ covers a tested range only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -508,8 +510,9 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
     """All nondegenerate solutions of a1 x1 + ... + an xn = 1 in the box.
 
     Each x_i ranges over products of the generators with exponents bounded by
-    the box; solutions with a vanishing proper subsum are discarded, and the
-    count is checked against the uniform bound (in exact log form).
+    the box; x1..x_{n-1} are enumerated and x_n is solved for and looked up
+    among the units.  Solutions with a vanishing proper subsum are discarded,
+    and the count is checked against the uniform bound (in exact log form).
     """
     K = problem.field
     n = len(problem.coefficients)
@@ -529,22 +532,27 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
             f"{total} combinations exceed the budget {problem.budget}",
             {"box": B, "generators": rgen, "terms": n},
         )
-    one = K.one
+    # x_n is fixed by the others: x_n = (1 - a1 x1 - ... - a_{n-1} x_{n-1}) / a_n,
+    # so each prefix has at most one completion and the order is unchanged.
+    *head, last = problem.coefficients
+    inv_last = last.inv()
     solutions = []
-    for combo in product(unit_items, repeat=n):
-        values = tuple(v for v, _ in combo)
-        total_sum = K.zero
-        for a, x in zip(problem.coefficients, values):
-            total_sum = total_sum + a * x
-        if total_sum != one:
+    for prefix in product(unit_items, repeat=n - 1):
+        rest = K.one
+        for a, (x, _) in zip(head, prefix):
+            rest = rest - a * x
+        x_last = rest * inv_last
+        e_last = units.get(x_last)
+        if e_last is None:
             continue
+        values = tuple(x for x, _ in prefix) + (x_last,)
         terms = [a * x for a, x in zip(problem.coefficients, values)]
         proper = [
             s for s in vanishing_subsums(terms) if 0 < len(s) < n
         ] if n >= 2 else []
         if proper:
             continue
-        solutions.append(UnitSolution(tuple(e for _, e in combo), values))
+        solutions.append(UnitSolution(tuple(e for _, e in prefix) + (e_last,), values))
     exponent = ess_bound_exponent(n, rgen)
     count = len(solutions)
     bound_ok = (count + 1).bit_length() <= exponent
@@ -556,30 +564,6 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
 
 
 # -- evaluation-system search (characteristic zero) --------------------------
-
-_FILTER_PRIME = (1 << 61) - 1
-
-
-def _det_mod(rows: List[List[int]], p: int) -> int:
-    """Determinant mod p by Gaussian elimination; rows is a small square matrix."""
-    work = [list(r) for r in rows]
-    n = len(work)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col] % p
-        inv = pow(work[col][col], -1, p)
-        for r2 in range(col + 1, n):
-            f = work[r2][col] * inv % p
-            if f:
-                work[r2] = [(a - f * b) % p for a, b in zip(work[r2], work[col])]
-    return det % p
-
 
 def _fraction_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
     work = [list(r) for r in rows]
@@ -618,15 +602,23 @@ def evaluation_shape_search(
     """Search an evaluation system for coefficient vectors vanishing at every
     listed dilation simultaneously.  Bounded evidence, not proof: the region
     and dilation set are recorded alongside any finding.
+
+    Every shape in the box is decided.  Dilations 1..r make rows 1..r of a
+    shape's system a scaled Vandermonde matrix in its unit values x_s, with
+    determinant prod x_s * prod (x_t - x_s).  So the kernel is the set of
+    vectors summing to zero on each class of equal values, and an all-nonzero
+    kernel vector exists only if every class in the shape has at least 2
+    members.  Only the shapes that pass this test are solved exactly.
     """
     if r < 2:
         raise CertificateError("order must be at least 2")
     m = system.module
     if not isinstance(m, EvaluationModule):
         raise CertificateError("evaluation_shape_search needs an Evaluation module")
-    if len(dilations) < r:
+    if not set(range(1, r + 1)) <= set(dilations):
         raise CertificateError(
-            "need at least r dilations, otherwise the linear system is underdetermined"
+            f"dilations must contain 1..{r}: the search reads rows 1..r as a "
+            "Vandermonde matrix"
         )
     points = [p for p in _box_points(shape_box) if any(p)]
     origin = tuple(0 for _ in shape_box)
@@ -635,56 +627,34 @@ def evaluation_shape_search(
         "dilations": list(dilations),
         "order": r,
         "note": "bounded evidence over the listed region and dilations only",
+        "shapes_examined": comb(len(points), r - 1),
     }
+    value = {q: _unit_power(m, q) for q in [origin] + points}
+    class_size = Counter(value.values())
+    # Every shape holds the origin, so none survives unless another point
+    # has the value 1; a point alone in its class is in no surviving shape.
+    if class_size[value[origin]] < 2:
+        candidates = []
+    else:
+        candidates = [q for q in points if class_size[value[q]] >= 2]
     rational = m.field.degree == 1
     found: List[NonMixingCertificate] = []
-    shapes_examined = 0
-    if rational:
-        # Precompute the modular column of each candidate point once; the
-        # inner loop over shapes then only needs a small rank computation.
-        # A value that is 0 or has no inverse mod the filter prime has no
-        # column, and shapes containing it go straight to exact arithmetic.
-        value: Dict[Tuple[int, ...], Fraction] = {}
-        mod_col: Dict[Tuple[int, ...], Optional[List[int]]] = {}
-        for q in [origin] + points:
-            x = _unit_power(m, q).coeffs[0]
-            value[q] = x
-            num, den = x.numerator % _FILTER_PRIME, x.denominator % _FILTER_PRIME
-            if num and den:
-                res = num * pow(den, -1, _FILTER_PRIME) % _FILTER_PRIME
-                mod_col[q] = [pow(res, n, _FILTER_PRIME) for n in dilations]
-            else:
-                mod_col[q] = None
-    for rest in combinations(points, r - 1):
+    for rest in combinations(candidates, r - 1):
         shape = (origin,) + rest
-        shapes_examined += 1
-        if rational:
-            # Fast modular full-rank filter; exact arithmetic on the rare misses.
-            cols = [mod_col[q] for q in shape]
-            if all(cols):
-                square = [[col[i] for col in cols] for i in range(r)]
-                if _det_mod(square, _FILTER_PRIME) != 0:
-                    continue
-            base = [value[q] for q in shape]
-            rows = [[x ** n for x in base] for n in dilations]
-            kernel = _fraction_kernel(rows, r)
-        else:
-            base = [_unit_power(m, q) for q in shape]
-            rows = []
-            for n in dilations:
-                rows.append([x ** n for x in base])
-            kernel = _field_kernel(m.field, rows, r)
+        if min(Counter(value[q] for q in shape).values()) < 2:
+            continue
+        base = [value[q].coeffs[0] if rational else value[q] for q in shape]
+        rows = [[x ** n for x in base] for n in dilations]
+        kernel = _fraction_kernel(rows, r) if rational else _field_kernel(m.field, rows, r)
         if not kernel:
             continue
         vec = _all_nonzero_kernel_vector(kernel)
         if vec is None:
             continue
         if rational:
-            from math import lcm as _lcm
-
             den = 1
             for x in vec:
-                den = _lcm(den, Fraction(x).denominator)
+                den = lcm(den, Fraction(x).denominator)
             coeffs = tuple(Fraction(x) * den for x in vec)
         else:
             coeffs = tuple(vec)
@@ -698,7 +668,6 @@ def evaluation_shape_search(
         )
         if verify_certificate(system, cert).ok:
             found.append(cert)
-    region["shapes_examined"] = shapes_examined
     return SearchOutcome(found, region)
 
 
@@ -772,11 +741,9 @@ def solve_consecutive_ratio_coefficients() -> Tuple[Fraction, Fraction, Fraction
     kernel = _fraction_kernel(rows, 3)
     assert len(kernel) == 1
     vec = kernel[0]
-    from math import lcm as _lcm
-
     den = 1
     for x in vec:
-        den = _lcm(den, x.denominator)
+        den = lcm(den, x.denominator)
     vec = [x * den for x in vec]
     if vec[0] < 0:
         vec = [-x for x in vec]

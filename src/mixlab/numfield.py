@@ -232,14 +232,6 @@ class FieldElement:
         return f"FieldElement({[str(c) for c in self.coeffs]})"
 
 
-def field_mul(K: NumberField, a: FieldElement, b: FieldElement) -> FieldElement:
-    return K.mul(a, b)
-
-
-def field_inv(K: NumberField, a: FieldElement) -> FieldElement:
-    return K.inv(a)
-
-
 def evaluate(K: NumberField, assignment: Mapping[int, FieldElement], f: LaurentPoly) -> FieldElement:
     """Evaluate f under variable -> unit assignments, exactly.
 

@@ -249,7 +249,7 @@ def correlation_estimate(
         for i in range((samples + _BLOCK - 1) // _BLOCK)
     ]
     pin_cols = space.kernel[:, [space.site_index[site] for site, _ in pins]]
-    pin_vals = np.array([v for _, v in pins], dtype=np.int64)
+    pin_vals = np.array([v % space.p for _, v in pins], dtype=np.int64)
 
     def run_block(block):
         index, size = block

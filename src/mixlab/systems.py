@@ -20,7 +20,7 @@ from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ideals import IdealPresentation
-from .numfield import FieldElement, NumberField, evaluate
+from .numfield import FieldElement, NumberField
 from .ring import GF, DomainError, LaurentPoly, expvec
 
 

@@ -1,8 +1,12 @@
 """Certificates, searches, subsum reduction, and the unit equation."""
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixlab.ideals import IdealPresentation
 from mixlab.mixing import (
@@ -11,7 +15,14 @@ from mixlab.mixing import (
     DilationFamily,
     IrreducibleCertificateError,
     NonMixingCertificate,
+    SearchOutcome,
     UnitEquationProblem,
+    UnitEquationResult,
+    UnitSolution,
+    _all_nonzero_kernel_vector,
+    _box_points,
+    _field_kernel,
+    _fraction_kernel,
     consecutive_ratio_family,
     enumerate_unit_solutions,
     ess_bound_exponent,
@@ -35,6 +46,7 @@ from mixlab.systems import (
     CharPModule,
     EvaluationModule,
     RationalDualModule,
+    _unit_power,
     free_abelian,
     positive_rationals,
 )
@@ -44,6 +56,136 @@ F2 = GF(2)
 
 def p2(text, d=2):
     return LaurentPoly.parse(text, d, F2)
+
+
+QQ1 = NumberField([-1, 1])
+SQRT2 = NumberField([-2, 0, 1])
+
+
+# -- references: the determinant filter and the full-product enumerator -------
+
+_FILTER_PRIME = (1 << 61) - 1
+
+
+def _det_mod(rows, p):
+    work = [list(r) for r in rows]
+    n = len(work)
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col] % p
+        inv = pow(work[col][col], -1, p)
+        for r2 in range(col + 1, n):
+            f = work[r2][col] * inv % p
+            if f:
+                work[r2] = [(a - f * b) % p for a, b in zip(work[r2], work[col])]
+    return det % p
+
+
+def ref_evaluation_shape_search(system, r, shape_box, dilations=(1, 2, 3, 4)):
+    """Every shape through exact elimination, behind a full-rank filter mod
+    2^61 - 1 on Q."""
+    m = system.module
+    points = [p for p in _box_points(shape_box) if any(p)]
+    origin = tuple(0 for _ in shape_box)
+    region = {
+        "shape_box": [list(b) for b in shape_box],
+        "dilations": list(dilations),
+        "order": r,
+        "note": "bounded evidence over the listed region and dilations only",
+    }
+    rational = m.field.degree == 1
+    found = []
+    shapes_examined = 0
+    if rational:
+        value, mod_col = {}, {}
+        for q in [origin] + points:
+            x = _unit_power(m, q).coeffs[0]
+            value[q] = x
+            num, den = x.numerator % _FILTER_PRIME, x.denominator % _FILTER_PRIME
+            if num and den:
+                res = num * pow(den, -1, _FILTER_PRIME) % _FILTER_PRIME
+                mod_col[q] = [pow(res, n, _FILTER_PRIME) for n in dilations]
+            else:
+                mod_col[q] = None
+    for rest in combinations(points, r - 1):
+        shape = (origin,) + rest
+        shapes_examined += 1
+        if rational:
+            cols = [mod_col[q] for q in shape]
+            if all(cols):
+                square = [[col[i] for col in cols] for i in range(r)]
+                if _det_mod(square, _FILTER_PRIME) != 0:
+                    continue
+            base = [value[q] for q in shape]
+            kernel = _fraction_kernel([[x ** n for x in base] for n in dilations], r)
+        else:
+            base = [_unit_power(m, q) for q in shape]
+            kernel = _field_kernel(m.field, [[x ** n for x in base] for n in dilations], r)
+        if not kernel:
+            continue
+        vec = _all_nonzero_kernel_vector(kernel)
+        if vec is None:
+            continue
+        if rational:
+            den = 1
+            for x in vec:
+                den = lcm(den, Fraction(x).denominator)
+            coeffs = tuple(Fraction(x) * den for x in vec)
+        else:
+            coeffs = tuple(vec)
+        cert = NonMixingCertificate(
+            order=r,
+            shape=tuple(tuple(q) for q in shape),
+            coefficients=coeffs,
+            family=explicit_family(dilations),
+            transcript=tuple((n, 1) for n in dilations),
+            grade="evidence",
+        )
+        if verify_certificate(system, cert).ok:
+            found.append(cert)
+    region["shapes_examined"] = shapes_examined
+    return SearchOutcome(found, region)
+
+
+def ref_enumerate_unit_solutions(problem):
+    """Every n-tuple of units in the box, tested against the equation."""
+    K = problem.field
+    n = len(problem.coefficients)
+    rgen = len(problem.generators)
+    B = problem.box
+    units = {}
+    for e in sorted(product(range(-B, B + 1), repeat=rgen)):
+        val = K.one
+        for g, k in zip(problem.generators, e):
+            val = val * g ** k
+        units.setdefault(val, e)
+    unit_items = sorted(units.items(), key=lambda kv: kv[1])
+    total = len(unit_items) ** n
+    if total > problem.budget:
+        raise BudgetExceededError(
+            f"{total} combinations exceed the budget {problem.budget}",
+            {"box": B, "generators": rgen, "terms": n},
+        )
+    solutions = []
+    for combo in product(unit_items, repeat=n):
+        values = tuple(v for v, _ in combo)
+        total_sum = K.zero
+        for a, x in zip(problem.coefficients, values):
+            total_sum = total_sum + a * x
+        if total_sum != K.one:
+            continue
+        terms = [a * x for a, x in zip(problem.coefficients, values)]
+        if n >= 2 and any(0 < len(s) < n for s in vanishing_subsums(terms)):
+            continue
+        solutions.append(UnitSolution(tuple(e for _, e in combo), values))
+    exponent = ess_bound_exponent(n, rgen)
+    return UnitEquationResult(solutions, exponent, (len(solutions) + 1).bit_length() <= exponent)
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +371,43 @@ class TestUnitEquation:
         with pytest.raises(DomainError):
             UnitEquationProblem.make(field, [0, 1], [2], box=2)
 
+    @given(
+        field=st.sampled_from([QQ1, SQRT2]),
+        coeffs=st.lists(
+            st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3)]),
+            min_size=1, max_size=3,
+        ),
+        gens=st.lists(
+            st.sampled_from([-1, 2, 3, 4, Fraction(1, 2), Fraction(2, 3)]),
+            min_size=1, max_size=2,
+        ),
+        box=st.integers(1, 2),
+        budget=st.sampled_from([20, 500_000]),
+    )
+    @example(field=QQ1, coeffs=[1, 1], gens=[-1, 2], box=2, budget=500_000)
+    @example(field=QQ1, coeffs=[1, 1, 1], gens=[-1, 2], box=1, budget=500_000)
+    @example(field=QQ1, coeffs=[1, 1, -1], gens=[-1, 2], box=2, budget=500_000)
+    @example(field=QQ1, coeffs=[2, -1], gens=[2, 4], box=2, budget=500_000)
+    @example(field=SQRT2, coeffs=[1, 1], gens=[2], box=2, budget=500_000)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_full_product(self, field, coeffs, gens, box, budget):
+        units = (2 * box + 1) ** len(gens)
+        if units ** len(coeffs) > 5000:
+            budget = 20  # both sides refuse before enumerating
+        problem = UnitEquationProblem.make(field, coeffs, gens, box=box, budget=budget)
+        try:
+            expected = ref_enumerate_unit_solutions(problem)
+        except BudgetExceededError as e:
+            with pytest.raises(BudgetExceededError) as got:
+                enumerate_unit_solutions(problem)
+            assert (str(got.value), got.value.region) == (str(e), e.region)
+            return
+        result = enumerate_unit_solutions(problem)
+        assert result.solutions == expected.solutions
+        assert (result.bound_exponent, result.bound_ok) == (
+            expected.bound_exponent, expected.bound_ok
+        )
+
 
 class TestEvaluationSearch:
     def test_small_box_is_empty(self, solenoid_23):
@@ -239,6 +418,44 @@ class TestEvaluationSearch:
     def test_underdetermined_dilations_rejected(self, solenoid_23):
         with pytest.raises(CertificateError):
             evaluation_shape_search(solenoid_23, 3, [(-2, 2)] * 2, dilations=(1, 2))
+
+    def test_dilations_missing_part_of_one_to_r_rejected(self, solenoid_23):
+        with pytest.raises(CertificateError):
+            evaluation_shape_search(solenoid_23, 3, [(-2, 2)] * 2, dilations=(1, 2, 4))
+
+    @given(
+        field=st.sampled_from([QQ1, SQRT2]),
+        picks=st.lists(st.integers(0, 5), min_size=2, max_size=2),
+        d=st.integers(1, 2),
+        r=st.integers(2, 4),
+        extra=st.lists(st.sampled_from([4, 5, 6]), max_size=2, unique=True),
+        perm=st.permutations([1, 2, 3, 4, 5, 6]),
+    )
+    @example(field=QQ1, picks=[2, 2], d=2, r=3, extra=[4], perm=[1, 2, 3, 4, 5, 6])
+    @example(field=QQ1, picks=[0, 3], d=2, r=3, extra=[], perm=[3, 1, 2, 4, 5, 6])
+    @example(field=QQ1, picks=[2, 3], d=2, r=2, extra=[5], perm=[6, 5, 4, 3, 2, 1])
+    @example(field=SQRT2, picks=[1, 2], d=2, r=3, extra=[4], perm=[1, 2, 3, 4, 5, 6])
+    @example(field=SQRT2, picks=[1, 0], d=2, r=2, extra=[], perm=[1, 2, 3, 4, 5, 6])
+    @example(field=QQ1, picks=[2, 3], d=2, r=4, extra=[], perm=[1, 2, 3, 4, 5, 6])
+    @example(field=SQRT2, picks=[1, 2], d=2, r=4, extra=[5], perm=[1, 2, 3, 4, 5, 6])
+    @settings(max_examples=40, deadline=None)
+    def test_matches_determinant_filter(self, field, picks, d, r, extra, perm):
+        # Pools hold -1, coinciding and multiplicatively dependent units.
+        if field is QQ1:
+            pool = [[-1], [1], [2], [4], [Fraction(1, 2)], [Fraction(-2, 3)]]
+        else:
+            pool = [[-1], [1, 1], [-1, 1], [3, 2], [2], [0, 1]]
+        box = 2 if d == 1 or (field is QQ1 and r < 4) else 1
+        module = EvaluationModule.make(
+            field, {i: field.element(pool[k]) for i, k in enumerate(picks[:d])}
+        )
+        system = AlgebraicSystem(free_abelian(d), module)
+        shape_box = [(-box, box)] * d
+        dilations = tuple(n for n in perm if n <= r or n in extra)
+        expected = ref_evaluation_shape_search(system, r, shape_box, dilations)
+        outcome = evaluation_shape_search(system, r, shape_box, dilations)
+        assert outcome.certificates == expected.certificates
+        assert list(outcome.region.items()) == list(expected.region.items())
 
     def test_dependent_units_are_found(self):
         # u1 -> 2 and u2 -> 2 collide, so the pair (u1, u2) is visibly

@@ -184,6 +184,18 @@ class TestEstimates:
         )
         assert (est.estimate, est.stderr) == (estimate, stderr)
 
+    def test_pin_symbols_are_read_mod_p(self, three_dot):
+        # The symbol 2 is 0 in F_2: the estimate must count it as the exact
+        # measure does.
+        cyl = CylinderSet.make({(0, 0): 2})
+        shifts = [(0, 0), (2, 0), (0, 2)]
+        exact = correlation_exact(three_dot, [cyl] * 3, shifts, WINDOW)
+        est = correlation_estimate(
+            three_dot, [cyl] * 3, shifts, WINDOW, samples=20_000, seed=3
+        )
+        assert exact == Fraction(1, 4)
+        assert est.within_sigma(exact, sigma=5.0)
+
     def test_thread_count_does_not_change_the_estimate(self, three_dot):
         cyl = CylinderSet.make({(0, 0): 0})
         kwargs = dict(samples=45_000, seed=9)
