@@ -8,7 +8,7 @@ results with an exact/Monte-Carlo window simulator.
 
 from .ring import GF, QQ, ZZ, Domain, DomainError, LaurentPoly, expvec
 from .numfield import FieldElement, NumberField, evaluate
-from .ideals import IdealPresentation, contains, constant_in_ideal, find_torsion_unit, groebner_basis
+from .ideals import IdealPresentation
 from .systems import (
     AlgebraicSystem,
     CharacterTuple,

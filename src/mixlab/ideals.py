@@ -333,19 +333,3 @@ def _eliminate_variable(f: LaurentPoly, var: int, g: LaurentPoly) -> LaurentPoly
         rest[var] = Fraction(0)
         acc = acc + LaurentPoly.monomial(f.d, f.domain, rest, c) * g ** int(b)
     return acc
-
-
-def groebner_basis(ideal: IdealPresentation) -> List[LaurentPoly]:
-    return ideal.groebner_basis()
-
-
-def contains(ideal: IdealPresentation, f: LaurentPoly) -> bool:
-    return ideal.contains(f)
-
-
-def constant_in_ideal(ideal: IdealPresentation) -> bool:
-    return ideal.constant_in_ideal()
-
-
-def find_torsion_unit(ideal: IdealPresentation, kmax: int, var: int = 0) -> Optional[int]:
-    return ideal.find_torsion_unit(kmax, var=var)

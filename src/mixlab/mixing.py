@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, lcm
+from itertools import combinations, islice, product
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -29,6 +29,7 @@ from .systems import (
     _gamma_key,
     _unit_power,
     character_correlation,
+    find_nonmixing_element,
 )
 
 
@@ -565,34 +566,6 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
 
 # -- evaluation-system search (characteristic zero) --------------------------
 
-def _fraction_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    work = [list(r) for r in rows]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = 1 / work[row][col]
-        work[row] = [x * inv for x in work[row]]
-        for r2 in range(len(work)):
-            if r2 != row and work[r2][col] != 0:
-                f = work[r2][col]
-                work[r2] = [a - f * b for a, b in zip(work[r2], work[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for rr, pc in zip(range(len(pivots)), pivots):
-            vec[pc] = -work[rr][fcol]
-        basis.append(vec)
-    return basis
-
-
 def evaluation_shape_search(
     system: AlgebraicSystem,
     r: int,
@@ -606,9 +579,12 @@ def evaluation_shape_search(
     Every shape in the box is decided.  Dilations 1..r make rows 1..r of a
     shape's system a scaled Vandermonde matrix in its unit values x_s, with
     determinant prod x_s * prod (x_t - x_s).  So the kernel is the set of
-    vectors summing to zero on each class of equal values, and an all-nonzero
+    vectors summing to zero on each class of equal values, spanned by
+    e_f - e_first(class) for every later member f of a class.  An all-nonzero
     kernel vector exists only if every class in the shape has at least 2
-    members.  Only the shapes that pass this test are solved exactly.
+    members, and then the sum of that basis is one: the first member of a
+    class carries 1 - |class| and every later member carries 1.  Each
+    certificate read off this way is still replayed by `verify_certificate`.
     """
     if r < 2:
         raise CertificateError("order must be at least 2")
@@ -641,27 +617,19 @@ def evaluation_shape_search(
     found: List[NonMixingCertificate] = []
     for rest in combinations(candidates, r - 1):
         shape = (origin,) + rest
-        if min(Counter(value[q] for q in shape).values()) < 2:
+        members = Counter(value[q] for q in shape)
+        if min(members.values()) < 2:
             continue
-        base = [value[q].coeffs[0] if rational else value[q] for q in shape]
-        rows = [[x ** n for x in base] for n in dilations]
-        kernel = _fraction_kernel(rows, r) if rational else _field_kernel(m.field, rows, r)
-        if not kernel:
-            continue
-        vec = _all_nonzero_kernel_vector(kernel)
-        if vec is None:
-            continue
-        if rational:
-            den = 1
-            for x in vec:
-                den = lcm(den, Fraction(x).denominator)
-            coeffs = tuple(Fraction(x) * den for x in vec)
-        else:
-            coeffs = tuple(vec)
+        coeffs = []
+        seen = set()
+        for q in shape:
+            c = 1 if value[q] in seen else 1 - members[value[q]]
+            seen.add(value[q])
+            coeffs.append(Fraction(c) if rational else m.field.from_rational(c))
         cert = NonMixingCertificate(
             order=r,
             shape=tuple(tuple(q) for q in shape),
-            coefficients=coeffs,
+            coefficients=tuple(coeffs),
             family=explicit_family(dilations),
             transcript=tuple((n, 1) for n in dilations),
             grade="evidence",
@@ -671,83 +639,23 @@ def evaluation_shape_search(
     return SearchOutcome(found, region)
 
 
-def _field_kernel(K: NumberField, rows, ncols):
-    work = [list(r) for r in rows]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(work)) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = work[row][col].inv()
-        work[row] = [x * inv for x in work[row]]
-        for r2 in range(len(work)):
-            if r2 != row and not work[r2][col].is_zero():
-                f = work[r2][col]
-                work[r2] = [a - f * b for a, b in zip(work[r2], work[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [K.zero] * ncols
-        vec[fcol] = K.one
-        for rr, pc in enumerate(pivots):
-            vec[pc] = -work[rr][fcol]
-        basis.append(vec)
-    return basis
-
-
-def _all_nonzero_kernel_vector(kernel):
-    """A kernel vector with every coordinate nonzero, if one exists.
-
-    Over an infinite field one exists iff no coordinate vanishes on the whole
-    kernel; small integer combinations of the basis then find one.
-    """
-    ncols = len(kernel[0])
-    for col in range(ncols):
-        if all(_default_is_zero(vec[col]) for vec in kernel):
-            return None
-    for weights in product(range(0, len(kernel) + 2), repeat=len(kernel)):
-        if all(w == 0 for w in weights):
-            continue
-        vec = []
-        for i in range(ncols):
-            acc = None
-            for w, basis_vec in zip(weights, kernel):
-                for _ in range(w):
-                    acc = basis_vec[i] if acc is None else acc + basis_vec[i]
-            vec.append(acc)
-        if all(not _default_is_zero(x) for x in vec):
-            return vec
-    return None
-
-
 # -- the rational-dual system ------------------------------------------------
 
 def solve_consecutive_ratio_coefficients() -> Tuple[Fraction, Fraction, Fraction]:
     """Coefficients (a1, a2, a3) with a1*1 + a2*n + a3*(n-1) = 0 for all n.
 
-    Derived by solving the 2x3 linear system in exact arithmetic (constant
-    part and n-part must vanish separately) rather than trusting any printed
-    sign pattern.
+    a1 + n*a2 + (n-1)*a3 = (a1 - a3) + n*(a2 + a3), so the constant part and
+    the n-part vanish separately.  The kernel of those two rows is spanned by
+    their cross product, worked out in exact arithmetic rather than trusting
+    any printed sign pattern.
     """
-    # a1 + n*a2 + (n-1)*a3 = (a1 - a3) + n*(a2 + a3)
-    rows = [
-        [Fraction(1), Fraction(0), Fraction(-1)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-    ]
-    kernel = _fraction_kernel(rows, 3)
-    assert len(kernel) == 1
-    vec = kernel[0]
-    den = 1
-    for x in vec:
-        den = lcm(den, x.denominator)
-    vec = [x * den for x in vec]
-    if vec[0] < 0:
-        vec = [-x for x in vec]
-    return tuple(vec)
+    u = (Fraction(1), Fraction(0), Fraction(-1))  # a1 - a3 = 0
+    v = (Fraction(0), Fraction(1), Fraction(1))  # a2 + a3 = 0
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
 
 
 def rational_dual_certificate(
@@ -777,8 +685,9 @@ def rational_dual_order2_search(
     """Exhaustive order-2 check on the rational dual.
 
     Fixed nonzero coefficients force a constant ratio between the two shifts,
-    so no candidate family can move apart; the search verifies this over all
-    coefficient pairs of bounded height and records the exhausted region.
+    so no candidate family can move apart: g*a1 + h*a2 = 0 gives h/g = -a1/a2.
+    The search counts the constant-ratio families over all coefficient pairs
+    of bounded height and records the exhausted region.
     """
     if not isinstance(system.module, RationalDualModule):
         raise CertificateError("needs a rational-dual system")
@@ -787,38 +696,20 @@ def rational_dual_order2_search(
         "shape_height": shape_height,
         "order": 2,
     }
-    ratios = set()
-    for p in range(1, coeff_height + 1):
-        for q in range(1, coeff_height + 1):
-            ratios.add(Fraction(p, q))
+    ratios = {Fraction(p, q) for p in range(1, coeff_height + 1)
+              for q in range(1, coeff_height + 1)}
     families = 0
-    for rho in sorted(ratios):
+    for rho in ratios:
         if rho == 1:
             continue  # coincident shifts are not a two-set family
-        # Pairs (g, rho*g) with both of height <= shape_height satisfy
-        # g*a1 + (rho*g)*a2 = 0 for a = (rho, -1); their pairwise ratio is
-        # the constant rho, so the family cannot leave any finite set.
-        sample = []
-        for num in range(1, shape_height + 1):
-            g = Fraction(num)
-            h = rho * g
-            if h.numerator <= shape_height and h.denominator <= shape_height:
-                sample.append((g, h))
-            if len(sample) >= 3:
-                break
-        if len(sample) < 2:
-            continue
-        families += 1
-        a = (rho, Fraction(-1))
-        for g, h in sample:
-            bit = character_correlation(
-                system, CharacterTuple([(g, a[0]), (h, a[1])])
-            )
-            if bit != 1:
-                raise CertificateError("internal: constant-ratio family must correlate")
-        seen = {g / h for g, h in sample}
-        if len(seen) != 1:
-            raise CertificateError("internal: ratio should be constant")
+        # Every pair (g, rho*g) satisfies g*rho + (rho*g)*(-1) = 0 in Q; the
+        # family counts when two shifts g have rho*g of height <= shape_height.
+        fits = (
+            g for g in range(1, shape_height + 1)
+            if max((rho * g).numerator, (rho * g).denominator) <= shape_height
+        )
+        if len(list(islice(fits, 2))) == 2:
+            families += 1
     region["constant_ratio_families"] = families
     region["note"] = (
         "every vanishing order-2 family has a constant shift ratio, so its "
@@ -900,8 +791,6 @@ def mixing_order_report(
         d = m.ideal.d
         box = [(0, budgets.shape_box)] * d
         window = [(0, budgets.coeff_window)] * d
-        from .systems import find_nonmixing_element
-
         element = find_nonmixing_element(
             system, [(-budgets.element_box, budgets.element_box)] * d
         )
@@ -931,8 +820,6 @@ def mixing_order_report(
             entries[r] = ev
     elif isinstance(m, EvaluationModule):
         d = len(m.assignment)
-        from .systems import find_nonmixing_element
-
         element = find_nonmixing_element(
             system, [(-budgets.element_box, budgets.element_box)] * d
         )

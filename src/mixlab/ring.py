@@ -219,9 +219,6 @@ class LaurentPoly:
     def to_domain(self, domain: Domain) -> "LaurentPoly":
         return LaurentPoly(self.d, domain, self.terms)
 
-    def map_exponents(self, fn) -> "LaurentPoly":
-        return LaurentPoly(self.d, self.domain, {expvec(fn(m)): c for m, c in self.terms.items()})
-
     # -- text form ----------------------------------------------------------
 
     def to_text(self) -> str:
@@ -340,21 +337,3 @@ def _parse_poly(text: str, d: int, domain: Domain) -> LaurentPoly:
         m = tuple(exps)
         acc[m] = acc.get(m, 0) + sign * coeff
     return LaurentPoly(d, domain, acc)
-
-
-# Operation-style aliases kept for a functional call surface.
-
-def add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f + g
-
-
-def mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f * g
-
-
-def frobenius_pow(f: LaurentPoly, k: int) -> LaurentPoly:
-    return f.frobenius_pow(k)
-
-
-def dilate(f: LaurentPoly, n) -> LaurentPoly:
-    return f.dilate(n)

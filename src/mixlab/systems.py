@@ -208,25 +208,25 @@ def level_embed(shape: Sequence[Sequence]) -> Tuple[int, List[Tuple[int, ...]]]:
 
 
 def find_nonmixing_element(system: AlgebraicSystem, box: Sequence[Tuple[int, int]]):
-    """A nonidentity gamma in the box fixing some nonzero module element, or None."""
+    """A nonidentity gamma in the box fixing some nonzero module element, or None.
+
+    In characteristic p the scan asks whether gamma fixes the element 1, that
+    is whether u^gamma - 1 is in the ideal.  Any monomial u^e gives the same
+    answer: monomials are units of the Laurent ring and both engines decide
+    membership up to units, so (u^gamma - 1) * u^e is in the ideal iff
+    u^gamma - 1 is.
+    """
     m = system.module
     ranges = [range(lo, hi + 1) for lo, hi in box]
     if isinstance(m, CharPModule):
         ideal = m.ideal
         dom = GF(m.characteristic)
         one = LaurentPoly.one(ideal.d, dom)
-        probes = [
-            LaurentPoly.monomial(ideal.d, dom, e)
-            for e in product(range(2), repeat=ideal.d)
-        ]
-        probes = [g for g in probes if not ideal.contains(g)]
+        if ideal.contains(one):
+            return None  # trivial quotient: no nonzero element to fix
         for gamma in product(*ranges):
-            if all(x == 0 for x in gamma):
-                continue
-            mono = LaurentPoly.monomial(ideal.d, dom, gamma)
-            for g in probes:
-                if ideal.contains((mono - one) * g):
-                    return gamma
+            if any(gamma) and ideal.contains(LaurentPoly.monomial(ideal.d, dom, gamma) - one):
+                return gamma
         return None
     if isinstance(m, EvaluationModule):
         for gamma in product(*ranges):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from typing import List
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +20,8 @@ from mixlab.mixing import (
     UnitEquationProblem,
     UnitEquationResult,
     UnitSolution,
-    _all_nonzero_kernel_vector,
     _box_points,
-    _field_kernel,
-    _fraction_kernel,
+    _default_is_zero,
     consecutive_ratio_family,
     enumerate_unit_solutions,
     ess_bound_exponent,
@@ -43,10 +42,12 @@ from mixlab.numfield import NumberField
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.systems import (
     AlgebraicSystem,
+    CharacterTuple,
     CharPModule,
     EvaluationModule,
     RationalDualModule,
     _unit_power,
+    character_correlation,
     free_abelian,
     positive_rationals,
 )
@@ -62,7 +63,8 @@ QQ1 = NumberField([-1, 1])
 SQRT2 = NumberField([-2, 0, 1])
 
 
-# -- references: the determinant filter and the full-product enumerator -------
+# -- references: the determinant filter, the kernel solver and the full-product
+# enumerator --------------------------------------------------------------------
 
 _FILTER_PRIME = (1 << 61) - 1
 
@@ -87,9 +89,91 @@ def _det_mod(rows, p):
     return det % p
 
 
+def _fraction_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
+    work = [list(r) for r in rows]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = 1 / work[row][col]
+        work[row] = [x * inv for x in work[row]]
+        for r2 in range(len(work)):
+            if r2 != row and work[r2][col] != 0:
+                f = work[r2][col]
+                work[r2] = [a - f * b for a, b in zip(work[r2], work[row])]
+        pivots.append(col)
+        row += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for rr, pc in zip(range(len(pivots)), pivots):
+            vec[pc] = -work[rr][fcol]
+        basis.append(vec)
+    return basis
+
+
+def _field_kernel(K: NumberField, rows, ncols):
+    work = [list(r) for r in rows]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(work)) if not work[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = work[row][col].inv()
+        work[row] = [x * inv for x in work[row]]
+        for r2 in range(len(work)):
+            if r2 != row and not work[r2][col].is_zero():
+                f = work[r2][col]
+                work[r2] = [a - f * b for a, b in zip(work[r2], work[row])]
+        pivots.append(col)
+        row += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [K.zero] * ncols
+        vec[fcol] = K.one
+        for rr, pc in enumerate(pivots):
+            vec[pc] = -work[rr][fcol]
+        basis.append(vec)
+    return basis
+
+
+def _all_nonzero_kernel_vector(kernel):
+    """A kernel vector with every coordinate nonzero, if one exists.
+
+    Over an infinite field one exists iff no coordinate vanishes on the whole
+    kernel; small integer combinations of the basis then find one.
+    """
+    ncols = len(kernel[0])
+    for col in range(ncols):
+        if all(_default_is_zero(vec[col]) for vec in kernel):
+            return None
+    for weights in product(range(0, len(kernel) + 2), repeat=len(kernel)):
+        if all(w == 0 for w in weights):
+            continue
+        vec = []
+        for i in range(ncols):
+            acc = None
+            for w, basis_vec in zip(weights, kernel):
+                for _ in range(w):
+                    acc = basis_vec[i] if acc is None else acc + basis_vec[i]
+            vec.append(acc)
+        if all(not _default_is_zero(x) for x in vec):
+            return vec
+    return None
+
+
 def ref_evaluation_shape_search(system, r, shape_box, dilations=(1, 2, 3, 4)):
     """Every shape through exact elimination, behind a full-rank filter mod
-    2^61 - 1 on Q."""
+    2^61 - 1 on Q, with the first all-nonzero kernel vector over small
+    integer weights."""
     m = system.module
     points = [p for p in _box_points(shape_box) if any(p)]
     origin = tuple(0 for _ in shape_box)
@@ -438,6 +522,9 @@ class TestEvaluationSearch:
     @example(field=SQRT2, picks=[1, 0], d=2, r=2, extra=[], perm=[1, 2, 3, 4, 5, 6])
     @example(field=QQ1, picks=[2, 3], d=2, r=4, extra=[], perm=[1, 2, 3, 4, 5, 6])
     @example(field=SQRT2, picks=[1, 2], d=2, r=4, extra=[5], perm=[1, 2, 3, 4, 5, 6])
+    # Classes of 3 members: u1 -> -1, u2 -> 1 and (1+sqrt2)(-1+sqrt2) = 1.
+    @example(field=QQ1, picks=[0, 1], d=2, r=3, extra=[], perm=[1, 2, 3, 4, 5, 6])
+    @example(field=SQRT2, picks=[1, 2], d=2, r=3, extra=[], perm=[3, 2, 1, 4, 5, 6])
     @settings(max_examples=40, deadline=None)
     def test_matches_determinant_filter(self, field, picks, d, r, extra, perm):
         # Pools hold -1, coinciding and multiplicatively dependent units.
@@ -456,6 +543,22 @@ class TestEvaluationSearch:
         outcome = evaluation_shape_search(system, r, shape_box, dilations)
         assert outcome.certificates == expected.certificates
         assert list(outcome.region.items()) == list(expected.region.items())
+
+    @pytest.mark.parametrize("field, units, shape", [
+        (QQ1, ([-1], [1]), ((0, 0), (0, 1), (0, 2))),
+        (SQRT2, ([1, 1], [-1, 1]), ((0, 0), (-1, -1), (1, 1))),
+    ])
+    def test_three_member_class_reads_off_minus_two(self, field, units, shape):
+        module = EvaluationModule.make(
+            field, {i: field.element(u) for i, u in enumerate(units)}
+        )
+        system = AlgebraicSystem(free_abelian(2), module)
+        outcome = evaluation_shape_search(system, 3, [(-2, 2)] * 2)
+        cert = next(c for c in outcome if c.shape == shape)
+        assert cert.coefficients == tuple(
+            field.from_rational(c) if field.degree > 1 else Fraction(c)
+            for c in (-2, 1, 1)
+        )
 
     def test_dependent_units_are_found(self):
         # u1 -> 2 and u2 -> 2 collide, so the pair (u1, u2) is visibly
@@ -496,6 +599,28 @@ class TestRationalDual:
         )
         assert len(outcome) == 0
         assert outcome.region["constant_ratio_families"] > 0
+
+    def test_order2_families_correlate_with_constant_ratio(self, rational_dual):
+        # The search counts families without replaying them: check every
+        # counted family through the oracle, over all its fitting shifts.
+        coeff_height, shape_height = 8, 20
+        ratios = {Fraction(p, q) for p in range(1, coeff_height + 1)
+                  for q in range(1, coeff_height + 1)} - {1}
+        families = 0
+        for rho in sorted(ratios):
+            pairs = [(Fraction(g), rho * g) for g in range(1, shape_height + 1)
+                     if max((rho * g).numerator, (rho * g).denominator) <= shape_height]
+            if len(pairs) < 2:
+                continue
+            families += 1
+            for g, h in pairs:
+                tup = CharacterTuple([(g, rho), (h, Fraction(-1))])
+                assert character_correlation(rational_dual, tup) == 1
+            assert {h / g for g, h in pairs} == {rho}
+        outcome = rational_dual_order2_search(
+            rational_dual, coeff_height=coeff_height, shape_height=shape_height
+        )
+        assert outcome.region["constant_ratio_families"] == families
 
 
 class TestMixingReport:

@@ -1,6 +1,7 @@
 """Systems, character tuples, the correlation oracle, and splitting."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -195,6 +196,59 @@ class TestNonMixingElements:
 
     def test_rational_dual_has_none(self, rational_dual):
         assert find_nonmixing_element(rational_dual, [(-5, 5)]) is None
+
+
+def ref_find_nonmixing_element(system, box):
+    """The characteristic-p scan that tests every shift against the 2^d
+    monomial probes u^e, e in {0, 1}^d, that are not in the ideal."""
+    ideal = system.module.ideal
+    dom = GF(ideal.characteristic)
+    one = LaurentPoly.one(ideal.d, dom)
+    probes = [
+        LaurentPoly.monomial(ideal.d, dom, e)
+        for e in product(range(2), repeat=ideal.d)
+    ]
+    probes = [g for g in probes if not ideal.contains(g)]
+    for gamma in product(*[range(lo, hi + 1) for lo, hi in box]):
+        if all(x == 0 for x in gamma):
+            continue
+        mono = LaurentPoly.monomial(ideal.d, dom, gamma)
+        for g in probes:
+            if ideal.contains((mono - one) * g):
+                return gamma
+    return None
+
+
+@pytest.mark.parametrize("gens, p, d, substitution, b, expected", [
+    (["1 + u1 + u1^2"], 2, 1, None, 4, (-3,)),
+    (["u1^3 - 1"], 3, 1, None, 4, (-3,)),
+    (["u1 - u2"], 2, 2, None, 2, (-2, 2)),
+    (["u1 - u2"], 2, 2, {1: "u1"}, 2, (-2, 2)),
+    (["u1 * u2 - 1"], 3, 2, None, 2, (-2, -2)),
+    (["u2 - u1^-1"], 3, 2, {1: "u1^-1"}, 2, (-2, -2)),
+    (["1 + u1 + u1^2", "1 + u2 + u3"], 2, 3, None, 3, (-3, 0, 0)),
+    (["u1^2 - 1", "u2 - u3"], 3, 3, None, 2, (-2, -2, 2)),
+    (["1 + u2 + u3"], 2, 4, None, 1, None),
+    (["1 + u2 + u3", "u1 * u4 - 1"], 2, 4, None, 1, (-1, 0, 0, -1)),
+    (["1 + u1 + u2"], 2, 2, None, 3, None),
+    (["1 + u1 + u2"], 2, 2, {1: "1 + u1"}, 3, None),
+    (["u1 - 1"], 2, 2, {0: "1"}, 2, (-2, 0)),
+    (["u1", "1 + u1"], 2, 1, None, 3, None),
+    ([], 2, 2, None, 2, None),
+])
+def test_nonmixing_element_matches_monomial_probes(gens, p, d, substitution, b, expected):
+    dom = GF(p)
+    generators = [LaurentPoly.parse(t, d, dom) for t in gens]
+    if substitution:
+        hint = {v: LaurentPoly.parse(t, d, dom) for v, t in substitution.items()}
+        ideal = IdealPresentation(generators, p, d=d, engine="substitution",
+                                  substitution=hint)
+    else:
+        ideal = IdealPresentation(generators, p, d=d)
+    system = AlgebraicSystem(free_abelian(d), CharPModule(ideal))
+    box = [(-b, b)] * d
+    assert ref_find_nonmixing_element(system, box) == expected
+    assert find_nonmixing_element(system, box) == expected
 
 
 @pytest.fixture(scope="module")
