@@ -15,7 +15,7 @@ three-dot ideal via u2 = 1 + u1 over F_2).
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+from operator import add, le, neg, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ring import GF, DomainError, LaurentPoly
@@ -33,61 +33,81 @@ class EngineUnavailableError(ValueError):
 # saturation variable t.  The order is a block order eliminating t: compare
 # the t-exponent first, then graded lex on u1 > u2 > ... > ud.
 
-def _order_key(m: Mono):
-    return (m[-1], sum(m[:-1]), m[:-1])
+def _heap_key(m: Mono):
+    """Sort key listing monomials from the largest down, so that the lead of
+    a polynomial is its minimum and the top of a heap."""
+    *u, t = m
+    return (-t, -sum(u), tuple(map(neg, u)))
 
 
 def _lead(f: PolyDict) -> Mono:
-    return max(f, key=_order_key)
+    return min(f, key=_heap_key)
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _add_scaled(f: PolyDict, c: int, shift: Mono, g: PolyDict, p: int) -> PolyDict:
-    """f + c * x^shift * g, in place on a copy of f."""
-    out = dict(f)
+def _add_scaled(f: PolyDict, c: int, shift: Mono, g: PolyDict, p: int) -> List[Mono]:
+    """f += c * x^shift * g in place; returns the monomials new to f."""
+    new = []
     for m, cm in g.items():
         key = _mono_mul(m, shift)
-        val = (out.get(key, 0) + c * cm) % p
+        old = f.get(key)
+        val = (c * cm if old is None else old + c * cm) % p
         if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    return out
+            if old is None:
+                new.append(key)
+            f[key] = val
+        elif old is not None:
+            del f[key]
+    return new
 
 
 def _normal_form(f: PolyDict, basis: Sequence[Tuple[Mono, int, PolyDict]], p: int) -> PolyDict:
-    """Remainder of f on division by basis (each entry: lead, lead inverse, poly)."""
+    """Remainder of f on division by basis (each entry: lead, lead inverse, tail).
+
+    The working terms sit in a heap keyed by the monomial order, so each
+    step pops the lead.  A step adds only monomials below the current lead,
+    so a popped monomial never returns; an entry whose monomial has left the
+    working terms (cancelled, or popped through a duplicate) is skipped.
+    """
     rem: PolyDict = {}
     work = dict(f)
-    while work:
-        lt = _lead(work)
-        for lm, inv_lc, g in basis:
+    heap = [(_heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        lt = heapq.heappop(heap)[1]
+        c = work.pop(lt, None)
+        if c is None:
+            continue
+        for lm, inv_lc, tail in basis:
             if _mono_divides(lm, lt):
-                factor = (-work[lt] * inv_lc) % p
-                shift = tuple(a - b for a, b in zip(lt, lm))
-                work = _add_scaled(work, factor, shift, g, p)
+                shift = tuple(map(sub, lt, lm))
+                for m in _add_scaled(work, (-c * inv_lc) % p, shift, tail, p):
+                    heapq.heappush(heap, (_heap_key(m), m))
                 break
         else:
-            rem[lt] = work.pop(lt)
+            rem[lt] = c
     return rem
 
 
 def _prepared(basis: Sequence[PolyDict], p: int):
+    """(lead, lead inverse, tail) per basis element: the lead cancels by
+    construction in a reduction step, so only the tail is added."""
     out = []
     for g in basis:
         lm = _lead(g)
-        out.append((lm, pow(g[lm], -1, p), g))
+        tail = {m: c for m, c in g.items() if m != lm}
+        out.append((lm, pow(g[lm], -1, p), tail))
     return out
 
 
@@ -113,8 +133,9 @@ def _buchberger(gens: Sequence[PolyDict], p: int) -> List[PolyDict]:
         shift_j = tuple(a - b for a, b in zip(lcm, lj))
         ci = pow(fi[li], -1, p)
         cj = pow(fj[lj], -1, p)
-        s = _add_scaled({}, ci, shift_i, fi, p)
-        s = _add_scaled(s, -cj % p, shift_j, fj, p)
+        s: PolyDict = {}
+        _add_scaled(s, ci, shift_i, fi, p)
+        _add_scaled(s, -cj % p, shift_j, fj, p)
         rem = _normal_form(s, _prepared(basis, p), p)
         if rem:
             basis.append(rem)
@@ -148,7 +169,7 @@ def _autoreduce(basis: Sequence[PolyDict], p: int) -> List[PolyDict]:
         lm = _lead(rem)
         inv = pow(rem[lm], -1, p)
         out.append({m: (c * inv) % p for m, c in rem.items()})
-    out.sort(key=lambda g: _order_key(_lead(g)))
+    out.sort(key=lambda g: _heap_key(_lead(g)), reverse=True)
     return out
 
 
@@ -195,11 +216,27 @@ class IdealPresentation:
             if not self.substitution:
                 raise DomainError("substitution engine requires a substitution map")
             for var, poly in self.substitution.items():
+                if not 0 <= var < self.d:
+                    raise DomainError(f"substitution for u{var + 1} out of range for d={self.d}")
                 for m in poly.terms:
                     if any(m[i] != 0 for i in range(var, self.d)):
                         raise DomainError(
                             f"substitution for u{var + 1} must use strictly earlier variables"
                         )
+            # The hint must solve the generators with every substituted
+            # variable a unit (nonzero image); otherwise membership answers
+            # would depend on the hint rather than the ideal.
+            for var in sorted(self.substitution):
+                if self.contains_substitution(self.substitution[var]):
+                    raise DomainError(
+                        f"substitution sends u{var + 1} to zero, which is not a unit "
+                        "of the Laurent ring"
+                    )
+            for g in self.generators:
+                if not self.contains_substitution(g):
+                    raise DomainError(
+                        f"generator {g.to_text()!r} does not vanish under the substitution"
+                    )
         self._gb_full: Optional[List[PolyDict]] = None
         self._gb_contracted: Optional[List[PolyDict]] = None
         self._nf_cache: Dict[Mono, PolyDict] = {}
@@ -211,7 +248,7 @@ class IdealPresentation:
         if not f.terms:
             return {}
         mins = [min(m[i] for m in f.terms) for i in range(self.d)]
-        shift = [-e if e < 0 else Fraction(0) for e in mins]
+        shift = [-e if e < 0 else 0 for e in mins]
         out: PolyDict = {}
         for m, c in f.terms.items():
             exps = []
@@ -323,13 +360,13 @@ def _eliminate_variable(f: LaurentPoly, var: int, g: LaurentPoly) -> LaurentPoly
     if f.is_zero():
         return f
     exps = [m[var] for m in f.terms]
-    low = min(min(exps), Fraction(0))
+    low = min(min(exps), 0)
     acc = LaurentPoly.zero(f.d, f.domain)
     for m, c in f.terms.items():
         b = m[var] - low
         if b.denominator != 1:
             raise DomainError("fractional exponent in substitution engine")
         rest = list(m)
-        rest[var] = Fraction(0)
+        rest[var] = 0
         acc = acc + LaurentPoly.monomial(f.d, f.domain, rest, c) * g ** int(b)
     return acc

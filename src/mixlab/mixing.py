@@ -136,10 +136,10 @@ def _separation_check(cert: NonMixingCertificate) -> bool:
     """Pairwise shape differences must be pairwise distinct over the
     transcript (a finite stand-in for 'the differences go to infinity')."""
     mult = cert.family.kind == "consecutive_ratio"
+    shapes = [cert.family.shape_at(cert.shape, n) for n, _ in cert.transcript]
     for s, t in combinations(range(cert.order), 2):
         seen = set()
-        for n, _ in cert.transcript:
-            shape = cert.family.shape_at(cert.shape, n)
+        for shape in shapes:
             if mult:
                 diff = Fraction(shape[s]) / Fraction(shape[t])
             else:
@@ -189,6 +189,8 @@ def frobenius_certificate(
         raise CertificateError("frobenius_certificate needs a CharP system")
     ideal = system.module.ideal
     p = ideal.characteristic
+    if ideal.constant_in_ideal():
+        raise CertificateError("quotient is trivial (unit ideal)")
     if not ideal.contains(f):
         raise CertificateError("polynomial is not in the ideal")
     support = f.support()

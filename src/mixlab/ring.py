@@ -1,8 +1,11 @@
 """Sparse Laurent polynomials with exact rational exponent vectors.
 
-Exponents are tuples of fractions so that integer-lattice and rational-vector
-group elements share a single representation (the integer case is simply
-denominator 1).  Coefficients live in Z, Q or a prime field F_p and use
+Exponents are tuples of exact rationals so that integer-lattice and
+rational-vector group elements share a single representation: an integral
+exponent is stored as an ``int`` and any other as a ``Fraction``.  The two
+types agree on ``==``, ``hash`` and ordering for equal values, so the choice
+is invisible to callers and keeps integer arithmetic on the hot paths.
+Coefficients live in Z, Q or a prime field F_p and use
 arbitrary precision throughout; no floating point anywhere.
 """
 
@@ -11,9 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
-ExponentVector = Tuple[Fraction, ...]
+ExponentVector = Tuple[Union[int, Fraction], ...]
 
 
 class DomainError(ValueError):
@@ -72,15 +75,26 @@ def GF(p: int) -> Domain:
 
 
 def expvec(entries: Iterable) -> ExponentVector:
-    """Normalize a sequence of ints/fractions/strings into an exponent vector."""
-    return tuple(Fraction(e) for e in entries)
+    """Normalize a sequence of ints/fractions/strings into an exponent vector.
+
+    Integral entries come back as ``int``, the others as ``Fraction``.
+    """
+    out = []
+    for e in entries:
+        if type(e) is not int:
+            e = Fraction(e)
+            if e.denominator == 1:
+                e = e.numerator
+        out.append(e)
+    return tuple(out)
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial over a fixed domain.
 
     Terms map exponent vectors (length d, exact rationals) to nonzero
-    coefficients; the zero polynomial has no terms.
+    coefficients; the zero polynomial has no terms.  The sorted canonical key
+    behind ``==`` and ``hash`` is built on first use.
     """
 
     __slots__ = ("d", "domain", "terms", "_key")
@@ -99,7 +113,7 @@ class LaurentPoly:
                     raise DomainError(f"duplicate exponent vector {v}")
                 clean[v] = cc
         self.terms = clean
-        self._key = (self.d, self.domain, tuple(sorted(self.terms.items())))
+        self._key = None
 
     # -- constructors -------------------------------------------------------
 
@@ -109,7 +123,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, d: int, domain: Domain, c) -> "LaurentPoly":
-        return cls(d, domain, {(Fraction(0),) * d: c})
+        return cls(d, domain, {(0,) * d: c})
 
     @classmethod
     def one(cls, d: int, domain: Domain) -> "LaurentPoly":
@@ -142,11 +156,16 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def _canonical_key(self):
+        if self._key is None:
+            self._key = (self.d, self.domain, tuple(sorted(self.terms.items())))
+        return self._key
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self._key == other._key
+        return isinstance(other, LaurentPoly) and self._canonical_key() == other._canonical_key()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._canonical_key())
 
     def _check_compatible(self, other: "LaurentPoly"):
         if self.d != other.d:

@@ -66,6 +66,14 @@ class TestCertify:
         assert "no certificates" in out
         assert not list(tmp_path.glob("*.cert.json"))
 
+    def test_unit_ideal_refused(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "certify", TRIVIAL, "--order", "2", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "quotient is trivial (unit ideal)" in err
+        assert not list(tmp_path.glob("*.cert.json"))
+
     def test_evaluation_search_empty(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "certify", TIMES23, "--order", "2", "--box", "4",

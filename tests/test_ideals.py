@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlab.ideals import EngineUnavailableError, IdealPresentation
+from mixlab.ideals import (
+    EngineUnavailableError,
+    IdealPresentation,
+    _buchberger,
+    _normal_form,
+    _prepared,
+)
 from mixlab.ring import GF, DomainError, LaurentPoly
 
 F2 = GF(2)
@@ -118,6 +124,21 @@ class TestSubstitution:
         with pytest.raises(DomainError):
             IdealPresentation([p2("1 + u1 + u2")], 2, engine="substitution")
 
+    @pytest.mark.parametrize("gens, hint, message", [
+        # u1 -> 0 is not a unit: the ideal is the unit ideal, and under the
+        # hint membership would depend on the monomial multiplying an element.
+        (["u1", "u2 + 1 + u1^-1"], {0: "0", 1: "1 + u1^-1"}, "not a unit"),
+        (["1 + u1 + u2"], {1: "u1"}, "does not vanish"),
+        (["u2"], {1: "0"}, "not a unit"),
+        (["1 + u1 + u2"], {2: "1 + u1"}, "out of range"),
+    ])
+    def test_inconsistent_hint_rejected(self, gens, hint, message):
+        with pytest.raises(DomainError, match=message):
+            IdealPresentation(
+                [p2(g) for g in gens], 2, engine="substitution",
+                substitution={v: p2(t) for v, t in hint.items()},
+            )
+
 
 class TestTorsion:
     def test_torsion_unit_found(self):
@@ -139,3 +160,111 @@ class TestEngineContract:
     def test_huge_characteristic_rejected(self):
         with pytest.raises(EngineUnavailableError):
             IdealPresentation([], 2 ** 31 + 11, d=1)
+
+
+# -- the normal form against the max-lead, dict-copy reduction ---------------
+
+def ref_order_key(m):
+    return (m[-1], sum(m[:-1]), m[:-1])
+
+
+def ref_normal_form(f, basis, p):
+    """Division by basis, taking the lead by max over the working dict and
+    adding the whole scaled basis element to a copy at every step."""
+    prepared = []
+    for g in basis:
+        lm = max(g, key=ref_order_key)
+        prepared.append((lm, pow(g[lm], -1, p), g))
+    rem = {}
+    work = dict(f)
+    while work:
+        lt = max(work, key=ref_order_key)
+        for lm, inv_lc, g in prepared:
+            if all(x <= y for x, y in zip(lm, lt)):
+                factor = (-work[lt] * inv_lc) % p
+                shift = tuple(a - b for a, b in zip(lt, lm))
+                out = dict(work)
+                for m, cm in g.items():
+                    key = tuple(x + y for x, y in zip(m, shift))
+                    val = (out.get(key, 0) + factor * cm) % p
+                    if val:
+                        out[key] = val
+                    else:
+                        out.pop(key, None)
+                work = out
+                break
+        else:
+            rem[lt] = work.pop(lt)
+    return rem
+
+
+def poly_dicts(nvars, p, max_exp, max_terms):
+    mono = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=max_terms)
+
+
+def saturated_basis(gens, p, d):
+    """The _buchberger basis of the generators plus t*u1*...*ud - 1."""
+    return IdealPresentation(gens, p, d=d)._full_basis()
+
+
+@pytest.fixture(scope="module")
+def ledrappier_bases():
+    return {
+        "F2": (2, saturated_basis([p2("1 + u1 + u2")], 2, 2)),
+        "F3 at 3^6": (3, saturated_basis(
+            [LaurentPoly.parse("1 + u1^729 + u2^729", 2, F3)], 3, 2)),
+    }
+
+
+class TestHeapNormalForm:
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_random_bases(self, p, d, data):
+        dom = GF(p)
+        gens = data.draw(st.lists(poly_dicts(d, p, 3, 4), min_size=1, max_size=3))
+        basis = saturated_basis([LaurentPoly(d, dom, g) for g in gens], p, d)
+        for _ in range(3):
+            f = data.draw(poly_dicts(d + 1, p, 5, 8))
+            assert _normal_form(f, _prepared(basis, p), p) == ref_normal_form(f, basis, p)
+
+    @given(st.sampled_from(["F2", "F3 at 3^6"]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_on_ledrappier(self, ledrappier_bases, name, data):
+        p, basis = ledrappier_bases[name]
+        f = data.draw(poly_dicts(3, p, 6 if p == 2 else 1500, 6))
+        assert _normal_form(f, _prepared(basis, p), p) == ref_normal_form(f, basis, p)
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_buchberger_output_is_reduced(self, p, data):
+        gens = data.draw(st.lists(poly_dicts(3, p, 2, 4), min_size=1, max_size=3))
+        basis = _buchberger(gens, p)
+        for i, g in enumerate(basis):
+            rest = basis[:i] + basis[i + 1:]
+            if rest:
+                assert ref_normal_form(g, rest, p) == g
+
+
+class TestSympyMembership:
+    @given(st.sampled_from([2, 3, 5]), st.booleans(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_membership_matches_sympy(self, p, planted, data):
+        sympy = pytest.importorskip("sympy")
+        dom = GF(p)
+        gens = data.draw(st.lists(poly_dicts(2, p, 2, 3), min_size=1, max_size=2))
+        ideal = IdealPresentation([LaurentPoly(2, dom, g) for g in gens], p, d=2)
+        f = LaurentPoly(2, dom, data.draw(poly_dicts(2, p, 3, 4)))
+        if planted:
+            # A multiple of a generator, so that members are tested too.
+            f = LaurentPoly(2, dom, gens[0]) * f
+        t, u1, u2 = sympy.symbols("t u1 u2")
+
+        def expr(poly):
+            return sum(int(c) * u1 ** m[0] * u2 ** m[1] for m, c in poly.terms.items())
+
+        basis = sympy.groebner(
+            [expr(LaurentPoly(2, dom, g)) for g in gens] + [t * u1 * u2 - 1],
+            t, u1, u2, modulus=p,
+        )
+        assert ideal.contains(f) == basis.contains(expr(f))

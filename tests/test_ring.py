@@ -54,6 +54,31 @@ class TestBasics:
         assert expvec(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
 
 
+class TestExponentTypes:
+    def test_integral_exponents_are_ints(self):
+        v = expvec([3, "4/2", Fraction(3), "-6/3", Fraction(0), True])
+        assert v == (3, 2, 3, -2, 0, 1)
+        assert all(type(e) is int for e in v)
+        for m in poly("u1^4/2 * u2^-3 + u1^2/2").terms:
+            assert all(type(e) is int for e in m)
+
+    def test_fractional_exponents_stay_fractions(self):
+        v = expvec(["1/2", Fraction(-3, 4), "6/4"])
+        assert v == (Fraction(1, 2), Fraction(-3, 4), Fraction(3, 2))
+        assert all(type(e) is Fraction for e in v)
+        f = poly("u1^1/2 * u2 + u1^-3/4")
+        assert f.coeff([Fraction(1, 2), 1]) == 1
+        assert {tuple(map(type, m)) for m in f.terms} == {(Fraction, int)}
+
+    def test_int_and_fraction_built_polys_agree(self):
+        f = LaurentPoly.monomial(2, F3, [3, -1], 2)
+        g = LaurentPoly.monomial(2, F3, [Fraction(3), Fraction(-1)], 2)
+        assert f == g
+        assert hash(f) == hash(g)
+        assert f.to_text() == g.to_text() == "2 * u1^3 * u2^-1"
+        assert {f, g} == {f}
+
+
 class TestArithmetic:
     @given(laurent_polys(), laurent_polys())
     def test_addition_commutes(self, f, g):
