@@ -7,7 +7,7 @@ results with an exact/Monte-Carlo window simulator.
 """
 
 from .ring import GF, QQ, ZZ, Domain, DomainError, LaurentPoly, expvec
-from .numfield import FieldElement, NumberField, evaluate
+from .numfield import FieldElement, NumberField
 from .ideals import IdealPresentation
 from .systems import (
     AlgebraicSystem,
@@ -28,12 +28,10 @@ from .systems import (
 from .mixing import (
     DilationFamily,
     NonMixingCertificate,
-    SearchBudgets,
     UnitEquationProblem,
     enumerate_unit_solutions,
     ess_bound_exponent,
     frobenius_certificate,
-    mixing_order_report,
     reduce_witness,
     shape_search,
     vanishing_subsums,

@@ -18,9 +18,7 @@ from .ideals import EngineUnavailableError
 from .mixing import (
     BudgetExceededError,
     CertificateError,
-    SearchBudgets,
     enumerate_unit_solutions,
-    ess_bound_exponent,
     evaluation_shape_search,
     frobenius_certificate,
     rational_dual_certificate,
@@ -414,9 +412,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
-    # propagate --threads to subcommands that use it
-    if not hasattr(args, "threads") or args.threads is None:
-        args.threads = _default_threads()
     try:
         return args.func(args)
     except BudgetExceededError as e:

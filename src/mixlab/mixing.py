@@ -11,7 +11,7 @@ covers a tested range only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .numfield import FieldElement, NumberField
-from .ring import GF, DomainError, LaurentPoly
+from .ring import GF, DomainError, LaurentPoly, expvec
 from .systems import (
     AlgebraicSystem,
     CharacterTuple,
@@ -29,7 +29,7 @@ from .systems import (
     _gamma_key,
     _unit_power,
     character_correlation,
-    find_nonmixing_element,
+    shifted_terms,
 )
 
 
@@ -71,7 +71,7 @@ class DilationFamily:
     def shape_at(self, base_shape, n):
         if self.kind == "consecutive_ratio":
             return (Fraction(1), Fraction(n), Fraction(n - 1))
-        return tuple(tuple(Fraction(x) * n for x in g) for g in base_shape)
+        return tuple(expvec(x * n for x in g) for g in base_shape)
 
 
 def prime_power_family(p: int) -> DilationFamily:
@@ -241,6 +241,11 @@ class SearchOutcome:
         return len(self.certificates)
 
 
+# The most kernel vectors (p^dim) `shape_search` enumerates for one shape
+# before it stops with `BudgetExceededError`.
+KERNEL_COMBO_LIMIT = 1 << 16
+
+
 def _box_points(box: Sequence[Tuple[int, int]]):
     return [tuple(p) for p in product(*[range(lo, hi + 1) for lo, hi in box])]
 
@@ -256,7 +261,6 @@ def shape_search(
     shape_box: Sequence[Tuple[int, int]],
     coeff_window: Sequence[Tuple[int, int]],
     dilations: Sequence[int],
-    kernel_combo_limit: int = 1 << 16,
 ) -> SearchOutcome:
     """Exhaustive kernel search for simultaneous vanishing at all dilations.
 
@@ -319,7 +323,7 @@ def shape_search(
         if not kernel:
             continue
         combos = p ** len(kernel)
-        if combos > kernel_combo_limit:
+        if combos > KERNEL_COMBO_LIMIT:
             raise BudgetExceededError(
                 f"kernel dimension {len(kernel)} exceeds the combination budget",
                 {**region, "shape": [list(q) for q in shape]},
@@ -393,29 +397,6 @@ def vanishing_subsums(terms: Sequence, is_zero=None) -> List[Tuple[int, ...]]:
     return minimal
 
 
-def _shifted_terms(system: AlgebraicSystem, cert: NonMixingCertificate, n: int):
-    """The module elements gamma_s(n) . a_s whose sum the transcript asserts is zero."""
-    shape = cert.family.shape_at(cert.shape, n)
-    m = system.module
-    if isinstance(m, CharPModule):
-        dom = GF(m.characteristic)
-        out = []
-        for gamma, a in zip(shape, cert.coefficients):
-            mono = LaurentPoly.monomial(m.ideal.d, dom, gamma)
-            out.append(mono * a.to_domain(dom))
-        return out, lambda x: m.ideal.contains(x)
-    if isinstance(m, EvaluationModule):
-        out = []
-        for gamma, a in zip(shape, cert.coefficients):
-            a_el = a if isinstance(a, FieldElement) else m.field.from_rational(Fraction(a))
-            out.append(_unit_power(m, gamma) * a_el)
-        return out, lambda x: x.is_zero()
-    if isinstance(m, RationalDualModule):
-        out = [Fraction(g) * Fraction(a) for g, a in zip(shape, cert.coefficients)]
-        return out, lambda x: x == 0
-    raise CertificateError("unknown module type")
-
-
 def reduce_witness(system: AlgebraicSystem, cert: NonMixingCertificate) -> NonMixingCertificate:
     """Restrict a certificate to a common proper vanishing subsum.
 
@@ -425,7 +406,9 @@ def reduce_witness(system: AlgebraicSystem, cert: NonMixingCertificate) -> NonMi
     r = cert.order
     common = None
     for n, _ in cert.transcript:
-        terms, is_zero = _shifted_terms(system, cert, n)
+        # The module elements gamma_s(n) . a_s whose sum the transcript asserts is zero.
+        shape = cert.family.shape_at(cert.shape, n)
+        terms, _, is_zero = shifted_terms(system.module, zip(shape, cert.coefficients))
         vanishing = set()
         for size in range(1, r):
             for subset in combinations(range(r), size):
@@ -718,165 +701,3 @@ def rational_dual_order2_search(
         "differences never leave a finite set; no certificate exists"
     )
     return SearchOutcome([], region)
-
-
-# -- the order-of-mixing report ---------------------------------------------
-
-@dataclass
-class SearchBudgets:
-    shape_box: int = 4
-    coeff_window: int = 3
-    dilations: Tuple[int, ...] = (1, 2, 4, 8)
-    frobenius_kmax: int = 6
-    kernel_combo_limit: int = 1 << 16
-    eval_box: int = 12
-    eval_dilations: Tuple[int, ...] = (1, 2, 3, 4)
-    rational_coeff_height: int = 20
-    rational_shape_height: int = 50
-    element_box: int = 5
-    rational_dual_nmax: int = 1000
-
-
-@dataclass
-class OrderEvidence:
-    order: int
-    certificates: List[NonMixingCertificate] = field(default_factory=list)
-    region: Optional[dict] = None
-    note: str = ""
-
-
-@dataclass
-class MixingReport:
-    system_name: str
-    entries: Dict[int, OrderEvidence]
-    nonmixing_element: Optional[tuple]
-    least_certified_order: Optional[int]
-    disclaimer: str
-
-    def summary_lines(self) -> List[str]:
-        lines = [f"system: {self.system_name or '(unnamed)'}"]
-        if self.nonmixing_element is not None:
-            lines.append(f"non-mixing element found: {self.nonmixing_element}")
-        else:
-            lines.append("no non-mixing element in the searched box")
-        for r in sorted(self.entries):
-            e = self.entries[r]
-            if e.certificates:
-                grades = {c.grade for c in e.certificates}
-                lines.append(
-                    f"r={r}: {len(e.certificates)} certificate(s) ({', '.join(sorted(grades))})"
-                )
-            else:
-                lines.append(f"r={r}: no certificate in the exhausted region")
-            if e.note:
-                lines.append(f"  {e.note}")
-        if self.least_certified_order is not None:
-            lines.append(
-                f"evidence that the order of mixing is below {self.least_certified_order}"
-            )
-        lines.append(self.disclaimer)
-        return lines
-
-
-def mixing_order_report(
-    system: AlgebraicSystem, rmax: int, budgets: Optional[SearchBudgets] = None
-) -> MixingReport:
-    """Search orders 2..rmax and assemble desk-scale evidence.
-
-    Frobenius families are proof grade; everything else is labeled as
-    bounded evidence over the exhausted region.
-    """
-    budgets = budgets or SearchBudgets()
-    m = system.module
-    entries: Dict[int, OrderEvidence] = {}
-    if isinstance(m, CharPModule):
-        d = m.ideal.d
-        box = [(0, budgets.shape_box)] * d
-        window = [(0, budgets.coeff_window)] * d
-        element = find_nonmixing_element(
-            system, [(-budgets.element_box, budgets.element_box)] * d
-        )
-        for r in range(2, rmax + 1):
-            ev = OrderEvidence(order=r)
-            for g in m.ideal.generators:
-                if len(g.support()) == r:
-                    try:
-                        ev.certificates.append(
-                            frobenius_certificate(system, g, budgets.frobenius_kmax)
-                        )
-                    except CertificateError:
-                        pass
-            outcome = shape_search(
-                system, r, box, window, budgets.dilations,
-                kernel_combo_limit=budgets.kernel_combo_limit,
-            )
-            for c in outcome.certificates:
-                if not any(
-                    c.shape == c2.shape and c.coefficients == c2.coefficients
-                    for c2 in ev.certificates
-                ):
-                    ev.certificates.append(c)
-            ev.region = outcome.region
-            if any(c.grade == "proof" for c in ev.certificates):
-                ev.note = "prime-power family: non-mixing holds for every dilation"
-            entries[r] = ev
-    elif isinstance(m, EvaluationModule):
-        d = len(m.assignment)
-        element = find_nonmixing_element(
-            system, [(-budgets.element_box, budgets.element_box)] * d
-        )
-        for r in range(2, rmax + 1):
-            box = [(-budgets.eval_box, budgets.eval_box)] * d
-            outcome = evaluation_shape_search(
-                system, r, box, dilations=budgets.eval_dilations
-            )
-            note = (
-                "no vanishing sums over the box: consistent with mixing of all "
-                "orders on connected groups (bounded evidence, not proof)"
-                if not outcome.certificates
-                else ""
-            )
-            entries[r] = OrderEvidence(
-                order=r, certificates=outcome.certificates,
-                region=outcome.region, note=note,
-            )
-    elif isinstance(m, RationalDualModule):
-        element = None
-        for r in range(2, rmax + 1):
-            if r == 2:
-                outcome = rational_dual_order2_search(
-                    system,
-                    coeff_height=budgets.rational_coeff_height,
-                    shape_height=budgets.rational_shape_height,
-                )
-                entries[r] = OrderEvidence(order=2, certificates=[],
-                                           region=outcome.region,
-                                           note=outcome.region.get("note", ""))
-            elif r == 3:
-                cert = rational_dual_certificate(system, budgets.rational_dual_nmax)
-                entries[r] = OrderEvidence(
-                    order=3, certificates=[cert],
-                    note="closed-form family (1, n, n-1): holds for every n",
-                )
-            else:
-                entries[r] = OrderEvidence(
-                    order=r, certificates=[],
-                    note="implied non-mixing: already not mixing on 3 sets",
-                )
-    else:
-        raise CertificateError("unknown module type")
-    least = None
-    for r in sorted(entries):
-        if entries[r].certificates:
-            least = r
-            break
-    return MixingReport(
-        system_name=system.name,
-        entries=entries,
-        nonmixing_element=element,
-        least_certified_order=least,
-        disclaimer=(
-            "desk-scale evidence except where a symbolic family (prime power "
-            "or closed form) certifies non-mixing for every dilation"
-        ),
-    )

@@ -1,4 +1,4 @@
-"""Exact arithmetic in number fields Q[x]/(m(x)) and unit evaluation.
+"""Exact arithmetic in number fields Q[x]/(m(x)).
 
 Elements are kept in power-basis coordinates with exact rationals; zero
 testing is therefore exact.  Irreducibility of the modulus is an input
@@ -9,9 +9,9 @@ reported as a presentation error rather than silently tolerated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Mapping, Sequence
+from typing import List, Sequence
 
-from .ring import DomainError, LaurentPoly
+from .ring import DomainError
 
 
 class FieldPresentationError(ValueError):
@@ -230,33 +230,3 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({[str(c) for c in self.coeffs]})"
-
-
-def evaluate(K: NumberField, assignment: Mapping[int, FieldElement], f: LaurentPoly) -> FieldElement:
-    """Evaluate f under variable -> unit assignments, exactly.
-
-    Exponents must be integral (apply level embedding first for rational
-    exponents); every assigned element must be invertible.
-    """
-    inverses = {}
-    for i, v in assignment.items():
-        if v.is_zero():
-            raise FieldPresentationError(f"variable u{i + 1} assigned zero")
-        inverses[i] = K.inv(v)  # also certifies invertibility
-    total = K.zero
-    for m, c in f.terms.items():
-        term = K.from_rational(Fraction(c))
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            if e.denominator != 1:
-                raise DomainError(
-                    f"fractional exponent {e} remains; apply level embedding first"
-                )
-            if i not in assignment:
-                raise DomainError(f"no assignment for variable u{i + 1}")
-            e = int(e)
-            base = assignment[i] if e > 0 else inverses[i]
-            term = term * base ** abs(e)
-        total = total + term
-    return total

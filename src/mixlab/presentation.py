@@ -20,7 +20,7 @@ from .mixing import (
     NonMixingCertificate,
 )
 from .numfield import FieldElement, NumberField
-from .ring import GF, LaurentPoly, ParseError
+from .ring import GF, LaurentPoly, ParseError, expvec
 from .systems import (
     AlgebraicSystem,
     CharPModule,
@@ -202,7 +202,7 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
     else:
         raise PresentationError(f"unknown dilation family {fkind!r}")
     shape = tuple(
-        tuple(Fraction(x) for x in g) if isinstance(g, list) else Fraction(g)
+        expvec(g) if isinstance(g, list) else Fraction(g)
         for g in data["shape"]
     )
     coefficients = []

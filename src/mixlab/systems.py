@@ -133,7 +133,7 @@ class CharacterTuple:
 
 def _gamma_key(g):
     if isinstance(g, (tuple, list)):
-        return tuple(Fraction(x) for x in g)
+        return expvec(g)
     return Fraction(g)
 
 
@@ -165,6 +165,24 @@ def _unit_power(module: EvaluationModule, gamma) -> FieldElement:
     return out
 
 
+def shifted_terms(module, pairs):
+    """The module elements gamma . a for the pairs (gamma, a), the module's
+    zero and its zero test.  Each module kind builds its shifts only here."""
+    if isinstance(module, CharPModule):
+        ideal = module.ideal
+        dom = GF(module.characteristic)
+        terms = [LaurentPoly.monomial(ideal.d, dom, gamma) * a.to_domain(dom)
+                 for gamma, a in pairs]
+        return terms, LaurentPoly.zero(ideal.d, dom), ideal.contains
+    if isinstance(module, EvaluationModule):
+        terms = [_unit_power(module, gamma) * _as_field(module, a) for gamma, a in pairs]
+        return terms, module.field.zero, FieldElement.is_zero
+    if isinstance(module, RationalDualModule):
+        terms = [Fraction(gamma) * Fraction(a) for gamma, a in pairs]
+        return terms, Fraction(0), lambda x: x == 0
+    raise UnsupportedOperationError("unknown module type")
+
+
 def character_correlation(system: AlgebraicSystem, tup: CharacterTuple) -> int:
     """1 iff the shifted character sum vanishes in the module, else 0.
 
@@ -172,26 +190,10 @@ def character_correlation(system: AlgebraicSystem, tup: CharacterTuple) -> int:
     via the orthogonality relations.
     """
     tup.validate(system)
-    m = system.module
-    if isinstance(m, CharPModule):
-        ideal = m.ideal
-        dom = GF(m.characteristic)
-        total = LaurentPoly.zero(ideal.d, dom)
-        for gamma, a in tup.pairs:
-            shift = LaurentPoly.monomial(ideal.d, dom, _gamma_key(gamma))
-            total = total + shift * a.to_domain(dom)
-        return 1 if ideal.contains(total) else 0
-    if isinstance(m, EvaluationModule):
-        total = m.field.zero
-        for gamma, a in tup.pairs:
-            total = total + _unit_power(m, gamma) * _as_field(m, a)
-        return 1 if total.is_zero() else 0
-    if isinstance(m, RationalDualModule):
-        total = Fraction(0)
-        for gamma, a in tup.pairs:
-            total += Fraction(gamma) * Fraction(a)
-        return 1 if total == 0 else 0
-    raise UnsupportedOperationError("unknown module type")
+    terms, total, is_zero = shifted_terms(system.module, tup.pairs)
+    for t in terms:
+        total = total + t
+    return 1 if is_zero(total) else 0
 
 
 def level_embed(shape: Sequence[Sequence]) -> Tuple[int, List[Tuple[int, ...]]]:

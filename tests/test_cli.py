@@ -113,6 +113,41 @@ class TestCertify:
         data = json.loads(next(tmp_path.glob("*.cert.json")).read_text())
         assert data["family"]["kind"] == "consecutive_ratio"
 
+    def test_rational_dual_order2_counts_constant_ratio_families(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "certify", RATIONAL_DUAL, "--order", "2", "--json", "--out", str(tmp_path)
+        )
+        assert code == 3
+        data = json.loads(out)
+        assert data["count"] == 0
+        assert data["region"]["constant_ratio_families"] == 254
+
+    def test_rational_dual_higher_order_is_implied(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "certify", RATIONAL_DUAL, "--order", "4", "--json", "--out", str(tmp_path)
+        )
+        assert code == 3
+        assert "implies all higher orders" in json.loads(out)["region"]["note"]
+
+    def test_evaluation_dilations_follow_the_order(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "certify", TIMES23, "--order", "5", "--box", "2", "--json",
+            "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert json.loads(out)["region"]["dilations"] == [1, 2, 3, 4, 5, 6]
+
+    def test_forced_search_lists_proof_before_evidence(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "certify", THREE_DOT, "--order", "3", "--force-search",
+            "--box", "2", "--window", "1", "--dilations", "1,2,4", "--out", str(tmp_path),
+        )
+        assert code == 0
+        grades = [json.loads(Path(line.split(": ", 1)[1]).read_text())["grade"]
+                  for line in out.splitlines()]
+        assert grades[0] == "proof"
+        assert len(grades) > 1 and set(grades[1:]) == {"evidence"}
+
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "certify", THREE_DOT, "--order", "1")
         assert code == 2

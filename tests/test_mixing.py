@@ -28,7 +28,6 @@ from mixlab.mixing import (
     evaluation_shape_search,
     explicit_family,
     frobenius_certificate,
-    mixing_order_report,
     prime_power_family,
     rational_dual_certificate,
     rational_dual_order2_search,
@@ -622,23 +621,3 @@ class TestRationalDual:
         )
         assert outcome.region["constant_ratio_families"] == families
 
-
-class TestMixingReport:
-    def test_charp_report(self, three_dot):
-        from mixlab.mixing import SearchBudgets
-
-        budgets = SearchBudgets(shape_box=2, coeff_window=1, dilations=(1, 2, 4))
-        report = mixing_order_report(three_dot, rmax=3, budgets=budgets)
-        assert report.least_certified_order == 3
-        assert not report.entries[2].certificates
-        assert any(c.grade == "proof" for c in report.entries[3].certificates)
-        assert any("three-dot" in line for line in report.summary_lines())
-
-    def test_rational_dual_report(self, rational_dual):
-        from mixlab.mixing import SearchBudgets
-
-        budgets = SearchBudgets(rational_coeff_height=5, rational_shape_height=10,
-                                rational_dual_nmax=20)
-        report = mixing_order_report(rational_dual, rmax=4, budgets=budgets)
-        assert report.least_certified_order == 3
-        assert report.entries[4].note.startswith("implied")

@@ -1,4 +1,4 @@
-"""Number field arithmetic: exact inverses, evaluation, contract screening."""
+"""Number field arithmetic: exact inverses, powers, contract screening."""
 
 from fractions import Fraction
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlab.numfield import FieldPresentationError, NumberField, evaluate
-from mixlab.ring import QQ, DomainError, LaurentPoly
+from mixlab.numfield import FieldPresentationError, NumberField
 
 
 @pytest.fixture(scope="module")
@@ -80,28 +79,3 @@ class TestArithmetic:
         g = sqrt2.gen
         assert sqrt2.mul(g, g) == sqrt2.from_rational(2)
 
-
-class TestEvaluate:
-    def test_laurent_evaluation(self, rationals):
-        f = LaurentPoly.parse("u1^2 * u2^-1 + 3", 2, QQ)
-        val = evaluate(
-            rationals,
-            {0: rationals.from_rational(2), 1: rationals.from_rational(3)},
-            f,
-        )
-        assert val == rationals.from_rational(Fraction(4, 3) + 3)
-
-    def test_fractional_exponent_rejected(self, rationals):
-        f = LaurentPoly.monomial(1, QQ, [Fraction(1, 2)])
-        with pytest.raises(DomainError):
-            evaluate(rationals, {0: rationals.from_rational(2)}, f)
-
-    def test_zero_assignment_rejected(self, rationals):
-        f = LaurentPoly.parse("u1", 1, QQ)
-        with pytest.raises(FieldPresentationError):
-            evaluate(rationals, {0: rationals.zero}, f)
-
-    def test_missing_assignment(self, rationals):
-        f = LaurentPoly.parse("u2", 2, QQ)
-        with pytest.raises(DomainError):
-            evaluate(rationals, {0: rationals.one}, f)
