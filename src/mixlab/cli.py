@@ -132,7 +132,8 @@ def cmd_certify(args) -> int:
     loaded = load_system(args.file)
     system = loaded.system
     m = system.module
-    dilations = tuple(int(x) for x in args.dilations.split(","))
+    dilations = (tuple(int(x) for x in args.dilations.split(","))
+                 if args.dilations is not None else None)
     certs = []
     region = None
     if isinstance(m, CharPModule):
@@ -151,18 +152,20 @@ def cmd_certify(args) -> int:
             d = m.ideal.d
             outcome = shape_search(
                 system, args.order,
-                [(0, args.box)] * d, [(0, args.window)] * d, dilations,
+                [(0, args.box)] * d, [(0, args.window)] * d, dilations or (1, 2, 4, 8),
             )
             region = outcome.region
-            for c in outcome.certificates:
-                if not any(c.shape == c2.shape and c.coefficients == c2.coefficients
-                           for c2 in certs):
-                    certs.append(c)
+            # Search results are pairwise distinct; only a prime-power
+            # family can repeat one.
+            proof = list(certs)
+            certs += [c for c in outcome.certificates
+                      if not any(c.shape == f.shape and c.coefficients == f.coefficients
+                                 for f in proof)]
     elif isinstance(m, EvaluationModule):
         d = len(m.assignment)
         outcome = evaluation_shape_search(
             system, args.order, [(-args.box, args.box)] * d,
-            dilations=tuple(range(1, args.order + 2)),
+            dilations=dilations or tuple(range(1, args.order + 2)),
         )
         region = outcome.region
         certs = outcome.certificates
@@ -365,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--box", type=int, default=4)
     p.add_argument("--window", type=int, default=3)
-    p.add_argument("--dilations", default="1,2,4,8")
+    p.add_argument("--dilations", default=None,
+                   help="comma-separated dilations (default 1,2,4,8 in characteristic p, "
+                        "1..order+1 on evaluation systems)")
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--force-search", action="store_true",
                    help="run the exhaustive search even after a proof-grade find")

@@ -212,6 +212,9 @@ class IdealPresentation:
             raise DomainError(f"unknown engine {engine!r}")
         self.engine = engine
         self.substitution = dict(substitution) if substitution else None
+        self._gb_full: Optional[List[PolyDict]] = None
+        self._gb_contracted: Optional[List[PolyDict]] = None
+        self._nf_cache: Dict[Mono, PolyDict] = {}
         if engine == "substitution":
             if not self.substitution:
                 raise DomainError("substitution engine requires a substitution map")
@@ -237,9 +240,17 @@ class IdealPresentation:
                     raise DomainError(
                         f"generator {g.to_text()!r} does not vanish under the substitution"
                     )
-        self._gb_full: Optional[List[PolyDict]] = None
-        self._gb_contracted: Optional[List[PolyDict]] = None
-        self._nf_cache: Dict[Mono, PolyDict] = {}
+            # Conversely every u_v - g_v must lie in the ideal of the
+            # generators; with both directions the two engines decide the
+            # same ideal.
+            dom = GF(characteristic)
+            for var in sorted(self.substitution):
+                g = self.substitution[var].to_domain(dom)
+                if not self.contains_groebner(LaurentPoly.variable(var, self.d, dom) - g):
+                    raise DomainError(
+                        f"u{var + 1} - ({g.to_text()}) is not in the ideal of the "
+                        "generators: the substitution solves a larger ideal"
+                    )
 
     # -- Laurent -> polynomial plumbing -------------------------------------
 

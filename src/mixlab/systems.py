@@ -190,10 +190,16 @@ def character_correlation(system: AlgebraicSystem, tup: CharacterTuple) -> int:
     via the orthogonality relations.
     """
     tup.validate(system)
-    terms, total, is_zero = shifted_terms(system.module, tup.pairs)
+    return 1 if shifted_sum_vanishes(system.module, tup.pairs) else 0
+
+
+def shifted_sum_vanishes(module, pairs) -> bool:
+    """Whether the sum of gamma . a over the pairs (gamma, a) is zero in the
+    module; no check on the pairs themselves."""
+    terms, total, is_zero = shifted_terms(module, pairs)
     for t in terms:
         total = total + t
-    return 1 if is_zero(total) else 0
+    return is_zero(total)
 
 
 def level_embed(shape: Sequence[Sequence]) -> Tuple[int, List[Tuple[int, ...]]]:

@@ -137,6 +137,23 @@ class TestCertify:
         assert code == 3
         assert json.loads(out)["region"]["dilations"] == [1, 2, 3, 4, 5, 6]
 
+    def test_evaluation_dilations_pass_through(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "certify", TIMES23, "--order", "2", "--box", "2",
+            "--dilations", "1,2,4", "--json", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert json.loads(out)["region"]["dilations"] == [1, 2, 4]
+
+    def test_evaluation_dilations_missing_part_of_one_to_r_refused(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "certify", TIMES23, "--order", "2", "--box", "2",
+            "--dilations", "1,3", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "dilations must contain 1..2" in err
+        assert not list(tmp_path.iterdir())
+
     def test_forced_search_lists_proof_before_evidence(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "certify", THREE_DOT, "--order", "3", "--force-search",

@@ -131,6 +131,9 @@ class TestSubstitution:
         (["1 + u1 + u2"], {1: "u1"}, "does not vanish"),
         (["u2"], {1: "0"}, "not a unit"),
         (["1 + u1 + u2"], {2: "1 + u1"}, "out of range"),
+        # (1 + u1 + u2)^2 vanishes under u2 -> 1 + u1, but u2 - 1 - u1 is not
+        # in the ideal it generates: the hint solves the larger ideal.
+        (["1 + u1^2 + u2^2"], {1: "1 + u1"}, "larger ideal"),
     ])
     def test_inconsistent_hint_rejected(self, gens, hint, message):
         with pytest.raises(DomainError, match=message):

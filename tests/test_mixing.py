@@ -3,14 +3,17 @@
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 from typing import List
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mixlab import linalg
 from mixlab.ideals import IdealPresentation
 from mixlab.mixing import (
+    KERNEL_COMBO_LIMIT,
     BudgetExceededError,
     CertificateError,
     DilationFamily,
@@ -21,6 +24,7 @@ from mixlab.mixing import (
     UnitEquationResult,
     UnitSolution,
     _box_points,
+    _canonical_shape,
     _default_is_zero,
     consecutive_ratio_family,
     enumerate_unit_solutions,
@@ -37,7 +41,9 @@ from mixlab.mixing import (
     vanishing_subsums,
     verify_certificate,
 )
+from mixlab.cli import main
 from mixlab.numfield import NumberField
+from mixlab.presentation import certificate_to_dict
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.systems import (
     AlgebraicSystem,
@@ -52,6 +58,7 @@ from mixlab.systems import (
 )
 
 F2 = GF(2)
+SAMPLES = Path(__file__).resolve().parents[1] / "presentations"
 
 
 def p2(text, d=2):
@@ -62,8 +69,8 @@ QQ1 = NumberField([-1, 1])
 SQRT2 = NumberField([-2, 0, 1])
 
 
-# -- references: the determinant filter, the kernel solver and the full-product
-# enumerator --------------------------------------------------------------------
+# -- references: the determinant filter, the kernel solvers, the per-vector
+# replay and the full-product enumerator ------------------------------------
 
 _FILTER_PRIME = (1 << 61) - 1
 
@@ -236,6 +243,94 @@ def ref_evaluation_shape_search(system, r, shape_box, dilations=(1, 2, 3, 4)):
     return SearchOutcome(found, region)
 
 
+def ref_shape_search(system, r, shape_box, coeff_window, dilations):
+    """The kernel search with every combination of the basis replayed:
+    blocks tested with `ideal.contains` and each certificate through
+    `verify_certificate`."""
+    ideal = system.module.ideal
+    if ideal.constant_in_ideal():
+        raise CertificateError("quotient is trivial (unit ideal)")
+    p = ideal.characteristic
+    dom = GF(p)
+    window = _box_points(coeff_window)
+    nf_cols = [ideal.normal_form_monomial(w) for w in window]
+    mono_keys = sorted({mu for col in nf_cols for mu in col})
+    mat = [[col.get(mu, 0) for col in nf_cols] for mu in mono_keys]
+    _, pivots = linalg.rref(mat, p) if mat else ([], [])
+    window = [window[j] for j in pivots]
+    points = _box_points(shape_box)
+    shapes = sorted({_canonical_shape(c) for c in combinations(points, r)})
+    region = {
+        "shape_box": [list(b) for b in shape_box],
+        "coeff_window": [list(b) for b in coeff_window],
+        "reduced_window_size": len(window),
+        "dilations": list(dilations),
+        "shapes_examined": len(shapes),
+        "order": r,
+    }
+    if not window:
+        return SearchOutcome([], region)
+    ncols = r * len(window)
+    found = []
+    seen_vectors = set()
+    for shape in shapes:
+        col_nf = []
+        for s in range(r):
+            for w in window:
+                col = {}
+                for n in dilations:
+                    mono = tuple(n * q + e for q, e in zip(shape[s], w))
+                    for mu, c in ideal.normal_form_monomial(mono).items():
+                        col[(n, mu)] = c
+                col_nf.append(col)
+        row_keys = sorted({k for col in col_nf for k in col})
+        rows = [[col.get(k, 0) for col in col_nf] for k in row_keys]
+        kernel = linalg.nullspace(rows, ncols, p)
+        if not kernel:
+            continue
+        if p ** len(kernel) > KERNEL_COMBO_LIMIT:
+            raise BudgetExceededError(
+                f"kernel dimension {len(kernel)} exceeds the combination budget",
+                {**region, "shape": [list(q) for q in shape]},
+            )
+        for weights in product(range(p), repeat=len(kernel)):
+            if all(w == 0 for w in weights):
+                continue
+            vec = [0] * ncols
+            for wgt, basis_vec in zip(weights, kernel):
+                if wgt:
+                    vec = [(a + wgt * b) % p for a, b in zip(vec, basis_vec)]
+            if not any(vec):
+                continue
+            lead = next(x for x in vec if x)
+            inv = pow(lead, -1, p)
+            vec = tuple((x * inv) % p for x in vec)
+            if (shape, vec) in seen_vectors:
+                continue
+            seen_vectors.add((shape, vec))
+            blocks = []
+            for s in range(r):
+                terms = {}
+                for j, w in enumerate(window):
+                    c = vec[s * len(window) + j]
+                    if c:
+                        terms[w] = c
+                blocks.append(LaurentPoly(ideal.d, dom, terms))
+            if any(b.is_zero() or ideal.contains(b) for b in blocks):
+                continue
+            cert = NonMixingCertificate(
+                order=r,
+                shape=tuple(tuple(q) for q in shape),
+                coefficients=tuple(blocks),
+                family=explicit_family(dilations),
+                transcript=tuple((n, 1) for n in dilations),
+                grade="evidence",
+            )
+            if verify_certificate(system, cert).ok:
+                found.append(cert)
+    return SearchOutcome(found, region)
+
+
 def ref_enumerate_unit_solutions(problem):
     """Every n-tuple of units in the box, tested against the equation."""
     K = problem.field
@@ -249,7 +344,9 @@ def ref_enumerate_unit_solutions(problem):
             val = val * g ** k
         units.setdefault(val, e)
     unit_items = sorted(units.items(), key=lambda kv: kv[1])
-    total = len(unit_items) ** n
+    # The enumerator's refusal rule: it makes one lookup per choice of
+    # x1..x_{n-1}, although this reference tries all |U|^n tuples.
+    total = len(unit_items) ** (n - 1)
     if total > problem.budget:
         raise BudgetExceededError(
             f"{total} combinations exceed the budget {problem.budget}",
@@ -269,6 +366,61 @@ def ref_enumerate_unit_solutions(problem):
         solutions.append(UnitSolution(tuple(e for _, e in combo), values))
     exponent = ess_bound_exponent(n, rgen)
     return UnitEquationResult(solutions, exponent, (len(solutions) + 1).bit_length() <= exponent)
+
+
+def _search_result(search, *args):
+    """Certificates as written to disk and the region, or the refusal."""
+    try:
+        outcome = search(*args)
+    except (BudgetExceededError, CertificateError, DomainError) as e:
+        return type(e).__name__, str(e), getattr(e, "region", None)
+    return [certificate_to_dict(c) for c in outcome], outcome.region
+
+
+def _poly_text(terms, names, negate=None):
+    """The polynomial with the given terms (negated mod `negate` if set)."""
+    return " + ".join(
+        f"{negate - c if negate else c}" + "".join(f"*{v}^{e}" for v, e in zip(names, m) if e)
+        for m, c in terms.items()
+    )
+
+
+@st.composite
+def charp_search_cases(draw):
+    """Small ideals over F_2, F_3, F_5 in d <= 2 (with a substitution hint
+    when the generators solve variables in earlier ones) and small searches,
+    with dilation lists that may repeat and hold 0 or -1."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 2))
+    names = [f"u{i + 1}" for i in range(d)]
+    unit = st.integers(1, p - 1)
+    if draw(st.booleans()):
+        # Generators u_v - g_v with g_v in earlier variables: the hint itself.
+        hint = {0: {(0,) * d: draw(unit)}} if d == 1 or draw(st.booleans()) else {}
+        if d == 2:
+            hint[1] = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.just(0)), unit,
+                                           min_size=1, max_size=3))
+            if 0 in hint:  # u2 must go to a unit once u1 is substituted
+                c = hint[0][(0, 0)]
+                assume(sum(a * c ** m[0] for m, a in hint[1].items()) % p)
+        gens = [f"{names[v]} + {_poly_text(g, names, negate=p)}" for v, g in sorted(hint.items())]
+        hint = {v: _poly_text(g, names) for v, g in hint.items()}
+    else:
+        hint = None
+        terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * d), unit,
+                                min_size=1, max_size=3)
+        gens = [_poly_text(t, names) for t in draw(st.lists(terms, min_size=1, max_size=2))]
+    if d == 1:
+        shape_box = [(0, draw(st.integers(1, 3)))]
+        window = [(0, draw(st.integers(0, 2)))]
+    else:
+        shape_box = [(0, 1)] * 2
+        window = [(0, draw(st.integers(0, 1)))] * 2
+    points = len(_box_points(shape_box))
+    r = draw(st.integers(2, min(4, points)))
+    dilations = tuple(draw(st.lists(st.sampled_from([-1, 0, 1, 1, 2, 2, 3, 4]),
+                                    min_size=1, max_size=4)))
+    return p, d, gens, hint, r, shape_box, window, dilations
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +506,43 @@ class TestShapeSearch:
     def test_order_below_two_rejected(self, three_dot):
         with pytest.raises(CertificateError):
             shape_search(three_dot, 1, [(0, 1)] * 2, [(0, 1)] * 2, (1,))
+
+    @given(case=charp_search_cases())
+    @example(case=(2, 2, ["1 + u1 + u2"], {1: "1 + u1"}, 3, [(0, 1)] * 2, [(0, 1)] * 2, (0, 1, 2)))
+    @example(case=(2, 2, ["1 + u1 + u2"], {1: "1 + u1"}, 3, [(0, 1)] * 2, [(0, 1)] * 2, (1, 1, 2)))
+    @example(case=(2, 2, ["1 + u1 + u2"], None, 3, [(0, 1)] * 2, [(0, 1)] * 2, (-1, 1, 2)))
+    @example(case=(3, 1, ["u1 - 2"], {0: "2"}, 3, [(0, 3)], [(0, 2)], (0, 2)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_vector_replay(self, case):
+        p, d, gens, hint, r, shape_box, window, dilations = case
+        dom = GF(p)
+        generators = [LaurentPoly.parse(g, d, dom) for g in gens]
+        ideals = [IdealPresentation(generators, p, d=d)]
+        if hint is not None:
+            ideals.append(IdealPresentation(
+                generators, p, d=d, engine="substitution",
+                substitution={v: LaurentPoly.parse(t, d, dom) for v, t in hint.items()},
+            ))
+        for ideal in ideals:
+            system = AlgebraicSystem(free_abelian(d), CharPModule(ideal))
+            args = (system, r, shape_box, window, dilations)
+            assert _search_result(shape_search, *args) == _search_result(ref_shape_search, *args)
+
+    def test_non_kernel_vector_is_refused(self, monkeypatch, tmp_path, capsys):
+        # u^(n*q) times the first window monomial is a unit, never in the ideal.
+        def first_unit_vector(rows, ncols, p):
+            return [[1] + [0] * (ncols - 1)]
+
+        monkeypatch.setattr(linalg, "nullspace", first_unit_vector)
+        ideal = IdealPresentation([p2("1 + u1 + u2")], 2)
+        system = AlgebraicSystem(free_abelian(2), CharPModule(ideal))
+        with pytest.raises(CertificateError, match="does not vanish"):
+            shape_search(system, 3, [(0, 1)] * 2, [(0, 1)] * 2, (1, 2, 4))
+        code = main(["certify", str(SAMPLES / "ledrappier.json"), "--order", "3",
+                     "--force-search", "--out", str(tmp_path)])
+        assert code == 2
+        assert "does not vanish" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestDilationFamilies:
@@ -450,6 +639,16 @@ class TestUnitEquation:
             enumerate_unit_solutions(problem)
         assert e.value.region["box"] == 5
 
+    def test_budget_counts_lookups(self, field):
+        # 121 units 2^a 3^b in the box, and x2 is solved for: 121 lookups.
+        problem = UnitEquationProblem.make(field, [1, 1], [2, 3], box=5, budget=121)
+        assert enumerate_unit_solutions(problem).solutions == (
+            ref_enumerate_unit_solutions(problem).solutions
+        )
+        short = UnitEquationProblem.make(field, [1, 1], [2, 3], box=5, budget=120)
+        with pytest.raises(BudgetExceededError, match="^121 combinations exceed the budget 120$"):
+            enumerate_unit_solutions(short)
+
     def test_zero_coefficient_rejected(self, field):
         with pytest.raises(DomainError):
             UnitEquationProblem.make(field, [0, 1], [2], box=2)
@@ -476,7 +675,7 @@ class TestUnitEquation:
     def test_matches_full_product(self, field, coeffs, gens, box, budget):
         units = (2 * box + 1) ** len(gens)
         if units ** len(coeffs) > 5000:
-            budget = 20  # both sides refuse before enumerating
+            budget = 20  # keeps the reference's |U|^n loop small
         problem = UnitEquationProblem.make(field, coeffs, gens, box=box, budget=budget)
         try:
             expected = ref_enumerate_unit_solutions(problem)
