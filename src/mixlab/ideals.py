@@ -215,6 +215,8 @@ class IdealPresentation:
         self._gb_full: Optional[List[PolyDict]] = None
         self._gb_contracted: Optional[List[PolyDict]] = None
         self._nf_cache: Dict[Mono, PolyDict] = {}
+        # simulate.window_space's memo: window -> WindowConfigSpace.
+        self.window_spaces: Dict[Tuple[Tuple[int, int], ...], object] = {}
         if engine == "substitution":
             if not self.substitution:
                 raise DomainError("substitution engine requires a substitution map")

@@ -1,28 +1,86 @@
 """Linear algebra over prime fields, used by search and simulation.
 
-Callers pass and receive dense rows (lists of ints), but rows are never
-dense while they are reduced.  Over F_2 a row is packed into one Python int
-(bit c is column c) and row operations are XORs; over odd p a row is a
-sparse {column: value} dict.  Window systems have a few nonzeros per row
-and hundreds to thousands of columns, which is where this pays.
+A row is sparse, a {column: value} dict, and rows go into an echelon table
+keyed by their lead, the lowest column where the row is nonzero.  A new row
+is reduced only by the table row that shares its current lead, until it is
+zero or its lead is new to the table.  Over F_2 a table row is packed into
+one Python int (bit c is column c) and reduction is an XOR; over odd p it is
+a dict scaled so the lead entry is 1.
+
+Every echelon form of a row space has the same leads, and they are the
+pivot columns of its reduced row echelon form, whatever order the rows came
+in.  So the kernel needs no full reduction: for each free (non-pivot)
+column f take the vector that is 1 at f and 0 at the other free columns,
+and walk the pivots from the highest down, setting each pivot entry from
+the entries to its right (back-substitution), for all f at once.  That
+solves the same equations with the same free values as Gauss-Jordan, so the
+basis is the one Gauss-Jordan gives, vector for vector.  Window constraint
+rows need no reduction at all on the way in: each shift of a generator has
+its own lowest site.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+
+import numpy as np
 
 # '0'/'1' characters to the bytes 0/1, for unpacking an F_2 row at C speed.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
-
-def _pack(row: Sequence[int], p: int):
-    if p == 2:
-        return sum(1 << c for c, x in enumerate(row) if x % 2)
-    return {c: x % p for c, x in enumerate(row) if x % p}
+Row = Union[int, Dict[int, int]]
 
 
-def _unpack(row, p: int, width: int) -> List[int]:
+def _subtract(target: Dict[int, int], factor: int, source: Dict[int, int], p: int) -> None:
+    """target -= factor * source, in place, mod p."""
+    for c, x in source.items():
+        v = (target.get(c, 0) - factor * x) % p
+        if v:
+            target[c] = v
+        else:
+            del target[c]
+
+
+def _echelon(rows: Iterable[Mapping[int, int]], p: int) -> Dict[int, Row]:
+    """The echelon table of the rows: lead column -> row with that lead."""
+    table: Dict[int, Row] = {}
+    for entries in rows:
+        if p == 2:
+            row = 0
+            for c, x in entries.items():
+                if x % 2:
+                    row |= 1 << c
+            while row:
+                lead = (row & -row).bit_length() - 1
+                if lead not in table:
+                    table[lead] = row
+                    break
+                row ^= table[lead]
+        else:
+            row = {c: x % p for c, x in entries.items() if x % p}
+            while row:
+                lead = min(row)
+                if lead not in table:
+                    inv = pow(row[lead], -1, p)
+                    table[lead] = {c: x * inv % p for c, x in row.items()}
+                    break
+                _subtract(row, row[lead], table[lead], p)
+    return table
+
+
+def _entries(row: Row, p: int) -> Dict[int, int]:
+    """A table row as a {column: value} dict."""
+    if p != 2:
+        return row
+    out = {}
+    while row:
+        low = row & -row
+        out[low.bit_length() - 1] = 1
+        row ^= low
+    return out
+
+
+def _unpack(row: Row, p: int, width: int) -> List[int]:
     if p == 2:
         return list(format(row, f"0{width}b").encode()[::-1].translate(_BITS)) if width else []
     dense = [0] * width
@@ -31,90 +89,81 @@ def _unpack(row, p: int, width: int) -> List[int]:
     return dense
 
 
-def _eliminate(work: list, p: int, limit: int) -> List[int]:
-    """Gauss-Jordan on packed rows in place; returns the pivot columns.
+def _dense_rows(rows: Sequence[Sequence[int]]):
+    return ({c: x for c, x in enumerate(r) if x} for r in rows)
 
-    The pivot of each column is the first remaining row with a nonzero
-    entry there, and every other row is cleared in that column, so the rows
-    come out in reduced row echelon order: pivot rows first, then the rest.
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays with entries in [0, p), exactly.
+
+    A sum of k products is at most k (p - 1)^2.  While that fits in int64
+    for the whole inner dimension this is one product; otherwise the inner
+    dimension is summed in slices small enough that nothing overflows.
     """
-    pivots: List[int] = []
-    row = 0
-    n = len(work)
-    for col in range(limit):
-        if p == 2:
-            pivot = next((r for r in range(row, n) if work[r] >> col & 1), None)
-        else:
-            pivot = next((r for r in range(row, n) if col in work[r]), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        # Rows row+1..pivot are zero in this column: the pivot is the first
-        # nonzero one and the row swapped down to `pivot` had a zero there.
-        others = chain(range(row), range(pivot + 1, n))
-        if p == 2:
-            prow = work[row]
-            for r in others:
-                if work[r] >> col & 1:
-                    work[r] ^= prow
-        else:
-            inv = pow(work[row][col], -1, p)
-            prow = {c: x * inv % p for c, x in work[row].items()}
-            work[row] = prow
-            for r in others:
-                target = work[r]
-                factor = target.get(col)
-                if factor:
-                    for c, x in prow.items():
-                        v = (target.get(c, 0) - factor * x) % p
-                        if v:
-                            target[c] = v
-                        else:
-                            del target[c]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    return pivots
+    step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
+    if a.shape[-1] <= step:
+        return (a @ b) % p
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for i in range(0, a.shape[-1], step):
+        out = (out + a[..., i:i + step] @ b[i:i + step]) % p
+    return out
 
 
-def rref(rows: Sequence[Sequence[int]], p: int, ncols: Optional[int] = None):
-    """Reduced row echelon form mod p.
+def rref(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form mod p of dense rows.
 
-    Returns (reduced rows, pivot column list), every entry reduced mod p.
-    If ncols is given, only the first ncols columns are pivot-eligible
-    (trailing columns act as an augmented right-hand side).
+    Returns (reduced rows, pivot column list), every entry reduced mod p:
+    the pivot rows in pivot order, then one zero row per dependent row.
     """
     width = len(rows[0]) if rows else 0
-    work = [_pack(r, p) for r in rows]
-    pivots = _eliminate(work, p, width if ncols is None else ncols)
-    return [_unpack(r, p, width) for r in work], pivots
+    table = _echelon(_dense_rows(rows), p)
+    pivots = sorted(table)
+    # Clear each pivot row at the higher pivot columns, highest pivot first.
+    # A row already cleared is zero at every pivot column but its own, so
+    # subtracting it clears one column and touches no other pivot.
+    above = 0
+    for q in reversed(pivots):
+        row = table[q]
+        if p == 2:
+            hits = row & above
+            while hits:
+                low = hits & -hits
+                row ^= table[low.bit_length() - 1]
+                hits ^= low
+            table[q] = row
+            above |= 1 << q
+        else:
+            for j in [c for c in row if c > q and c in table]:
+                _subtract(row, row[j], table[j], p)
+    reduced = [_unpack(table[q], p, width) for q in pivots]
+    reduced += [[0] * width for _ in range(len(rows) - len(pivots))]
+    return reduced, pivots
 
 
 def affine_consistent_rank(rows_aug: Sequence[Sequence[int]], p: int) -> Tuple[bool, int]:
-    """For augmented rows [A | b]: (consistent, rank of A)."""
-    reduced, pivots = rref(rows_aug, p, ncols=len(rows_aug[0]) - 1)
-    # Rows past the pivot rows are zero in A; a nonzero b there is 0 = b.
-    return not any(r[-1] for r in reduced[len(pivots):]), len(pivots)
+    """For dense augmented rows [A | b]: (consistent, rank of A)."""
+    rhs = len(rows_aug[0]) - 1
+    table = _echelon(_dense_rows(rows_aug), p)
+    # A row led by the right-hand side reads 0 = b with b nonzero.
+    inconsistent = rhs in table
+    return not inconsistent, len(table) - inconsistent
 
 
-def nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> List[List[int]]:
-    """Basis of the right kernel of the matrix mod p.
+def nullspace(rows: Iterable[Mapping[int, int]], ncols: int, p: int) -> List[List[int]]:
+    """Basis of the right kernel mod p of sparse {column: value} rows.
 
     One vector per free (non-pivot) column f, in increasing order of f: it
     is 1 at f, 0 at the other free columns, and solves for the pivots.
+    Columns run from 0 to ncols - 1; the row order does not matter.
     """
-    if not rows:
-        rows = [[0] * ncols]
-    reduced, pivots = rref(rows, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    # rref puts the pivot rows first, in pivot order.
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, pc in zip(reduced, pivots):
-            vec[pc] = (-r[f]) % p
-        basis.append(vec)
-    return basis
+    table = _echelon(rows, p)
+    free = [c for c in range(ncols) if c not in table]
+    # values[c, i] is entry c of basis vector i.
+    values = np.zeros((ncols, len(free)), dtype=np.int64)
+    values[free, range(len(free))] = 1
+    for q in sorted(table, reverse=True):
+        others = {c: (-x) % p for c, x in _entries(table[q], p).items() if c != q}
+        if others:
+            coeffs = np.fromiter(others.values(), dtype=np.int64, count=len(others))
+            values[q] = matmul_mod(coeffs, values[list(others)], p)
+    return values.T.tolist()

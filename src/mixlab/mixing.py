@@ -326,19 +326,16 @@ def shape_search(
                 for s in range(r)]
 
     for shape in shapes:
-        # Column (s, w): stacked normal forms of u^(n*q_s + w) over dilations.
-        col_nf: List[Dict[Tuple[int, Tuple[int, ...]], int]] = []
+        # Column (s, w) stacks the normal forms of u^(n*q_s + w) over the
+        # dilations; row (n, mu) is the coefficient of mu at dilation n.
+        rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
         for s in range(r):
-            for w in window:
-                col: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+            for j, w in enumerate(window, s * len(window)):
                 for n in dilations:
                     mono = tuple(n * q + e for q, e in zip(shape[s], w))
                     for mu, c in ideal.normal_form_monomial(mono).items():
-                        col[(n, mu)] = c
-                col_nf.append(col)
-        row_keys = sorted({k for col in col_nf for k in col})
-        rows = [[col.get(k, 0) for col in col_nf] for k in row_keys]
-        kernel = linalg.nullspace(rows, ncols, p)
+                        rows.setdefault((n, mu), {})[j] = c
+        kernel = linalg.nullspace(rows.values(), ncols, p)
         if not kernel:
             continue
         combos = p ** len(kernel)

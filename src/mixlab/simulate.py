@@ -1,14 +1,21 @@
 """Exact cylinder measures and Monte Carlo sampling for char-p group shifts.
 
 Configurations on a finite window satisfy one F_p linear constraint per
-fully-contained translate of each ideal generator (free boundary).  A
-window space row-reduces its constraints once and keeps a kernel basis K:
-row f of K is the valid configuration that is 1 at free site f and 0 at the
-other free sites, so the valid configurations are exactly the combinations
-x @ K mod p of the free values x.  A cylinder or correlation measure is then
-p^-rank of the pinned columns of K (0 if the pins are inconsistent), and a
-uniform sample draws x with a counter-based generator and multiplies, so
-every empirical number is reproducible from its seed.
+fully-contained translate of each ideal generator (free boundary).  Each
+constraint is a sparse row over the window's sites, and the rows of one
+generator already come in echelon form (each translate has its own lowest
+site), so a window space finds its kernel basis K by back-substitution
+alone (see `linalg`).  Row f of K is the valid configuration that is 1 at
+free site f and 0 at the other free sites, so the valid configurations are
+exactly the combinations x @ K mod p of the free values x.  A cylinder or
+correlation measure is then p^-rank of the pinned columns of K (0 if the
+pins are inconsistent), and a uniform sample draws x with a counter-based
+generator and multiplies, exactly for every p the engine accepts, so every
+empirical number is reproducible from its seed.
+
+A loaded ideal keeps the window spaces built for it, one per window
+(`window_space`): a correlation, its cylinder measures and their estimate
+share them.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ class WindowConfigSpace:
             raise WindowError("window dimension does not match the system")
         self.sites = _window_sites(self.window)
         self.site_index = {s: i for i, s in enumerate(self.sites)}
-        rows: List[List[int]] = []
+        rows: List[Dict[int, int]] = []
         for g in ideal.generators:
             support = []
             for m, c in g.terms.items():
@@ -91,11 +98,10 @@ class WindowConfigSpace:
                 for w, lo, hi in zip(self.window, lo_off, hi_off)
             ]
             for shift in product(*shift_ranges):
-                row = [0] * len(self.sites)
-                for off, c in support:
-                    site = tuple(a + b for a, b in zip(shift, off))
-                    row[self.site_index[site]] = c % self.p
-                rows.append(row)
+                rows.append({
+                    self.site_index[tuple(a + b for a, b in zip(shift, off))]: c % self.p
+                    for off, c in support
+                })
         self.rows = rows
         nsites = len(self.sites)
         kernel = linalg.nullspace(rows, nsites, self.p)
@@ -113,7 +119,7 @@ class WindowConfigSpace:
         """Uniform samples of valid configurations; Philox keyed by the seed."""
         rng = np.random.Generator(np.random.Philox(seed))
         free = rng.integers(0, self.p, size=(count, len(self.kernel)))
-        return (free @ self.kernel) % self.p
+        return linalg.matmul_mod(free, self.kernel, self.p)
 
     def grid_text(self, config: np.ndarray) -> str:
         """A sample as a text grid (2D windows row per second coordinate)."""
@@ -126,6 +132,15 @@ class WindowConfigSpace:
                 "".join(str(int(config[self.site_index[(x, y)]])) for x in range(x0, x1 + 1))
             )
         return "\n".join(lines)
+
+
+def window_space(system: AlgebraicSystem, window: Sequence[Tuple[int, int]]) -> WindowConfigSpace:
+    """The window space of the system's ideal, built once per window."""
+    spaces = _require_charp(system).ideal.window_spaces
+    key = tuple((int(lo), int(hi)) for lo, hi in window)
+    if key not in spaces:
+        spaces[key] = WindowConfigSpace(system, key)
+    return spaces[key]
 
 
 def _measure_given_pins(
@@ -172,9 +187,9 @@ def cylinder_measure(
     flagged rather than hidden (free boundaries are a truncation we own).
     """
     pins = list(cylinder.pins)
-    space = WindowConfigSpace(system, window)
+    space = window_space(system, window)
     value = _measure_given_pins(space, pins)
-    grown = WindowConfigSpace(system, _grow(window))
+    grown = window_space(system, _grow(window))
     grown_value = _measure_given_pins(grown, pins)
     return MeasureResult(
         value=value,
@@ -197,7 +212,7 @@ def correlation_exact(
     """
     if len(sets) != len(shifts):
         raise DomainError("need one shift per set")
-    space = WindowConfigSpace(system, window)
+    space = window_space(system, window)
     pins: List[Tuple[Site, int]] = []
     for cyl, gamma in zip(sets, shifts):
         for site, v in cyl.shifted(tuple(int(x) for x in gamma)):
@@ -237,7 +252,7 @@ def correlation_estimate(
     Sampling is split into fixed-size blocks with per-block derived Philox
     keys, so the result is identical for any thread count.
     """
-    space = WindowConfigSpace(system, window)
+    space = window_space(system, window)
     pins: List[Tuple[Site, int]] = []
     for cyl, gamma in zip(sets, shifts):
         for site, v in cyl.shifted(tuple(int(x) for x in gamma)):
@@ -255,7 +270,7 @@ def correlation_estimate(
         index, size = block
         rng = np.random.Generator(np.random.Philox(key=(seed, index)))
         free = rng.integers(0, space.p, size=(size, len(space.kernel)))
-        pinned = (free @ pin_cols) % space.p
+        pinned = linalg.matmul_mod(free, pin_cols, space.p)
         return int(np.count_nonzero((pinned == pin_vals).all(axis=1)))
 
     if threads > 1:

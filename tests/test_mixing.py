@@ -284,7 +284,7 @@ def ref_shape_search(system, r, shape_box, coeff_window, dilations):
                         col[(n, mu)] = c
                 col_nf.append(col)
         row_keys = sorted({k for col in col_nf for k in col})
-        rows = [[col.get(k, 0) for col in col_nf] for k in row_keys]
+        rows = [{j: col[k] for j, col in enumerate(col_nf) if k in col} for k in row_keys]
         kernel = linalg.nullspace(rows, ncols, p)
         if not kernel:
             continue

@@ -24,6 +24,7 @@ from mixlab.systems import (
     free_abelian,
     positive_rationals,
 )
+from test_linalg import ref_nullspace
 
 F2 = GF(2)
 WINDOW = [(0, 6), (0, 6)]
@@ -31,6 +32,20 @@ WINDOW = [(0, 6), (0, 6)]
 
 def p2(text, d=2):
     return LaurentPoly.parse(text, d, F2)
+
+
+def system_over(p, *generators):
+    ideal = IdealPresentation([LaurentPoly.parse(g, 2, GF(p)) for g in generators], p)
+    return AlgebraicSystem(free_abelian(2), CharPModule(ideal))
+
+
+def constraint_matrix(space):
+    """The sparse constraint rows of a window space as a dense matrix."""
+    mat = np.zeros((len(space.rows), len(space.sites)), dtype=np.int64)
+    for i, row in enumerate(space.rows):
+        for site, value in row.items():
+            mat[i, site] = value
+    return mat
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +76,7 @@ class TestConfigSpace:
     def test_samples_satisfy_constraints(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
         samples = space.sample_uniform(50, seed=11)
-        rows = np.array(space.rows) % 2
-        assert ((rows @ samples.T) % 2 == 0).all()
+        assert ((constraint_matrix(space) @ samples.T) % 2 == 0).all()
 
     def test_sampling_is_deterministic(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
@@ -73,7 +87,28 @@ class TestConfigSpace:
     def test_kernel_rows_are_valid_configurations(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
         assert space.kernel.shape == (13, 49)
-        assert ((np.array(space.rows) @ space.kernel.T) % 2 == 0).all()
+        assert ((constraint_matrix(space) @ space.kernel.T) % 2 == 0).all()
+
+    @pytest.mark.parametrize(
+        "p, generators, width",
+        [(2, ["1 + u1 + u2"], w) for w in (1, 2, 3, 7, 13, 22)]
+        + [(3, ["1 + u1 + u2"], w) for w in (2, 5, 10, 22)]
+        # Shifts of the two generators share lowest sites, so their rows
+        # must be reduced against each other on the way in.
+        + [(3, ["1 + u1 + u2", "1 + 2*u1 + u2 + u1^2 + u1*u2"], w) for w in (3, 6, 11)],
+    )
+    def test_kernel_matches_reference(self, p, generators, width):
+        space = WindowConfigSpace(system_over(p, *generators), [(0, width - 1)] * 2)
+        dense = constraint_matrix(space).tolist()
+        assert space.kernel.tolist() == ref_nullspace(dense, len(space.sites), p)
+
+    def test_samples_exact_at_the_largest_characteristic(self):
+        # nfree * (p - 1)^2 overflows int64 here: sums must still be exact.
+        p = 2 ** 31 - 1
+        space = WindowConfigSpace(system_over(p, "1 + u1 + u2"), [(0, 5), (0, 5)])
+        samples = space.sample_uniform(20, seed=1)
+        constraints = constraint_matrix(space).astype(object)
+        assert ((constraints @ samples.astype(object).T) % p == 0).all()
 
     def test_samples_are_pinned(self, three_dot):
         # Digest of the samples drawn before the kernel-basis sampler; any
