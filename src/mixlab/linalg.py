@@ -96,13 +96,11 @@ def _dense_rows(rows: Sequence[Sequence[int]]):
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for int64 arrays with entries in [0, p), exactly.
 
-    A sum of k products is at most k (p - 1)^2.  While that fits in int64
-    for the whole inner dimension this is one product; otherwise the inner
-    dimension is summed in slices small enough that nothing overflows.
+    A sum of k products is at most k (p - 1)^2.  The inner dimension is
+    summed in slices of the largest k for which that, plus a residue below
+    p, fits in int64; for small p the whole dimension is one slice.
     """
     step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
-    if a.shape[-1] <= step:
-        return (a @ b) % p
     out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for i in range(0, a.shape[-1], step):
         out = (out + a[..., i:i + step] @ b[i:i + step]) % p
