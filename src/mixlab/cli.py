@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .ideals import EngineUnavailableError
@@ -65,7 +66,10 @@ def _emit(args, payload: dict, lines):
             print(line)
 
 
-def _default_threads() -> int:
+def _threads(args) -> int:
+    """--threads if given, else MIXLAB_THREADS as it is at call time."""
+    if args.threads is not None:
+        return args.threads
     return int(os.environ.get("MIXLAB_THREADS", "1"))
 
 
@@ -271,7 +275,7 @@ def cmd_simulate(args) -> int:
     if args.samples:
         est = correlation_estimate(
             system, sets, shifts, window, args.samples, args.seed,
-            threads=args.threads,
+            threads=_threads(args),
         )
         payload.update(estimate=est.estimate, stderr=est.stderr,
                        samples=est.samples, seed=est.seed)
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mixlab",
         description="workbench for mixing questions on algebraic dynamical systems",
     )
-    parser.add_argument("--threads", type=int, default=_default_threads(),
+    parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for parallel sections")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -411,10 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: `suite` and in-process callers run many commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:

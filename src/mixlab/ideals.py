@@ -7,9 +7,22 @@ eliminates t.  The t-free part of the reduced basis is then a basis of the
 saturated polynomial ideal, so normal forms of ordinary polynomials never
 mention t.
 
+Normal forms are linear: the remainder on a reduced basis is unique and a
+linear combination of remainders is again one, so NF(f) is the sum of
+c_m NF(u^m) over the terms of the cleared lift of f, with no final
+reduction.  The ideal keeps one memo of monomial normal forms NF(u^m), and
+a miss climbs the Frobenius ladder.  Over F_p the p-th power map sends the
+saturated ideal into itself, sends u^q to u^(pq) and fixes every
+coefficient, so NF(u^(pq + r)) = NF(NF(u^q)^[p] u^r), where ^[p]
+multiplies every exponent by p and r = m mod p componentwise.  A miss thus
+reduces one small polynomial per base-p digit of the exponents instead of
+walking down from u^m; a monomial whose exponents are all below p is
+reduced directly.
+
 A substitution engine is available as a fast path when the ideal is presented
 by relations solving variables in terms of earlier ones (as for the
-three-dot ideal via u2 = 1 + u1 over F_2).
+three-dot ideal via u2 = 1 + u1 over F_2).  Its hints are reduced to
+F_p once, when the ideal is built.
 """
 
 from __future__ import annotations
@@ -203,6 +216,8 @@ class IdealPresentation:
         if characteristic:
             dom = GF(characteristic)
             self.generators = tuple(g.to_domain(dom) for g in generators)
+            if substitution:
+                substitution = {var: g.to_domain(dom) for var, g in substitution.items()}
         else:
             self.generators = tuple(generators)
         for g in self.generators:
@@ -214,6 +229,8 @@ class IdealPresentation:
         self.substitution = dict(substitution) if substitution else None
         self._gb_full: Optional[List[PolyDict]] = None
         self._gb_contracted: Optional[List[PolyDict]] = None
+        self._gb_prepared = None
+        # NF(u^m) per exponent tuple m of d nonnegative ints (the ladder's memo).
         self._nf_cache: Dict[Mono, PolyDict] = {}
         # simulate.window_space's memo: window -> WindowConfigSpace.
         self.window_spaces: Dict[Tuple[Tuple[int, int], ...], object] = {}
@@ -245,9 +262,8 @@ class IdealPresentation:
             # Conversely every u_v - g_v must lie in the ideal of the
             # generators; with both directions the two engines decide the
             # same ideal.
-            dom = GF(characteristic)
             for var in sorted(self.substitution):
-                g = self.substitution[var].to_domain(dom)
+                g = self.substitution[var]
                 if not self.contains_groebner(LaurentPoly.variable(var, self.d, dom) - g):
                     raise DomainError(
                         f"u{var + 1} - ({g.to_text()}) is not in the ideal of the "
@@ -257,7 +273,8 @@ class IdealPresentation:
     # -- Laurent -> polynomial plumbing -------------------------------------
 
     def _cleared(self, f: LaurentPoly) -> PolyDict:
-        """Shift f by a monomial unit so all exponents are nonnegative ints."""
+        """Shift f by a monomial unit so all exponents are nonnegative ints;
+        keys are exponent tuples of length d (no saturation slot)."""
         if not f.terms:
             return {}
         mins = [min(m[i] for m in f.terms) for i in range(self.d)]
@@ -270,7 +287,7 @@ class IdealPresentation:
                 if v.denominator != 1:
                     raise DomainError(f"fractional exponent {v}; level-embed first")
                 exps.append(int(v))
-            out[tuple(exps) + (0,)] = int(c) % self.characteristic
+            out[tuple(exps)] = int(c) % self.characteristic
         return {m: c for m, c in out.items() if c}
 
     def _to_laurent(self, poly: PolyDict) -> LaurentPoly:
@@ -289,7 +306,8 @@ class IdealPresentation:
     def _full_basis(self) -> List[PolyDict]:
         if self._gb_full is None:
             self._require_char_p()
-            gens = [self._cleared(g) for g in self.generators]
+            gens = [{m + (0,): c for m, c in self._cleared(g).items()}
+                    for g in self.generators]
             sat: PolyDict = {
                 tuple([1] * self.d + [1]): 1,
                 tuple([0] * (self.d + 1)): self.characteristic - 1,
@@ -307,26 +325,57 @@ class IdealPresentation:
         """Reduced, saturated basis of the Laurent ideal, t eliminated."""
         return [self._to_laurent(g) for g in self._contracted_basis()]
 
+    def _monomial_nf(self, m: Mono) -> PolyDict:
+        """NF(u^m) for a tuple m of d nonnegative ints, memoised.  A miss with
+        an exponent of at least p climbs the Frobenius ladder:
+        NF(u^(pq + r)) = NF(NF(u^q)^[p] u^r)."""
+        nf = self._nf_cache.get(m)
+        if nf is None:
+            p = self.characteristic
+            if max(m, default=0) < p:
+                f = {m + (0,): 1}
+            else:
+                r = tuple(e % p for e in m) + (0,)
+                f = {tuple(p * e + s for e, s in zip(mu, r)): c
+                     for mu, c in self._monomial_nf(tuple(e // p for e in m)).items()}
+            if self._gb_prepared is None:
+                self._gb_prepared = _prepared(self._contracted_basis(), p)
+            nf = self._nf_cache[m] = _normal_form(f, self._gb_prepared, p)
+        return nf
+
+    def _reduced(self, f: LaurentPoly) -> PolyDict:
+        """Remainder of the cleared lift of f: the sum of its terms' monomial
+        normal forms, already reduced because the basis is."""
+        self._require_char_p()
+        p = self.characteristic
+        out: PolyDict = {}
+        for m, c in self._cleared(f).items():
+            for mu, a in self._monomial_nf(m).items():
+                out[mu] = (out.get(mu, 0) + c * a) % p
+        return {mu: c for mu, c in out.items() if c}
+
     def normal_form(self, f: LaurentPoly) -> LaurentPoly:
         """Canonical remainder of the cleared lift of f; zero iff f is in the ideal."""
-        self._require_char_p()
-        basis = _prepared(self._contracted_basis(), self.characteristic)
-        rem = _normal_form(self._cleared(f), basis, self.characteristic)
-        return self._to_laurent(rem)
+        return self._to_laurent(self._reduced(f))
 
     def normal_form_monomial(self, exps: Sequence[int]) -> PolyDict:
-        """Cached normal form of a nonnegative monomial, for linear algebra."""
-        self._require_char_p()
-        key = tuple(int(e) for e in exps) + (0,)
-        if any(e < 0 for e in key):
-            raise DomainError("normal_form_monomial needs nonnegative exponents")
-        if key not in self._nf_cache:
-            basis = _prepared(self._contracted_basis(), self.characteristic)
-            self._nf_cache[key] = _normal_form({key: 1}, basis, self.characteristic)
-        return self._nf_cache[key]
+        """Cached normal form of a nonnegative monomial, for linear algebra.
+
+        A tuple already in the memo is returned at once; any other argument
+        is checked once and then computed into the memo."""
+        nf = self._nf_cache.get(exps) if type(exps) is tuple else None
+        if nf is None:
+            self._require_char_p()
+            exps = tuple(exps)
+            key = tuple(int(e) for e in exps)
+            if len(key) != self.d or key != exps or min(key, default=0) < 0:
+                raise DomainError(
+                    "normal_form_monomial needs d nonnegative integer exponents")
+            nf = self._monomial_nf(key)
+        return nf
 
     def contains_groebner(self, f: LaurentPoly) -> bool:
-        return not self.normal_form(f).terms
+        return not self._reduced(f)
 
     # -- substitution engine -------------------------------------------------
 
@@ -334,10 +383,9 @@ class IdealPresentation:
         self._require_char_p()
         if self.substitution is None:
             raise EngineUnavailableError("no substitution hint on this presentation")
-        dom = GF(self.characteristic)
-        work = f.to_domain(dom)
+        work = f.to_domain(GF(self.characteristic))
         for var in sorted(self.substitution, reverse=True):
-            work = _eliminate_variable(work, var, self.substitution[var].to_domain(dom))
+            work = _eliminate_variable(work, var, self.substitution[var])
         return work.is_zero()
 
     # -- public surface ------------------------------------------------------

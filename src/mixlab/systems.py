@@ -122,13 +122,20 @@ class CharacterTuple:
     def __init__(self, pairs):
         object.__setattr__(self, "pairs", tuple((g, a) for g, a in pairs))
 
-    def validate(self, system: AlgebraicSystem):
+    def validate(self, system: AlgebraicSystem, nonzero: Optional[set] = None):
+        """Raise InvalidTupleError on a repeated shift or a zero coefficient.
+
+        nonzero, if given, holds coefficients already found nonzero in this
+        system; they are not tested again, and newly tested ones are added."""
         gammas = [g for g, _ in self.pairs]
         if len(set(map(_gamma_key, gammas))) != len(gammas):
             raise InvalidTupleError("shift elements must be pairwise distinct")
+        known = set() if nonzero is None else nonzero
         for _, a in self.pairs:
-            if not system.is_nonzero(a):
-                raise InvalidTupleError("tuple coefficient is zero in the module")
+            if a not in known:
+                if not system.is_nonzero(a):
+                    raise InvalidTupleError("tuple coefficient is zero in the module")
+                known.add(a)
 
 
 def _gamma_key(g):
@@ -183,13 +190,16 @@ def shifted_terms(module, pairs):
     raise UnsupportedOperationError("unknown module type")
 
 
-def character_correlation(system: AlgebraicSystem, tup: CharacterTuple) -> int:
+def character_correlation(
+    system: AlgebraicSystem, tup: CharacterTuple, nonzero: Optional[set] = None
+) -> int:
     """1 iff the shifted character sum vanishes in the module, else 0.
 
     This bit is the Haar integral of the product of the shifted characters,
-    via the orthogonality relations.
+    via the orthogonality relations.  nonzero is a caller's memo of
+    coefficients already validated (see `CharacterTuple.validate`).
     """
-    tup.validate(system)
+    tup.validate(system, nonzero)
     return 1 if shifted_sum_vanishes(system.module, tup.pairs) else 0
 
 

@@ -13,6 +13,8 @@ SPLIT = str(SAMPLES / "split_ledrappier.json")
 TIMES23 = str(SAMPLES / "times2times3.json")
 RATIONAL_DUAL = str(SAMPLES / "rational_dual.json")
 TRIVIAL = str(SAMPLES / "trivial_unit.json")
+# Kept out of presentations/, which the benchmark analyzes file by file.
+F5_FINITE = str(Path(__file__).resolve().parent / "f5_two_generators.json")
 
 
 def run(capsys, *argv):
@@ -65,6 +67,20 @@ class TestCertify:
         assert code == 3
         assert "no certificates" in out
         assert not list(tmp_path.glob("*.cert.json"))
+
+    def test_prime_power_transcript_at_default_kmax(self, capsys, tmp_path):
+        # u1^2 + 3 gives an order-2 prime-power family over F_5; its
+        # transcript replays u1^(2 * 5^k) + 3 up to 5^6.
+        code, out, _ = run(
+            capsys, "certify", F5_FINITE, "--order", "2", "--out", str(tmp_path)
+        )
+        assert code == 0
+        (path,) = tmp_path.glob("*.cert.json")
+        data = json.loads(path.read_text())
+        assert data["grade"] == "proof"
+        assert data["shape"] == [["2", "0"], ["0", "0"]]
+        assert data["transcript"] == [[5 ** k, 1] for k in range(7)]
+        assert run(capsys, "verify", str(path), F5_FINITE)[0] == 0
 
     def test_unit_ideal_refused(self, capsys, tmp_path):
         code, _, err = run(
@@ -216,6 +232,33 @@ class TestSimulate:
         data = json.loads(out)
         assert code == 0
         assert abs(data["estimate"] - 0.5) < 0.02
+
+    def test_threads_read_from_environment_at_each_call(self, capsys, monkeypatch):
+        # The parser is built once per process, so MIXLAB_THREADS must be
+        # read when a command runs, not when the parser is built.
+        import mixlab.cli as cli
+
+        seen = []
+        real = cli.correlation_estimate
+
+        def spy(*args, threads, **kwargs):
+            seen.append(threads)
+            return real(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "correlation_estimate", spy)
+        argv = ["simulate", THREE_DOT, "--sets", '[{"0,0": 0}]', "--shifts", "[[0,0]]",
+                "--window", "3", "--samples", "100"]
+        outputs = []
+        for value in ("1", "2"):
+            monkeypatch.setenv("MIXLAB_THREADS", value)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outputs.append(out)
+        monkeypatch.delenv("MIXLAB_THREADS")
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "--threads", "3", *argv)[0] == 0
+        assert seen == [1, 2, 1, 3]
+        assert outputs[0] == outputs[1]
 
     def test_rational_dual_not_simulable(self, capsys):
         code, _, err = run(

@@ -271,3 +271,111 @@ class TestSympyMembership:
             t, u1, u2, modulus=p,
         )
         assert ideal.contains(f) == basis.contains(expr(f))
+
+
+# -- the Frobenius ladder against direct reduction ---------------------------
+
+def direct_monomial_nf(ideal, m):
+    """The reference: u^m reduced directly by the contracted basis, with no
+    memo and no ladder."""
+    p = ideal.characteristic
+    return _normal_form({tuple(m) + (0,): 1}, _prepared(ideal._contracted_basis(), p), p)
+
+
+def poly_mul(f, g, p):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = (out.get(m, 0) + c1 * c2) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def squaring_monomial_nf(ideal, m):
+    """u^m by square-and-multiply, reducing directly after every product.
+    It uses only that the ideal absorbs products, never the p-th power map."""
+    p = ideal.characteristic
+    basis = _prepared(ideal._contracted_basis(), p)
+    acc = _normal_form({(0,) * (ideal.d + 1): 1}, basis, p)
+    for bit in reversed(range(max(m).bit_length())):
+        acc = _normal_form(poly_mul(acc, acc, p), basis, p)
+        step = tuple((e >> bit) & 1 for e in m) + (0,)
+        acc = _normal_form(poly_mul(acc, {step: 1}, p), basis, p)
+    return acc
+
+
+def finite_quotient_generators(data, p, d):
+    """One monic univariate generator u_i^k + (lower terms) per variable, so
+    the quotient is finite, plus up to two random generators."""
+    gens = []
+    for i in range(d):
+        k = data.draw(st.integers(1, 3))
+        lower = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+        terms = {tuple(j if v == i else 0 for v in range(d)): c for j, c in enumerate(lower)}
+        terms[tuple(k if v == i else 0 for v in range(d))] = 1
+        gens.append({m: c for m, c in terms.items() if c})
+    return gens + data.draw(st.lists(poly_dicts(d, p, 2, 3), max_size=2))
+
+
+class TestFrobeniusLadder:
+    # Direct reduction of u^m costs more than quadratic time in the degree
+    # when d >= 2 (one monomial of degree 15,000 over F_5 in d = 3 took 45 s),
+    # so the direct reference is used at full range only in d = 1.
+    TOP_POWER = {1: 5, 2: 2, 3: 1}
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_reduction(self, p, d, data):
+        dom = GF(p)
+        gens = data.draw(st.lists(poly_dicts(d, p, 2, 3), min_size=1, max_size=2))
+        ideal = IdealPresentation([LaurentPoly(d, dom, g) for g in gens], p, d=d)
+        top = 4 * p ** self.TOP_POWER[d]
+        for _ in range(3):
+            m = data.draw(st.tuples(*[st.integers(0, top)] * d))
+            assert ideal.normal_form_monomial(m) == direct_monomial_nf(ideal, m)
+        # normal_form of a Laurent f is the sum of its terms' memo entries.
+        f = LaurentPoly(d, dom, data.draw(st.dictionaries(
+            st.tuples(*[st.integers(-3, top)] * d), st.integers(1, p - 1),
+            min_size=1, max_size=6)))
+        lift = {m + (0,): c for m, c in ideal._cleared(f).items()}
+        direct = _normal_form(lift, _prepared(ideal._contracted_basis(), p), p)
+        assert ideal.normal_form(f) == ideal._to_laurent(direct)
+        assert ideal.contains(f) == (not direct)
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_squaring_on_finite_quotients(self, p, d, data):
+        dom = GF(p)
+        gens = finite_quotient_generators(data, p, d)
+        ideal = IdealPresentation([LaurentPoly(d, dom, g) for g in gens], p, d=d)
+        for _ in range(2):
+            m = data.draw(st.tuples(*[st.integers(0, 4 * p ** 5)] * d))
+            assert ideal.normal_form_monomial(m) == squaring_monomial_nf(ideal, m)
+
+    def test_f5_dilated_generator(self):
+        # u1^2 = -3, so u1^(2 * 5^6) = (-3)^(5^6) = -3 = 2 over F_5.
+        dom = GF(5)
+        ideal = IdealPresentation([LaurentPoly.parse("1 + 2*u1 + u2", 2, dom),
+                                   LaurentPoly.parse("u1^2 + 3", 2, dom)], 5)
+        assert ideal.normal_form_monomial((2 * 5 ** 6, 0)) == {(0, 0, 0): 2}
+        assert ideal.contains(LaurentPoly.parse("u1^31250 + 3", 2, dom))
+
+    def test_memo_key_checked_once(self, three_dot):
+        with pytest.raises(DomainError):
+            three_dot.normal_form_monomial((-1, 0))
+        with pytest.raises(DomainError):
+            three_dot.normal_form_monomial((1, 0, 0))
+        nf = three_dot.normal_form_monomial([4, 0])
+        assert three_dot.normal_form_monomial((4, 0)) is nf
+
+    def test_normal_form_bypasses_the_public_method(self, monkeypatch):
+        # normal_form reads the memo itself, so a count of public
+        # normal_form_monomial calls counts only its outside callers.
+        ideal = IdealPresentation([p2("1 + u1 + u2")], 2)
+
+        def refuse(*_args):
+            raise AssertionError("normal_form went through normal_form_monomial")
+
+        monkeypatch.setattr(IdealPresentation, "normal_form_monomial", refuse)
+        assert ideal.contains(p2("1 + u1^8 + u2^8"))
+        assert ideal.normal_form(p2("u1^5")) == p2("1 + u2 + u2^4 + u2^5")

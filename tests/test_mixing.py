@@ -50,6 +50,7 @@ from mixlab.systems import (
     CharacterTuple,
     CharPModule,
     EvaluationModule,
+    InvalidTupleError,
     RationalDualModule,
     _unit_power,
     character_correlation,
@@ -480,6 +481,47 @@ class TestFrobeniusCertificates:
         report = verify_certificate(three_dot, bad)
         assert not report.ok
         assert report.first_failure == 1
+
+    def test_each_coefficient_validated_once(self, three_dot, monkeypatch):
+        calls = []
+        real = AlgebraicSystem.is_nonzero
+
+        def counted(system, a):
+            calls.append(a)
+            return real(system, a)
+
+        monkeypatch.setattr(AlgebraicSystem, "is_nonzero", counted)
+        cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=6)
+        assert calls == [p2("1")]  # one distinct coefficient, 7 dilations
+        calls.clear()
+        assert verify_certificate(three_dot, cert).ok
+        assert calls == [p2("1")]
+        calls.clear()
+        # Three distinct coefficients over 5 dilations: 3 tests, not 15.
+        product_cert = NonMixingCertificate(
+            order=3,
+            shape=((0, 0), (1, 0), (0, 1)),
+            coefficients=(p2("u1 + u2^2"), p2("u1^2 + u2^3"), p2("u1^3 + u2")),
+            family=prime_power_family(2),
+            transcript=tuple((2 ** k, 1) for k in range(5)),
+            grade="proof",
+        )
+        verify_certificate(three_dot, product_cert)
+        assert len(calls) == 3
+
+    def test_merged_coefficient_still_validated(self, three_dot):
+        # At dilation 0 both shifts collide and the merged coefficient
+        # 1 + u1 + u2 is zero in the module, though each part is not.
+        cert = NonMixingCertificate(
+            order=2,
+            shape=((0, 0), (1, 0)),
+            coefficients=(p2("1 + u1"), p2("u2")),
+            family=explicit_family((1, 0)),
+            transcript=((1, 1), (0, 1)),
+            grade="evidence",
+        )
+        with pytest.raises(InvalidTupleError, match="zero in the module"):
+            verify_certificate(three_dot, cert)
 
 
 class TestShapeSearch:
