@@ -19,10 +19,15 @@ reduces one small polynomial per base-p digit of the exponents instead of
 walking down from u^m; a monomial whose exponents are all below p is
 reduced directly.
 
-A substitution engine is available as a fast path when the ideal is presented
-by relations solving variables in terms of earlier ones (as for the
-three-dot ideal via u2 = 1 + u1 over F_2).  Its hints are reduced to
-F_p once, when the ideal is built.
+The substitution engine decides membership when the ideal is presented by
+relations solving variables in terms of earlier ones (as for the three-dot
+ideal via u2 = 1 + u1 over F_2).  It is a ring map: the highest substituted
+variable goes first, each term c u^m becomes c u^m' g_v^(m_v - low), where m'
+is m with slot v zeroed and u_v^(-low) clears the negative powers of u_v,
+and f is in the ideal iff the image is zero.  Its hints are reduced to F_p
+once, when the ideal is built, and the hint powers g_v^b come from a memo
+on the ideal filled by the same ladder: the hint coefficients lie in F_p,
+so g^(pq + r) = (g^q)^[p] g^r, in the Laurent ring too.
 """
 
 from __future__ import annotations
@@ -83,6 +88,19 @@ def _add_scaled(f: PolyDict, c: int, shift: Mono, g: PolyDict, p: int) -> List[M
         elif old is not None:
             del f[key]
     return new
+
+
+def _mul(f: PolyDict, g: PolyDict, p: int) -> PolyDict:
+    out: PolyDict = {}
+    for m, c in f.items():
+        _add_scaled(out, c, m, g, p)
+    return out
+
+
+def _dilated(f: PolyDict, p: int, shift: Mono) -> PolyDict:
+    """f^[p] u^shift, where ^[p] multiplies every exponent by p.  Over F_p
+    f^[p] = f^p (the Frobenius identity), in the Laurent ring too."""
+    return {tuple(p * e + s for e, s in zip(m, shift)): c for m, c in f.items()}
 
 
 def _normal_form(f: PolyDict, basis: Sequence[Tuple[Mono, int, PolyDict]], p: int) -> PolyDict:
@@ -214,7 +232,7 @@ class IdealPresentation:
             d = generators[0].d
         self.d = d
         if characteristic:
-            dom = GF(characteristic)
+            dom = self._dom = GF(characteristic)
             self.generators = tuple(g.to_domain(dom) for g in generators)
             if substitution:
                 substitution = {var: g.to_domain(dom) for var, g in substitution.items()}
@@ -232,6 +250,8 @@ class IdealPresentation:
         self._gb_prepared = None
         # NF(u^m) per exponent tuple m of d nonnegative ints (the ladder's memo).
         self._nf_cache: Dict[Mono, PolyDict] = {}
+        # g_var^b per (var, b) for the hints over F_p (their ladder's memo).
+        self._hint_powers: Dict[Tuple[int, int], PolyDict] = {}
         # simulate.window_space's memo: window -> WindowConfigSpace.
         self.window_spaces: Dict[Tuple[Tuple[int, int], ...], object] = {}
         if engine == "substitution":
@@ -335,9 +355,8 @@ class IdealPresentation:
             if max(m, default=0) < p:
                 f = {m + (0,): 1}
             else:
-                r = tuple(e % p for e in m) + (0,)
-                f = {tuple(p * e + s for e, s in zip(mu, r)): c
-                     for mu, c in self._monomial_nf(tuple(e // p for e in m)).items()}
+                f = _dilated(self._monomial_nf(tuple(e // p for e in m)), p,
+                             tuple(e % p for e in m) + (0,))
             if self._gb_prepared is None:
                 self._gb_prepared = _prepared(self._contracted_basis(), p)
             nf = self._nf_cache[m] = _normal_form(f, self._gb_prepared, p)
@@ -379,14 +398,51 @@ class IdealPresentation:
 
     # -- substitution engine -------------------------------------------------
 
+    def _hint_power(self, var: int, b: int) -> PolyDict:
+        """g_var^b for the reduced hint g_var and b >= 0, memoised.  A miss
+        with b >= p climbs the ladder g^(pq + r) = (g^q)^[p] g^r; below p,
+        b splits into two halves."""
+        key = (var, b)
+        g = self._hint_powers.get(key)
+        if g is None:
+            p = self.characteristic
+            if b >= p:
+                q, r = divmod(b, p)
+                g = _dilated(self._hint_power(var, q), p, (0,) * self.d)
+                if r:
+                    g = _mul(g, self._hint_power(var, r), p)
+            elif b > 1:
+                g = _mul(self._hint_power(var, b // 2), self._hint_power(var, b - b // 2), p)
+            else:
+                g = self.substitution[var].terms if b else {(0,) * self.d: 1}
+            self._hint_powers[key] = g
+        return g
+
     def contains_substitution(self, f: LaurentPoly) -> bool:
+        """Whether f maps to zero under the hints.  The highest substituted
+        variable goes first; each term c u^m becomes c u^m' g_v^(m_v - low),
+        with m' the exponents m with slot v zeroed and low = min(0, lowest
+        m_v), which clears the negative powers of u_v by a unit."""
         self._require_char_p()
         if self.substitution is None:
             raise EngineUnavailableError("no substitution hint on this presentation")
-        work = f.to_domain(GF(self.characteristic))
+        p = self.characteristic
+        work = (f if f.domain == self._dom else f.to_domain(self._dom)).terms
         for var in sorted(self.substitution, reverse=True):
-            work = _eliminate_variable(work, var, self.substitution[var])
-        return work.is_zero()
+            if not work:
+                break
+            low = min(min(m[var] for m in work), 0)
+            image: PolyDict = {}
+            for m, c in work.items():
+                b = m[var] - low
+                if type(b) is not int:
+                    if b.denominator != 1:
+                        raise DomainError("fractional exponent in substitution engine")
+                    b = int(b)
+                _add_scaled(image, c, m[:var] + (0,) + m[var + 1:],
+                            self._hint_power(var, b), p)
+            work = image
+        return not work
 
     # -- public surface ------------------------------------------------------
 
@@ -412,22 +468,3 @@ class IdealPresentation:
             if self.contains(u ** k - one):
                 return k
         return None
-
-
-def _eliminate_variable(f: LaurentPoly, var: int, g: LaurentPoly) -> LaurentPoly:
-    """Replace u_var by the polynomial g, multiplying through by g^{-B} to
-    clear negative powers.  The result is zero iff the image of f is zero in
-    the localization (g is nonzero in a domain there)."""
-    if f.is_zero():
-        return f
-    exps = [m[var] for m in f.terms]
-    low = min(min(exps), 0)
-    acc = LaurentPoly.zero(f.d, f.domain)
-    for m, c in f.terms.items():
-        b = m[var] - low
-        if b.denominator != 1:
-            raise DomainError("fractional exponent in substitution engine")
-        rest = list(m)
-        rest[var] = 0
-        acc = acc + LaurentPoly.monomial(f.d, f.domain, rest, c) * g ** int(b)
-    return acc

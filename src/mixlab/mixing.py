@@ -18,7 +18,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .numfield import FieldElement, NumberField
+from .numfield import FieldElement, NumberField, power_table
 from .ring import GF, DomainError, LaurentPoly, expvec
 from .systems import (
     AlgebraicSystem,
@@ -27,10 +27,10 @@ from .systems import (
     EvaluationModule,
     RationalDualModule,
     _gamma_key,
-    _unit_power,
     character_correlation,
     shifted_sum_vanishes,
     shifted_terms,
+    unit_powers,
 )
 
 
@@ -406,6 +406,18 @@ def _default_is_zero(x) -> bool:
     return Fraction(x) == 0
 
 
+def _vanishing_subsets(terms: Sequence, sizes, is_zero):
+    """Every index subset of the listed sizes whose terms sum to zero, by
+    size and then lexicographically."""
+    for size in sizes:
+        for subset in combinations(range(len(terms)), size):
+            total = terms[subset[0]]
+            for i in subset[1:]:
+                total = total + terms[i]
+            if is_zero(total):
+                yield subset
+
+
 def vanishing_subsums(terms: Sequence, is_zero=None) -> List[Tuple[int, ...]]:
     """All inclusion-minimal nonempty index subsets with exactly zero sum."""
     if not 2 <= len(terms) <= 20:
@@ -413,15 +425,9 @@ def vanishing_subsums(terms: Sequence, is_zero=None) -> List[Tuple[int, ...]]:
     if is_zero is None:
         is_zero = _default_is_zero
     minimal: List[Tuple[int, ...]] = []
-    for size in range(1, len(terms) + 1):
-        for subset in combinations(range(len(terms)), size):
-            if any(set(m) <= set(subset) for m in minimal):
-                continue
-            total = terms[subset[0]]
-            for i in subset[1:]:
-                total = total + terms[i]
-            if is_zero(total):
-                minimal.append(subset)
+    for subset in _vanishing_subsets(terms, range(1, len(terms) + 1), is_zero):
+        if not any(set(m) <= set(subset) for m in minimal):
+            minimal.append(subset)
     return minimal
 
 
@@ -437,14 +443,7 @@ def reduce_witness(system: AlgebraicSystem, cert: NonMixingCertificate) -> NonMi
         # The module elements gamma_s(n) . a_s whose sum the transcript asserts is zero.
         shape = cert.family.shape_at(cert.shape, n)
         terms, _, is_zero = shifted_terms(system.module, zip(shape, cert.coefficients))
-        vanishing = set()
-        for size in range(1, r):
-            for subset in combinations(range(r), size):
-                total = terms[subset[0]]
-                for i in subset[1:]:
-                    total = total + terms[i]
-                if is_zero(total):
-                    vanishing.add(subset)
+        vanishing = set(_vanishing_subsets(terms, range(1, r), is_zero))
         common = vanishing if common is None else (common & vanishing)
         if not common:
             break
@@ -536,7 +535,7 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
     # built generator by generator, in lexicographic order of the vectors.
     rows: List[Tuple[Tuple[int, ...], FieldElement]] = [((), K.one)]
     for g in problem.generators:
-        table = [(k, g ** k) for k in range(-B, B + 1)]
+        table = sorted(power_table(g, -B, B).items())
         rows = [(e + (k,), val * power) for e, val in rows for k, power in table]
     units: Dict[FieldElement, Tuple[int, ...]] = {}
     for e, val in rows:
@@ -621,7 +620,7 @@ def evaluation_shape_search(
         "note": "bounded evidence over the listed region and dilations only",
         "shapes_examined": comb(len(points), r - 1),
     }
-    value = {q: _unit_power(m, q) for q in [origin] + points}
+    value = unit_powers(m, shape_box)
     class_size = Counter(value.values())
     # Every shape holds the origin, so none survives unless another point
     # has the value 1; a point alone in its class is in no surviving shape.

@@ -9,7 +9,7 @@ reported as a presentation error rather than silently tolerated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from .ring import DomainError
 
@@ -230,3 +230,21 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({[str(c) for c in self.coeffs]})"
+
+
+def power_table(a: FieldElement, lo: int, hi: int) -> Dict[int, FieldElement]:
+    """a^k for every k in lo..hi and for k = 0, by successive products; a
+    negative range costs one inverse.  Field arithmetic is exact and
+    canonical, so each entry equals a ** k."""
+    one = a.field.one
+    table = {0: one}
+    x = one
+    for k in range(1, hi + 1):
+        x = x * a
+        table[k] = x
+    if lo < 0:
+        inv, x = a.inv(), one
+        for k in range(-1, lo - 1, -1):
+            x = x * inv
+            table[k] = x
+    return table

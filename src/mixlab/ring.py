@@ -312,7 +312,8 @@ def _parse_poly(text: str, d: int, domain: Domain) -> LaurentPoly:
             i += 1
         if i >= len(tokens) or not tokens[i][0][0].isdigit():
             raise ParseError("expected number", tokens[i - 1][1] if i else 0)
-        val = Fraction(tokens[i][0])
+        tok = tokens[i][0]
+        val = Fraction(tok) if "/" in tok else int(tok)
         return sign * val, i + 1
 
     while i < len(tokens):
@@ -323,8 +324,8 @@ def _parse_poly(text: str, d: int, domain: Domain) -> LaurentPoly:
             i += 1
             if i >= len(tokens):
                 raise ParseError("dangling sign", tokens[i - 1][1])
-        coeff = Fraction(1)
-        exps = [Fraction(0)] * d
+        coeff = 1
+        exps = [0] * d
         saw_factor = False
         while True:
             tok, pos = tokens[i]
@@ -337,7 +338,7 @@ def _parse_poly(text: str, d: int, domain: Domain) -> LaurentPoly:
                 if not 0 <= idx < d:
                     raise ParseError(f"variable {tok} out of range for d={d}", pos)
                 i += 1
-                e = Fraction(1)
+                e = 1
                 if i < len(tokens) and tokens[i][0] == "^":
                     i += 1
                     e, i = parse_rational(i, allow_sign=True)

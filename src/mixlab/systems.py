@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ideals import IdealPresentation
-from .numfield import FieldElement, NumberField
+from .numfield import FieldElement, NumberField, power_table
 from .ring import GF, DomainError, LaurentPoly, expvec
 
 
@@ -172,6 +174,29 @@ def _unit_power(module: EvaluationModule, gamma) -> FieldElement:
     return out
 
 
+def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
+                ) -> Dict[Tuple[int, ...], FieldElement]:
+    """The unit u^e for every integer point e of the box and for the origin.
+
+    One power table w_i^(Lk) per variable, so a point costs d - 1 products;
+    each value equals `_unit_power` at that point."""
+    amap = module.assignment_map
+    one = module.field.one
+    tables = []
+    for i, (lo, hi) in enumerate(box):
+        if not any(range(lo, hi + 1)):  # the exponent 0 alone
+            tables.append({0: one})
+            continue
+        if i not in amap:
+            raise DomainError(f"no unit assigned to variable u{i + 1}")
+        tables.append(power_table(amap[i] ** module.level, lo, hi))
+    origin = tuple(0 for _ in box)
+    value = {}
+    for e in [origin, *product(*(range(lo, hi + 1) for lo, hi in box))]:
+        value[e] = reduce(mul, [t[k] for t, k in zip(tables, e)] or [one])
+    return value
+
+
 def shifted_terms(module, pairs):
     """The module elements gamma . a for the pairs (gamma, a), the module's
     zero and its zero test.  Each module kind builds its shifts only here."""
@@ -247,10 +272,9 @@ def find_nonmixing_element(system: AlgebraicSystem, box: Sequence[Tuple[int, int
                 return gamma
         return None
     if isinstance(m, EvaluationModule):
+        value = unit_powers(m, box)
         for gamma in product(*ranges):
-            if all(x == 0 for x in gamma):
-                continue
-            if _unit_power(m, gamma) == m.field.one:
+            if any(gamma) and value[gamma] == m.field.one:
                 return gamma
         return None
     if isinstance(m, RationalDualModule):

@@ -1,7 +1,9 @@
 """Ideal membership: Groebner saturation, substitution engine, torsion."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixlab.ideals import (
@@ -379,3 +381,132 @@ class TestFrobeniusLadder:
         monkeypatch.setattr(IdealPresentation, "normal_form_monomial", refuse)
         assert ideal.contains(p2("1 + u1^8 + u2^8"))
         assert ideal.normal_form(p2("u1^5")) == p2("1 + u2 + u2^4 + u2^5")
+
+
+# -- the substitution engine against elimination by LaurentPoly powers -------
+
+def _eliminate_variable(f: LaurentPoly, var: int, g: LaurentPoly) -> LaurentPoly:
+    """Replace u_var by the polynomial g, multiplying through by g^{-B} to
+    clear negative powers.  The result is zero iff the image of f is zero in
+    the localization (g is nonzero in a domain there)."""
+    if f.is_zero():
+        return f
+    exps = [m[var] for m in f.terms]
+    low = min(min(exps), 0)
+    acc = LaurentPoly.zero(f.d, f.domain)
+    for m, c in f.terms.items():
+        b = m[var] - low
+        if b.denominator != 1:
+            raise DomainError("fractional exponent in substitution engine")
+        rest = list(m)
+        rest[var] = 0
+        acc = acc + LaurentPoly.monomial(f.d, f.domain, rest, c) * g ** int(b)
+    return acc
+
+
+def eliminated_to_zero(ideal, f):
+    """The reference substitution engine: _eliminate_variable per hint, the
+    highest substituted variable first, raising g with LaurentPoly.__pow__."""
+    work = f.to_domain(GF(ideal.characteristic))
+    for var in sorted(ideal.substitution, reverse=True):
+        work = _eliminate_variable(work, var, ideal.substitution[var])
+    return work.is_zero()
+
+
+def laurent_hint(d, var, p, max_terms):
+    """A Laurent polynomial in the variables before u_(var+1)."""
+    mono = st.tuples(*[st.integers(-2, 2)] * var + [st.just(0)] * (d - var))
+    return st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=max_terms)
+
+
+def substitution_ideal(data, p, d, max_terms):
+    """A substitution presentation with generators u_v - g_v: u1 -> c in
+    d = 1, u2 -> h(u1) in d = 2, and in d = 3 either u3 -> g(u1, u2) alone
+    or chained with u2 -> h(u1)."""
+    dom = GF(p)
+    top = d - 1
+    vars_ = [top, top - 1] if d == 3 and data.draw(st.booleans()) else [top]
+    hints = {v: LaurentPoly(d, dom, data.draw(laurent_hint(d, v, p, max_terms)))
+             for v in vars_}
+    gens = [LaurentPoly.variable(v, d, dom) - g for v, g in hints.items()]
+    try:
+        return IdealPresentation(gens, p, d=d, engine="substitution", substitution=hints)
+    except DomainError as err:
+        # Only a chained hint whose image is zero, which is not a unit, may
+        # be refused; any other refusal is a fault of the engine.
+        if "not a unit" not in str(err):
+            raise
+        assume(False)
+
+
+def member_candidate(data, ideal, power):
+    """Random Laurent terms with exponents up to 4 p^power, often times a
+    generator raised to p^k for some k <= power (so a member); the planted
+    flag says which."""
+    d, p = ideal.d, ideal.characteristic
+    dom = GF(p)
+    mono = st.tuples(*[st.integers(-3, 4 * p ** power)] * d)
+    f = LaurentPoly(d, dom, data.draw(st.dictionaries(
+        mono, st.integers(1, p - 1), min_size=1, max_size=3)))
+    planted = data.draw(st.booleans())
+    if planted:
+        gen = data.draw(st.sampled_from(ideal.generators))
+        f = f * gen.frobenius_pow(data.draw(st.integers(0, power)))
+    return f, planted
+
+
+class TestSubstitutionLadder:
+    # The reference raises g by squaring dense intermediate powers, and the
+    # Groebner normal form of a d = 3 monomial of degree 4 * 5^5 can take
+    # seconds, so the three engines meet at full range only in d = 1.
+    TOP_POWER = {1: 5, 2: 3, 3: 2}
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_and_groebner(self, p, d, data):
+        ideal = substitution_ideal(data, p, d, 3)
+        f, planted = member_candidate(data, ideal, self.TOP_POWER[d])
+        answer = ideal.contains_substitution(f)
+        assert answer == eliminated_to_zero(ideal, f) == ideal.contains_groebner(f)
+        if planted:
+            assert answer
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_planted_members_up_to_4p5(self, p, d, data):
+        # Binomial hints keep g^b sparse over F_p (Lucas), so exponents up to
+        # 4 p^5 stay cheap; a member plus a monomial, which is a unit, is
+        # never a member of a proper ideal.
+        ideal = substitution_ideal(data, p, d, 2)
+        f, planted = member_candidate(data, ideal, 5)
+        if planted:
+            assert ideal.contains_substitution(f)
+            unit = LaurentPoly.monomial(d, GF(p), data.draw(
+                st.tuples(*[st.integers(-3, 4 * p ** 5)] * d)))
+            assert not ideal.contains_substitution(f + unit)
+        if d == 1 or p == 2:
+            assert ideal.contains_substitution(f) == eliminated_to_zero(ideal, f)
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_hint_powers_match_repeated_multiplication(self, p, d, data):
+        ideal = substitution_ideal(data, p, d, 3)
+        var = max(ideal.substitution)
+        g = ideal.substitution[var]
+        power = LaurentPoly.one(d, GF(p))
+        top = data.draw(st.integers(0, 3 * p ** 2))
+        for b in range(top + 1):
+            assert LaurentPoly(d, GF(p), ideal._hint_power(var, b)) == power
+            power = power * g
+
+    def test_fractional_exponent_refused(self, three_dot_subst):
+        f = LaurentPoly(2, F2, {(0, Fraction(1, 2)): 1, (0, 0): 1})
+        with pytest.raises(DomainError, match="fractional exponent in substitution engine"):
+            three_dot_subst.contains_substitution(f)
+
+    def test_memo_is_per_ideal(self, three_dot_subst):
+        assert three_dot_subst.contains(p2("1 + u1^64 + u2^64"))
+        other = IdealPresentation([p2("1 + u1 + u2")], 2, engine="substitution",
+                                  substitution={1: p2("1 + u1")})
+        assert (1, 64) in three_dot_subst._hint_powers
+        assert (1, 64) not in other._hint_powers

@@ -26,6 +26,7 @@ from mixlab.mixing import (
     _box_points,
     _canonical_shape,
     _default_is_zero,
+    _vanishing_subsets,
     consecutive_ratio_family,
     enumerate_unit_solutions,
     ess_bound_exponent,
@@ -634,6 +635,47 @@ class TestSubsums:
         assert reduced.order == 3
         assert set(reduced.shape) <= set(shape)
         assert verify_certificate(three_dot, reduced).ok
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=7))
+    @settings(max_examples=80, deadline=None)
+    def test_vanishing_subsets_match_the_old_loops(self, values):
+        terms = [Fraction(v) for v in values]
+        n = len(terms)
+        every = [s for size in range(1, n + 1) for s in combinations(range(n), size)
+                 if sum(terms[i] for i in s) == 0]
+        assert list(_vanishing_subsets(terms, range(1, n + 1), _default_is_zero)) == every
+        minimal = []
+        for s in every:
+            if not any(set(m) <= set(s) for m in minimal):
+                minimal.append(s)
+        assert vanishing_subsums(terms) == minimal
+
+    @pytest.mark.parametrize("shape", [
+        ((0, 0), (1, 0), (0, 1), (2, 2), (3, 2), (2, 3)),
+        ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)),
+        ((0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (2, 1), (4, 4), (5, 4), (4, 5)),
+    ])
+    def test_reduce_witness_picks_the_old_subset(self, three_dot, shape):
+        # The reference is the old loop: every proper vanishing subset per
+        # transcript dilation, intersected, then the least by (size, indices).
+        cert = NonMixingCertificate(
+            order=len(shape), shape=shape, coefficients=(p2("1"),) * len(shape),
+            family=prime_power_family(2), transcript=tuple((2 ** k, 1) for k in range(4)),
+            grade="proof",
+        )
+        common = None
+        for n, _ in cert.transcript:
+            terms = [LaurentPoly.monomial(2, F2, tuple(n * e for e in q)) for q in shape]
+            vanishing = set()
+            for size in range(1, cert.order):
+                for subset in combinations(range(cert.order), size):
+                    if three_dot.module.ideal.contains(sum(
+                            (terms[i] for i in subset[1:]), terms[subset[0]])):
+                        vanishing.add(subset)
+            common = vanishing if common is None else common & vanishing
+        subset = min(common, key=lambda s: (len(s), s))
+        reduced = reduce_witness(three_dot, cert)
+        assert reduced.shape == tuple(shape[i] for i in subset)
 
     def test_reduce_witness_irreducible(self, three_dot):
         cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"))

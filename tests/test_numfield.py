@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlab.numfield import FieldPresentationError, NumberField
+from mixlab.numfield import FieldPresentationError, NumberField, power_table
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,14 @@ class TestArithmetic:
     def test_signed_powers(self, rationals):
         two = rationals.from_rational(2)
         assert two ** -3 == rationals.from_rational(Fraction(1, 8))
+
+    @pytest.mark.parametrize("lo, hi", [(-4, 3), (0, 5), (2, 4), (-3, -1), (0, 0)])
+    def test_power_table_matches_pow(self, sqrt2, lo, hi):
+        a = sqrt2.element([1, 1])  # 1 + sqrt(2), a unit of infinite order
+        table = power_table(a, lo, hi)
+        assert set(range(lo, hi + 1)) | {0} <= set(table)
+        for k, value in table.items():
+            assert value == a ** k and value.coeffs == (a ** k).coeffs
 
     def test_field_mul_alias(self, sqrt2):
         g = sqrt2.gen

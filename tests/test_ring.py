@@ -149,6 +149,14 @@ class TestText:
         with pytest.raises(ParseError):
             LaurentPoly.parse("u3", 2, QQ)
 
+    def test_multidigit_tokens(self):
+        f = LaurentPoly.parse("12*u1^-15 + 340 * u2^10 - 3/4", 2, QQ)
+        assert f.terms == {(-15, 0): 12, (0, 10): 340, (0, 0): Fraction(-3, 4)}
+        assert f.to_text() == "340 * u2^10 - 3/4 + 12 * u1^-15"
+        g = LaurentPoly.parse("12*u1^-15 + 340 * u2^10 - 7", 2, GF(31))
+        assert g.to_text() == "30 * u2^10 + 24 + 12 * u1^-15"
+        assert all(type(e) is int for m in g.terms for e in m)
+
     def test_integer_domain_rejects_fractions(self):
         with pytest.raises(DomainError):
             LaurentPoly.parse("1/2", 1, ZZ)

@@ -23,7 +23,9 @@ from mixlab.systems import (
     positive_rationals,
     rational_vector,
     split_action,
+    unit_powers,
 )
+from mixlab.systems import _unit_power
 
 F2 = GF(2)
 
@@ -193,6 +195,28 @@ class TestNonMixingElements:
         module = EvaluationModule.make(K, {0: K.gen})
         system = AlgebraicSystem(free_abelian(1), module)
         assert find_nonmixing_element(system, [(-4, 4)]) == (-4,)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("box", [
+        [(-2, 3), (-3, 1)], [(1, 3), (-2, -1)], [(0, 0), (-2, 2)], [(-1, 1), (0, 0), (2, 3)],
+    ])
+    def test_unit_powers_match_per_point(self, level, box):
+        K = NumberField([-2, 0, 1])
+        units = {0: K.element([1, 1]), 1: K.from_rational(Fraction(-3, 2)), 2: K.gen}
+        module = EvaluationModule.make(K, {i: units[i] for i in range(len(box))}, level)
+        value = unit_powers(module, box)
+        points = set(product(*(range(lo, hi + 1) for lo, hi in box)))
+        assert set(value) == points | {tuple(0 for _ in box)}
+        for e, x in value.items():
+            assert x.coeffs == _unit_power(module, e).coeffs
+
+    def test_unit_powers_need_assigned_units(self):
+        K = NumberField([-1, 1])
+        module = EvaluationModule.make(K, {0: K.from_rational(2)})
+        assert set(unit_powers(module, [(-1, 1), (0, 0)])) == {(-1, 0), (0, 0), (1, 0)}
+        for box in ([(-1, 1), (0, 1)], [(-1, 1), (-2, 0)]):
+            with pytest.raises(DomainError, match="no unit assigned to variable u2"):
+                unit_powers(module, box)
 
     def test_rational_dual_has_none(self, rational_dual):
         assert find_nonmixing_element(rational_dual, [(-5, 5)]) is None
