@@ -270,8 +270,6 @@ def cmd_simulate(args) -> int:
         f"exact correlation:  {exact}",
         f"product measure:    {product_measure}",
     ]
-    if not all(r.stable for r in measures):
-        lines.append("warning: cylinder measures did not stabilize; enlarge the window")
     if args.samples:
         est = correlation_estimate(
             system, sets, shifts, window, args.samples, args.seed,

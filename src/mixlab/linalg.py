@@ -14,9 +14,7 @@ column f take the vector that is 1 at f and 0 at the other free columns,
 and walk the pivots from the highest down, setting each pivot entry from
 the entries to its right (back-substitution), for all f at once.  That
 solves the same equations with the same free values as Gauss-Jordan, so the
-basis is the one Gauss-Jordan gives, vector for vector.  Window constraint
-rows need no reduction at all on the way in: each shift of a generator has
-its own lowest site.
+basis is the one Gauss-Jordan gives, vector for vector.
 """
 
 from __future__ import annotations

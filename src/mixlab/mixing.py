@@ -261,6 +261,21 @@ def _canonical_shape(points) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(tuple(x - m for x, m in zip(p, mins)) for p in points))
 
 
+def _projective_combinations(kernel: Sequence[Sequence[int]], p: int):
+    """One combination of the independent basis vectors per projective class,
+    scaled so its first nonzero entry is 1.  A class is taken at its weight
+    vector whose first nonzero weight is 1, where product() first reaches it."""
+    k = len(kernel)
+    for lead_at in reversed(range(k)):
+        for rest in product(range(p), repeat=k - 1 - lead_at):
+            vec = list(kernel[lead_at])
+            for wgt, basis_vec in zip(rest, kernel[lead_at + 1:]):
+                if wgt:
+                    vec = [(a + wgt * b) % p for a, b in zip(vec, basis_vec)]
+            inv = pow(next(x for x in vec if x), -1, p)
+            yield tuple((x * inv) % p for x in vec)
+
+
 def shape_search(
     system: AlgebraicSystem,
     r: int,
@@ -323,7 +338,6 @@ def shape_search(
     family = explicit_family(dilations)
     transcript = tuple((n, 1) for n in dilations)
     found: List[NonMixingCertificate] = []
-    seen_vectors = set()
 
     def blocks_of(vec) -> List[LaurentPoly]:
         k = len(window)
@@ -371,22 +385,7 @@ def shape_search(
         )
         if not _separation_check(template):
             continue
-        for weights in product(range(p), repeat=len(kernel)):
-            if all(w == 0 for w in weights):
-                continue
-            vec = [0] * ncols
-            for wgt, basis_vec in zip(weights, kernel):
-                if wgt:
-                    vec = [(a + wgt * b) % p for a, b in zip(vec, basis_vec)]
-            if not any(vec):
-                continue
-            # Scale so the first nonzero entry is 1 to drop scalar multiples.
-            lead = next(x for x in vec if x)
-            inv = pow(lead, -1, p)
-            vec = tuple((x * inv) % p for x in vec)
-            if (shape, vec) in seen_vectors:
-                continue
-            seen_vectors.add((shape, vec))
+        for vec in _projective_combinations(kernel, p):
             blocks = blocks_of(vec)
             # The kept window monomials have independent normal forms, so a
             # block is in the ideal only when it is formally zero.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
@@ -68,6 +69,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def GF(p: int) -> Domain:
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")

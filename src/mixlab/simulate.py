@@ -1,17 +1,19 @@
 """Exact cylinder measures and Monte Carlo sampling for char-p group shifts.
 
-Configurations on a finite window satisfy one F_p linear constraint per
-fully-contained translate of each ideal generator (free boundary).  Each
-constraint is a sparse row over the window's sites, and the rows of one
-generator already come in echelon form (each translate has its own lowest
-site), so a window space finds its kernel basis K by back-substitution
-alone (see `linalg`).  Row f of K is the valid configuration that is 1 at
-free site f and 0 at the other free sites, so the valid configurations are
-exactly the combinations x @ K mod p of the free values x.  A cylinder or
-correlation measure is then p^-rank of the pinned columns of K (0 if the
-pins are inconsistent), and a uniform sample draws x with a counter-based
-generator and multiplies, exactly for every p the engine accepts, so every
-empirical number is reproducible from its seed.
+A point of X, the dual of R/I, shows a pattern (x_s) on a window W, and a
+pattern is seen on X exactly when it is orthogonal to every relation
+sum c_s u^s in I with s in W.  Those relations are the kernel of the matrix
+N whose column s is NF(u^(s - lo)), lo the window's lower corner (a unit
+shift), so the valid patterns are exactly the row space of N.  A window
+space keeps its reduced echelon basis K with each row's lead at its highest
+nonzero site: row f is 1 at site f, 0 at the other leads and 0 above f, and
+the valid patterns are the combinations x @ K mod p of the free values x.
+
+A cylinder or correlation measure is p^-rank of the pinned columns of K (0
+if the pins are inconsistent), exact for any window that holds the pins:
+the patterns are those of X itself, not of a truncation.  A uniform sample
+draws x with a counter-based generator and multiplies, exactly for every p
+the engine accepts, so every empirical number is reproducible from its seed.
 
 A loaded ideal keeps the window spaces built for it, one per window
 (`window_space`): a correlation, its cylinder measures and their estimate
@@ -36,7 +38,7 @@ Site = Tuple[int, ...]
 
 
 class WindowError(ValueError):
-    """Pins or generator supports fall outside the window."""
+    """Pins fall outside the window, or the window does not fit the system."""
 
 
 @dataclass(frozen=True)
@@ -67,46 +69,57 @@ def _require_charp(system: AlgebraicSystem) -> CharPModule:
     return system.module
 
 
+def _normal_forms(ideal, shape: Sequence[int]) -> List[Dict[Tuple[int, ...], int]]:
+    """NF(u^e) for every e in the box [0, shape), in lexicographic order, each
+    from a neighbour r = NF(u^(e - e_i)) by the linear map `_reduced` applies:
+    NF(u_i r) is the sum of c_mu NF(u^(mu + e_i)) over the terms of r."""
+    p = ideal.characteristic
+    nf = ideal.normal_form_monomial
+    d = len(shape)
+    out: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+    steps = {}  # (i, mu) -> NF(u^(mu + e_i))
+    for e in product(*map(range, shape)):
+        moved = [i for i in range(d) if e[i]]
+        if not moved:
+            out[e] = nf(e)
+            continue
+        i = moved[-1]
+        col: Dict[Tuple[int, ...], int] = {}
+        for mu, c in out[e[:i] + (e[i] - 1,) + e[i + 1:]].items():
+            step = steps.get((i, mu))
+            if step is None:
+                # A normal-form key carries the saturation slot last; drop it.
+                step = steps[i, mu] = nf(mu[:i] + (mu[i] + 1,) + mu[i + 1:d])
+            for nu, a in step.items():
+                col[nu] = (col.get(nu, 0) + c * a) % p
+        out[e] = {nu: c for nu, c in col.items() if c}
+    return list(out.values())
+
+
 class WindowConfigSpace:
-    """The F_p constraint system of a system restricted to a finite window."""
+    """The patterns a system's points show on a finite window, as a basis."""
 
     def __init__(self, system: AlgebraicSystem, window: Sequence[Tuple[int, int]]):
-        module = _require_charp(system)
-        ideal = module.ideal
+        ideal = _require_charp(system).ideal
         self.p = ideal.characteristic
         self.window = tuple((int(lo), int(hi)) for lo, hi in window)
         if len(self.window) != ideal.d:
             raise WindowError("window dimension does not match the system")
         self.sites = _window_sites(self.window)
         self.site_index = {s: i for i, s in enumerate(self.sites)}
-        rows: List[Dict[int, int]] = []
-        for g in ideal.generators:
-            support = []
-            for m, c in g.terms.items():
-                offs = []
-                for e in m:
-                    if e.denominator != 1:
-                        raise DomainError("generator has fractional exponents")
-                    offs.append(int(e))
-                support.append((tuple(offs), int(c)))
-            if not support:
-                continue
-            lo_off = [min(o[i] for o, _ in support) for i in range(ideal.d)]
-            hi_off = [max(o[i] for o, _ in support) for i in range(ideal.d)]
-            shift_ranges = [
-                range(w[0] - lo, w[1] - hi + 1)
-                for w, lo, hi in zip(self.window, lo_off, hi_off)
-            ]
-            for shift in product(*shift_ranges):
-                rows.append({
-                    self.site_index[tuple(a + b for a, b in zip(shift, off))]: c % self.p
-                    for off, c in support
-                })
-        self.rows = rows
         nsites = len(self.sites)
-        kernel = linalg.nullspace(rows, nsites, self.p)
-        self.kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), nsites)
-        self.rank = nsites - len(kernel)
+        columns = _normal_forms(ideal, [hi - lo + 1 for lo, hi in self.window])
+        # N has one row per normal-form monomial; its columns are numbered
+        # from the far end, so rref's lowest leads are the highest sites.
+        monos = {mu: i for i, mu in enumerate(sorted({mu for col in columns for mu in col}))}
+        mat = np.zeros((len(monos), nsites), dtype=np.int64)
+        for j, col in enumerate(columns):
+            for mu, c in col.items():
+                mat[monos[mu], nsites - 1 - j] = c
+        reduced, pivots = linalg.rref(mat.tolist(), self.p)
+        basis = np.array(reduced[:len(pivots)], dtype=np.int64).reshape(len(pivots), nsites)
+        self.kernel = np.ascontiguousarray(basis[::-1, ::-1])
+        self.rank = nsites - len(pivots)
 
     @property
     def solution_dimension(self) -> int:
@@ -167,13 +180,8 @@ def _measure_given_pins(
 @dataclass
 class MeasureResult:
     value: Fraction
-    grown_value: Fraction
-    stable: bool
+    stable: bool  # always: the value is exact on any window holding the pins
     window: Tuple[Tuple[int, int], ...]
-
-
-def _grow(window, by=2):
-    return tuple((lo, hi + by) for lo, hi in window)
 
 
 def cylinder_measure(
@@ -181,22 +189,24 @@ def cylinder_measure(
     cylinder: CylinderSet,
     window: Sequence[Tuple[int, int]],
 ) -> MeasureResult:
-    """Exact Haar measure of a cylinder set, with a stabilization self-check.
+    """Exact Haar measure of a cylinder set."""
+    value = _measure_given_pins(window_space(system, window), list(cylinder.pins))
+    return MeasureResult(value=value, stable=True, window=tuple(tuple(w) for w in window))
 
-    The value is recomputed on a window grown by 2 per axis; disagreement is
-    flagged rather than hidden (free boundaries are a truncation we own).
-    """
-    pins = list(cylinder.pins)
-    space = window_space(system, window)
-    value = _measure_given_pins(space, pins)
-    grown = window_space(system, _grow(window))
-    grown_value = _measure_given_pins(grown, pins)
-    return MeasureResult(
-        value=value,
-        grown_value=grown_value,
-        stable=(value == grown_value),
-        window=tuple(tuple(w) for w in window),
-    )
+
+def _shifted_pins(
+    space: WindowConfigSpace, sets: Sequence[CylinderSet], shifts: Sequence[Site]
+) -> List[Tuple[Site, int]]:
+    """The pins of every set moved by its shift, all inside the window."""
+    if len(sets) != len(shifts):
+        raise DomainError("need one shift per set")
+    pins: List[Tuple[Site, int]] = []
+    for cyl, gamma in zip(sets, shifts):
+        for site, v in cyl.shifted(tuple(int(x) for x in gamma)):
+            if site not in space.site_index:
+                raise WindowError(f"shifted pin {site} outside the window; enlarge it")
+            pins.append((site, v))
+    return pins
 
 
 def correlation_exact(
@@ -210,16 +220,8 @@ def correlation_exact(
     Contradictory pins at a site give measure zero (an inconsistent affine
     system), which is a value, not an error.
     """
-    if len(sets) != len(shifts):
-        raise DomainError("need one shift per set")
     space = window_space(system, window)
-    pins: List[Tuple[Site, int]] = []
-    for cyl, gamma in zip(sets, shifts):
-        for site, v in cyl.shifted(tuple(int(x) for x in gamma)):
-            if site not in space.site_index:
-                raise WindowError(f"shifted pin {site} outside the window; enlarge it")
-            pins.append((site, v))
-    return _measure_given_pins(space, pins)
+    return _measure_given_pins(space, _shifted_pins(space, sets, shifts))
 
 
 @dataclass
@@ -253,12 +255,7 @@ def correlation_estimate(
     keys, so the result is identical for any thread count.
     """
     space = window_space(system, window)
-    pins: List[Tuple[Site, int]] = []
-    for cyl, gamma in zip(sets, shifts):
-        for site, v in cyl.shifted(tuple(int(x) for x in gamma)):
-            if site not in space.site_index:
-                raise WindowError(f"shifted pin {site} outside the window; enlarge it")
-            pins.append((site, v))
+    pins = _shifted_pins(space, sets, shifts)
     blocks = [
         (i, min(_BLOCK, samples - i * _BLOCK))
         for i in range((samples + _BLOCK - 1) // _BLOCK)

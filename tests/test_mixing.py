@@ -26,6 +26,7 @@ from mixlab.mixing import (
     _box_points,
     _canonical_shape,
     _default_is_zero,
+    _projective_combinations,
     _vanishing_subsets,
     consecutive_ratio_family,
     enumerate_unit_solutions,
@@ -570,6 +571,25 @@ class TestShapeSearch:
             system = AlgebraicSystem(free_abelian(d), CharPModule(ideal))
             args = (system, r, shape_box, window, dilations)
             assert _search_result(shape_search, *args) == _search_result(ref_shape_search, *args)
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_projective_combinations_match_the_deduplicated_product(self, p, data):
+        # Every weight vector in product() order, scaled and deduplicated.
+        ncols = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=ncols,
+                                           max_size=ncols), max_size=ncols))
+        kernel = linalg.nullspace([dict(enumerate(r)) for r in rows], ncols, p)
+        assume(len(kernel) <= 4)
+        expected = []
+        for weights in product(range(p), repeat=len(kernel)):
+            vec = [sum(w * b[c] for w, b in zip(weights, kernel)) % p for c in range(ncols)]
+            if any(vec):
+                inv = pow(next(x for x in vec if x), -1, p)
+                vec = tuple(x * inv % p for x in vec)
+                if vec not in expected:
+                    expected.append(vec)
+        assert list(_projective_combinations(kernel, p)) == expected
 
     def test_non_kernel_vector_is_refused(self, monkeypatch, tmp_path, capsys):
         # u^(n*q) times the first window monomial is a unit, never in the ideal.

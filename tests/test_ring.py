@@ -115,6 +115,16 @@ class TestArithmetic:
             f.dilate(0)
 
 
+class TestPrimeField:
+    def test_one_domain_per_prime(self):
+        assert GF(2**31 - 1) is GF(2**31 - 1)
+
+    def test_composite_rejected_every_time(self):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                GF(4)
+
+
 class TestFrobenius:
     @given(laurent_polys(dom=F2))
     @settings(max_examples=40)

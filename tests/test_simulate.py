@@ -1,17 +1,23 @@
 """Window configuration spaces, exact measures, and Monte Carlo estimates."""
 
 import hashlib
+import random
 from fractions import Fraction
+from functools import partial
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixlab.ideals import IdealPresentation
+from mixlab.presentation import load_system
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.simulate import (
     CylinderSet,
     WindowConfigSpace,
     WindowError,
+    _window_sites,
     correlation_estimate,
     correlation_exact,
     cylinder_measure,
@@ -34,15 +40,52 @@ def p2(text, d=2):
     return LaurentPoly.parse(text, d, F2)
 
 
-def system_over(p, *generators):
-    ideal = IdealPresentation([LaurentPoly.parse(g, 2, GF(p)) for g in generators], p)
-    return AlgebraicSystem(free_abelian(2), CharPModule(ideal))
+TESTS = Path(__file__).resolve().parent
+F3_TWO_GENERATORS = str(TESTS / "f3_two_generators.json")
 
 
-def constraint_matrix(space):
-    """The sparse constraint rows of a window space as a dense matrix."""
-    mat = np.zeros((len(space.rows), len(space.sites)), dtype=np.int64)
-    for i, row in enumerate(space.rows):
+def system_over(p, *generators, d=2):
+    ideal = IdealPresentation([LaurentPoly.parse(g, d, GF(p)) for g in generators], p, d=d)
+    return AlgebraicSystem(free_abelian(d), CharPModule(ideal))
+
+
+def translate_rows(system, space):
+    """Free-boundary constraint rows: one per translate of a generator that
+    fits inside the window.  On a box window they span every relation of a
+    principal ideal (Ostrowski), so their kernel is then the valid space;
+    with more generators they can miss relations."""
+    ideal = system.module.ideal
+    rows = []
+    for g in ideal.generators:
+        support = []
+        for m, c in g.terms.items():
+            offs = []
+            for e in m:
+                if e.denominator != 1:
+                    raise DomainError("generator has fractional exponents")
+                offs.append(int(e))
+            support.append((tuple(offs), int(c)))
+        if not support:
+            continue
+        lo_off = [min(o[i] for o, _ in support) for i in range(ideal.d)]
+        hi_off = [max(o[i] for o, _ in support) for i in range(ideal.d)]
+        shift_ranges = [
+            range(w[0] - lo, w[1] - hi + 1)
+            for w, lo, hi in zip(space.window, lo_off, hi_off)
+        ]
+        for shift in product(*shift_ranges):
+            rows.append({
+                space.site_index[tuple(a + b for a, b in zip(shift, off))]: c % space.p
+                for off, c in support
+            })
+    return rows
+
+
+def constraint_matrix(system, space):
+    """The translate rows of a window as a dense matrix."""
+    rows = translate_rows(system, space)
+    mat = np.zeros((len(rows), len(space.sites)), dtype=np.int64)
+    for i, row in enumerate(rows):
         for site, value in row.items():
             mat[i, site] = value
     return mat
@@ -76,7 +119,7 @@ class TestConfigSpace:
     def test_samples_satisfy_constraints(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
         samples = space.sample_uniform(50, seed=11)
-        assert ((constraint_matrix(space) @ samples.T) % 2 == 0).all()
+        assert ((constraint_matrix(three_dot, space) @ samples.T) % 2 == 0).all()
 
     def test_sampling_is_deterministic(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
@@ -87,7 +130,7 @@ class TestConfigSpace:
     def test_kernel_rows_are_valid_configurations(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
         assert space.kernel.shape == (13, 49)
-        assert ((constraint_matrix(space) @ space.kernel.T) % 2 == 0).all()
+        assert ((constraint_matrix(three_dot, space) @ space.kernel.T) % 2 == 0).all()
 
     @pytest.mark.parametrize(
         "p, generators, width",
@@ -98,16 +141,39 @@ class TestConfigSpace:
         + [(3, ["1 + u1 + u2", "1 + 2*u1 + u2 + u1^2 + u1*u2"], w) for w in (3, 6, 11)],
     )
     def test_kernel_matches_reference(self, p, generators, width):
-        space = WindowConfigSpace(system_over(p, *generators), [(0, width - 1)] * 2)
-        dense = constraint_matrix(space).tolist()
+        system = system_over(p, *generators)
+        space = WindowConfigSpace(system, [(0, width - 1)] * 2)
+        dense = constraint_matrix(system, space).tolist()
+        assert space.kernel.tolist() == ref_nullspace(dense, len(space.sites), p)
+
+    @pytest.mark.parametrize(
+        "p, generators, window",
+        [
+            (2, ["1 + u1 + u2"], [(-3, 4), (2, 8)]),
+            (2, ["1 + u1 + u1^3"], [(0, 15)]),
+            (3, ["1 + u1 + u2 + u3"], [(0, 3)] * 3),
+            (3, ["u1^-1 + 1 + u2"], [(-2, 5), (0, 7)]),
+            (2, ["1 + u1 + u2", "1 + u1^2 + u2^2"], [(0, 7)] * 2),
+            (2, ["1"], [(0, 4)] * 2),
+            (2, [], [(0, 4)] * 2),
+            (2 ** 31 - 1, ["1 + u1 + u2"], [(0, 5)] * 2),
+        ],
+    )
+    def test_principal_kernels_match_the_translate_rows(self, p, generators, window):
+        # Negative windows, d = 1 and 3, a Laurent generator, f with f^2,
+        # the unit and the zero ideal, and the largest characteristic.
+        system = system_over(p, *generators, d=len(window))
+        space = WindowConfigSpace(system, window)
+        dense = constraint_matrix(system, space).tolist()
         assert space.kernel.tolist() == ref_nullspace(dense, len(space.sites), p)
 
     def test_samples_exact_at_the_largest_characteristic(self):
         # nfree * (p - 1)^2 overflows int64 here: sums must still be exact.
         p = 2 ** 31 - 1
-        space = WindowConfigSpace(system_over(p, "1 + u1 + u2"), [(0, 5), (0, 5)])
+        system = system_over(p, "1 + u1 + u2")
+        space = WindowConfigSpace(system, [(0, 5), (0, 5)])
         samples = space.sample_uniform(20, seed=1)
-        constraints = constraint_matrix(space).astype(object)
+        constraints = constraint_matrix(system, space).astype(object)
         assert ((constraints @ samples.astype(object).T) % p == 0).all()
 
     def test_samples_are_pinned(self, three_dot):
@@ -247,3 +313,97 @@ class TestEstimates:
         a = correlation_estimate(three_dot, [cyl], [(0, 0)], WINDOW, samples=10_000, seed=1)
         b = correlation_estimate(three_dot, [cyl], [(0, 0)], WINDOW, samples=10_000, seed=2)
         assert a.estimate != b.estimate
+
+
+class TestWindowsFromNormalForms:
+    """The valid patterns on a window are the row space of its normal-form
+    matrix, relations the generator translates miss included."""
+
+    PINS = CylinderSet.make({(0, 5): 0, (2, 5): 1})
+
+    def test_relation_missed_by_the_translates(self):
+        # u1^2 u2^5 - u2^5 lies in the ideal, so x_(2,5) = x_(0,5) on X and
+        # the cylinder is empty; the translate rows alone give it 1/9.
+        system = load_system(F3_TWO_GENERATORS).system
+        window = [(0, 5)] * 2
+        assert system.module.ideal.contains(LaurentPoly.parse("u1^2*u2^5 - u2^5", 2, GF(3)))
+        assert correlation_exact(system, [self.PINS], [(0, 0)], window) == 0
+        assert cylinder_measure(system, self.PINS, window).value == 0
+        est = correlation_estimate(system, [self.PINS], [(0, 0)], window,
+                                   samples=20_000, seed=0)
+        assert (est.estimate, est.stderr) == (0.0, 0.0)
+        space = WindowConfigSpace(system, window)
+        translates = ref_nullspace(constraint_matrix(system, space).tolist(),
+                                   len(space.sites), 3)
+        assert len(translates) > len(space.kernel)
+
+    def test_one_window_space_per_window(self):
+        system = system_over(2, "1 + u1 + u2")
+        cyl = CylinderSet.make({(0, 0): 0})
+        correlation_exact(system, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], WINDOW)
+        assert cylinder_measure(system, cyl, WINDOW).stable
+        correlation_estimate(system, [cyl], [(0, 0)], WINDOW, samples=100, seed=0)
+        assert list(system.module.ideal.window_spaces) == [tuple(WINDOW)]
+
+    def test_estimate_checks_pins_as_the_exact_measure_does(self, three_dot):
+        cyl = CylinderSet.make({(0, 0): 0})
+        for measure in (correlation_exact, partial(correlation_estimate, samples=10, seed=0)):
+            with pytest.raises(WindowError):
+                measure(three_dot, [cyl], [(40, 0)], WINDOW)
+            with pytest.raises(DomainError):
+                measure(three_dot, [cyl] * 2, [(0, 0)], WINDOW)
+
+    @pytest.mark.parametrize("name", ["f3_two_generators.json", "f5_two_generators.json"])
+    def test_finite_quotients_match_every_functional(self, name):
+        # R/I is finite here: a point of X is any F_p-linear functional on
+        # the span of the normal-form monomials, and x_s is its value at
+        # NF(u^(s - lo)), since u^-lo is a unit.  Count the functionals that
+        # meet each cylinder.
+        system = load_system(str(TESTS / name)).system
+        ideal = system.module.ideal
+        p = ideal.characteristic
+        window = [(-1, 3), (-2, 4)]
+        nfs = {s: ideal.normal_form(LaurentPoly(2, GF(p), {(s[0] + 1, s[1] + 2): 1})).terms
+               for s in _window_sites(window)}
+        monos = sorted({m for nf in nfs.values() for m in nf})
+        patterns = [
+            {s: sum(chi[monos.index(m)] * c for m, c in nf.items()) % p for s, nf in nfs.items()}
+            for chi in product(range(p), repeat=len(monos))
+        ]
+        rng = random.Random(p)
+        sites = list(nfs)
+        for _ in range(40):
+            pins = {s: rng.randrange(p) for s in rng.sample(sites, rng.randint(1, 3))}
+            hits = sum(all(x[s] == v for s, v in pins.items()) for x in patterns)
+            measure = cylinder_measure(system, CylinderSet.make(pins), window)
+            assert measure.value == Fraction(hits, len(patterns))
+
+    @pytest.mark.parametrize("p, seed", [(2, s) for s in range(6)] + [(3, s) for s in range(6)])
+    def test_matches_sympy_normal_forms(self, p, seed):
+        # Random two-generator systems on a 6 x 6 window against the valid
+        # space read off sympy's lex Groebner basis of the saturated ideal,
+        # with the canonical basis taken by the dense reference elimination.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1000 * p + seed)
+        t, u1, u2 = sympy.symbols("t u1 u2")
+        gens = []
+        for _ in range(2):
+            exps = rng.sample(list(product(range(-1, 3), repeat=2)), rng.randint(2, 4))
+            gens.append({e: rng.randrange(1, p) for e in exps})
+        texts = [" + ".join(f"{c}*u1^{a}*u2^{b}" for (a, b), c in g.items()) for g in gens]
+        space = WindowConfigSpace(system_over(p, *texts), WINDOW)
+        # Clear the u^-1 by the unit u1 u2.
+        exprs = [sum(c * u1 ** (a + 1) * u2 ** (b + 1) for (a, b), c in g.items())
+                 for g in gens]
+        basis = sympy.groebner(exprs + [t * u1 * u2 - 1], t, u1, u2, order="lex", modulus=p)
+        columns = []
+        for i, j in space.sites:
+            rem = basis.reduce(u1 ** i * u2 ** j)[1]
+            terms = sympy.Poly(rem, t, u1, u2, modulus=p).terms() if rem != 0 else []
+            columns.append({m: int(c) % p for m, c in terms if int(c) % p})
+        monos = sorted({m for col in columns for m in col})
+        normal_forms = [[col.get(m, 0) for col in columns] for m in monos]
+        nsites = len(space.sites)
+        relations = ref_nullspace(normal_forms, nsites, p) if monos else [
+            [int(i == j) for j in range(nsites)] for i in range(nsites)]
+        assert space.kernel.tolist() == ref_nullspace(relations, nsites, p)
