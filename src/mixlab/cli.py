@@ -133,6 +133,8 @@ def _write_certificate(outdir: Path, name: str, index: int, cert_dict: dict) -> 
 def cmd_certify(args) -> int:
     if args.order < 2:
         raise PresentationError("--order must be at least 2")
+    if args.kmax < 0:
+        raise PresentationError("--kmax must be nonnegative")
     loaded = load_system(args.file)
     system = loaded.system
     m = system.module

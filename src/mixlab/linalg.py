@@ -8,13 +8,12 @@ one Python int (bit c is column c) and reduction is an XOR; over odd p it is
 a dict scaled so the lead entry is 1.
 
 Every echelon form of a row space has the same leads, and they are the
-pivot columns of its reduced row echelon form, whatever order the rows came
-in.  So the kernel needs no full reduction: for each free (non-pivot)
-column f take the vector that is 1 at f and 0 at the other free columns,
-and walk the pivots from the highest down, setting each pivot entry from
-the entries to its right (back-substitution), for all f at once.  That
-solves the same equations with the same free values as Gauss-Jordan, so the
-basis is the one Gauss-Jordan gives, vector for vector.
+pivot columns of its reduced row echelon form R, whatever order the rows
+came in.  One reduction serves `rref` and `nullspace`: it builds the table,
+then clears each row at the higher pivots, highest pivot first, which gives
+R.  The kernel is read off R with no further solving: for each free
+(non-pivot) column f the vector e_f - sum_q R[q, f] e_q, over the pivots q,
+is 1 at f, 0 at the other free columns and solves every row of R.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-# '0'/'1' characters to the bytes 0/1, for unpacking an F_2 row at C speed.
+# '0'/'1' characters to the bytes 0/1, for unpacking F_2 rows at C speed.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 Row = Union[int, Dict[int, int]]
@@ -66,53 +65,10 @@ def _echelon(rows: Iterable[Mapping[int, int]], p: int) -> Dict[int, Row]:
     return table
 
 
-def _entries(row: Row, p: int) -> Dict[int, int]:
-    """A table row as a {column: value} dict."""
-    if p != 2:
-        return row
-    out = {}
-    while row:
-        low = row & -row
-        out[low.bit_length() - 1] = 1
-        row ^= low
-    return out
-
-
-def _unpack(row: Row, p: int, width: int) -> List[int]:
-    if p == 2:
-        return list(format(row, f"0{width}b").encode()[::-1].translate(_BITS)) if width else []
-    dense = [0] * width
-    for c, x in row.items():
-        dense[c] = x
-    return dense
-
-
-def _dense_rows(rows: Sequence[Sequence[int]]):
-    return ({c: x for c, x in enumerate(r) if x} for r in rows)
-
-
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 arrays with entries in [0, p), exactly.
-
-    A sum of k products is at most k (p - 1)^2.  The inner dimension is
-    summed in slices of the largest k for which that, plus a residue below
-    p, fits in int64; for small p the whole dimension is one slice.
-    """
-    step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
-    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    for i in range(0, a.shape[-1], step):
-        out = (out + a[..., i:i + step] @ b[i:i + step]) % p
-    return out
-
-
-def rref(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form mod p of dense rows.
-
-    Returns (reduced rows, pivot column list), every entry reduced mod p:
-    the pivot rows in pivot order, then one zero row per dependent row.
-    """
-    width = len(rows[0]) if rows else 0
-    table = _echelon(_dense_rows(rows), p)
+def _reduce(rows: Iterable[Mapping[int, int]], ncols: int, p: int) -> Tuple[np.ndarray, List[int]]:
+    """R, the nonzero rows of the reduced row echelon form as an int64
+    array, and its pivot columns in increasing order."""
+    table = _echelon(rows, p)
     pivots = sorted(table)
     # Clear each pivot row at the higher pivot columns, highest pivot first.
     # A row already cleared is zero at every pivot column but its own, so
@@ -131,15 +87,43 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[i
         else:
             for j in [c for c in row if c > q and c in table]:
                 _subtract(row, row[j], table[j], p)
-    reduced = [_unpack(table[q], p, width) for q in pivots]
-    reduced += [[0] * width for _ in range(len(rows) - len(pivots))]
+    if p == 2:
+        bits = b"".join(format(table[q], f"0{ncols}b").encode()[::-1] for q in pivots)
+        reduced = np.frombuffer(bits.translate(_BITS), dtype=np.uint8)
+        return reduced.reshape(len(pivots), ncols).astype(np.int64), pivots
+    reduced = np.zeros((len(pivots), ncols), dtype=np.int64)
+    for i, q in enumerate(pivots):
+        reduced[i, list(table[q])] = list(table[q].values())
     return reduced, pivots
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays with entries in [0, p), exactly.
+
+    A sum of k products is at most k (p - 1)^2.  The inner dimension is
+    summed in slices of the largest k for which that, plus a residue below
+    p, fits in int64; for small p the whole dimension is one slice.
+    """
+    step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for i in range(0, a.shape[-1], step):
+        out = (out + a[..., i:i + step] @ b[i:i + step]) % p
+    return out
+
+
+def rref(rows: Sequence[Mapping[int, int]], ncols: int, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form mod p of sparse {column: value} rows.
+
+    Returns (R, pivot column list): R holds the pivot rows in pivot order,
+    every entry reduced mod p, as an int64 array with ncols columns.
+    """
+    return _reduce(rows, ncols, p)
 
 
 def affine_consistent_rank(rows_aug: Sequence[Sequence[int]], p: int) -> Tuple[bool, int]:
     """For dense augmented rows [A | b]: (consistent, rank of A)."""
     rhs = len(rows_aug[0]) - 1
-    table = _echelon(_dense_rows(rows_aug), p)
+    table = _echelon(({c: x for c, x in enumerate(r) if x} for r in rows_aug), p)
     # A row led by the right-hand side reads 0 = b with b nonzero.
     inconsistent = rhs in table
     return not inconsistent, len(table) - inconsistent
@@ -152,14 +136,9 @@ def nullspace(rows: Iterable[Mapping[int, int]], ncols: int, p: int) -> List[Lis
     is 1 at f, 0 at the other free columns, and solves for the pivots.
     Columns run from 0 to ncols - 1; the row order does not matter.
     """
-    table = _echelon(rows, p)
-    free = [c for c in range(ncols) if c not in table]
-    # values[c, i] is entry c of basis vector i.
-    values = np.zeros((ncols, len(free)), dtype=np.int64)
-    values[free, range(len(free))] = 1
-    for q in sorted(table, reverse=True):
-        others = {c: (-x) % p for c, x in _entries(table[q], p).items() if c != q}
-        if others:
-            coeffs = np.fromiter(others.values(), dtype=np.int64, count=len(others))
-            values[q] = matmul_mod(coeffs, values[list(others)], p)
-    return values.T.tolist()
+    reduced, pivots = _reduce(rows, ncols, p)
+    free = sorted(set(range(ncols)) - set(pivots))
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-reduced[:, free].T) % p
+    return basis.tolist()

@@ -75,6 +75,13 @@ class DilationFamily:
         return tuple(expvec(x * n for x in g) for g in base_shape)
 
 
+def _require_positive_dilations(dilations: Sequence[int]) -> None:
+    """Dilation families run over positive n: at n = 0 every shift
+    collides, so a transcript entry there says nothing about the shape."""
+    if any(n < 1 for n in dilations):
+        raise CertificateError("dilations must be positive integers")
+
+
 def prime_power_family(p: int) -> DilationFamily:
     return DilationFamily("prime_power", p=p)
 
@@ -192,6 +199,8 @@ def frobenius_certificate(
     """
     if not isinstance(system.module, CharPModule):
         raise CertificateError("frobenius_certificate needs a CharP system")
+    if kmax < 0:
+        raise CertificateError("kmax must be nonnegative")
     ideal = system.module.ideal
     p = ideal.characteristic
     if ideal.constant_in_ideal():
@@ -304,6 +313,7 @@ def shape_search(
         raise CertificateError("order must be at least 2")
     if not isinstance(system.module, CharPModule):
         raise CertificateError("shape_search needs a CharP system")
+    _require_positive_dilations(dilations)
     ideal = system.module.ideal
     if ideal.constant_in_ideal():
         raise CertificateError("quotient is trivial (unit ideal)")
@@ -317,10 +327,11 @@ def shape_search(
     # dependent ones removes exactly the coefficient vectors that are zero in
     # the quotient, which could otherwise flood the kernel with degenerate
     # (block-in-ideal) solutions.
-    nf_cols = [ideal.normal_form_monomial(w) for w in window]
-    mono_keys = sorted({mu for col in nf_cols for mu in col})
-    mat = [[col.get(mu, 0) for col in nf_cols] for mu in mono_keys]
-    _, pivots = linalg.rref(mat, p) if mat else ([], [])
+    nf_rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for j, w in enumerate(window):
+        for mu, c in ideal.normal_form_monomial(w).items():
+            nf_rows.setdefault(mu, {})[j] = c
+    _, pivots = linalg.rref(list(nf_rows.values()), len(window), p)
     window = [window[j] for j in pivots]
     points = _box_points(shape_box)
     shapes = sorted({_canonical_shape(c) for c in combinations(points, r)})
@@ -605,6 +616,7 @@ def evaluation_shape_search(
     m = system.module
     if not isinstance(m, EvaluationModule):
         raise CertificateError("evaluation_shape_search needs an Evaluation module")
+    _require_positive_dilations(dilations)
     if not set(range(1, r + 1)) <= set(dilations):
         raise CertificateError(
             f"dilations must contain 1..{r}: the search reads rows 1..r as a "

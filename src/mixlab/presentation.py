@@ -224,12 +224,15 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
                 coefficients.append(m.field.from_rational(Fraction(enc)))
             else:
                 coefficients.append(Fraction(enc))
+    transcript = tuple((int(n), int(b)) for n, b in data["transcript"])
+    if any(n < 1 for n in family.dilations) or any(n < 1 for n, _ in transcript):
+        raise PresentationError("dilations must be positive integers")
     return NonMixingCertificate(
         order=int(data["order"]),
         shape=shape,
         coefficients=tuple(coefficients),
         family=family,
-        transcript=tuple((int(n), int(b)) for n, b in data["transcript"]),
+        transcript=transcript,
         grade=data.get("grade", "evidence"),
         system_hash=data.get("system_hash", ""),
     )

@@ -111,13 +111,11 @@ class WindowConfigSpace:
         columns = _normal_forms(ideal, [hi - lo + 1 for lo, hi in self.window])
         # N has one row per normal-form monomial; its columns are numbered
         # from the far end, so rref's lowest leads are the highest sites.
-        monos = {mu: i for i, mu in enumerate(sorted({mu for col in columns for mu in col}))}
-        mat = np.zeros((len(monos), nsites), dtype=np.int64)
+        rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for j, col in enumerate(columns):
             for mu, c in col.items():
-                mat[monos[mu], nsites - 1 - j] = c
-        reduced, pivots = linalg.rref(mat.tolist(), self.p)
-        basis = np.array(reduced[:len(pivots)], dtype=np.int64).reshape(len(pivots), nsites)
+                rows.setdefault(mu, {})[nsites - 1 - j] = c
+        basis, pivots = linalg.rref(list(rows.values()), nsites, self.p)
         self.kernel = np.ascontiguousarray(basis[::-1, ::-1])
         self.rank = nsites - len(pivots)
 
@@ -202,6 +200,8 @@ def _shifted_pins(
         raise DomainError("need one shift per set")
     pins: List[Tuple[Site, int]] = []
     for cyl, gamma in zip(sets, shifts):
+        if len(gamma) != len(space.window):
+            raise DomainError(f"shift {list(gamma)} does not match the window dimension")
         for site, v in cyl.shifted(tuple(int(x) for x in gamma)):
             if site not in space.site_index:
                 raise WindowError(f"shifted pin {site} outside the window; enlarge it")
@@ -254,6 +254,8 @@ def correlation_estimate(
     Sampling is split into fixed-size blocks with per-block derived Philox
     keys, so the result is identical for any thread count.
     """
+    if samples < 1:
+        raise DomainError("an estimate needs at least one sample")
     space = window_space(system, window)
     pins = _shifted_pins(space, sets, shifts)
     blocks = [

@@ -185,6 +185,27 @@ class TestCertify:
         code, _, err = run(capsys, "certify", THREE_DOT, "--order", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("dilations", ["0", "1,-1"])
+    def test_dilations_below_one_refused(self, capsys, tmp_path, dilations):
+        # At dilation 0 the two shifts collide and 1 + 1 drops out, which
+        # made four false certificates for a mixing system.
+        code, _, err = run(
+            capsys, "certify", THREE_DOT, "--order", "2", "--dilations", dilations,
+            "--force-search", "--box", "1", "--window", "0", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "dilations must be positive" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_kmax_refused(self, capsys, tmp_path):
+        # The prime-power certificate it would write has an empty transcript.
+        code, _, err = run(
+            capsys, "certify", THREE_DOT, "--order", "3", "--kmax", "-1", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "--kmax must be nonnegative" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerify:
     @pytest.fixture()
@@ -232,6 +253,25 @@ class TestSimulate:
         data = json.loads(out)
         assert code == 0
         assert abs(data["estimate"] - 0.5) < 0.02
+
+    def test_shift_of_the_wrong_length_refused(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", THREE_DOT, "--sets", '[{"0,0": 0}]', "--shifts", "[[1,0,5]]",
+            "--window", "7",
+        )
+        assert code == 2
+        assert "does not match the window dimension" in err
+
+    def test_sample_count(self, capsys):
+        argv = ["simulate", THREE_DOT, "--sets", '[{"0,0": 0}]', "--shifts", "[[1,0]]",
+                "--window", "7", "--json"]
+        code, _, err = run(capsys, *argv, "--samples", "-5")
+        assert code == 2
+        assert "at least one sample" in err
+        # 0 samples means no Monte Carlo at all.
+        code, out, _ = run(capsys, *argv, "--samples", "0")
+        assert code == 0
+        assert "estimate" not in json.loads(out)
 
     def test_threads_read_from_environment_at_each_call(self, capsys, monkeypatch):
         # The parser is built once per process, so MIXLAB_THREADS must be

@@ -1,5 +1,6 @@
 """Echelon-table F_p elimination against a slow dense reference."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,12 +93,26 @@ def matrices(draw, max_rows=12, max_cols=12):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rref_matches_reference(case):
-    p, _, rows = case
-    reduced, pivots = linalg.rref(rows, p)
+    p, ncols, rows = case
+    reduced, pivots = linalg.rref(sparse(rows), ncols, p)
     ref_reduced, ref_pivots = ref_rref(rows, p)
     assert pivots == ref_pivots
-    assert nonzero_rows(reduced, p) == nonzero_rows(ref_reduced, p)
-    assert all(0 <= x < p for r in reduced for x in r)
+    # The pivot rows alone, no zero padding, every entry reduced mod p.
+    assert reduced.dtype == np.int64 and reduced.shape == (len(pivots), ncols)
+    assert reduced.tolist() == nonzero_rows(ref_reduced, p)
+    assert all(0 <= x < p for r in reduced.tolist() for x in r)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2 ** 31 - 2), min_size=6, max_size=6),
+                min_size=1, max_size=5))
+def test_rref_at_the_largest_characteristic(rows):
+    # Entries near 2^31 must come back exact in the int64 array.
+    p = 2 ** 31 - 1
+    reduced, pivots = linalg.rref(sparse(rows), 6, p)
+    ref_reduced, ref_pivots = ref_rref(rows, p)
+    assert pivots == ref_pivots
+    assert reduced.tolist() == nonzero_rows(ref_reduced, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,8 +163,9 @@ def test_window_sized_system(p):
         row = [0] * ncols
         row[c] = row[c + 1] = row[c + 7] = 1
         rows.append(row)
-    reduced, pivots = linalg.rref(rows, p)
-    assert (reduced, pivots) == ref_rref(rows, p)
+    reduced, pivots = linalg.rref(sparse(rows), ncols, p)
+    ref_reduced, ref_pivots = ref_rref(rows, p)
+    assert (reduced.tolist(), pivots) == (nonzero_rows(ref_reduced, p), ref_pivots)
     kernel = linalg.nullspace(sparse(rows), ncols, p)
     assert kernel == ref_nullspace(rows, ncols, p)
     assert len(kernel) == 7

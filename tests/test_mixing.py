@@ -258,8 +258,8 @@ def ref_shape_search(system, r, shape_box, coeff_window, dilations):
     window = _box_points(coeff_window)
     nf_cols = [ideal.normal_form_monomial(w) for w in window]
     mono_keys = sorted({mu for col in nf_cols for mu in col})
-    mat = [[col.get(mu, 0) for col in nf_cols] for mu in mono_keys]
-    _, pivots = linalg.rref(mat, p) if mat else ([], [])
+    mat = [{j: col[mu] for j, col in enumerate(nf_cols) if mu in col} for mu in mono_keys]
+    _, pivots = linalg.rref(mat, len(window), p)
     window = [window[j] for j in pivots]
     points = _box_points(shape_box)
     shapes = sorted({_canonical_shape(c) for c in combinations(points, r)})
@@ -392,7 +392,7 @@ def _poly_text(terms, names, negate=None):
 def charp_search_cases(draw):
     """Small ideals over F_2, F_3, F_5 in d <= 2 (with a substitution hint
     when the generators solve variables in earlier ones) and small searches,
-    with dilation lists that may repeat and hold 0 or -1."""
+    with dilation lists that may repeat."""
     p = draw(st.sampled_from([2, 3, 5]))
     d = draw(st.integers(1, 2))
     names = [f"u{i + 1}" for i in range(d)]
@@ -421,7 +421,7 @@ def charp_search_cases(draw):
         window = [(0, draw(st.integers(0, 1)))] * 2
     points = len(_box_points(shape_box))
     r = draw(st.integers(2, min(4, points)))
-    dilations = tuple(draw(st.lists(st.sampled_from([-1, 0, 1, 1, 2, 2, 3, 4]),
+    dilations = tuple(draw(st.lists(st.sampled_from([1, 1, 2, 2, 3, 4]),
                                     min_size=1, max_size=4)))
     return p, d, gens, hint, r, shape_box, window, dilations
 
@@ -458,6 +458,11 @@ class TestFrobeniusCertificates:
     def test_rejects_non_members(self, three_dot):
         with pytest.raises(CertificateError):
             frobenius_certificate(three_dot, p2("1 + u1"))
+
+    def test_rejects_negative_kmax(self, three_dot):
+        # kmax -1 would give an empty transcript under a proof grade.
+        with pytest.raises(CertificateError, match="kmax"):
+            frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=-1)
 
     def test_rejects_tiny_support(self, three_dot):
         with pytest.raises(CertificateError):
@@ -551,6 +556,11 @@ class TestShapeSearch:
         with pytest.raises(CertificateError):
             shape_search(three_dot, 1, [(0, 1)] * 2, [(0, 1)] * 2, (1,))
 
+    @pytest.mark.parametrize("dilations", [(0,), (1, 2, 0), (1, -1)])
+    def test_dilations_below_one_rejected(self, three_dot, dilations):
+        with pytest.raises(CertificateError, match="dilations must be positive"):
+            shape_search(three_dot, 2, [(0, 1)] * 2, [(0, 0)] * 2, dilations)
+
     @given(case=charp_search_cases())
     @example(case=(2, 2, ["1 + u1 + u2"], {1: "1 + u1"}, 3, [(0, 1)] * 2, [(0, 1)] * 2, (0, 1, 2)))
     @example(case=(2, 2, ["1 + u1 + u2"], {1: "1 + u1"}, 3, [(0, 1)] * 2, [(0, 1)] * 2, (1, 1, 2)))
@@ -570,6 +580,11 @@ class TestShapeSearch:
         for ideal in ideals:
             system = AlgebraicSystem(free_abelian(d), CharPModule(ideal))
             args = (system, r, shape_box, window, dilations)
+            if min(dilations) < 1:
+                # At dilation 0 the shifts collide; the search refuses it.
+                with pytest.raises(CertificateError, match="positive"):
+                    shape_search(*args)
+                continue
             assert _search_result(shape_search, *args) == _search_result(ref_shape_search, *args)
 
     @given(st.sampled_from([2, 3, 5]), st.data())
@@ -804,6 +819,11 @@ class TestEvaluationSearch:
     def test_underdetermined_dilations_rejected(self, solenoid_23):
         with pytest.raises(CertificateError):
             evaluation_shape_search(solenoid_23, 3, [(-2, 2)] * 2, dilations=(1, 2))
+
+    @pytest.mark.parametrize("dilations", [(1, 2, 0), (-1, 1, 2)])
+    def test_dilations_below_one_rejected(self, solenoid_23, dilations):
+        with pytest.raises(CertificateError, match="dilations must be positive"):
+            evaluation_shape_search(solenoid_23, 2, [(-2, 2)] * 2, dilations=dilations)
 
     def test_dilations_missing_part_of_one_to_r_rejected(self, solenoid_23):
         with pytest.raises(CertificateError):

@@ -148,6 +148,21 @@ class TestCertificateRoundtrip:
         blob2 = canonical_json(certificate_to_dict(frobenius_certificate(loaded.system, gen)))
         assert blob1 == blob2
 
+    @pytest.mark.parametrize("block, value", [
+        ("transcript", [[0, 1], [1, 1]]),
+        ("transcript", [[-2, 1], [1, 1]]),
+        ("family", {"kind": "explicit_list", "dilations": [1, 0]}),
+    ])
+    def test_dilation_below_one_rejected(self, block, value):
+        # At dilation 0 every shift collides and the correlation says
+        # nothing about the shape.
+        loaded = sample("ledrappier.json")
+        gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
+        data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
+        data[block] = value
+        with pytest.raises(PresentationError, match="dilations must be positive"):
+            certificate_from_dict(data, loaded.system)
+
     def test_wrong_kind_rejected(self):
         loaded = sample("ledrappier.json")
         with pytest.raises(PresentationError):

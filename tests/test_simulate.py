@@ -353,6 +353,20 @@ class TestWindowsFromNormalForms:
             with pytest.raises(DomainError):
                 measure(three_dot, [cyl] * 2, [(0, 0)], WINDOW)
 
+    def test_shift_of_the_wrong_length_refused(self, three_dot):
+        # zip would cut (1, 0, 5) to (1, 0) and measure the wrong cylinder.
+        cyl = CylinderSet.make({(0, 0): 0})
+        for measure in (correlation_exact, partial(correlation_estimate, samples=10, seed=0)):
+            for gamma in [(1, 0, 5), (1,)]:
+                with pytest.raises(DomainError, match="window dimension"):
+                    measure(three_dot, [cyl], [gamma], WINDOW)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_estimate_needs_a_sample(self, three_dot, samples):
+        cyl = CylinderSet.make({(0, 0): 0})
+        with pytest.raises(DomainError, match="at least one sample"):
+            correlation_estimate(three_dot, [cyl], [(0, 0)], WINDOW, samples=samples, seed=0)
+
     @pytest.mark.parametrize("name", ["f3_two_generators.json", "f5_two_generators.json"])
     def test_finite_quotients_match_every_functional(self, name):
         # R/I is finite here: a point of X is any F_p-linear functional on
