@@ -5,15 +5,23 @@ keyed by their lead, the lowest column where the row is nonzero.  A new row
 is reduced only by the table row that shares its current lead, until it is
 zero or its lead is new to the table.  Over F_2 a table row is packed into
 one Python int (bit c is column c) and reduction is an XOR; over odd p it is
-a dict scaled so the lead entry is 1.
+a dict scaled so the lead entry is 1.  Over F_2 a row may also come packed.
 
 Every echelon form of a row space has the same leads, and they are the
 pivot columns of its reduced row echelon form R, whatever order the rows
-came in.  One reduction serves `rref` and `nullspace`: it builds the table,
-then clears each row at the higher pivots, highest pivot first, which gives
-R.  The kernel is read off R with no further solving: for each free
-(non-pivot) column f the vector e_f - sum_q R[q, f] e_q, over the pivots q,
-is 1 at f, 0 at the other free columns and solves every row of R.
+came in.  `rref` builds the table, then clears each row at the higher
+pivots, highest pivot first, which gives R.
+
+`nullspace` takes its matrix A (m rows, n columns) by columns and reduces
+the transpose with a reversed identity appended: row j is column j of A
+followed by a 1 at position m + n - 1 - j.  The table spans every
+(x^T A, x reversed), so its rows whose transposed part reduces to zero span
+the kernel, and a kernel row's lead is its highest nonzero column f.  That
+f is free (column f of A is a combination of the columns before it), and
+every free column is one such lead.  The same clearing sweep on the kernel
+rows alone leaves, for each free column f, the one kernel vector that is 1
+at f and 0 at the other free columns: e_f - sum_q R[q, f] e_q over the
+pivots q, the basis read off R, whatever the order of the rows of A.
 """
 
 from __future__ import annotations
@@ -38,15 +46,19 @@ def _subtract(target: Dict[int, int], factor: int, source: Dict[int, int], p: in
             del target[c]
 
 
-def _echelon(rows: Iterable[Mapping[int, int]], p: int) -> Dict[int, Row]:
-    """The echelon table of the rows: lead column -> row with that lead."""
+def _echelon(rows: Iterable[Row], p: int) -> Dict[int, Row]:
+    """The echelon table of the rows: lead column -> row with that lead.
+    Over F_2 a row may be a packed int as well as a dict."""
     table: Dict[int, Row] = {}
     for entries in rows:
         if p == 2:
-            row = 0
-            for c, x in entries.items():
-                if x % 2:
-                    row |= 1 << c
+            if isinstance(entries, int):
+                row = entries
+            else:
+                row = 0
+                for c, x in entries.items():
+                    if x % 2:
+                        row |= 1 << c
             while row:
                 lead = (row & -row).bit_length() - 1
                 if lead not in table:
@@ -65,14 +77,11 @@ def _echelon(rows: Iterable[Mapping[int, int]], p: int) -> Dict[int, Row]:
     return table
 
 
-def _reduce(rows: Iterable[Mapping[int, int]], ncols: int, p: int) -> Tuple[np.ndarray, List[int]]:
-    """R, the nonzero rows of the reduced row echelon form as an int64
-    array, and its pivot columns in increasing order."""
-    table = _echelon(rows, p)
-    pivots = sorted(table)
-    # Clear each pivot row at the higher pivot columns, highest pivot first.
-    # A row already cleared is zero at every pivot column but its own, so
-    # subtracting it clears one column and touches no other pivot.
+def _clear(table: Dict[int, Row], pivots: Sequence[int], p: int) -> None:
+    """Clear each table row led by one of the pivots (increasing) at the
+    higher of those pivots, highest pivot first, in place.  A row already
+    cleared is zero at every listed pivot but its own, so subtracting it
+    clears one column and touches no other listed pivot."""
     above = 0
     for q in reversed(pivots):
         row = table[q]
@@ -87,14 +96,6 @@ def _reduce(rows: Iterable[Mapping[int, int]], ncols: int, p: int) -> Tuple[np.n
         else:
             for j in [c for c in row if c > q and c in table]:
                 _subtract(row, row[j], table[j], p)
-    if p == 2:
-        bits = b"".join(format(table[q], f"0{ncols}b").encode()[::-1] for q in pivots)
-        reduced = np.frombuffer(bits.translate(_BITS), dtype=np.uint8)
-        return reduced.reshape(len(pivots), ncols).astype(np.int64), pivots
-    reduced = np.zeros((len(pivots), ncols), dtype=np.int64)
-    for i, q in enumerate(pivots):
-        reduced[i, list(table[q])] = list(table[q].values())
-    return reduced, pivots
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -117,7 +118,17 @@ def rref(rows: Sequence[Mapping[int, int]], ncols: int, p: int) -> Tuple[np.ndar
     Returns (R, pivot column list): R holds the pivot rows in pivot order,
     every entry reduced mod p, as an int64 array with ncols columns.
     """
-    return _reduce(rows, ncols, p)
+    table = _echelon(rows, p)
+    pivots = sorted(table)
+    _clear(table, pivots, p)
+    if p == 2:
+        bits = b"".join(format(table[q], f"0{ncols}b").encode()[::-1] for q in pivots)
+        reduced = np.frombuffer(bits.translate(_BITS), dtype=np.uint8)
+        return reduced.reshape(len(pivots), ncols).astype(np.int64), pivots
+    reduced = np.zeros((len(pivots), ncols), dtype=np.int64)
+    for i, q in enumerate(pivots):
+        reduced[i, list(table[q])] = list(table[q].values())
+    return reduced, pivots
 
 
 def affine_consistent_rank(rows_aug: Sequence[Sequence[int]], p: int) -> Tuple[bool, int]:
@@ -129,16 +140,31 @@ def affine_consistent_rank(rows_aug: Sequence[Sequence[int]], p: int) -> Tuple[b
     return not inconsistent, len(table) - inconsistent
 
 
-def nullspace(rows: Iterable[Mapping[int, int]], ncols: int, p: int) -> List[List[int]]:
-    """Basis of the right kernel mod p of sparse {column: value} rows.
+def nullspace(columns: Sequence[Row], ncols: int, p: int) -> List[List[int]]:
+    """Basis of the right kernel mod p of a matrix given by its ncols columns.
 
-    One vector per free (non-pivot) column f, in increasing order of f: it
-    is 1 at f, 0 at the other free columns, and solves for the pivots.
-    Columns run from 0 to ncols - 1; the row order does not matter.
+    A column is a sparse {row: value} dict, or over F_2 also a packed int
+    (bit i is row i).  One vector per free (non-pivot) column f, in
+    increasing order of f: it is 1 at f, 0 at the other free columns, and
+    solves for the pivots.  The numbering of the rows does not matter.
     """
-    reduced, pivots = _reduce(rows, ncols, p)
-    free = sorted(set(range(ncols)) - set(pivots))
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = (-reduced[:, free].T) % p
-    return basis.tolist()
+    if len(columns) != ncols:
+        raise ValueError(f"nullspace got {len(columns)} columns, expected {ncols}")
+    height = max((c.bit_length() if isinstance(c, int) else max(c, default=-1) + 1
+                  for c in columns), default=0)
+    top = height + ncols - 1
+    table = _echelon((c | 1 << (top - j) if isinstance(c, int) else {**c, top - j: 1}
+                      for j, c in enumerate(columns)), p)
+    kernel = sorted(q for q in table if q >= height)
+    _clear(table, kernel, p)
+    # Lead top - f is free column f, so the highest lead comes first.
+    if p == 2:
+        return [list(format(table[q] >> height, f"0{ncols}b").encode().translate(_BITS))
+                for q in reversed(kernel)]
+    basis = []
+    for q in reversed(kernel):
+        vec = [0] * ncols
+        for c, x in table[q].items():
+            vec[top - c] = x
+        basis.append(vec)
+    return basis

@@ -77,7 +77,10 @@ class DilationFamily:
 
 def _require_positive_dilations(dilations: Sequence[int]) -> None:
     """Dilation families run over positive n: at n = 0 every shift
-    collides, so a transcript entry there says nothing about the shape."""
+    collides, so a transcript entry there says nothing about the shape.
+    With no dilation at all every vector would pass vacuously."""
+    if not dilations:
+        raise CertificateError("dilations must not be empty")
     if any(n < 1 for n in dilations):
         raise CertificateError("dilations must be positive integers")
 
@@ -265,9 +268,17 @@ def _box_points(box: Sequence[Tuple[int, int]]):
     return [tuple(p) for p in product(*[range(lo, hi + 1) for lo, hi in box])]
 
 
-def _canonical_shape(points) -> Tuple[Tuple[int, ...], ...]:
-    mins = [min(p[i] for p in points) for i in range(len(points[0]))]
-    return tuple(sorted(tuple(x - m for x, m in zip(p, mins)) for p in points))
+def _canonical_shapes(points: Sequence[Tuple[int, ...]],
+                      r: int) -> List[Tuple[Tuple[int, ...], ...]]:
+    """One r-point shape per translation class that fits in a box, sorted.
+
+    `points` is the box moved to the origin, in `_box_points` order.  A
+    class's member whose minimum on each axis is the box's lower corner is
+    unique; moved with the box, its minimum on each axis is 0.  So the shapes
+    are the r-subsets of `points` that meet every coordinate hyperplane, and
+    combinations() yields them in sorted order.
+    """
+    return [c for c in combinations(points, r) if all(0 in axis for axis in zip(*c))]
 
 
 def _projective_combinations(kernel: Sequence[Sequence[int]], p: int):
@@ -333,8 +344,8 @@ def shape_search(
             nf_rows.setdefault(mu, {})[j] = c
     _, pivots = linalg.rref(list(nf_rows.values()), len(window), p)
     window = [window[j] for j in pivots]
-    points = _box_points(shape_box)
-    shapes = sorted({_canonical_shape(c) for c in combinations(points, r)})
+    points = _box_points([(0, hi - lo) for lo, hi in shape_box])
+    shapes = _canonical_shapes(points, r)
     region = {
         "shape_box": [list(b) for b in shape_box],
         "coeff_window": [list(b) for b in coeff_window],
@@ -355,17 +366,25 @@ def shape_search(
         return [LaurentPoly(ideal.d, dom, {w: c for w, c in zip(window, vec[s * k:]) if c})
                 for s in range(r)]
 
+    # Column (s, w) of a shape's system stacks the normal forms of
+    # u^(n*q_s + w) over the dilations, and row (n, mu) is the coefficient of
+    # mu at dilation n.  A column depends on the point q_s alone, so each
+    # point's block of columns is built once and a shape's matrix is its
+    # points' blocks side by side.  Over F_2 a column is packed into an int.
+    row_of: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+
+    def column(q, w):
+        col: Dict[int, int] = {}
+        for n in dilations:
+            mono = tuple(n * a + e for a, e in zip(q, w))
+            for mu, c in ideal.normal_form_monomial(mono).items():
+                col[row_of.setdefault((n, mu), len(row_of))] = c
+        return sum(1 << i for i in col) if p == 2 else col
+
+    block = {q: [column(q, w) for w in window] for q in points}
+
     for shape in shapes:
-        # Column (s, w) stacks the normal forms of u^(n*q_s + w) over the
-        # dilations; row (n, mu) is the coefficient of mu at dilation n.
-        rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
-        for s in range(r):
-            for j, w in enumerate(window, s * len(window)):
-                for n in dilations:
-                    mono = tuple(n * q + e for q, e in zip(shape[s], w))
-                    for mu, c in ideal.normal_form_monomial(mono).items():
-                        rows.setdefault((n, mu), {})[j] = c
-        kernel = linalg.nullspace(rows.values(), ncols, p)
+        kernel = linalg.nullspace([col for q in shape for col in block[q]], ncols, p)
         if not kernel:
             continue
         combos = p ** len(kernel)

@@ -225,6 +225,9 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
             else:
                 coefficients.append(Fraction(enc))
     transcript = tuple((int(n), int(b)) for n, b in data["transcript"])
+    if not transcript:
+        # An empty transcript replays nothing, so it would pass at any grade.
+        raise PresentationError("certificate transcript is empty")
     if any(n < 1 for n in family.dilations) or any(n < 1 for n, _ in transcript):
         raise PresentationError("dilations must be positive integers")
     return NonMixingCertificate(

@@ -223,6 +223,18 @@ class TestVerify:
         assert code == 2
         assert "hash mismatch" in err
 
+    def test_empty_transcript_is_an_input_error(self, capsys, cert_path, tmp_path):
+        # The proof certificate with nothing to replay printed "grade: proof"
+        # and PASS.
+        data = json.loads(cert_path.read_text())
+        data["transcript"] = []
+        bad = tmp_path / "empty.cert.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(bad), THREE_DOT)
+        assert code == 2
+        assert "transcript is empty" in err
+        assert "PASS" not in out
+
     def test_tampered_transcript_fails(self, capsys, cert_path, tmp_path):
         data = json.loads(cert_path.read_text())
         data["shape"][1] = ["1", "1"]

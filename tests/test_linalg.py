@@ -66,6 +66,16 @@ def sparse(rows):
     return [{c: x for c, x in enumerate(r) if x} for r in rows]
 
 
+def columns(rows, ncols):
+    """The sparse {row: value} columns of dense rows."""
+    return [{i: r[c] for i, r in enumerate(rows) if r[c]} for c in range(ncols)]
+
+
+def packed(rows, ncols):
+    """The columns of dense rows over F_2, packed into ints (bit i is row i)."""
+    return [sum(1 << i for i, r in enumerate(rows) if r[c] % 2) for c in range(ncols)]
+
+
 # -- matrices: random, all-zero and rank-deficient, entries not yet reduced ---
 
 @st.composite
@@ -119,7 +129,7 @@ def test_rref_at_the_largest_characteristic(rows):
 @given(matrices(), st.randoms(use_true_random=False), st.booleans())
 def test_nullspace_matches_reference(case, rng, duplicate):
     p, ncols, rows = case
-    kernel = linalg.nullspace(sparse(rows), ncols, p)
+    kernel = linalg.nullspace(columns(rows, ncols), ncols, p)
     assert kernel == ref_nullspace(rows, ncols, p)
     for vec in kernel:
         assert all(sum(a * x for a, x in zip(r, vec)) % p == 0 for r in rows)
@@ -127,7 +137,29 @@ def test_nullspace_matches_reference(case, rng, duplicate):
     # repetition of the rows.
     shuffled = rows + rows if duplicate else list(rows)
     rng.shuffle(shuffled)
-    assert linalg.nullspace(sparse(shuffled), ncols, p) == kernel
+    assert linalg.nullspace(columns(shuffled, ncols), ncols, p) == kernel
+    if p == 2:
+        assert linalg.nullspace(packed(shuffled, ncols), ncols, p) == kernel
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_cols=6), st.data())
+def test_nullspace_with_zero_and_repeated_columns(case, data):
+    # Column f equal to an earlier column, or zero, is free with the kernel
+    # vector e_f - e_first (or e_f alone); the reference agrees.
+    p, ncols, rows = case
+    picks = data.draw(st.lists(st.integers(-1, ncols - 1), min_size=1, max_size=6))
+    wide = [r + [r[c] if c >= 0 else 0 for c in picks] for r in rows]
+    width = ncols + len(picks)
+    kernel = linalg.nullspace(columns(wide, width), width, p)
+    assert kernel == ref_nullspace(wide, width, p)
+    if p == 2:
+        assert linalg.nullspace(packed(wide, width), width, p) == kernel
+
+
+def test_nullspace_needs_ncols_columns():
+    with pytest.raises(ValueError):
+        linalg.nullspace([{0: 1}], 2, 3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,7 +168,7 @@ def test_nullspace_matches_reference(case, rng, duplicate):
 def test_nullspace_at_the_largest_characteristic(rows):
     # Products of two entries near 2^31 overflow int64 when summed.
     p = 2 ** 31 - 1
-    kernel = linalg.nullspace(sparse(rows), 6, p)
+    kernel = linalg.nullspace(columns(rows, 6), 6, p)
     assert kernel == ref_nullspace(rows, 6, p)
     assert all(type(x) is int for vec in kernel for x in vec)
 
@@ -166,8 +198,10 @@ def test_window_sized_system(p):
     reduced, pivots = linalg.rref(sparse(rows), ncols, p)
     ref_reduced, ref_pivots = ref_rref(rows, p)
     assert (reduced.tolist(), pivots) == (nonzero_rows(ref_reduced, p), ref_pivots)
-    kernel = linalg.nullspace(sparse(rows), ncols, p)
+    kernel = linalg.nullspace(columns(rows, ncols), ncols, p)
     assert kernel == ref_nullspace(rows, ncols, p)
     assert len(kernel) == 7
+    if p == 2:
+        assert linalg.nullspace(packed(rows, ncols), ncols, p) == kernel
     for vec in kernel:
         assert all(sum(a * x for a, x in zip(r, vec)) % p == 0 for r in rows)

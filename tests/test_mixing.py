@@ -24,7 +24,7 @@ from mixlab.mixing import (
     UnitEquationResult,
     UnitSolution,
     _box_points,
-    _canonical_shape,
+    _canonical_shapes,
     _default_is_zero,
     _projective_combinations,
     _vanishing_subsets,
@@ -246,6 +246,12 @@ def ref_evaluation_shape_search(system, r, shape_box, dilations=(1, 2, 3, 4)):
     return SearchOutcome(found, region)
 
 
+def _canonical_shape(points):
+    """A shape translated so its minimum on each axis is 0, points sorted."""
+    mins = [min(p[i] for p in points) for i in range(len(points[0]))]
+    return tuple(sorted(tuple(x - m for x, m in zip(p, mins)) for p in points))
+
+
 def ref_shape_search(system, r, shape_box, coeff_window, dilations):
     """The kernel search with every combination of the basis replayed:
     blocks tested with `ideal.contains` and each certificate through
@@ -286,9 +292,9 @@ def ref_shape_search(system, r, shape_box, coeff_window, dilations):
                     for mu, c in ideal.normal_form_monomial(mono).items():
                         col[(n, mu)] = c
                 col_nf.append(col)
-        row_keys = sorted({k for col in col_nf for k in col})
-        rows = [{j: col[k] for j, col in enumerate(col_nf) if k in col} for k in row_keys]
-        kernel = linalg.nullspace(rows, ncols, p)
+        row_of = {k: i for i, k in enumerate(sorted({k for col in col_nf for k in col}))}
+        kernel = linalg.nullspace([{row_of[k]: c for k, c in col.items()} for col in col_nf],
+                                  ncols, p)
         if not kernel:
             continue
         if p ** len(kernel) > KERNEL_COMBO_LIMIT:
@@ -561,6 +567,11 @@ class TestShapeSearch:
         with pytest.raises(CertificateError, match="dilations must be positive"):
             shape_search(three_dot, 2, [(0, 1)] * 2, [(0, 0)] * 2, dilations)
 
+    def test_empty_dilations_rejected(self, three_dot):
+        # With nothing to replay, every shape of a mixing order gave a certificate.
+        with pytest.raises(CertificateError, match="must not be empty"):
+            shape_search(three_dot, 2, [(0, 1)] * 2, [(0, 0)] * 2, ())
+
     @given(case=charp_search_cases())
     @example(case=(2, 2, ["1 + u1 + u2"], {1: "1 + u1"}, 3, [(0, 1)] * 2, [(0, 1)] * 2, (0, 1, 2)))
     @example(case=(2, 2, ["1 + u1 + u2"], {1: "1 + u1"}, 3, [(0, 1)] * 2, [(0, 1)] * 2, (1, 1, 2)))
@@ -594,7 +605,8 @@ class TestShapeSearch:
         ncols = data.draw(st.integers(1, 6))
         rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=ncols,
                                            max_size=ncols), max_size=ncols))
-        kernel = linalg.nullspace([dict(enumerate(r)) for r in rows], ncols, p)
+        columns = [{i: r[c] for i, r in enumerate(rows)} for c in range(ncols)]
+        kernel = linalg.nullspace(columns, ncols, p)
         assume(len(kernel) <= 4)
         expected = []
         for weights in product(range(p), repeat=len(kernel)):
@@ -605,6 +617,27 @@ class TestShapeSearch:
                 if vec not in expected:
                     expected.append(vec)
         assert list(_projective_combinations(kernel, p)) == expected
+
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 2)), min_size=1, max_size=3),
+           st.integers(2, 4))
+    @example([(0, 1), (0, 1)], 3)
+    @example([(-1, 2), (2, 1)], 3)
+    @example([(1, -1), (0, 2)], 2)
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_shapes_match_the_sorted_set(self, sides, r):
+        # The old enumeration: canonicalize every r-subset, then sort the set.
+        box = [(lo, lo + width) for lo, width in sides]
+        expected = sorted({_canonical_shape(c) for c in combinations(_box_points(box), r)})
+        moved = _box_points([(0, hi - lo) for lo, hi in box])
+        assert _canonical_shapes(moved, r) == expected
+
+    def test_box_lower_corner_only_translates(self, three_dot):
+        args = (3, [(0, 1), (0, 1)], [(0, 1)] * 2, (1, 2, 4))
+        result = _search_result(shape_search, three_dot, *args)
+        assert result == _search_result(ref_shape_search, three_dot, *args)
+        assert result[0]
+        moved = (3, [(-2, -1), (5, 6)], [(0, 1)] * 2, (1, 2, 4))
+        assert _search_result(shape_search, three_dot, *moved)[0] == result[0]
 
     def test_non_kernel_vector_is_refused(self, monkeypatch, tmp_path, capsys):
         # u^(n*q) times the first window monomial is a unit, never in the ideal.

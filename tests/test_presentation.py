@@ -163,6 +163,15 @@ class TestCertificateRoundtrip:
         with pytest.raises(PresentationError, match="dilations must be positive"):
             certificate_from_dict(data, loaded.system)
 
+    def test_empty_transcript_rejected(self):
+        # An empty transcript replays nothing, so verify would pass it.
+        loaded = sample("ledrappier.json")
+        gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
+        data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
+        data["transcript"] = []
+        with pytest.raises(PresentationError, match="transcript is empty"):
+            certificate_from_dict(data, loaded.system)
+
     def test_wrong_kind_rejected(self):
         loaded = sample("ledrappier.json")
         with pytest.raises(PresentationError):
