@@ -223,9 +223,13 @@ def cmd_verify(args) -> int:
         "first_failure": report.first_failure,
         "lines": report.lines,
     }
-    lines = report.lines + [("PASS" if report.ok else
-                            f"FAIL at dilation {report.first_failure}")]
-    _emit(args, payload, lines)
+    if report.ok:
+        verdict = "PASS"
+    elif report.first_failure is None:
+        verdict = "FAIL: separation"
+    else:
+        verdict = f"FAIL at dilation {report.first_failure}"
+    _emit(args, payload, report.lines + [verdict])
     return EXIT_OK if report.ok else 1
 
 

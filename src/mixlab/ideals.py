@@ -204,6 +204,15 @@ def _autoreduce(basis: Sequence[PolyDict], p: int) -> List[PolyDict]:
     return out
 
 
+def _primitive_monic(f: PolyDict, p: int) -> PolyDict:
+    """f (keys of d exponents) divided by its monomial content, made monic in
+    the monomial order; keys gain the saturation slot t = 0."""
+    content = [min(e) for e in zip(*f)]
+    g = {tuple(map(sub, m, content)) + (0,): c for m, c in f.items()}
+    inv = pow(g[_lead(g)], -1, p)
+    return {m: c * inv % p for m, c in g.items()}
+
+
 # -- the presentation --------------------------------------------------------
 
 class IdealPresentation:
@@ -336,9 +345,18 @@ class IdealPresentation:
         return self._gb_full
 
     def _contracted_basis(self) -> List[PolyDict]:
+        """The t-free part of the full basis.  A principal ideal (f) needs no
+        Buchberger run: over F_p[u] its saturation is (f / u^c), with u^c the
+        monomial content of f (F_p[u] is a UFD and no u_i divides f / u^c),
+        and the reduced basis of a principal ideal is its monic generator."""
         if self._gb_contracted is None:
-            full = self._full_basis()
-            self._gb_contracted = [g for g in full if all(m[-1] == 0 for m in g)]
+            self._require_char_p()
+            gens = [f for f in map(self._cleared, self.generators) if f]
+            if len(gens) == 1:
+                self._gb_contracted = [_primitive_monic(gens[0], self.characteristic)]
+            else:
+                full = self._full_basis()
+                self._gb_contracted = [g for g in full if all(m[-1] == 0 for m in g)]
         return self._gb_contracted
 
     def groebner_basis(self) -> List[LaurentPoly]:

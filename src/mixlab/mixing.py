@@ -26,6 +26,7 @@ from .systems import (
     CharPModule,
     EvaluationModule,
     RationalDualModule,
+    _exact,
     _gamma_key,
     character_correlation,
     shifted_sum_vanishes,
@@ -63,6 +64,10 @@ class DilationFamily:
       prime_power       -- dilate the shape by p^k        (proof grade in char p)
       explicit_list     -- dilate the shape by listed n   (evidence grade)
       consecutive_ratio -- shape (1, n, n-1) in Q_{>0}    (closed-form family)
+
+    The first two are lattice families: they scale a base shape, and run
+    over n >= 1.  The consecutive-ratio family runs over n >= 2, where its
+    three shifts are nonzero.
     """
 
     kind: str
@@ -71,7 +76,7 @@ class DilationFamily:
 
     def shape_at(self, base_shape, n):
         if self.kind == "consecutive_ratio":
-            return (Fraction(1), Fraction(n), Fraction(n - 1))
+            return (1, n, n - 1)
         return tuple(expvec(x * n for x in g) for g in base_shape)
 
 
@@ -122,56 +127,94 @@ class VerificationReport:
         return "\n".join(self.lines)
 
 
-def _tuple_at(cert: NonMixingCertificate, n: int) -> CharacterTuple:
-    """The character tuple of the certificate at dilation n.
-
-    A family may collide for small n (e.g. (1, n, n-1) at n = 2); colliding
-    shifts are merged by summing their coefficients, and shifts whose merged
-    coefficient is formally zero are dropped.
-    """
-    shape = cert.family.shape_at(cert.shape, n)
-    merged: Dict[object, object] = {}
-    order = []
-    for g, a in zip(shape, cert.coefficients):
+def _merged(shape, coefficients) -> List[Tuple[object, object]]:
+    """The pairs (gamma, a) with colliding shifts merged by summing their
+    coefficients, in order of first occurrence; a shift whose merged
+    coefficient is formally zero is dropped."""
+    merged: Dict[object, list] = {}
+    for g, a in zip(shape, coefficients):
         k = _gamma_key(g)
         if k in merged:
-            merged[k] = merged[k] + a
+            merged[k][1] = merged[k][1] + a
         else:
-            merged[k] = a
-            order.append((k, g))
-    pairs = [(g, merged[k]) for k, g in order if not _default_is_zero(merged[k])]
-    return CharacterTuple(pairs)
+            merged[k] = [g, a]
+    return [(g, a) for g, a in merged.values() if not _default_is_zero(a)]
+
+
+def _dilated_tuples(cert: NonMixingCertificate):
+    """The certificate's character tuple at each transcript dilation,
+    colliding shifts merged (see `_merged`).  A lattice family at n >= 1 has
+    n q_s = n q_t exactly when q_s = q_t, so its shape is merged once and
+    the merged points are dilated; (1, n, n-1) collides at n = 2 alone and
+    is merged per dilation."""
+    family = cert.family
+    if family.kind == "consecutive_ratio":
+        for n in cert.dilations():
+            yield CharacterTuple(_merged(family.shape_at(None, n), cert.coefficients))
+        return
+    pairs = _merged(cert.shape, cert.coefficients)
+    points = [g for g, _ in pairs]
+    coefficients = [a for _, a in pairs]
+    for n in cert.dilations():
+        yield CharacterTuple(zip(family.shape_at(points, n), coefficients))
+
+
+def check_certificate(cert: NonMixingCertificate) -> None:
+    """Raise `CertificateError` unless the certificate's parts agree: an
+    order of at least 2 with one shape point and one coefficient per slot
+    (3 for (1, n, n-1)), and a nonempty transcript of dilations in the
+    family's range.  A mismatch would let `zip` drop a slot unseen."""
+    family = cert.family
+    if not cert.transcript:
+        # An empty transcript replays nothing, so it would pass at any grade.
+        raise CertificateError("certificate transcript is empty")
+    if any(n < 1 for n in family.dilations) or any(n < 1 for n, _ in cert.transcript):
+        raise CertificateError("dilations must be positive integers")
+    if family.kind == "consecutive_ratio" and min(cert.dilations()) < 2:
+        raise CertificateError("consecutive_ratio dilations must be at least 2")
+    if cert.order < 2:
+        raise CertificateError(f"certificate order {cert.order} is below 2")
+    if not cert.order == len(cert.shape) == len(cert.coefficients):
+        raise CertificateError(
+            f"certificate order {cert.order} does not match its {len(cert.shape)} "
+            f"shape points and {len(cert.coefficients)} coefficients")
+    if family.kind == "consecutive_ratio" and cert.order != 3:
+        raise CertificateError("the consecutive_ratio family has order 3")
 
 
 def _separation_check(cert: NonMixingCertificate) -> bool:
-    """Pairwise shape differences must be pairwise distinct over the
-    transcript (a finite stand-in for 'the differences go to infinity')."""
-    mult = cert.family.kind == "consecutive_ratio"
-    shapes = [cert.family.shape_at(cert.shape, n) for n, _ in cert.transcript]
-    for s, t in combinations(range(cert.order), 2):
-        seen = set()
-        for shape in shapes:
-            if mult:
-                diff = Fraction(shape[s]) / Fraction(shape[t])
-            else:
-                diff = tuple(a - b for a, b in zip(shape[s], shape[t]))
-            if diff in seen:
-                return False
-            seen.add(diff)
-    return True
+    """Whether the pairwise shape differences are pairwise distinct over the
+    transcript (a finite stand-in for 'the differences go to infinity').
+
+    For a lattice family the difference of slots s and t at n is
+    n (q_s - q_t): constant when q_s = q_t, injective in n >= 1 otherwise.
+    So with two or more entries the differences are distinct exactly when
+    the dilations are and the shape's points are.  For (1, n, n-1) at
+    n >= 2 the ratios 1/n, 1/(n-1) and n/(n-1) are each injective in n, so
+    distinct dilations suffice.  (Two or more slots are assumed.)"""
+    dilations = cert.dilations()
+    if len(dilations) <= 1:
+        return True
+    if len(set(dilations)) < len(dilations):
+        return False
+    if cert.family.kind == "consecutive_ratio":
+        return True
+    return len(set(map(_gamma_key, cert.shape))) == len(cert.shape)
 
 
 def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> VerificationReport:
     """Replay the transcript through the correlation oracle, bit for bit.
 
     Each distinct coefficient (a merged one included) is tested for being
-    nonzero once per call, not once per dilation."""
+    nonzero once per call, not once per dilation.  A certificate whose parts
+    disagree raises `CertificateError` (see `check_certificate`)."""
+    check_certificate(cert)
     lines = []
     first_failure = None
     ok = True
     nonzero: set = set()
-    for n, expected in cert.transcript:
-        bit = character_correlation(system, _tuple_at(cert, n), nonzero)
+    for (n, expected), tup in zip(cert.transcript, _dilated_tuples(cert)):
+        bit = character_correlation(system, tup, nonzero)
         status = "ok" if bit == expected == 1 else "FAIL"
         lines.append(f"dilation {n}: correlation {bit} (expected {expected}) {status}")
         if status == "FAIL" and first_failure is None:
@@ -224,25 +267,14 @@ def frobenius_certificate(
         shape=shape,
         coefficients=coefficients,
         family=prime_power_family(p),
-        transcript=tuple(),
+        transcript=tuple((p ** k, 1) for k in range(kmax + 1)),
         grade="proof",
     )
-    transcript = []
     nonzero: set = set()
-    for k in range(kmax + 1):
-        n = p ** k
-        bit = character_correlation(system, _tuple_at(cert, n), nonzero)
-        if bit != 1:
+    for n, tup in zip(cert.dilations(), _dilated_tuples(cert)):
+        if character_correlation(system, tup, nonzero) != 1:
             raise CertificateError(f"transcript bit 0 at dilation {n}")
-        transcript.append((n, 1))
-    return NonMixingCertificate(
-        order=r,
-        shape=shape,
-        coefficients=coefficients,
-        family=prime_power_family(p),
-        transcript=tuple(transcript),
-        grade="proof",
-    )
+    return cert
 
 
 # -- exhaustive shape search in characteristic p -----------------------------
@@ -428,11 +460,9 @@ def shape_search(
 # -- subsum machinery --------------------------------------------------------
 
 def _default_is_zero(x) -> bool:
-    if isinstance(x, LaurentPoly):
+    if isinstance(x, (LaurentPoly, FieldElement)):
         return x.is_zero()
-    if isinstance(x, FieldElement):
-        return x.is_zero()
-    return Fraction(x) == 0
+    return _exact(x) == 0
 
 
 def _vanishing_subsets(terms: Sequence, sizes, is_zero):
@@ -718,8 +748,8 @@ def rational_dual_certificate(
         transcript=tuple((n, 1) for n in range(2, n_max + 1)),
         grade="proof",
     )
-    for n, _ in cert.transcript:
-        if character_correlation(system, _tuple_at(cert, n)) != 1:
+    for n, tup in zip(cert.dilations(), _dilated_tuples(cert)):
+        if character_correlation(system, tup) != 1:
             raise CertificateError(f"family fails at n={n}")
     return cert
 

@@ -16,8 +16,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .ideals import IdealPresentation
 from .mixing import (
+    CertificateError,
     DilationFamily,
     NonMixingCertificate,
+    check_certificate,
 )
 from .numfield import FieldElement, NumberField
 from .ring import GF, LaurentPoly, ParseError, expvec
@@ -224,21 +226,20 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
                 coefficients.append(m.field.from_rational(Fraction(enc)))
             else:
                 coefficients.append(Fraction(enc))
-    transcript = tuple((int(n), int(b)) for n, b in data["transcript"])
-    if not transcript:
-        # An empty transcript replays nothing, so it would pass at any grade.
-        raise PresentationError("certificate transcript is empty")
-    if any(n < 1 for n in family.dilations) or any(n < 1 for n, _ in transcript):
-        raise PresentationError("dilations must be positive integers")
-    return NonMixingCertificate(
+    cert = NonMixingCertificate(
         order=int(data["order"]),
         shape=shape,
         coefficients=tuple(coefficients),
         family=family,
-        transcript=transcript,
+        transcript=tuple((int(n), int(b)) for n, b in data["transcript"]),
         grade=data.get("grade", "evidence"),
         system_hash=data.get("system_hash", ""),
     )
+    try:
+        check_certificate(cert)
+    except CertificateError as e:
+        raise PresentationError(str(e)) from None
+    return cert
 
 
 def load_certificate(path: str) -> dict:

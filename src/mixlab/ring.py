@@ -120,6 +120,15 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, d: int, domain: Domain, terms: dict) -> "LaurentPoly":
+        """A polynomial on terms already in the form the constructor makes:
+        exponent vectors of length d with int or Fraction entries and nonzero
+        coefficients of the domain.  The dict is kept, not copied or checked."""
+        f = object.__new__(cls)
+        f.d, f.domain, f.terms, f._key = d, domain, terms, None
+        return f
+
+    @classmethod
     def zero(cls, d: int, domain: Domain) -> "LaurentPoly":
         return cls(d, domain, {})
 

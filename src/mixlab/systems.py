@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ideals import IdealPresentation
@@ -143,7 +143,12 @@ class CharacterTuple:
 def _gamma_key(g):
     if isinstance(g, (tuple, list)):
         return expvec(g)
-    return Fraction(g)
+    return _exact(g)
+
+
+def _exact(x):
+    """x as an exact rational: an int or Fraction as it is, else a Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def _as_field(module: EvaluationModule, a) -> FieldElement:
@@ -158,7 +163,7 @@ def _unit_power(module: EvaluationModule, gamma) -> FieldElement:
     out = K.one
     amap = module.assignment_map
     key = _gamma_key(gamma)
-    if isinstance(key, Fraction):
+    if not isinstance(key, tuple):
         key = (key,)
     for i, q in enumerate(key):
         if q == 0:
@@ -199,18 +204,30 @@ def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
 
 def shifted_terms(module, pairs):
     """The module elements gamma . a for the pairs (gamma, a), the module's
-    zero and its zero test.  Each module kind builds its shifts only here."""
+    zero and its zero test.  Each module kind builds its shifts only here.
+    In characteristic p a shift is an exponent vector of ints and Fractions,
+    as `DilationFamily.shape_at` gives it, and u^gamma a has the terms
+    c u^(gamma + m) of a's terms c u^m."""
     if isinstance(module, CharPModule):
         ideal = module.ideal
-        dom = GF(module.characteristic)
-        terms = [LaurentPoly.monomial(ideal.d, dom, gamma) * a.to_domain(dom)
-                 for gamma, a in pairs]
-        return terms, LaurentPoly.zero(ideal.d, dom), ideal.contains
+        d, dom = ideal.d, GF(module.characteristic)
+        terms = []
+        for gamma, a in pairs:
+            if len(gamma) != d:
+                raise DomainError(
+                    f"exponent vector {expvec(gamma)} has length {len(gamma)}, expected {d}")
+            if a.domain != dom:
+                a = a.to_domain(dom)
+            if a.d != d:
+                raise DomainError(f"dimension mismatch: {d} vs {a.d}")
+            terms.append(LaurentPoly._trusted(
+                d, dom, {tuple(map(add, gamma, m)): c for m, c in a.terms.items()}))
+        return terms, LaurentPoly.zero(d, dom), ideal.contains
     if isinstance(module, EvaluationModule):
         terms = [_unit_power(module, gamma) * _as_field(module, a) for gamma, a in pairs]
         return terms, module.field.zero, FieldElement.is_zero
     if isinstance(module, RationalDualModule):
-        terms = [Fraction(gamma) * Fraction(a) for gamma, a in pairs]
+        terms = [_exact(gamma) * _exact(a) for gamma, a in pairs]
         return terms, Fraction(0), lambda x: x == 0
     raise UnsupportedOperationError("unknown module type")
 
@@ -230,8 +247,17 @@ def character_correlation(
 
 def shifted_sum_vanishes(module, pairs) -> bool:
     """Whether the sum of gamma . a over the pairs (gamma, a) is zero in the
-    module; no check on the pairs themselves."""
+    module; no check on the pairs themselves.  In characteristic p the shifts
+    go into one dict over F_p and the ideal is asked once."""
     terms, total, is_zero = shifted_terms(module, pairs)
+    if isinstance(module, CharPModule):
+        p = module.characteristic
+        acc: Dict[tuple, int] = {}
+        for t in terms:
+            for m, c in t.terms.items():
+                acc[m] = (acc.get(m, 0) + c) % p
+        return is_zero(LaurentPoly._trusted(
+            total.d, total.domain, {m: c for m, c in acc.items() if c}))
     for t in terms:
         total = total + t
     return is_zero(total)

@@ -235,6 +235,41 @@ class TestVerify:
         assert "transcript is empty" in err
         assert "PASS" not in out
 
+    def test_forged_order_is_an_input_error(self, capsys, cert_path, tmp_path):
+        # With order 2 the third slot was dropped and the certificate passed.
+        data = json.loads(cert_path.read_text())
+        data["order"] = 2
+        bad = tmp_path / "forged.cert.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(bad), THREE_DOT)
+        assert code == 2
+        assert "does not match" in err
+        assert "PASS" not in out
+
+    def test_consecutive_ratio_at_one_is_an_input_error(self, capsys, tmp_path):
+        # The shift n - 1 is 0 at n = 1; the separation check divided by it.
+        run(capsys, "certify", RATIONAL_DUAL, "--order", "3", "--out", str(tmp_path))
+        cert = next(tmp_path.glob("*.cert.json"))
+        data = json.loads(cert.read_text())
+        data["transcript"] = [[1, 1]]
+        cert.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(cert), RATIONAL_DUAL)
+        assert code == 2
+        assert err == "error: consecutive_ratio dilations must be at least 2\n"
+
+    def test_separation_failure_is_named(self, capsys, cert_path, tmp_path):
+        # Every bit passes, so there is no failing dilation to name.
+        data = json.loads(cert_path.read_text())
+        data["transcript"] = [[2, 1], [2, 1]]
+        bad = tmp_path / "repeated.cert.json"
+        bad.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(bad), THREE_DOT)
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL: separation"
+        code, out, _ = run(capsys, "verify", str(bad), THREE_DOT, "--json")
+        assert code == 1
+        assert json.loads(out)["first_failure"] is None
+
     def test_tampered_transcript_fails(self, capsys, cert_path, tmp_path):
         data = json.loads(cert_path.read_text())
         data["shape"][1] = ["1", "1"]

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mixlab import ideals
 from mixlab.ideals import (
     EngineUnavailableError,
     IdealPresentation,
@@ -249,6 +250,45 @@ class TestHeapNormalForm:
             rest = basis[:i] + basis[i + 1:]
             if rest:
                 assert ref_normal_form(g, rest, p) == g
+
+
+@st.composite
+def principal_cases(draw):
+    """One Laurent generator over F_p in d <= 4, with negative exponents and
+    monomial content, sometimes beside a generator that is zero mod p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 31]))
+    d = draw(st.integers(1, 4))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-2, 3)] * d), st.integers(1, p - 1),
+                                 min_size=1, max_size=4))
+    return p, d, terms, draw(st.booleans())
+
+
+class TestPrincipalBasis:
+    @given(principal_cases())
+    @settings(max_examples=150, deadline=None)
+    @example((2, 2, {(2, 1): 1, (1, 0): 1}, False))      # content u1: u1^2 u2 + u1
+    @example((3, 2, {(2, -1): 2}, False))                # a monomial: the unit ideal
+    @example((5, 3, {(-1, 0, 2): 3, (0, -2, 1): 1, (1, 1, 1): 4}, True))
+    def test_matches_the_buchberger_contraction(self, case):
+        p, d, terms, with_zero = case
+        dom = GF(p)
+        gens = [LaurentPoly(d, dom, terms)]
+        if with_zero:
+            gens.insert(0, LaurentPoly(d, dom, {(0,) * d: p}))  # p = 0 in F_p
+        ideal = IdealPresentation(gens, p, d=d)
+        full = ideal._full_basis()
+        assert ideal._contracted_basis() == [g for g in full if all(m[-1] == 0 for m in g)]
+
+    def test_buchberger_runs_for_two_generators_only(self, monkeypatch):
+        calls = []
+        real = ideals._buchberger
+        monkeypatch.setattr(ideals, "_buchberger",
+                            lambda gens, p: calls.append(len(gens)) or real(gens, p))
+        assert IdealPresentation([p2("1 + u1 + u2")], 2).contains(p2("1 + u1^2 + u2^2"))
+        assert calls == []
+        assert IdealPresentation([p2("u1"), p2("1 + u1")], 2).constant_in_ideal()
+        assert not IdealPresentation([], 2, d=2).contains(p2("1"))
+        assert calls == [3, 1]  # two generators and t*u1*u2 - 1; the zero ideal
 
 
 class TestSympyMembership:

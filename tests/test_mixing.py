@@ -1,5 +1,6 @@
 """Certificates, searches, subsum reduction, and the unit equation."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -26,7 +27,9 @@ from mixlab.mixing import (
     _box_points,
     _canonical_shapes,
     _default_is_zero,
+    _dilated_tuples,
     _projective_combinations,
+    _separation_check,
     _vanishing_subsets,
     consecutive_ratio_family,
     enumerate_unit_solutions,
@@ -54,6 +57,7 @@ from mixlab.systems import (
     EvaluationModule,
     InvalidTupleError,
     RationalDualModule,
+    _gamma_key,
     _unit_power,
     character_correlation,
     free_abelian,
@@ -340,6 +344,39 @@ def ref_shape_search(system, r, shape_box, coeff_window, dilations):
     return SearchOutcome(found, region)
 
 
+def ref_separation_check(cert):
+    """Separation by enumeration: for every pair of slots, the differences
+    (ratios for (1, n, n-1)) over the transcript must not repeat."""
+    mult = cert.family.kind == "consecutive_ratio"
+    shapes = [cert.family.shape_at(cert.shape, n) for n, _ in cert.transcript]
+    for s, t in combinations(range(cert.order), 2):
+        seen = set()
+        for shape in shapes:
+            if mult:
+                diff = Fraction(shape[s]) / Fraction(shape[t])
+            else:
+                diff = tuple(a - b for a, b in zip(shape[s], shape[t]))
+            if diff in seen:
+                return False
+            seen.add(diff)
+    return True
+
+
+def ref_tuple_at(cert, n):
+    """The character tuple at dilation n, merged at that dilation: colliding
+    shifts sum their coefficients, formally zero sums are dropped."""
+    merged = {}
+    order = []
+    for g, a in zip(cert.family.shape_at(cert.shape, n), cert.coefficients):
+        k = _gamma_key(g)
+        if k in merged:
+            merged[k] = merged[k] + a
+        else:
+            merged[k] = a
+            order.append((k, g))
+    return CharacterTuple([(g, merged[k]) for k, g in order if not _default_is_zero(merged[k])])
+
+
 def ref_enumerate_unit_solutions(problem):
     """Every n-tuple of units in the box, tested against the equation."""
     K = problem.field
@@ -523,18 +560,111 @@ class TestFrobeniusCertificates:
         assert len(calls) == 3
 
     def test_merged_coefficient_still_validated(self, three_dot):
-        # At dilation 0 both shifts collide and the merged coefficient
-        # 1 + u1 + u2 is zero in the module, though each part is not.
+        # The shape repeats a point, so both shifts collide at n = 1 and the
+        # merged coefficient 1 + u1 + u2 is zero in the module, though each
+        # part is not.
         cert = NonMixingCertificate(
             order=2,
-            shape=((0, 0), (1, 0)),
+            shape=((0, 0), (0, 0)),
             coefficients=(p2("1 + u1"), p2("u2")),
-            family=explicit_family((1, 0)),
-            transcript=((1, 1), (0, 1)),
+            family=explicit_family((1,)),
+            transcript=((1, 1),),
             grade="evidence",
         )
         with pytest.raises(InvalidTupleError, match="zero in the module"):
             verify_certificate(three_dot, cert)
+        # At n = 0 every shift collides; that dilation is refused outright.
+        at_zero = replace(cert, shape=((0, 0), (1, 0)), family=explicit_family((1, 0)),
+                          transcript=((1, 1), (0, 1)))
+        with pytest.raises(CertificateError, match="positive"):
+            verify_certificate(three_dot, at_zero)
+
+
+@st.composite
+def lattice_certificates(draw):
+    """Certificates of a lattice family over F_2 in d <= 2, with shape points
+    and dilations that may repeat and coefficients that may cancel."""
+    d = draw(st.integers(1, 2))
+    point = st.tuples(*[st.integers(-1, 2)] * d)
+    r = draw(st.integers(2, 4))
+    shape = tuple(draw(st.lists(point, min_size=r, max_size=r)))
+    coefficient = st.sampled_from(["1", "u1", "1 + u1", f"u{d}^-1", f"1 + u1 + u{d}^-1"])
+    coefficients = tuple(LaurentPoly.parse(draw(coefficient), d, F2) for _ in range(r))
+    dilations = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    family = draw(st.sampled_from([explicit_family(dilations), prime_power_family(2)]))
+    return NonMixingCertificate(order=r, shape=shape, coefficients=coefficients,
+                                family=family, transcript=tuple((n, 1) for n in dilations),
+                                grade="evidence")
+
+
+@st.composite
+def ratio_certificates(draw):
+    dilations = draw(st.lists(st.integers(2, 9), min_size=1, max_size=5))
+    return NonMixingCertificate(order=3, shape=(Fraction(1), Fraction(2), Fraction(1)),
+                                coefficients=(Fraction(1), Fraction(-1), Fraction(1)),
+                                family=consecutive_ratio_family(),
+                                transcript=tuple((n, 1) for n in dilations), grade="proof")
+
+
+class TestCertificateChecks:
+    @given(st.one_of(lattice_certificates(), ratio_certificates()))
+    @settings(max_examples=300, deadline=None)
+    @example(NonMixingCertificate(order=3, shape=((0, 0), (1, 0), (0, 1)),
+                                  coefficients=(p2("1"),) * 3, family=prime_power_family(2),
+                                  transcript=((2, 1), (2, 1)), grade="proof"))
+    @example(NonMixingCertificate(order=2, shape=((1, 0), (1, 0)),
+                                  coefficients=(p2("1"),) * 2, family=explicit_family((3,)),
+                                  transcript=((3, 1),), grade="evidence"))
+    def test_separation_closed_form_matches_the_enumeration(self, cert):
+        assert _separation_check(cert) == ref_separation_check(cert)
+
+    @given(lattice_certificates())
+    @settings(max_examples=200, deadline=None)
+    @example(NonMixingCertificate(order=3, shape=((0, 0), (1, 0), (0, 0)),
+                                  coefficients=(p2("1 + u1"), p2("1"), p2("1 + u1")),
+                                  family=explicit_family((1, 2)),
+                                  transcript=((1, 1), (2, 1)), grade="evidence"))
+    def test_merging_once_matches_merging_per_dilation(self, cert):
+        dilations = cert.dilations()
+        assert ([t.pairs for t in _dilated_tuples(cert)]
+                == [ref_tuple_at(cert, n).pairs for n in dilations])
+
+    def test_ratio_family_merges_at_two(self):
+        cert = rational_dual_certificate(
+            AlgebraicSystem(positive_rationals([2]), RationalDualModule()), n_max=3)
+        assert ([t.pairs for t in _dilated_tuples(cert)]
+                == [ref_tuple_at(cert, 2).pairs, ref_tuple_at(cert, 3).pairs])
+        assert [len(t.pairs) for t in _dilated_tuples(cert)] == [2, 3]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"order": 2}, "does not match"),
+        ({"order": 4, "shape": ((0, 0), (1, 0), (0, 1), (1, 1))}, "does not match"),
+        ({"coefficients": (p2("1"),) * 4}, "does not match"),
+        ({"order": 5}, "does not match"),
+        ({"order": 1, "shape": ((0, 0),), "coefficients": (p2("1"),)}, "below 2"),
+        ({"order": 0, "shape": (), "coefficients": ()}, "below 2"),
+        ({"transcript": ()}, "transcript is empty"),
+        ({"transcript": ((1, 1), (0, 1))}, "positive"),
+    ])
+    def test_parts_must_agree(self, three_dot, change, message):
+        cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2)
+        with pytest.raises(CertificateError, match=message):
+            verify_certificate(three_dot, replace(cert, **change))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"transcript": ((1, 1), (2, 1))}, "at least 2"),
+        ({"order": 4, "shape": (1, 2, 1, 3), "coefficients": (1, -1, 1, 5)}, "order 3"),
+    ])
+    def test_ratio_family_range_and_order(self, rational_dual, change, message):
+        cert = rational_dual_certificate(rational_dual, n_max=4)
+        with pytest.raises(CertificateError, match=message):
+            verify_certificate(rational_dual, replace(cert, **change))
+
+    def test_separation_failure_has_no_failing_dilation(self, three_dot):
+        cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2)
+        report = verify_certificate(three_dot, replace(cert, transcript=((2, 1), (2, 1))))
+        assert not report.ok and not report.separation_ok
+        assert report.first_failure is None
 
 
 class TestShapeSearch:

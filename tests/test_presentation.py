@@ -172,6 +172,45 @@ class TestCertificateRoundtrip:
         with pytest.raises(PresentationError, match="transcript is empty"):
             certificate_from_dict(data, loaded.system)
 
+    @pytest.mark.parametrize("forge", [
+        lambda d: d.update(order=2),
+        lambda d: d.update(order=4, shape=d["shape"] + [["1", "1"]]),
+        lambda d: d["coefficients"].append({"poly": "u1"}),
+        lambda d: d.update(order=5),
+    ])
+    def test_order_shape_and_coefficients_must_agree(self, forge):
+        # zip() would drop the unmatched slots, and each of these passed.
+        loaded = sample("ledrappier.json")
+        gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
+        data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
+        forge(data)
+        with pytest.raises(PresentationError, match="does not match"):
+            certificate_from_dict(data, loaded.system)
+
+    def test_order_below_two_rejected(self):
+        # An empty shape sums to zero at every dilation.
+        loaded = sample("ledrappier.json")
+        gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
+        data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
+        data.update(order=0, shape=[], coefficients=[])
+        with pytest.raises(PresentationError, match="below 2"):
+            certificate_from_dict(data, loaded.system)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"transcript": [[1, 1], [2, 1]]}, "at least 2"),
+        ({"order": 4, "shape": ["1", "2", "1", "3"], "coefficients": ["1", "-1", "1", "5"]},
+         "order 3"),
+    ])
+    def test_consecutive_ratio_range_and_order(self, change, message):
+        # At n = 1 the shift n - 1 is 0, which is not in the positive rationals.
+        loaded = sample("rational_dual.json")
+        data = {"schema": 1, "kind": "non_mixing_certificate", "order": 3,
+                "family": {"kind": "consecutive_ratio"}, "shape": ["1", "2", "1"],
+                "coefficients": ["1", "-1", "1"], "transcript": [[2, 1], [3, 1]]}
+        certificate_from_dict(data, loaded.system)
+        with pytest.raises(PresentationError, match=message):
+            certificate_from_dict({**data, **change}, loaded.system)
+
     def test_wrong_kind_rejected(self):
         loaded = sample("ledrappier.json")
         with pytest.raises(PresentationError):

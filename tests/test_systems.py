@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixlab.ideals import IdealPresentation
 from mixlab.numfield import NumberField
@@ -22,6 +24,7 @@ from mixlab.systems import (
     level_embed,
     positive_rationals,
     rational_vector,
+    shifted_sum_vanishes,
     split_action,
     unit_powers,
 )
@@ -107,6 +110,62 @@ class TestCorrelationCharP:
         tup = CharacterTuple([((0, 0), p2("1 + u1")), ((1, 0), p2("u2 * u1^-1"))])
         # (1 + u1) + u1 * u2/u1 = 1 + u1 + u2, which is in the ideal.
         assert character_correlation(three_dot, tup) == 1
+
+
+def ref_shifted_sum(ideal, pairs):
+    """The sum of u^gamma * a over the pairs, one Laurent product at a time."""
+    dom = GF(ideal.characteristic)
+    total = LaurentPoly.zero(ideal.d, dom)
+    for gamma, a in pairs:
+        total = total + LaurentPoly.monomial(ideal.d, dom, gamma) * a.to_domain(dom)
+    return total
+
+
+@st.composite
+def charp_sums(draw):
+    """Shifted sums over F_p in d <= 2 for a proper principal or
+    two-generator ideal; when planted, the last coefficient makes the sum
+    h * g for the first generator g."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 2))
+    dom = GF(p)
+    mono = st.tuples(*[st.integers(-2, 2)] * d)
+    poly = st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=3)
+    gens = [LaurentPoly(d, dom, t) for t in draw(st.lists(poly, min_size=1, max_size=2))]
+    ideal = IdealPresentation(gens, p, d=d)
+    assume(not ideal.constant_in_ideal())
+    shifts = draw(st.lists(mono, min_size=1, max_size=4, unique=True))
+    pairs = [(g, LaurentPoly(d, dom, draw(poly))) for g in shifts]
+    if draw(st.booleans()):
+        gamma, _ = pairs.pop()
+        rest = ref_shifted_sum(ideal, pairs)
+        planted = gens[0] * LaurentPoly(d, dom, draw(poly))
+        last = (planted - rest) * LaurentPoly.monomial(d, dom, tuple(-e for e in gamma))
+        pairs.append((gamma, last))
+    return ideal, pairs
+
+
+class TestShiftedSum:
+    @given(charp_sums())
+    @settings(max_examples=150, deadline=None)
+    def test_one_dict_over_fp_matches_the_laurent_sum(self, case):
+        ideal, pairs = case
+        expected = ideal.contains(ref_shifted_sum(ideal, pairs))
+        assert shifted_sum_vanishes(CharPModule(ideal), pairs) == expected
+
+    def test_one_membership_call_per_sum(self, three_dot, monkeypatch):
+        calls = []
+        real = IdealPresentation.contains
+        monkeypatch.setattr(IdealPresentation, "contains",
+                            lambda ideal, f: calls.append(f) or real(ideal, f))
+        one = p2("1")
+        pairs = [((0, 0), one), ((2, 0), one), ((0, 2), one)]
+        assert shifted_sum_vanishes(three_dot.module, pairs)
+        assert calls == [p2("1 + u1^2 + u2^2")]
+
+    def test_shift_of_the_wrong_length_refused(self, three_dot):
+        with pytest.raises(DomainError, match="has length 3, expected 2"):
+            shifted_sum_vanishes(three_dot.module, [((0, 0, 1), p2("1"))])
 
 
 class TestCorrelationEvaluation:
