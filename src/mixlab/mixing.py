@@ -65,9 +65,8 @@ class DilationFamily:
       explicit_list     -- dilate the shape by listed n   (evidence grade)
       consecutive_ratio -- shape (1, n, n-1) in Q_{>0}    (closed-form family)
 
-    The first two are lattice families: they scale a base shape, and run
-    over n >= 1.  The consecutive-ratio family runs over n >= 2, where its
-    three shifts are nonzero.
+    The first two scale a base shape and run over n >= 1; (1, n, n-1) runs
+    over n >= 2, where its three shifts are nonzero.
     """
 
     kind: str
@@ -142,21 +141,12 @@ def _merged(shape, coefficients) -> List[Tuple[object, object]]:
 
 
 def _dilated_tuples(cert: NonMixingCertificate):
-    """The certificate's character tuple at each transcript dilation,
-    colliding shifts merged (see `_merged`).  A lattice family at n >= 1 has
-    n q_s = n q_t exactly when q_s = q_t, so its shape is merged once and
-    the merged points are dilated; (1, n, n-1) collides at n = 2 alone and
-    is merged per dilation."""
+    """The certificate's character tuple at each transcript dilation; a
+    family may collide for small n (e.g. (1, n, n-1) at n = 2), so
+    colliding shifts are merged (see `_merged`)."""
     family = cert.family
-    if family.kind == "consecutive_ratio":
-        for n in cert.dilations():
-            yield CharacterTuple(_merged(family.shape_at(None, n), cert.coefficients))
-        return
-    pairs = _merged(cert.shape, cert.coefficients)
-    points = [g for g, _ in pairs]
-    coefficients = [a for _, a in pairs]
     for n in cert.dilations():
-        yield CharacterTuple(zip(family.shape_at(points, n), coefficients))
+        yield CharacterTuple(_merged(family.shape_at(cert.shape, n), cert.coefficients))
 
 
 def check_certificate(cert: NonMixingCertificate) -> None:
@@ -168,8 +158,7 @@ def check_certificate(cert: NonMixingCertificate) -> None:
     if not cert.transcript:
         # An empty transcript replays nothing, so it would pass at any grade.
         raise CertificateError("certificate transcript is empty")
-    if any(n < 1 for n in family.dilations) or any(n < 1 for n, _ in cert.transcript):
-        raise CertificateError("dilations must be positive integers")
+    _require_positive_dilations(list(family.dilations) + cert.dilations())
     if family.kind == "consecutive_ratio" and min(cert.dilations()) < 2:
         raise CertificateError("consecutive_ratio dilations must be at least 2")
     if cert.order < 2:

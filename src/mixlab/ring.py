@@ -187,11 +187,17 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        # Both operands' terms are already normal: only the summed
+        # coefficients need reducing (mod p over F_p) and zeros dropping.
         self._check_compatible(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
             acc[m] = acc.get(m, 0) + c
-        return LaurentPoly(self.d, self.domain, acc)
+        p = self.domain.p
+        if p is None:
+            return LaurentPoly._trusted(self.d, self.domain, {m: c for m, c in acc.items() if c})
+        return LaurentPoly._trusted(
+            self.d, self.domain, {m: c % p for m, c in acc.items() if c % p})
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.d, self.domain, {m: -c for m, c in self.terms.items()})
