@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error, 3 clean-but-empty search, 4 budget
 exhaustion.  Every command is deterministic given its flags and seed, and
---json output is stable under re-run.
+--json output is stable under re-run.  The simulator is the one module that
+needs NumPy, so only `simulate` and `suite` import it, when they run.
 """
 
 from __future__ import annotations
@@ -37,13 +38,6 @@ from .presentation import (
     load_system,
 )
 from .ring import DomainError
-from .simulate import (
-    CylinderSet,
-    WindowError,
-    correlation_estimate,
-    correlation_exact,
-    cylinder_measure,
-)
 from .systems import (
     CharPModule,
     EvaluationModule,
@@ -236,6 +230,8 @@ def cmd_verify(args) -> int:
 # -- simulate ----------------------------------------------------------------
 
 def _parse_sets(text: str):
+    from .simulate import CylinderSet
+
     raw = json.loads(text)
     sets = []
     for block in raw:
@@ -248,6 +244,8 @@ def _parse_sets(text: str):
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import correlation_estimate, correlation_exact, cylinder_measure
+
     loaded = load_system(args.file)
     system = loaded.system
     if not isinstance(system.module, CharPModule):
@@ -436,7 +434,7 @@ def main(argv=None) -> int:
         print(f"budget exhausted: {e}", file=sys.stderr)
         print(f"region: {json.dumps(e.region, sort_keys=True)}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PresentationError, DomainError, WindowError, CertificateError,
+    except (PresentationError, DomainError, CertificateError,
             EngineUnavailableError, UnsupportedOperationError,
             ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

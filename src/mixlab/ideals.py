@@ -476,13 +476,3 @@ class IdealPresentation:
         """True iff 1 lies in the ideal (trivial quotient)."""
         self._require_char_p()
         return self.contains_groebner(LaurentPoly.one(self.d, GF(self.characteristic)))
-
-    def find_torsion_unit(self, kmax: int, var: int = 0) -> Optional[int]:
-        """Smallest k <= kmax with u_var^k - 1 in the ideal, or None."""
-        dom = GF(self.characteristic)
-        u = LaurentPoly.variable(var, self.d, dom)
-        one = LaurentPoly.one(self.d, dom)
-        for k in range(1, kmax + 1):
-            if self.contains(u ** k - one):
-                return k
-        return None

@@ -10,7 +10,8 @@ a dict scaled so the lead entry is 1.  Over F_2 a row may also come packed.
 Every echelon form of a row space has the same leads, and they are the
 pivot columns of its reduced row echelon form R, whatever order the rows
 came in.  `rref` builds the table, then clears each row at the higher
-pivots, highest pivot first, which gives R.
+pivots, highest pivot first, which gives R.  `rref` and `nullspace`
+return lists of Python ints, exact for any p.
 
 `nullspace` takes its matrix A (m rows, n columns) by columns and reduces
 the transpose with a reversed identity appended: row j is column j of A
@@ -27,8 +28,6 @@ pivots q, the basis read off R, whatever the order of the rows of A.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
-
-import numpy as np
 
 # '0'/'1' characters to the bytes 0/1, for unpacking F_2 rows at C speed.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -98,36 +97,24 @@ def _clear(table: Dict[int, Row], pivots: Sequence[int], p: int) -> None:
                 _subtract(row, row[j], table[j], p)
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 arrays with entries in [0, p), exactly.
-
-    A sum of k products is at most k (p - 1)^2.  The inner dimension is
-    summed in slices of the largest k for which that, plus a residue below
-    p, fits in int64; for small p the whole dimension is one slice.
-    """
-    step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
-    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    for i in range(0, a.shape[-1], step):
-        out = (out + a[..., i:i + step] @ b[i:i + step]) % p
-    return out
-
-
-def rref(rows: Sequence[Mapping[int, int]], ncols: int, p: int) -> Tuple[np.ndarray, List[int]]:
+def rref(rows: Sequence[Mapping[int, int]], ncols: int, p: int) -> Tuple[List[List[int]], List[int]]:
     """Reduced row echelon form mod p of sparse {column: value} rows.
 
     Returns (R, pivot column list): R holds the pivot rows in pivot order,
-    every entry reduced mod p, as an int64 array with ncols columns.
+    each a list of ncols ints reduced mod p.
     """
     table = _echelon(rows, p)
     pivots = sorted(table)
     _clear(table, pivots, p)
     if p == 2:
-        bits = b"".join(format(table[q], f"0{ncols}b").encode()[::-1] for q in pivots)
-        reduced = np.frombuffer(bits.translate(_BITS), dtype=np.uint8)
-        return reduced.reshape(len(pivots), ncols).astype(np.int64), pivots
-    reduced = np.zeros((len(pivots), ncols), dtype=np.int64)
-    for i, q in enumerate(pivots):
-        reduced[i, list(table[q])] = list(table[q].values())
+        return [list(format(table[q], f"0{ncols}b").encode()[::-1].translate(_BITS))
+                for q in pivots], pivots
+    reduced = []
+    for q in pivots:
+        row = [0] * ncols
+        for c, x in table[q].items():
+            row[c] = x
+        reduced.append(row)
     return reduced, pivots
 
 

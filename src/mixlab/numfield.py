@@ -9,6 +9,7 @@ reported as a presentation error rather than silently tolerated.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Dict, List, Sequence
 
 from .ring import DomainError
@@ -73,10 +74,15 @@ def _zip_pad(a, b):
     return zip(a, b)
 
 
+def _divisors(n: int) -> List[int]:
+    """The positive divisors of n >= 1, increasing, from the pairs (k, n // k)
+    with k <= sqrt(n)."""
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
+
+
 def _has_rational_root(coeffs: Sequence[Fraction]) -> bool:
     # Clear denominators, then run the rational root theorem.
-    from math import lcm
-
     den = 1
     for c in coeffs:
         den = lcm(den, c.denominator)
@@ -86,9 +92,8 @@ def _has_rational_root(coeffs: Sequence[Fraction]) -> bool:
     c0, cn = abs(ints[0]), abs(ints[-1])
     if c0 > 10 ** 9 or cn > 10 ** 9:
         return False  # screen only; large constants are the caller's contract
-    ps = [k for k in range(1, c0 + 1) if c0 % k == 0]
-    qs = [k for k in range(1, cn + 1) if cn % k == 0]
-    for p in ps:
+    qs = _divisors(cn)
+    for p in _divisors(c0):
         for q in qs:
             for r in (Fraction(p, q), Fraction(-p, q)):
                 if sum(c * r ** i for i, c in enumerate(ints)) == 0:

@@ -207,8 +207,18 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
         expvec(g) if isinstance(g, list) else Fraction(g)
         for g in data["shape"]
     )
-    coefficients = []
     m = system.module
+    # A lattice family dilates exponent vectors; (1, n, n-1) shifts by rationals.
+    if fkind == "consecutive_ratio":
+        if isinstance(m, CharPModule):
+            raise PresentationError(
+                "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
+    elif isinstance(m, RationalDualModule):
+        raise PresentationError(
+            f"the rational dual takes consecutive_ratio certificates, not {fkind}")
+    elif not all(isinstance(g, tuple) for g in shape):
+        raise PresentationError(f"a {fkind} certificate needs exponent-vector shape points")
+    coefficients = []
     for enc in data["coefficients"]:
         if isinstance(enc, dict) and "poly" in enc:
             if not isinstance(m, CharPModule):

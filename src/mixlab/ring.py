@@ -214,9 +214,6 @@ class LaurentPoly:
                 acc[m] = acc.get(m, 0) + c1 * c2
         return LaurentPoly(self.d, self.domain, acc)
 
-    def scale(self, c) -> "LaurentPoly":
-        return LaurentPoly(self.d, self.domain, {m: v * c for m, v in self.terms.items()})
-
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise DomainError("negative powers not supported; dilate a monomial instead")

@@ -37,6 +37,20 @@ from .systems import AlgebraicSystem, CharPModule, UnsupportedOperationError
 Site = Tuple[int, ...]
 
 
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays with entries in [0, p), exactly.
+
+    A sum of k products is at most k (p - 1)^2.  The inner dimension is
+    summed in slices of the largest k for which that, plus a residue below
+    p, fits in int64; for small p the whole dimension is one slice.
+    """
+    step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for i in range(0, a.shape[-1], step):
+        out = (out + a[..., i:i + step] @ b[i:i + step]) % p
+    return out
+
+
 class WindowError(ValueError):
     """Pins fall outside the window, or the window does not fit the system."""
 
@@ -116,6 +130,7 @@ class WindowConfigSpace:
             for mu, c in col.items():
                 rows.setdefault(mu, {})[nsites - 1 - j] = c
         basis, pivots = linalg.rref(list(rows.values()), nsites, self.p)
+        basis = np.array(basis, dtype=np.int64).reshape(len(basis), nsites)
         self.kernel = np.ascontiguousarray(basis[::-1, ::-1])
         self.rank = nsites - len(pivots)
 
@@ -130,7 +145,7 @@ class WindowConfigSpace:
         """Uniform samples of valid configurations; Philox keyed by the seed."""
         rng = np.random.Generator(np.random.Philox(seed))
         free = rng.integers(0, self.p, size=(count, len(self.kernel)))
-        return linalg.matmul_mod(free, self.kernel, self.p)
+        return matmul_mod(free, self.kernel, self.p)
 
     def grid_text(self, config: np.ndarray) -> str:
         """A sample as a text grid (2D windows row per second coordinate)."""
@@ -269,7 +284,7 @@ def correlation_estimate(
         index, size = block
         rng = np.random.Generator(np.random.Philox(key=(seed, index)))
         free = rng.integers(0, space.p, size=(size, len(space.kernel)))
-        pinned = linalg.matmul_mod(free, pin_cols, space.p)
+        pinned = matmul_mod(free, pin_cols, space.p)
         return int(np.count_nonzero((pinned == pin_vals).all(axis=1)))
 
     if threads > 1:

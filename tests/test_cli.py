@@ -1,6 +1,9 @@
 """End-to-end command line tests, all run in-process via cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,6 +260,31 @@ class TestVerify:
         assert code == 2
         assert err == "error: consecutive_ratio dilations must be at least 2\n"
 
+    @pytest.mark.parametrize("family, shape, coefficients, presentation, message", [
+        # Each of these crashed with a TypeError traceback.
+        ({"kind": "explicit_list", "dilations": [2, 3]}, ["1", "2", "3"], ["1", "-1", "1"],
+         RATIONAL_DUAL, "takes consecutive_ratio certificates, not explicit_list"),
+        ({"kind": "explicit_list", "dilations": [2, 3]}, [["1"], ["2"], ["3"]],
+         ["1", "-1", "1"], RATIONAL_DUAL,
+         "takes consecutive_ratio certificates, not explicit_list"),
+        ({"kind": "consecutive_ratio"}, ["1", "2", "1"], [{"poly": "1"}] * 3, THREE_DOT,
+         "shifts by rationals, not exponent vectors"),
+        ({"kind": "prime_power", "p": 2}, ["0", "1", "2"], [{"poly": "1"}] * 3, THREE_DOT,
+         "needs exponent-vector shape points"),
+    ], ids=["dual-scalar-list", "dual-vector-list", "charp-ratio", "charp-scalar-prime-power"])
+    def test_shape_the_system_cannot_take_is_an_input_error(
+            self, capsys, tmp_path, family, shape, coefficients, presentation, message):
+        cert = tmp_path / "shape.cert.json"
+        cert.write_text(json.dumps({
+            "schema": 1, "kind": "non_mixing_certificate", "order": 3, "grade": "evidence",
+            "family": family, "shape": shape, "coefficients": coefficients,
+            "transcript": [[2, 1], [3, 1]],
+        }))
+        code, out, err = run(capsys, "verify", str(cert), presentation)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_separation_failure_is_named(self, capsys, cert_path, tmp_path):
         # Every bit passes, so there is no failing dilation to name.
         data = json.loads(cert_path.read_text())
@@ -323,16 +351,16 @@ class TestSimulate:
     def test_threads_read_from_environment_at_each_call(self, capsys, monkeypatch):
         # The parser is built once per process, so MIXLAB_THREADS must be
         # read when a command runs, not when the parser is built.
-        import mixlab.cli as cli
+        import mixlab.simulate as simulate
 
         seen = []
-        real = cli.correlation_estimate
+        real = simulate.correlation_estimate
 
         def spy(*args, threads, **kwargs):
             seen.append(threads)
             return real(*args, threads=threads, **kwargs)
 
-        monkeypatch.setattr(cli, "correlation_estimate", spy)
+        monkeypatch.setattr(simulate, "correlation_estimate", spy)
         argv = ["simulate", THREE_DOT, "--sets", '[{"0,0": 0}]', "--shifts", "[[0,0]]",
                 "--window", "3", "--samples", "100"]
         outputs = []
@@ -379,3 +407,22 @@ class TestUniteq:
         )
         assert code == 4
         assert "budget" in err
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    # Only `simulate` needs dense arrays; the exact commands stay pure Python.
+    script = f"""
+import sys
+import mixlab.cli as cli
+assert "numpy" not in sys.modules, "import"
+for argv in (["analyze", {THREE_DOT!r}],
+             ["certify", {THREE_DOT!r}, "--order", "3", "--out", {str(tmp_path)!r}],
+             ["verify", {str(tmp_path / "ledrappier-order3-0.cert.json")!r}, {THREE_DOT!r}],
+             ["uniteq", "--coeffs", "1,1", "--gens", "2,3", "--box", "2"]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv[0]
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -146,15 +146,6 @@ class TestSubstitution:
             )
 
 
-class TestTorsion:
-    def test_torsion_unit_found(self):
-        ideal = IdealPresentation([p2("1 + u1^3", 1)], 2, d=1)
-        assert ideal.find_torsion_unit(5) == 3
-
-    def test_torsion_unit_absent(self, three_dot):
-        assert three_dot.find_torsion_unit(4) is None
-
-
 class TestEngineContract:
     def test_characteristic_zero_unavailable(self):
         from mixlab.ring import QQ

@@ -1,12 +1,36 @@
 """Number field arithmetic: exact inverses, powers, contract screening."""
 
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixlab.numfield import FieldPresentationError, NumberField, power_table
+from mixlab.numfield import (
+    FieldPresentationError,
+    NumberField,
+    _divisors,
+    _has_rational_root,
+    power_table,
+)
+
+
+def ref_has_rational_root(coeffs):
+    """The rational root theorem with divisors found by trial division of
+    every k up to the constant term and the leading coefficient."""
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    if ints[0] == 0:
+        return True
+    c0, cn = abs(ints[0]), abs(ints[-1])
+    ps = [k for k in range(1, c0 + 1) if c0 % k == 0]
+    qs = [k for k in range(1, cn + 1) if cn % k == 0]
+    return any(sum(c * r ** i for i, c in enumerate(ints)) == 0
+               for p in ps for q in qs for r in (Fraction(p, q), Fraction(-p, q)))
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +58,24 @@ class TestConstruction:
     def test_rational_root_screen(self):
         with pytest.raises(FieldPresentationError):
             NumberField([-1, 0, 1])  # x^2 - 1 = (x-1)(x+1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5000),
+           st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=12),
+                    min_size=2, max_size=5))
+    def test_rational_root_screen_matches_trial_division(self, n, coeffs):
+        assert _divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
+        assert _has_rational_root(coeffs) == ref_has_rational_root(coeffs)
+
+    def test_rational_root_screen_near_the_cap(self):
+        # Constants near the 10^9 cap: the divisors come from k <= sqrt(c),
+        # not from trial division of every k up to c.
+        start = time.perf_counter()
+        field = NumberField([735134400, 1, 0, 1])  # x^3 + x + 735134400
+        assert time.perf_counter() - start < 0.5
+        assert field.degree == 3
+        with pytest.raises(FieldPresentationError):
+            NumberField([-31622 ** 2, 0, 1])  # (x - 31622)(x + 31622)
 
     def test_degree_one_is_q(self, rationals):
         assert rationals.degree == 1
