@@ -30,7 +30,6 @@ from .mixing import (
     prime_power_family,
     rational_dual_certificate,
     rational_dual_order2_search,
-    solve_consecutive_ratio_coefficients,
     NonMixingCertificate,
     UnitEquationProblem,
     verify_certificate,
@@ -209,7 +208,7 @@ def _criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     system = parse_system(_RATIONAL_DUAL).system
     cert = rational_dual_certificate(system, n_max=1000)
-    a1, a2, a3 = solve_consecutive_ratio_coefficients()
+    a1, a2, a3 = cert.coefficients
     coeffs_ok = (a1 - a3 == 0) and (a2 + a3 == 0) and a1 != 0
     transcript_ok = (
         len(cert.transcript) == 999

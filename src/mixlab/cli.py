@@ -78,22 +78,24 @@ def cmd_analyze(args) -> int:
     if isinstance(m, CharPModule):
         p = m.ideal.characteristic
         trivial = m.ideal.constant_in_ideal()
-        payload.update(characteristic=p, trivial_quotient=trivial,
-                       connected="no (characteristic p: additive torsion)")
         lines.append(f"characteristic: {p}")
-        lines.append("quotient: trivial (unit ideal)" if trivial else "quotient: nontrivial")
         if trivial:
-            lines.append("warning: trivial quotient")
-            element = None
+            # The dual group is one point: connected, with nothing to scan.
+            payload.update(characteristic=p, trivial_quotient=True, nonmixing_element=None,
+                           connected="yes (trivial quotient: one-point group)")
+            lines += ["quotient: trivial (unit ideal)", "warning: trivial quotient",
+                      "non-mixing element: none (the quotient has no nonzero element)",
+                      "connectedness: connected (trivial quotient: one-point group)"]
         else:
             box = [(-args.box, args.box)] * m.ideal.d
             element = find_nonmixing_element(system, box)
-        payload["nonmixing_element"] = list(element) if element else None
-        lines.append(
-            f"non-mixing element: {element}" if element
-            else f"non-mixing element: none in box |gamma| <= {args.box}"
-        )
-        lines.append("connectedness: disconnected (characteristic p)")
+            payload.update(characteristic=p, trivial_quotient=False,
+                           nonmixing_element=list(element) if element else None,
+                           connected="no (characteristic p: additive torsion)")
+            lines += ["quotient: nontrivial",
+                      f"non-mixing element: {element}" if element
+                      else f"non-mixing element: none in box |gamma| <= {args.box}",
+                      "connectedness: disconnected (characteristic p)"]
     elif isinstance(m, EvaluationModule):
         d = len(m.assignment)
         element = find_nonmixing_element(system, [(-args.box, args.box)] * d)
@@ -204,8 +206,10 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     loaded = load_system(args.presentation)
     data = load_certificate(args.certificate)
-    stored_hash = data.get("system_hash", "")
-    if stored_hash and stored_hash != loaded.hash:
+    stored_hash = data.get("system_hash")
+    if not stored_hash or not isinstance(stored_hash, str):
+        raise PresentationError("certificate carries no system_hash")
+    if stored_hash != loaded.hash:
         raise PresentationError(
             f"system hash mismatch: certificate was issued for {stored_hash[:12]}..., "
             f"presentation hashes to {loaded.hash[:12]}..."
@@ -219,10 +223,12 @@ def cmd_verify(args) -> int:
     }
     if report.ok:
         verdict = "PASS"
-    elif report.first_failure is None:
+    elif report.first_failure is not None:
+        verdict = f"FAIL at dilation {report.first_failure}"
+    elif not report.separation_ok:
         verdict = "FAIL: separation"
     else:
-        verdict = f"FAIL at dilation {report.first_failure}"
+        verdict = "FAIL: grade"
     _emit(args, payload, report.lines + [verdict])
     return EXIT_OK if report.ok else 1
 

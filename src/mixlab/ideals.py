@@ -218,10 +218,11 @@ def _primitive_monic(f: PolyDict, p: int) -> PolyDict:
 class IdealPresentation:
     """Generators plus characteristic and membership-engine configuration.
 
-    The characteristic-p constant is implicit; generators are reduced mod p on
-    construction.  Engine "groebner" computes a saturated basis; engine
-    "substitution" uses a supplied solution of variables by polynomials in
-    strictly earlier variables.
+    Generators, hints and the polynomials `contains` is asked about are
+    Laurent polynomials over F_p for the prime p = characteristic.  Engine
+    "groebner" computes a saturated basis; engine "substitution" uses a
+    supplied solution of variables by polynomials in strictly earlier
+    variables.
     """
 
     def __init__(
@@ -232,24 +233,18 @@ class IdealPresentation:
         engine: str = "groebner",
         substitution: Optional[Mapping[int, LaurentPoly]] = None,
     ):
-        if characteristic != 0 and characteristic > 2 ** 31:
+        if characteristic > 2 ** 31:
             raise EngineUnavailableError("characteristic too large for the engine")
         self.characteristic = characteristic
+        dom = self._dom = GF(characteristic)
         if d is None:
             if not generators:
                 raise DomainError("d required when there are no generators")
             d = generators[0].d
         self.d = d
-        if characteristic:
-            dom = self._dom = GF(characteristic)
-            self.generators = tuple(g.to_domain(dom) for g in generators)
-            if substitution:
-                substitution = {var: g.to_domain(dom) for var, g in substitution.items()}
-        else:
-            self.generators = tuple(generators)
-        for g in self.generators:
-            if g.d != self.d:
-                raise DomainError("generator dimension mismatch")
+        self.generators = tuple(generators)
+        for g in self.generators + tuple((substitution or {}).values()):
+            self.check_ring(g)
         if engine not in ("groebner", "substitution"):
             raise DomainError(f"unknown engine {engine!r}")
         self.engine = engine
@@ -301,40 +296,28 @@ class IdealPresentation:
 
     # -- Laurent -> polynomial plumbing -------------------------------------
 
+    def check_ring(self, f: LaurentPoly) -> None:
+        """Raise `DomainError` unless f is a Laurent polynomial over this
+        ideal's F_p in its d variables."""
+        if f.d != self.d or f.domain != self._dom:
+            raise DomainError(
+                f"{f!r} is not in the Laurent ring over {self._dom!r} in {self.d} variables")
+
     def _cleared(self, f: LaurentPoly) -> PolyDict:
-        """Shift f by a monomial unit so all exponents are nonnegative ints;
-        keys are exponent tuples of length d (no saturation slot)."""
+        """Shift f by a monomial unit so all exponents are nonnegative; keys
+        are exponent tuples of length d (no saturation slot)."""
         if not f.terms:
             return {}
-        mins = [min(m[i] for m in f.terms) for i in range(self.d)]
-        shift = [-e if e < 0 else 0 for e in mins]
-        out: PolyDict = {}
-        for m, c in f.terms.items():
-            exps = []
-            for e, s in zip(m, shift):
-                v = e + s
-                if v.denominator != 1:
-                    raise DomainError(f"fractional exponent {v}; level-embed first")
-                exps.append(int(v))
-            out[tuple(exps)] = int(c) % self.characteristic
-        return {m: c for m, c in out.items() if c}
+        shift = [min(0, min(m[i] for m in f.terms)) for i in range(self.d)]
+        return {tuple(map(sub, m, shift)): c for m, c in f.terms.items()}
 
     def _to_laurent(self, poly: PolyDict) -> LaurentPoly:
-        dom = GF(self.characteristic)
-        return LaurentPoly(self.d, dom, {m[:-1]: c for m, c in poly.items()})
+        return LaurentPoly(self.d, self._dom, {m[:-1]: c for m, c in poly.items()})
 
     # -- Groebner engine -----------------------------------------------------
 
-    def _require_char_p(self):
-        if not self.characteristic:
-            raise EngineUnavailableError(
-                "characteristic 0 has no symbolic membership engine; "
-                "use an evaluation presentation"
-            )
-
     def _full_basis(self) -> List[PolyDict]:
         if self._gb_full is None:
-            self._require_char_p()
             gens = [{m + (0,): c for m, c in self._cleared(g).items()}
                     for g in self.generators]
             sat: PolyDict = {
@@ -350,7 +333,6 @@ class IdealPresentation:
         monomial content of f (F_p[u] is a UFD and no u_i divides f / u^c),
         and the reduced basis of a principal ideal is its monic generator."""
         if self._gb_contracted is None:
-            self._require_char_p()
             gens = [f for f in map(self._cleared, self.generators) if f]
             if len(gens) == 1:
                 self._gb_contracted = [_primitive_monic(gens[0], self.characteristic)]
@@ -383,7 +365,6 @@ class IdealPresentation:
     def _reduced(self, f: LaurentPoly) -> PolyDict:
         """Remainder of the cleared lift of f: the sum of its terms' monomial
         normal forms, already reduced because the basis is."""
-        self._require_char_p()
         p = self.characteristic
         out: PolyDict = {}
         for m, c in self._cleared(f).items():
@@ -402,7 +383,6 @@ class IdealPresentation:
         is checked once and then computed into the memo."""
         nf = self._nf_cache.get(exps) if type(exps) is tuple else None
         if nf is None:
-            self._require_char_p()
             exps = tuple(exps)
             key = tuple(int(e) for e in exps)
             if len(key) != self.d or key != exps or min(key, default=0) < 0:
@@ -441,24 +421,18 @@ class IdealPresentation:
         variable goes first; each term c u^m becomes c u^m' g_v^(m_v - low),
         with m' the exponents m with slot v zeroed and low = min(0, lowest
         m_v), which clears the negative powers of u_v by a unit."""
-        self._require_char_p()
         if self.substitution is None:
             raise EngineUnavailableError("no substitution hint on this presentation")
         p = self.characteristic
-        work = (f if f.domain == self._dom else f.to_domain(self._dom)).terms
+        work = f.terms
         for var in sorted(self.substitution, reverse=True):
             if not work:
                 break
             low = min(min(m[var] for m in work), 0)
             image: PolyDict = {}
             for m, c in work.items():
-                b = m[var] - low
-                if type(b) is not int:
-                    if b.denominator != 1:
-                        raise DomainError("fractional exponent in substitution engine")
-                    b = int(b)
                 _add_scaled(image, c, m[:var] + (0,) + m[var + 1:],
-                            self._hint_power(var, b), p)
+                            self._hint_power(var, m[var] - low), p)
             work = image
         return not work
 
@@ -466,13 +440,11 @@ class IdealPresentation:
 
     def contains(self, f: LaurentPoly) -> bool:
         """Exact ideal membership of f, via the configured engine."""
-        if f.d != self.d:
-            raise DomainError("dimension mismatch")
+        self.check_ring(f)
         if self.engine == "substitution":
             return self.contains_substitution(f)
         return self.contains_groebner(f)
 
     def constant_in_ideal(self) -> bool:
         """True iff 1 lies in the ideal (trivial quotient)."""
-        self._require_char_p()
-        return self.contains_groebner(LaurentPoly.one(self.d, GF(self.characteristic)))
+        return self.contains_groebner(LaurentPoly.one(self.d, self._dom))

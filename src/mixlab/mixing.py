@@ -30,17 +30,12 @@ from .systems import (
     _gamma_key,
     character_correlation,
     shifted_sum_vanishes,
-    shifted_terms,
     unit_powers,
 )
 
 
 class CertificateError(ValueError):
     pass
-
-
-class IrreducibleCertificateError(CertificateError):
-    """No common proper vanishing subsum exists: nothing to reduce."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -121,6 +116,7 @@ class VerificationReport:
     lines: List[str]
     first_failure: Optional[int] = None
     separation_ok: bool = True
+    grade_ok: bool = True
 
     def text(self) -> str:
         return "\n".join(self.lines)
@@ -153,7 +149,10 @@ def check_certificate(cert: NonMixingCertificate) -> None:
     """Raise `CertificateError` unless the certificate's parts agree: an
     order of at least 2 with one shape point and one coefficient per slot
     (3 for (1, n, n-1)), and a nonempty transcript of dilations in the
-    family's range.  A mismatch would let `zip` drop a slot unseen."""
+    family's range.  A mismatch would let `zip` drop a slot unseen.  The
+    (1, n, n-1) family ignores its stored shape, so that shape must be the
+    family at n = 2, (1, 2, 1), or a file could show one shape and replay
+    another."""
     family = cert.family
     if not cert.transcript:
         # An empty transcript replays nothing, so it would pass at any grade.
@@ -167,8 +166,12 @@ def check_certificate(cert: NonMixingCertificate) -> None:
         raise CertificateError(
             f"certificate order {cert.order} does not match its {len(cert.shape)} "
             f"shape points and {len(cert.coefficients)} coefficients")
-    if family.kind == "consecutive_ratio" and cert.order != 3:
-        raise CertificateError("the consecutive_ratio family has order 3")
+    if family.kind == "consecutive_ratio":
+        if cert.order != 3:
+            raise CertificateError("the consecutive_ratio family has order 3")
+        if tuple(cert.shape) != family.shape_at((), 2):
+            raise CertificateError(
+                "a consecutive_ratio certificate's shape must be (1, 2, 1), its value at n = 2")
 
 
 def _separation_check(cert: NonMixingCertificate) -> bool:
@@ -196,7 +199,9 @@ def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> V
 
     Each distinct coefficient (a merged one included) is tested for being
     nonzero once per call, not once per dilation.  A certificate whose parts
-    disagree raises `CertificateError` (see `check_certificate`)."""
+    disagree raises `CertificateError` (see `check_certificate`).  An
+    explicit list samples finitely many dilations, so its certificate fails
+    unless it is labelled evidence."""
     check_certificate(cert)
     lines = []
     first_failure = None
@@ -215,11 +220,17 @@ def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> V
         if sep
         else "separation: FAILED (differences repeat)"
     )
-    lines.append(f"grade: {cert.grade} (transcript covers the tested range only)"
-                 if cert.grade == "evidence"
-                 else f"grade: {cert.grade}")
-    return VerificationReport(ok=ok and sep, lines=lines,
-                              first_failure=first_failure, separation_ok=sep)
+    grade_ok = cert.family.kind != "explicit_list" or cert.grade == "evidence"
+    if not grade_ok:
+        lines.append(f"grade: FAILED (labelled {cert.grade}, but an explicit_list "
+                     "certificate is evidence)")
+    elif cert.grade == "evidence":
+        lines.append("grade: evidence (transcript covers the tested range only)")
+    else:
+        lines.append(f"grade: {cert.grade}")
+    return VerificationReport(ok=ok and sep and grade_ok, lines=lines,
+                              first_failure=first_failure, separation_ok=sep,
+                              grade_ok=grade_ok)
 
 
 # -- Frobenius certificates --------------------------------------------------
@@ -454,68 +465,24 @@ def _default_is_zero(x) -> bool:
     return _exact(x) == 0
 
 
-def _vanishing_subsets(terms: Sequence, sizes, is_zero):
-    """Every index subset of the listed sizes whose terms sum to zero, by
-    size and then lexicographically."""
-    for size in sizes:
-        for subset in combinations(range(len(terms)), size):
-            total = terms[subset[0]]
-            for i in subset[1:]:
-                total = total + terms[i]
-            if is_zero(total):
-                yield subset
-
-
 def vanishing_subsums(terms: Sequence, is_zero=None) -> List[Tuple[int, ...]]:
-    """All inclusion-minimal nonempty index subsets with exactly zero sum."""
+    """All inclusion-minimal nonempty index subsets with exactly zero sum,
+    by size and then lexicographically."""
     if not 2 <= len(terms) <= 20:
         raise DomainError("term count out of range [2, 20]")
     if is_zero is None:
         is_zero = _default_is_zero
     minimal: List[Tuple[int, ...]] = []
-    for subset in _vanishing_subsets(terms, range(1, len(terms) + 1), is_zero):
-        if not any(set(m) <= set(subset) for m in minimal):
-            minimal.append(subset)
+    for size in range(1, len(terms) + 1):
+        for subset in combinations(range(len(terms)), size):
+            if any(set(m) <= set(subset) for m in minimal):
+                continue
+            total = terms[subset[0]]
+            for i in subset[1:]:
+                total = total + terms[i]
+            if is_zero(total):
+                minimal.append(subset)
     return minimal
-
-
-def reduce_witness(system: AlgebraicSystem, cert: NonMixingCertificate) -> NonMixingCertificate:
-    """Restrict a certificate to a common proper vanishing subsum.
-
-    Realizes the subsum reduction: a vanishing proper subsum at every
-    transcript dilation witnesses non-mixing on fewer sets.
-    """
-    r = cert.order
-    common = None
-    for n, _ in cert.transcript:
-        # The module elements gamma_s(n) . a_s whose sum the transcript asserts is zero.
-        shape = cert.family.shape_at(cert.shape, n)
-        terms, _, is_zero = shifted_terms(system.module, zip(shape, cert.coefficients))
-        vanishing = set(_vanishing_subsets(terms, range(1, r), is_zero))
-        common = vanishing if common is None else (common & vanishing)
-        if not common:
-            break
-    if not common:
-        raise IrreducibleCertificateError(
-            "irreducible: no proper subsum vanishes at every transcript dilation"
-        )
-    if cert.family.kind == "consecutive_ratio":
-        raise IrreducibleCertificateError(
-            "consecutive-ratio certificates do not restrict symbolically"
-        )
-    subset = min(common, key=lambda s: (len(s), s))
-    reduced = NonMixingCertificate(
-        order=len(subset),
-        shape=tuple(cert.shape[i] for i in subset),
-        coefficients=tuple(cert.coefficients[i] for i in subset),
-        family=cert.family,
-        transcript=cert.transcript,
-        grade=cert.grade,
-    )
-    report = verify_certificate(system, reduced)
-    if not report.ok:
-        raise CertificateError("reduced certificate failed re-verification")
-    return reduced
 
 
 # -- the uniform bound and the desk-scale enumerator -------------------------
@@ -705,35 +672,21 @@ def evaluation_shape_search(
 
 # -- the rational-dual system ------------------------------------------------
 
-def solve_consecutive_ratio_coefficients() -> Tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (a1, a2, a3) with a1*1 + a2*n + a3*(n-1) = 0 for all n.
-
-    a1 + n*a2 + (n-1)*a3 = (a1 - a3) + n*(a2 + a3), so the constant part and
-    the n-part vanish separately.  The kernel of those two rows is spanned by
-    their cross product, worked out in exact arithmetic rather than trusting
-    any printed sign pattern.
-    """
-    u = (Fraction(1), Fraction(0), Fraction(-1))  # a1 - a3 = 0
-    v = (Fraction(0), Fraction(1), Fraction(1))  # a2 + a3 = 0
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def rational_dual_certificate(
     system: AlgebraicSystem, n_max: int = 1000
 ) -> NonMixingCertificate:
-    """The order-3 family (1, n, n-1) on the rational dual, transcript 2..n_max."""
+    """The order-3 family (1, n, n-1) on the rational dual, transcript 2..n_max.
+
+    Its coefficients (1, -1, 1) give 1 - n + (n - 1) = 0 for every n: the
+    constant part a1 - a3 and the n-part a2 + a3 both vanish."""
     if not isinstance(system.module, RationalDualModule):
         raise CertificateError("needs a rational-dual system")
-    coeffs = solve_consecutive_ratio_coefficients()
+    family = consecutive_ratio_family()
     cert = NonMixingCertificate(
         order=3,
-        shape=(Fraction(1), Fraction(2), Fraction(1)),  # instance at n=2, for display
-        coefficients=coeffs,
-        family=consecutive_ratio_family(),
+        shape=family.shape_at((), 2),
+        coefficients=(Fraction(1), Fraction(-1), Fraction(1)),
+        family=family,
         transcript=tuple((n, 1) for n in range(2, n_max + 1)),
         grade="proof",
     )

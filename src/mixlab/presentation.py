@@ -218,6 +218,9 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
             f"the rational dual takes consecutive_ratio certificates, not {fkind}")
     elif not all(isinstance(g, tuple) for g in shape):
         raise PresentationError(f"a {fkind} certificate needs exponent-vector shape points")
+    elif isinstance(m, CharPModule) and any(type(e) is not int for g in shape for e in g):
+        # Laurent polynomials over F_p have integer exponents only.
+        raise PresentationError("a characteristic-p certificate needs integer shape points")
     coefficients = []
     for enc in data["coefficients"]:
         if isinstance(enc, dict) and "poly" in enc:

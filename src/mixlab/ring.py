@@ -1,12 +1,11 @@
-"""Sparse Laurent polynomials with exact rational exponent vectors.
+"""Sparse Laurent polynomials over a prime field F_p with integer exponents.
 
-Exponents are tuples of exact rationals so that integer-lattice and
-rational-vector group elements share a single representation: an integral
-exponent is stored as an ``int`` and any other as a ``Fraction``.  The two
-types agree on ``==``, ``hash`` and ordering for equal values, so the choice
-is invisible to callers and keeps integer arithmetic on the hot paths.
-Coefficients live in Z, Q or a prime field F_p and use
-arbitrary precision throughout; no floating point anywhere.
+Every membership question mixlab asks is asked in F_p[u1^(+-1), ..., ud^(+-1)];
+a rational group action enters through a level L that clears denominators
+before any polynomial is built.  So an exponent vector is a tuple of Python
+ints, and the constructor and the parser refuse any other exponent.  Group
+elements (shape points, shifts) stay exact rationals: `expvec` normalizes
+those.  Coefficients are ints reduced mod p; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -15,45 +14,28 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
-
-ExponentVector = Tuple[Union[int, Fraction], ...]
+from typing import Iterable, Mapping, Tuple, Union
 
 
 class DomainError(ValueError):
-    """Raised on coefficient-domain or dimension mismatches."""
+    """Raised on coefficient-field, exponent or dimension mismatches."""
 
 
 @dataclass(frozen=True)
 class Domain:
-    """Coefficient domain tag: integers, rationals, or a prime field."""
+    """The prime field F_p."""
 
-    kind: str  # "ZZ" | "QQ" | "FP"
-    p: Optional[int] = None
+    p: int
 
     def __repr__(self) -> str:
-        if self.kind == "FP":
-            return f"GF({self.p})"
-        return {"ZZ": "ZZ", "QQ": "QQ"}[self.kind]
+        return f"GF({self.p})"
 
-    def coerce(self, c):
-        if self.kind == "FP":
-            if isinstance(c, Fraction):
-                if c.denominator % self.p == 0:
-                    raise DomainError(f"denominator not invertible mod {self.p}")
-                return c.numerator * pow(c.denominator, -1, self.p) % self.p
-            return int(c) % self.p
-        if self.kind == "ZZ":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise DomainError(f"non-integer coefficient {c} in ZZ")
-                return int(c)
-            return int(c)
-        return Fraction(c)
-
-
-ZZ = Domain("ZZ")
-QQ = Domain("QQ")
+    def coerce(self, c) -> int:
+        if isinstance(c, Fraction):
+            if c.denominator % self.p == 0:
+                raise DomainError(f"denominator not invertible mod {self.p}")
+            return c.numerator * pow(c.denominator, -1, self.p) % self.p
+        return int(c) % self.p
 
 
 def _is_prime(n: int) -> bool:
@@ -73,14 +55,13 @@ def _is_prime(n: int) -> bool:
 def GF(p: int) -> Domain:
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return Domain("FP", p)
+    return Domain(p)
 
 
-def expvec(entries: Iterable) -> ExponentVector:
-    """Normalize a sequence of ints/fractions/strings into an exponent vector.
-
-    Integral entries come back as ``int``, the others as ``Fraction``.
-    """
+def expvec(entries: Iterable) -> Tuple[Union[int, Fraction], ...]:
+    """Normalize a group element's ints/fractions/strings into a tuple of
+    exact rationals: integral entries come back as ``int``, the others as
+    ``Fraction``."""
     out = []
     for e in entries:
         if type(e) is not int:
@@ -92,16 +73,16 @@ def expvec(entries: Iterable) -> ExponentVector:
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial over a fixed domain.
+    """Immutable sparse Laurent polynomial over F_p.
 
-    Terms map exponent vectors (length d, exact rationals) to nonzero
-    coefficients; the zero polynomial has no terms.  The sorted canonical key
-    behind ``==`` and ``hash`` is built on first use.
+    Terms map exponent vectors (length d, Python ints) to nonzero
+    coefficients in 1..p-1; the zero polynomial has no terms.  The sorted
+    canonical key behind ``==`` and ``hash`` is built on first use.
     """
 
     __slots__ = ("d", "domain", "terms", "_key")
 
-    def __init__(self, d: int, domain: Domain, terms: Mapping[ExponentVector, object] = ()):
+    def __init__(self, d: int, domain: Domain, terms: Mapping = ()):
         self.d = int(d)
         self.domain = domain
         clean = {}
@@ -109,6 +90,9 @@ class LaurentPoly:
             v = expvec(exps)
             if len(v) != self.d:
                 raise DomainError(f"exponent vector {v} has length {len(v)}, expected {self.d}")
+            for e in v:
+                if type(e) is not int:
+                    raise DomainError(f"non-integral exponent {e}")
             cc = domain.coerce(c)
             if cc != 0:
                 if v in clean:
@@ -122,8 +106,8 @@ class LaurentPoly:
     @classmethod
     def _trusted(cls, d: int, domain: Domain, terms: dict) -> "LaurentPoly":
         """A polynomial on terms already in the form the constructor makes:
-        exponent vectors of length d with int or Fraction entries and nonzero
-        coefficients of the domain.  The dict is kept, not copied or checked."""
+        int exponent vectors of length d and coefficients in 1..p-1.  The
+        dict is kept, not copied or checked."""
         f = object.__new__(cls)
         f.d, f.domain, f.terms, f._key = d, domain, terms, None
         return f
@@ -142,7 +126,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, d: int, domain: Domain, exps, c=1) -> "LaurentPoly":
-        return cls(d, domain, {expvec(exps): c})
+        return cls(d, domain, {tuple(exps): c})
 
     @classmethod
     def variable(cls, i: int, d: int, domain: Domain) -> "LaurentPoly":
@@ -160,9 +144,6 @@ class LaurentPoly:
     def support(self):
         """Exponent vectors in canonical (descending lex) order."""
         return sorted(self.terms, reverse=True)
-
-    def coeff(self, exps):
-        return self.terms.get(expvec(exps), 0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -188,14 +169,12 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         # Both operands' terms are already normal: only the summed
-        # coefficients need reducing (mod p over F_p) and zeros dropping.
+        # coefficients need reducing mod p and zeros dropping.
         self._check_compatible(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
             acc[m] = acc.get(m, 0) + c
         p = self.domain.p
-        if p is None:
-            return LaurentPoly._trusted(self.d, self.domain, {m: c for m, c in acc.items() if c})
         return LaurentPoly._trusted(
             self.d, self.domain, {m: c % p for m, c in acc.items() if c % p})
 
@@ -214,70 +193,18 @@ class LaurentPoly:
                 acc[m] = acc.get(m, 0) + c1 * c2
         return LaurentPoly(self.d, self.domain, acc)
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise DomainError("negative powers not supported; dilate a monomial instead")
-        result = LaurentPoly.one(self.d, self.domain)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def frobenius_pow(self, k: int) -> "LaurentPoly":
-        """f^(p^k) over F_p, computed termwise via the Frobenius identity."""
-        if self.domain.kind != "FP":
-            raise DomainError("frobenius_pow requires a prime-field domain")
-        if k < 0:
-            raise DomainError("k must be nonnegative")
-        p = self.domain.p
-        q = p ** k
-        return LaurentPoly(
-            self.d,
-            self.domain,
-            {tuple(q * e for e in m): pow(c, q, p) for m, c in self.terms.items()},
-        )
-
-    def dilate(self, n) -> "LaurentPoly":
-        """Scale every exponent vector by the nonzero rational n."""
-        n = Fraction(n)
-        if n == 0:
-            raise DomainError("dilation factor must be nonzero")
-        return LaurentPoly(
-            self.d, self.domain, {tuple(n * e for e in m): c for m, c in self.terms.items()}
-        )
-
-    def to_domain(self, domain: Domain) -> "LaurentPoly":
-        return LaurentPoly(self.d, domain, self.terms)
-
     # -- text form ----------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for m in self.support():
             c = self.terms[m]
-            factors = []
-            for i, e in enumerate(m):
-                if e != 0:
-                    if e == 1:
-                        factors.append(f"u{i + 1}")
-                    else:
-                        factors.append(f"u{i + 1}^{e}")
-            neg = (self.domain.kind != "FP") and c < 0
-            mag = -c if neg else c
-            if factors and mag == 1:
-                body = " * ".join(factors)
-            elif factors:
-                body = " * ".join([str(mag)] + factors)
-            else:
-                body = str(mag)
-            parts.append(("- " if neg else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+            factors = [f"u{i + 1}" if e == 1 else f"u{i + 1}^{e}"
+                       for i, e in enumerate(m) if e != 0]
+            if c != 1 or not factors:
+                factors.insert(0, str(c))
+            parts.append(" * ".join(factors))
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r}, d={self.d}, domain={self.domain!r})"
@@ -356,7 +283,9 @@ def _parse_poly(text: str, d: int, domain: Domain) -> LaurentPoly:
                 if i < len(tokens) and tokens[i][0] == "^":
                     i += 1
                     e, i = parse_rational(i, allow_sign=True)
-                exps[idx] += e
+                    if e.denominator != 1:
+                        raise ParseError(f"non-integral exponent {e}", tokens[i - 1][1])
+                exps[idx] += int(e)
                 saw_factor = True
             else:
                 raise ParseError(f"unexpected token {tok!r}", pos)

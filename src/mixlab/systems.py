@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import lcm
 from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -97,8 +96,6 @@ class AlgebraicSystem:
     name: str = ""
 
     def __post_init__(self):
-        if isinstance(self.module, CharPModule) and self.module.characteristic == 0:
-            raise DomainError("CharP module requires positive characteristic")
         if isinstance(self.module, EvaluationModule):
             K = self.module.field
             for _, v in self.module.assignment:
@@ -205,9 +202,9 @@ def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
 def shifted_terms(module, pairs):
     """The module elements gamma . a for the pairs (gamma, a), the module's
     zero and its zero test.  Each module kind builds its shifts only here.
-    In characteristic p a shift is an exponent vector of ints and Fractions,
-    as `DilationFamily.shape_at` gives it, and u^gamma a has the terms
-    c u^(gamma + m) of a's terms c u^m."""
+    In characteristic p a shift is an exponent vector of ints, as
+    `DilationFamily.shape_at` gives it for an integral shape, and u^gamma a
+    has the terms c u^(gamma + m) of a's terms c u^m."""
     if isinstance(module, CharPModule):
         ideal = module.ideal
         d, dom = ideal.d, GF(module.characteristic)
@@ -216,10 +213,7 @@ def shifted_terms(module, pairs):
             if len(gamma) != d:
                 raise DomainError(
                     f"exponent vector {expvec(gamma)} has length {len(gamma)}, expected {d}")
-            if a.domain != dom:
-                a = a.to_domain(dom)
-            if a.d != d:
-                raise DomainError(f"dimension mismatch: {d} vs {a.d}")
+            ideal.check_ring(a)
             terms.append(LaurentPoly._trusted(
                 d, dom, {tuple(map(add, gamma, m)): c for m, c in a.terms.items()}))
         return terms, LaurentPoly.zero(d, dom), ideal.contains
@@ -252,19 +246,6 @@ def shifted_sum_vanishes(module, pairs) -> bool:
     for t in terms:
         total = total + t
     return is_zero(total)
-
-
-def level_embed(shape: Sequence[Sequence]) -> Tuple[int, List[Tuple[int, ...]]]:
-    """Clear denominators across a shape: (L, integer shape) with shape/L intact."""
-    if not shape:
-        raise DomainError("empty shape")
-    vectors = [expvec(v) for v in shape]
-    L = 1
-    for v in vectors:
-        for e in v:
-            L = lcm(L, e.denominator)
-    embedded = [tuple(int(e * L) for e in v) for v in vectors]
-    return L, embedded
 
 
 def find_nonmixing_element(system: AlgebraicSystem, box: Sequence[Tuple[int, int]]):
@@ -378,7 +359,7 @@ def split_action(
     for g in ideal.generators:
         terms = {}
         for m, c in g.terms.items():
-            key = [Fraction(0)] * len(inner_vars)
+            key = [0] * len(inner_vars)
             for i, e in enumerate(m):
                 if e != 0:
                     key[index[i]] = e

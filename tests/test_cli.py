@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from mixlab.cli import main
+from mixlab.presentation import load_system
 
 SAMPLES = Path(__file__).resolve().parents[1] / "presentations"
 THREE_DOT = str(SAMPLES / "ledrappier.json")
@@ -37,6 +38,30 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", TRIVIAL)
         assert code == 0
         assert "trivial" in out
+
+    def test_trivial_quotient_is_connected_and_scans_nothing(self, capsys):
+        # The dual of the zero module is one point: connected, and no box was
+        # scanned, so the output names no box.
+        code, out, _ = run(capsys, "analyze", TRIVIAL)
+        assert code == 0
+        assert "connectedness: connected (trivial quotient: one-point group)" in out
+        assert "in box" not in out and "disconnected" not in out
+        code, out, _ = run(capsys, "analyze", TRIVIAL, "--json")
+        data = json.loads(out)
+        assert data["connected"].startswith("yes")
+        assert data["trivial_quotient"] is True and data["nonmixing_element"] is None
+
+    def test_fractional_generator_exponent_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({
+            "schema": 1, "name": "half", "group": {"kind": "rational_vector", "d": 2},
+            "module": {"type": "char_p", "characteristic": 2,
+                       "generators": ["1 + u1^1/2 + u2"]},
+        }))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "non-integral exponent 1/2 (at position 7)" in err
+        assert out == ""
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "analyze", THREE_DOT, "--json")
@@ -271,19 +296,65 @@ class TestVerify:
          "shifts by rationals, not exponent vectors"),
         ({"kind": "prime_power", "p": 2}, ["0", "1", "2"], [{"poly": "1"}] * 3, THREE_DOT,
          "needs exponent-vector shape points"),
-    ], ids=["dual-scalar-list", "dual-vector-list", "charp-ratio", "charp-scalar-prime-power"])
+        # These printed PASS: (1, n, n-1) never reads the stored shape.
+        ({"kind": "consecutive_ratio"}, ["5", "7", "9"], ["1", "-1", "1"], RATIONAL_DUAL,
+         "shape must be (1, 2, 1)"),
+        ({"kind": "consecutive_ratio"}, [["1"], ["2"], ["3"]], ["1", "-1", "1"],
+         RATIONAL_DUAL, "shape must be (1, 2, 1)"),
+        # Laurent polynomials over F_p have integer exponents only.
+        ({"kind": "prime_power", "p": 2}, [["1/2", "0"], ["1", "0"], ["0", "1"]],
+         [{"poly": "1"}] * 3, THREE_DOT, "needs integer shape points"),
+    ], ids=["dual-scalar-list", "dual-vector-list", "charp-ratio", "charp-scalar-prime-power",
+            "ratio-forged-scalars", "ratio-forged-vectors", "charp-fractional-point"])
     def test_shape_the_system_cannot_take_is_an_input_error(
             self, capsys, tmp_path, family, shape, coefficients, presentation, message):
         cert = tmp_path / "shape.cert.json"
         cert.write_text(json.dumps({
             "schema": 1, "kind": "non_mixing_certificate", "order": 3, "grade": "evidence",
             "family": family, "shape": shape, "coefficients": coefficients,
-            "transcript": [[2, 1], [3, 1]],
+            "transcript": [[2, 1], [3, 1]], "system_hash": load_system(presentation).hash,
         }))
         code, out, err = run(capsys, "verify", str(cert), presentation)
         assert code == 2
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("stored", [None, "", 5])
+    def test_missing_system_hash_is_an_input_error(self, capsys, cert_path, tmp_path, stored):
+        # A certificate with no hash printed PASS against any presentation;
+        # a number in its place crashed the mismatch message.
+        data = json.loads(cert_path.read_text())
+        if stored is None:
+            del data["system_hash"]
+        else:
+            data["system_hash"] = stored
+        bad = tmp_path / "nohash.cert.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(bad), THREE_DOT)
+        assert code == 2
+        assert err == "error: certificate carries no system_hash\n"
+        assert out == ""
+
+    def test_explicit_list_labelled_proof_fails(self, capsys, tmp_path):
+        # An explicit list samples finitely many dilations: evidence at most.
+        # Relabelled proof, it printed "grade: proof" and PASS.
+        run(capsys, "certify", THREE_DOT, "--order", "3", "--force-search", "--box", "1",
+            "--window", "0", "--out", str(tmp_path))
+        cert = next(p for p in sorted(tmp_path.glob("*.cert.json"))
+                    if json.loads(p.read_text())["family"]["kind"] == "explicit_list")
+        data = json.loads(cert.read_text())
+        code, out, _ = run(capsys, "verify", str(cert), THREE_DOT)
+        assert code == 0 and out.splitlines()[-1] == "PASS"
+        data["grade"] = "proof"
+        cert.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(cert), THREE_DOT)
+        assert code == 1
+        lines = out.splitlines()
+        assert "grade: FAILED (labelled proof, but an explicit_list certificate is evidence)" \
+            in lines
+        assert lines[-1] == "FAIL: grade"
+        code, out, _ = run(capsys, "verify", str(cert), THREE_DOT, "--json")
+        assert code == 1 and json.loads(out)["first_failure"] is None
 
     def test_separation_failure_is_named(self, capsys, cert_path, tmp_path):
         # Every bit passes, so there is no failing dilation to name.

@@ -18,7 +18,6 @@ from mixlab.mixing import (
     BudgetExceededError,
     CertificateError,
     DilationFamily,
-    IrreducibleCertificateError,
     NonMixingCertificate,
     SearchOutcome,
     UnitEquationProblem,
@@ -30,7 +29,6 @@ from mixlab.mixing import (
     _dilated_tuples,
     _projective_combinations,
     _separation_check,
-    _vanishing_subsets,
     consecutive_ratio_family,
     enumerate_unit_solutions,
     ess_bound_exponent,
@@ -40,9 +38,7 @@ from mixlab.mixing import (
     prime_power_family,
     rational_dual_certificate,
     rational_dual_order2_search,
-    reduce_witness,
     shape_search,
-    solve_consecutive_ratio_coefficients,
     vanishing_subsums,
     verify_certificate,
 )
@@ -787,25 +783,6 @@ class TestSubsums:
         with pytest.raises(DomainError):
             vanishing_subsums([Fraction(1)])
 
-    def test_reduce_witness_splits_a_product_family(self, three_dot):
-        # Shape = support of (1 + u^(2,2)) * (1 + u1 + u2): the two translated
-        # triangles each vanish along powers of 2, so the union is reducible.
-        shape = ((0, 0), (1, 0), (0, 1), (2, 2), (3, 2), (2, 3))
-        one = p2("1")
-        cert = NonMixingCertificate(
-            order=6,
-            shape=shape,
-            coefficients=(one,) * 6,
-            family=prime_power_family(2),
-            transcript=tuple((2 ** k, 1) for k in range(4)),
-            grade="proof",
-        )
-        assert verify_certificate(three_dot, cert).ok
-        reduced = reduce_witness(three_dot, cert)
-        assert reduced.order == 3
-        assert set(reduced.shape) <= set(shape)
-        assert verify_certificate(three_dot, reduced).ok
-
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=7))
     @settings(max_examples=80, deadline=None)
     def test_vanishing_subsets_match_the_old_loops(self, values):
@@ -813,44 +790,11 @@ class TestSubsums:
         n = len(terms)
         every = [s for size in range(1, n + 1) for s in combinations(range(n), size)
                  if sum(terms[i] for i in s) == 0]
-        assert list(_vanishing_subsets(terms, range(1, n + 1), _default_is_zero)) == every
         minimal = []
         for s in every:
             if not any(set(m) <= set(s) for m in minimal):
                 minimal.append(s)
         assert vanishing_subsums(terms) == minimal
-
-    @pytest.mark.parametrize("shape", [
-        ((0, 0), (1, 0), (0, 1), (2, 2), (3, 2), (2, 3)),
-        ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)),
-        ((0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (2, 1), (4, 4), (5, 4), (4, 5)),
-    ])
-    def test_reduce_witness_picks_the_old_subset(self, three_dot, shape):
-        # The reference is the old loop: every proper vanishing subset per
-        # transcript dilation, intersected, then the least by (size, indices).
-        cert = NonMixingCertificate(
-            order=len(shape), shape=shape, coefficients=(p2("1"),) * len(shape),
-            family=prime_power_family(2), transcript=tuple((2 ** k, 1) for k in range(4)),
-            grade="proof",
-        )
-        common = None
-        for n, _ in cert.transcript:
-            terms = [LaurentPoly.monomial(2, F2, tuple(n * e for e in q)) for q in shape]
-            vanishing = set()
-            for size in range(1, cert.order):
-                for subset in combinations(range(cert.order), size):
-                    if three_dot.module.ideal.contains(sum(
-                            (terms[i] for i in subset[1:]), terms[subset[0]])):
-                        vanishing.add(subset)
-            common = vanishing if common is None else common & vanishing
-        subset = min(common, key=lambda s: (len(s), s))
-        reduced = reduce_witness(three_dot, cert)
-        assert reduced.shape == tuple(shape[i] for i in subset)
-
-    def test_reduce_witness_irreducible(self, three_dot):
-        cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"))
-        with pytest.raises(IrreducibleCertificateError):
-            reduce_witness(three_dot, cert)
 
 
 class TestEssBound:
@@ -1032,9 +976,10 @@ class TestEvaluationSearch:
 
 
 class TestRationalDual:
-    def test_solved_coefficients(self):
-        a1, a2, a3 = solve_consecutive_ratio_coefficients()
+    def test_solved_coefficients(self, rational_dual):
+        a1, a2, a3 = rational_dual_certificate(rational_dual, n_max=10).coefficients
         assert (a1, a2, a3) == (Fraction(1), Fraction(-1), Fraction(1))
+        assert a1 - a3 == 0 and a2 + a3 == 0
         for n in (2, 3, 17):
             assert a1 * 1 + a2 * n + a3 * (n - 1) == 0
 
@@ -1046,9 +991,13 @@ class TestRationalDual:
         assert verify_certificate(rational_dual, cert).ok
 
     def test_consecutive_ratio_is_irreducible(self, rational_dual):
+        # No proper subsum of 1 * 1 - 1 * n + 1 * (n - 1) vanishes at any
+        # transcript dilation: only the whole sum does.
         cert = rational_dual_certificate(rational_dual, n_max=10)
-        with pytest.raises(IrreducibleCertificateError):
-            reduce_witness(rational_dual, cert)
+        for n in cert.dilations():
+            shifts = cert.family.shape_at(cert.shape, n)
+            terms = [g * a for g, a in zip(shifts, cert.coefficients)]
+            assert vanishing_subsums(terms) == [(0, 1, 2)]
 
     def test_order2_search_empty(self, rational_dual):
         outcome = rational_dual_order2_search(
