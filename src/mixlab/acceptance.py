@@ -266,15 +266,12 @@ def _criterion_5() -> CriterionResult:
 
     inner_ideal = split.inner.module.ideal
     inner_cert = frobenius_certificate(split.inner, inner_ideal.generators[0])
-    lifted_shape = []
-    for q in inner_cert.shape:
-        full = [Fraction(0)] * 4
-        for pos, e in zip(split.inner_vars, q):
-            full[pos] = Fraction(e)
-        lifted_shape.append(tuple(full))
+    # Integer shape points: Laurent polynomials over F_p have integer exponents.
+    lifted_shape = tuple(tuple(dict(zip(split.inner_vars, q)).get(i, 0) for i in range(4))
+                         for q in inner_cert.shape)
     lifted = NonMixingCertificate(
         order=inner_cert.order,
-        shape=tuple(lifted_shape),
+        shape=lifted_shape,
         coefficients=tuple(
             LaurentPoly.constant(4, dom, c.terms[next(iter(c.terms))])
             for c in inner_cert.coefficients

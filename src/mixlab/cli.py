@@ -216,20 +216,8 @@ def cmd_verify(args) -> int:
         )
     cert = certificate_from_dict(data, loaded.system)
     report = verify_certificate(loaded.system, cert)
-    payload = {
-        "ok": report.ok,
-        "first_failure": report.first_failure,
-        "lines": report.lines,
-    }
-    if report.ok:
-        verdict = "PASS"
-    elif report.first_failure is not None:
-        verdict = f"FAIL at dilation {report.first_failure}"
-    elif not report.separation_ok:
-        verdict = "FAIL: separation"
-    else:
-        verdict = "FAIL: grade"
-    _emit(args, payload, report.lines + [verdict])
+    payload = {"ok": report.ok, "first_failure": report.first_failure, "lines": report.lines}
+    _emit(args, payload, report.lines + [report.verdict])
     return EXIT_OK if report.ok else 1
 
 

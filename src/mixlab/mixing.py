@@ -2,16 +2,18 @@
 equation enumerator.
 
 A certificate packages an order-r shape, nonzero module coefficients, a
-symbolic dilation family and a finite verification transcript.  Prime-power
-families in characteristic p are proof grade (the Frobenius identity makes
-every dilation work); explicit lists are evidence grade: the transcript
-covers a tested range only.
+symbolic dilation family and a finite verification transcript.
+`verify_certificate` is the one check of a certificate: its parts, its
+replay, its separation and its grade, which it derives rather than reads.
+A prime-power family in characteristic p with constant coefficients is
+proof grade (the Frobenius identity makes every dilation work); explicit
+lists are evidence grade: the transcript covers a tested range only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb
@@ -104,7 +106,6 @@ class NonMixingCertificate:
     family: DilationFamily
     transcript: Tuple[Tuple[int, int], ...]
     grade: str  # "proof" | "evidence"
-    system_hash: str = ""
 
     def dilations(self):
         return [n for n, _ in self.transcript]
@@ -112,14 +113,16 @@ class NonMixingCertificate:
 
 @dataclass
 class VerificationReport:
-    ok: bool
-    lines: List[str]
-    first_failure: Optional[int] = None
-    separation_ok: bool = True
-    grade_ok: bool = True
+    """Verdicts, the first that applies: `FAIL at dilation n`,
+    `FAIL: separation`, `FAIL: grade`, else PASS."""
 
-    def text(self) -> str:
-        return "\n".join(self.lines)
+    lines: List[str]
+    verdict: str
+    first_failure: Optional[int] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.verdict == "PASS"
 
 
 def _merged(shape, coefficients) -> List[Tuple[object, object]]:
@@ -136,24 +139,29 @@ def _merged(shape, coefficients) -> List[Tuple[object, object]]:
     return [(g, a) for g, a in merged.values() if not _default_is_zero(a)]
 
 
-def _dilated_tuples(cert: NonMixingCertificate):
-    """The certificate's character tuple at each transcript dilation; a
-    family may collide for small n (e.g. (1, n, n-1) at n = 2), so
-    colliding shifts are merged (see `_merged`)."""
+def check_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> None:
+    """Raise `CertificateError` unless the certificate's parts agree with
+    each other and with the system: shape points the module takes (integer
+    vectors in characteristic p, rationals for (1, n, n-1)), an order of at
+    least 2 with one shape point and one coefficient per slot (3 for
+    (1, n, n-1)), and a nonempty transcript of dilations in the family's
+    range.  A mismatch would let `zip` drop a slot unseen.  The (1, n, n-1)
+    family ignores its stored shape, so that shape must be its value at
+    n = 2, (1, 2, 1), or a file could show one shape and replay another."""
     family = cert.family
-    for n in cert.dilations():
-        yield CharacterTuple(_merged(family.shape_at(cert.shape, n), cert.coefficients))
-
-
-def check_certificate(cert: NonMixingCertificate) -> None:
-    """Raise `CertificateError` unless the certificate's parts agree: an
-    order of at least 2 with one shape point and one coefficient per slot
-    (3 for (1, n, n-1)), and a nonempty transcript of dilations in the
-    family's range.  A mismatch would let `zip` drop a slot unseen.  The
-    (1, n, n-1) family ignores its stored shape, so that shape must be the
-    family at n = 2, (1, 2, 1), or a file could show one shape and replay
-    another."""
-    family = cert.family
+    m = system.module
+    if family.kind == "consecutive_ratio":
+        if not isinstance(m, RationalDualModule):
+            raise CertificateError(
+                "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
+    elif isinstance(m, RationalDualModule):
+        raise CertificateError(
+            f"the rational dual takes consecutive_ratio certificates, not {family.kind}")
+    elif not all(isinstance(g, tuple) for g in cert.shape):
+        raise CertificateError(f"a {family.kind} certificate needs exponent-vector shape points")
+    elif isinstance(m, CharPModule) and any(type(e) is not int for g in cert.shape for e in g):
+        # Laurent polynomials over F_p have integer exponents only.
+        raise CertificateError("a characteristic-p certificate needs integer shape points")
     if not cert.transcript:
         # An empty transcript replays nothing, so it would pass at any grade.
         raise CertificateError("certificate transcript is empty")
@@ -194,43 +202,78 @@ def _separation_check(cert: NonMixingCertificate) -> bool:
     return len(set(map(_gamma_key, cert.shape))) == len(cert.shape)
 
 
-def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> VerificationReport:
-    """Replay the transcript through the correlation oracle, bit for bit.
+def _evidence_reason(system: AlgebraicSystem, cert: NonMixingCertificate) -> Optional[str]:
+    """Why the certificate covers no more than its transcript, or None when
+    its family covers every dilation (proof grade).  A prime-power family is
+    proof when p is the characteristic, every coefficient is a constant c in
+    F_p and the transcript holds dilation 1: the p-th power map fixes c
+    (c^p = c) and carries the sum at n in the ideal to the sum at pn.  Its
+    shape points must be distinct, or two slots never separate.
+    (1, n, n-1) is proof with coefficients (a, -a, a): a - an + a(n-1) = 0."""
+    family, coefficients = cert.family, cert.coefficients
+    if family.kind == "prime_power":
+        characteristic = getattr(system.module, "characteristic", 0)
+        if family.p != characteristic:
+            return (f"a prime_power certificate with p = {family.p} in characteristic "
+                    f"{characteristic} is evidence")
+        if not all(isinstance(a, LaurentPoly) and not any(map(any, a.terms))
+                   for a in coefficients):
+            return "a prime_power certificate with a non-constant coefficient is evidence"
+        if 1 not in cert.dilations():
+            return "a prime_power certificate whose transcript lacks dilation 1 is evidence"
+        if len(set(map(_gamma_key, cert.shape))) < len(cert.shape):
+            return "a prime_power certificate with a repeated shape point is evidence"
+        return None
+    if family.kind == "consecutive_ratio":
+        a1, a2, a3 = coefficients
+        if _default_is_zero(a1 - a3) and _default_is_zero(a2 + a3):
+            return None
+        return "a consecutive_ratio certificate whose coefficients are not (a, -a, a) is evidence"
+    return f"an {family.kind} certificate is evidence"
 
-    Each distinct coefficient (a merged one included) is tested for being
-    nonzero once per call, not once per dilation.  A certificate whose parts
-    disagree raises `CertificateError` (see `check_certificate`).  An
-    explicit list samples finitely many dilations, so its certificate fails
-    unless it is labelled evidence."""
-    check_certificate(cert)
+
+def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> VerificationReport:
+    """The one certificate check: parts (`check_certificate`, which raises),
+    then the replay of every transcript dilation through the correlation
+    oracle, bit for bit, then separation, then the grade, derived from the
+    certificate and the system: a label other than evidence must match it.
+    Colliding shifts are merged (see `_merged`), and each distinct
+    coefficient is tested for being nonzero once per call."""
+    check_certificate(system, cert)
     lines = []
     first_failure = None
-    ok = True
     nonzero: set = set()
-    for (n, expected), tup in zip(cert.transcript, _dilated_tuples(cert)):
+    for n, expected in cert.transcript:
+        tup = CharacterTuple(_merged(cert.family.shape_at(cert.shape, n), cert.coefficients))
         bit = character_correlation(system, tup, nonzero)
         status = "ok" if bit == expected == 1 else "FAIL"
         lines.append(f"dilation {n}: correlation {bit} (expected {expected}) {status}")
         if status == "FAIL" and first_failure is None:
             first_failure = n
-            ok = False
-    sep = _separation_check(cert)
-    lines.append(
-        "separation: pairwise differences distinct over transcript"
-        if sep
-        else "separation: FAILED (differences repeat)"
-    )
-    grade_ok = cert.family.kind != "explicit_list" or cert.grade == "evidence"
-    if not grade_ok:
-        lines.append(f"grade: FAILED (labelled {cert.grade}, but an explicit_list "
-                     "certificate is evidence)")
+    separated = _separation_check(cert)
+    lines.append("separation: pairwise differences distinct over transcript" if separated
+                 else "separation: FAILED (differences repeat)")
+    reason = _evidence_reason(system, cert)
+    derived = "evidence" if reason else "proof"
+    graded = cert.grade in ("evidence", derived)
+    if not graded:
+        lines.append(f"grade: FAILED (labelled {cert.grade}, but "
+                     f"{reason or 'its derived grade is proof'})")
     elif cert.grade == "evidence":
         lines.append("grade: evidence (transcript covers the tested range only)")
     else:
         lines.append(f"grade: {cert.grade}")
-    return VerificationReport(ok=ok and sep and grade_ok, lines=lines,
-                              first_failure=first_failure, separation_ok=sep,
-                              grade_ok=grade_ok)
+    failures = ((first_failure is not None, f"FAIL at dilation {first_failure}"),
+                (not separated, "FAIL: separation"), (not graded, "FAIL: grade"))
+    verdict = next((v for failed, v in failures if failed), "PASS")
+    return VerificationReport(lines, verdict, first_failure)
+
+
+def _verified(system: AlgebraicSystem, cert: NonMixingCertificate) -> NonMixingCertificate:
+    report = verify_certificate(system, cert)
+    if not report.ok:
+        raise CertificateError(f"certificate does not verify: {report.verdict}")
+    return cert
 
 
 # -- Frobenius certificates --------------------------------------------------
@@ -242,6 +285,7 @@ def frobenius_certificate(
 
     Shape is the support of f, coefficients its (scalar) coefficients; the
     prime-power family is proof grade: the Frobenius identity gives every k.
+    The certificate is returned only once `verify_certificate` passes it.
     """
     if not isinstance(system.module, CharPModule):
         raise CertificateError("frobenius_certificate needs a CharP system")
@@ -251,30 +295,17 @@ def frobenius_certificate(
     p = ideal.characteristic
     if ideal.constant_in_ideal():
         raise CertificateError("quotient is trivial (unit ideal)")
-    if not ideal.contains(f):
-        raise CertificateError("polynomial is not in the ideal")
     support = f.support()
-    r = len(support)
-    if r < 2:
+    if len(support) < 2:
         raise CertificateError("support must contain at least 2 terms")
-    dom = GF(p)
-    shape = tuple(tuple(e for e in m) for m in support)
-    coefficients = tuple(
-        LaurentPoly.constant(ideal.d, dom, f.terms[m]) for m in support
-    )
-    cert = NonMixingCertificate(
-        order=r,
-        shape=shape,
-        coefficients=coefficients,
+    return _verified(system, NonMixingCertificate(
+        order=len(support),
+        shape=tuple(tuple(e for e in m) for m in support),
+        coefficients=tuple(LaurentPoly.constant(ideal.d, GF(p), f.terms[m]) for m in support),
         family=prime_power_family(p),
         transcript=tuple((p ** k, 1) for k in range(kmax + 1)),
         grade="proof",
-    )
-    nonzero: set = set()
-    for n, tup in zip(cert.dilations(), _dilated_tuples(cert)):
-        if character_correlation(system, tup, nonzero) != 1:
-            raise CertificateError(f"transcript bit 0 at dilation {n}")
-    return cert
+    ))
 
 
 # -- exhaustive shape search in characteristic p -----------------------------
@@ -345,8 +376,9 @@ def shape_search(
     Certificates are read off the kernel without a per-certificate replay.
     Each basis vector is replayed once per dilation through `ideal.contains`
     (a basis vector that fails raises `CertificateError`), and every
-    combination then vanishes by linearity.  Separation depends only on the
-    shape and the dilations, so it is checked once per shape.  A block is
+    combination then vanishes by linearity.  A canonical shape has distinct
+    points, so separation holds exactly when the dilations are distinct,
+    which is tested once per search.  A block is
     nonzero in the module exactly when it is formally nonzero, because the
     window is column-reduced: its monomials have independent normal forms,
     and both engines decide the same ideal (checked when the presentation
@@ -391,6 +423,7 @@ def shape_search(
     ncols = r * len(window)
     family = explicit_family(dilations)
     transcript = tuple((n, 1) for n in dilations)
+    separated = len(set(dilations)) == len(dilations)
     found: List[NonMixingCertificate] = []
 
     def blocks_of(vec) -> List[LaurentPoly]:
@@ -437,15 +470,7 @@ def shape_search(
                         f"kernel vector of shape {list(shape)} does not vanish at "
                         f"dilation {n}: internal elimination fault"
                     )
-        template = NonMixingCertificate(
-            order=r,
-            shape=tuple(tuple(q) for q in shape),
-            coefficients=(),
-            family=family,
-            transcript=transcript,
-            grade="evidence",
-        )
-        if not _separation_check(template):
+        if not separated:
             continue
         for vec in _projective_combinations(kernel, p):
             blocks = blocks_of(vec)
@@ -453,7 +478,9 @@ def shape_search(
             # block is in the ideal only when it is formally zero.
             if any(b.is_zero() for b in blocks):
                 continue
-            found.append(replace(template, coefficients=tuple(blocks)))
+            found.append(NonMixingCertificate(
+                order=r, shape=shape, coefficients=tuple(blocks), family=family,
+                transcript=transcript, grade="evidence"))
     return SearchOutcome(found, region)
 
 
@@ -465,13 +492,11 @@ def _default_is_zero(x) -> bool:
     return _exact(x) == 0
 
 
-def vanishing_subsums(terms: Sequence, is_zero=None) -> List[Tuple[int, ...]]:
+def vanishing_subsums(terms: Sequence) -> List[Tuple[int, ...]]:
     """All inclusion-minimal nonempty index subsets with exactly zero sum,
     by size and then lexicographically."""
     if not 2 <= len(terms) <= 20:
         raise DomainError("term count out of range [2, 20]")
-    if is_zero is None:
-        is_zero = _default_is_zero
     minimal: List[Tuple[int, ...]] = []
     for size in range(1, len(terms) + 1):
         for subset in combinations(range(len(terms)), size):
@@ -480,7 +505,7 @@ def vanishing_subsums(terms: Sequence, is_zero=None) -> List[Tuple[int, ...]]:
             total = terms[subset[0]]
             for i in subset[1:]:
                 total = total + terms[i]
-            if is_zero(total):
+            if _default_is_zero(total):
                 minimal.append(subset)
     return minimal
 
@@ -614,7 +639,8 @@ def evaluation_shape_search(
     kernel vector exists only if every class in the shape has at least 2
     members, and then the sum of that basis is one: the first member of a
     class carries 1 - |class| and every later member carries 1.  Each
-    certificate read off this way is still replayed by `verify_certificate`.
+    certificate read off this way is still replayed by `verify_certificate`,
+    and one that fails it is an internal fault (`CertificateError`).
     """
     if r < 2:
         raise CertificateError("order must be at least 2")
@@ -665,8 +691,12 @@ def evaluation_shape_search(
             transcript=tuple((n, 1) for n in dilations),
             grade="evidence",
         )
-        if verify_certificate(system, cert).ok:
-            found.append(cert)
+        report = verify_certificate(system, cert)
+        if not report.ok:
+            raise CertificateError(
+                f"certificate of shape {list(shape)} does not verify ({report.verdict}): "
+                "internal value-class fault")
+        found.append(cert)
     return SearchOutcome(found, region)
 
 
@@ -682,18 +712,14 @@ def rational_dual_certificate(
     if not isinstance(system.module, RationalDualModule):
         raise CertificateError("needs a rational-dual system")
     family = consecutive_ratio_family()
-    cert = NonMixingCertificate(
+    return _verified(system, NonMixingCertificate(
         order=3,
         shape=family.shape_at((), 2),
         coefficients=(Fraction(1), Fraction(-1), Fraction(1)),
         family=family,
         transcript=tuple((n, 1) for n in range(2, n_max + 1)),
         grade="proof",
-    )
-    for n, tup in zip(cert.dilations(), _dilated_tuples(cert)):
-        if character_correlation(system, tup) != 1:
-            raise CertificateError(f"family fails at n={n}")
-    return cert
+    ))
 
 
 def rational_dual_order2_search(

@@ -12,15 +12,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from .ideals import IdealPresentation
-from .mixing import (
-    CertificateError,
-    DilationFamily,
-    NonMixingCertificate,
-    check_certificate,
-)
+from .mixing import DilationFamily, NonMixingCertificate
 from .numfield import FieldElement, NumberField
 from .ring import GF, LaurentPoly, ParseError, expvec
 from .systems import (
@@ -57,6 +52,29 @@ class LoadedSystem:
     hash: str
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise PresentationError(f"{name} must be a JSON object")
+    return value
+
+
+def _convert(convert, value, path: str):
+    """convert(value); a value it cannot take is an input error naming path."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise PresentationError(f"field {path!r} cannot hold {value!r}") from None
+
+
+def _field(block: dict, path: str, convert=None):
+    """block[key] for the last key of a dotted path such as "group.d",
+    through convert if given; a missing key is an input error naming path."""
+    key = path.rpartition(".")[2]
+    if key not in block:
+        raise PresentationError(f"missing field {path!r}")
+    return block[key] if convert is None else _convert(convert, block[key], path)
+
+
 def _var_index(name: str) -> int:
     if not name.startswith("u") or not name[1:].isdigit():
         raise PresentationError(f"bad variable name {name!r}")
@@ -64,32 +82,32 @@ def _var_index(name: str) -> int:
 
 
 def parse_system(data: dict) -> LoadedSystem:
-    if not isinstance(data, dict):
-        raise PresentationError("presentation must be a JSON object")
+    _object(data, "presentation")
     schema = data.get("schema")
     if schema != SCHEMA_VERSION:
         raise PresentationError(f"unsupported schema {schema!r} (expected {SCHEMA_VERSION})")
     try:
-        group_block = data["group"]
-        module_block = data["module"]
+        group_block = _object(data["group"], "group")
+        module_block = _object(data["module"], "module")
     except KeyError as e:
         raise PresentationError(f"missing block {e.args[0]!r}") from None
     kind = group_block.get("kind")
     if kind == "free_abelian":
-        group = free_abelian(int(group_block["d"]))
+        group = free_abelian(_field(group_block, "group.d", int))
     elif kind == "rational_vector":
-        group = rational_vector(int(group_block["d"]))
+        group = rational_vector(_field(group_block, "group.d", int))
     elif kind == "positive_rationals":
-        group = positive_rationals([int(p) for p in group_block["primes"]])
+        group = positive_rationals([_convert(int, p, "group.primes")
+                                    for p in _field(group_block, "group.primes", list)])
     else:
         raise PresentationError(f"unknown group kind {kind!r}")
     d = group.rank
     mtype = module_block.get("type")
     if mtype == "char_p":
-        p = int(module_block["characteristic"])
+        p = _field(module_block, "module.characteristic", int)
         dom = GF(p)
         gens = []
-        for text in module_block.get("generators", []):
+        for text in _convert(list, module_block.get("generators", []), "module.generators"):
             try:
                 gens.append(LaurentPoly.parse(text, d, dom))
             except ParseError as e:
@@ -102,7 +120,7 @@ def parse_system(data: dict) -> LoadedSystem:
             if sub_block is None:
                 raise PresentationError("engine object must carry a substitution map")
             substitution = {}
-            for var, text in sub_block.items():
+            for var, text in _object(sub_block, "module.engine.substitution").items():
                 substitution[_var_index(var)] = LaurentPoly.parse(text, d, dom)
             engine_name = "substitution"
         ideal = IdealPresentation(
@@ -110,11 +128,15 @@ def parse_system(data: dict) -> LoadedSystem:
         )
         module = CharPModule(ideal)
     elif mtype == "evaluation":
-        field = NumberField([Fraction(c) for c in module_block["modulus"]])
-        level = int(module_block.get("level", 1))
+        field = NumberField([_convert(Fraction, c, "module.modulus")
+                             for c in _field(module_block, "module.modulus", list)])
+        level = _convert(int, module_block.get("level", 1), "module.level")
         assignment = {}
-        for var, coeffs in module_block["assignment"].items():
-            assignment[_var_index(var)] = field.element([Fraction(c) for c in coeffs])
+        block = _object(_field(module_block, "module.assignment"), "module.assignment")
+        for var, coeffs in block.items():
+            path = f"module.assignment.{var}"
+            assignment[_var_index(var)] = field.element(
+                [_convert(Fraction, c, path) for c in _convert(list, coeffs, path)])
         module = EvaluationModule.make(field, assignment, level)
     elif mtype == "rational_dual":
         module = RationalDualModule()
@@ -176,7 +198,7 @@ def certificate_to_dict(cert: NonMixingCertificate, sys_hash: str = "") -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "non_mixing_certificate",
-        "system_hash": sys_hash or cert.system_hash,
+        "system_hash": sys_hash,
         "order": cert.order,
         "grade": cert.grade,
         "family": fam,
@@ -187,79 +209,65 @@ def certificate_to_dict(cert: NonMixingCertificate, sys_hash: str = "") -> dict:
 
 
 def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCertificate:
+    """Decode a certificate for the system.  Whether its parts agree with
+    each other and with the system is for `verify_certificate` to decide."""
+    data = _object(data, "a certificate")
     if data.get("kind") != "non_mixing_certificate":
         raise PresentationError("not a certificate file")
     if data.get("schema") != SCHEMA_VERSION:
         raise PresentationError(f"unsupported certificate schema {data.get('schema')!r}")
-    fam_block = data["family"]
-    fkind = fam_block["kind"]
+    fam_block = _object(_field(data, "family"), "family")
+    fkind = _field(fam_block, "family.kind")
     if fkind == "prime_power":
-        family = DilationFamily("prime_power", p=int(fam_block["p"]))
+        family = DilationFamily("prime_power", p=_field(fam_block, "family.p", int))
     elif fkind == "explicit_list":
-        family = DilationFamily(
-            "explicit_list", dilations=tuple(int(n) for n in fam_block["dilations"])
-        )
+        dilations = _field(fam_block, "family.dilations", list)
+        family = DilationFamily("explicit_list", dilations=tuple(
+            _convert(int, n, "family.dilations") for n in dilations))
     elif fkind == "consecutive_ratio":
         family = DilationFamily("consecutive_ratio")
     else:
         raise PresentationError(f"unknown dilation family {fkind!r}")
-    shape = tuple(
-        expvec(g) if isinstance(g, list) else Fraction(g)
-        for g in data["shape"]
-    )
+    shape = tuple(_convert(expvec if isinstance(g, list) else Fraction, g, "shape")
+                  for g in _field(data, "shape", list))
     m = system.module
-    # A lattice family dilates exponent vectors; (1, n, n-1) shifts by rationals.
-    if fkind == "consecutive_ratio":
-        if isinstance(m, CharPModule):
-            raise PresentationError(
-                "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
-    elif isinstance(m, RationalDualModule):
-        raise PresentationError(
-            f"the rational dual takes consecutive_ratio certificates, not {fkind}")
-    elif not all(isinstance(g, tuple) for g in shape):
-        raise PresentationError(f"a {fkind} certificate needs exponent-vector shape points")
-    elif isinstance(m, CharPModule) and any(type(e) is not int for g in shape for e in g):
-        # Laurent polynomials over F_p have integer exponents only.
-        raise PresentationError("a characteristic-p certificate needs integer shape points")
     coefficients = []
-    for enc in data["coefficients"]:
-        if isinstance(enc, dict) and "poly" in enc:
-            if not isinstance(m, CharPModule):
-                raise PresentationError("polynomial coefficient for a non-CharP system")
-            ideal = m.ideal
-            coefficients.append(
-                LaurentPoly.parse(enc["poly"], ideal.d, GF(ideal.characteristic))
-            )
+    for enc in _field(data, "coefficients", list):
+        if isinstance(enc, dict) and "poly" in enc and not isinstance(m, CharPModule):
+            raise PresentationError("polynomial coefficient for a non-CharP system")
+        if isinstance(enc, dict) and "field" in enc and not isinstance(m, EvaluationModule):
+            raise PresentationError("field coefficient for a non-evaluation system")
+        if isinstance(m, CharPModule):
+            if not (isinstance(enc, dict) and isinstance(enc.get("poly"), str)):
+                raise PresentationError(f"field 'coefficients' cannot hold {enc!r}")
+            coefficients.append(LaurentPoly.parse(enc["poly"], m.ideal.d, GF(m.characteristic)))
         elif isinstance(enc, dict) and "field" in enc:
-            if not isinstance(m, EvaluationModule):
-                raise PresentationError("field coefficient for a non-evaluation system")
-            coefficients.append(m.field.element([Fraction(c) for c in enc["field"]]))
+            coefficients.append(m.field.element(
+                [_convert(Fraction, c, "coefficients") for c in _field(enc, "field", list)]))
         else:
-            if isinstance(m, EvaluationModule):
-                coefficients.append(m.field.from_rational(Fraction(enc)))
-            else:
-                coefficients.append(Fraction(enc))
-    cert = NonMixingCertificate(
-        order=int(data["order"]),
+            a = _convert(Fraction, enc, "coefficients")
+            coefficients.append(m.field.from_rational(a) if isinstance(m, EvaluationModule) else a)
+    transcript = []
+    for entry in _field(data, "transcript", list):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise PresentationError(f"field 'transcript' cannot hold {entry!r}")
+        transcript.append(tuple(_convert(int, x, "transcript") for x in entry))
+    return NonMixingCertificate(
+        order=_field(data, "order", int),
         shape=shape,
         coefficients=tuple(coefficients),
         family=family,
-        transcript=tuple((int(n), int(b)) for n, b in data["transcript"]),
+        transcript=tuple(transcript),
         grade=data.get("grade", "evidence"),
-        system_hash=data.get("system_hash", ""),
     )
-    try:
-        check_certificate(cert)
-    except CertificateError as e:
-        raise PresentationError(str(e)) from None
-    return cert
 
 
 def load_certificate(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as e:
         raise PresentationError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
     except OSError as e:
         raise PresentationError(f"{path}: {e}") from None
+    return _object(data, f"{path}: a certificate")

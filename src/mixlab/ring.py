@@ -240,6 +240,8 @@ def _tokenize(text: str):
 
 
 def _parse_poly(text: str, d: int, domain: Domain) -> LaurentPoly:
+    if not isinstance(text, str):
+        raise ParseError(f"expected polynomial text, not {text!r}", 0)
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial", 0)

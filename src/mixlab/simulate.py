@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import sqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -245,7 +245,6 @@ class EstimateResult:
     stderr: float
     samples: int
     seed: int
-    exact: Optional[Fraction] = None
 
     def within_sigma(self, reference: Fraction, sigma: float = 4.0) -> bool:
         band = max(self.stderr, 1e-12) * sigma

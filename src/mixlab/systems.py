@@ -323,9 +323,7 @@ class SplitSystem:
         return 1
 
 
-def split_action(
-    system: AlgebraicSystem, inner_vars: Optional[Sequence[int]] = None
-) -> SplitSystem:
+def split_action(system: AlgebraicSystem) -> SplitSystem:
     """Split a finitely generated positive-rationals CharP system.
 
     The inner system is the Z^d action on the variables the generators
@@ -336,35 +334,14 @@ def split_action(
     if not isinstance(system.module, CharPModule):
         raise UnsupportedOperationError("split_action needs a CharP module")
     ideal = system.module.ideal
-    mentioned = set()
-    for g in ideal.generators:
-        for m in g.terms:
-            for i, e in enumerate(m):
-                if e != 0:
-                    mentioned.add(i)
-    if inner_vars is None:
-        inner_vars = sorted(mentioned)
-    else:
-        inner_vars = sorted(int(i) for i in inner_vars)
-        outside = mentioned - set(inner_vars)
-        if outside:
-            raise DomainError(
-                f"generator mentions variable(s) {sorted(outside)} outside the split"
-            )
+    inner_vars = sorted({i for g in ideal.generators for m in g.terms
+                         for i, e in enumerate(m) if e})
     if not inner_vars:
         raise DomainError("no variables mentioned by the generators")
-    index = {v: k for k, v in enumerate(inner_vars)}
     dom = GF(ideal.characteristic)
-    inner_gens = []
-    for g in ideal.generators:
-        terms = {}
-        for m, c in g.terms.items():
-            key = [0] * len(inner_vars)
-            for i, e in enumerate(m):
-                if e != 0:
-                    key[index[i]] = e
-            terms[tuple(key)] = c
-        inner_gens.append(LaurentPoly(len(inner_vars), dom, terms))
+    inner_gens = [LaurentPoly(len(inner_vars), dom,
+                              {tuple(m[i] for i in inner_vars): c for m, c in g.terms.items()})
+                  for g in ideal.generators]
     inner_ideal = IdealPresentation(inner_gens, ideal.characteristic, d=len(inner_vars))
     inner = AlgebraicSystem(free_abelian(len(inner_vars)), CharPModule(inner_ideal))
     shift = tuple(

@@ -1,15 +1,21 @@
 """End-to-end command line tests, all run in-process via cli.main."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixlab.cli import main
 from mixlab.presentation import load_system
+from mixlab.ring import GF, LaurentPoly
 
 SAMPLES = Path(__file__).resolve().parents[1] / "presentations"
 THREE_DOT = str(SAMPLES / "ledrappier.json")
@@ -19,6 +25,7 @@ RATIONAL_DUAL = str(SAMPLES / "rational_dual.json")
 TRIVIAL = str(SAMPLES / "trivial_unit.json")
 # Kept out of presentations/, which the benchmark analyzes file by file.
 F5_FINITE = str(Path(__file__).resolve().parent / "f5_two_generators.json")
+F3_SUBST = str(Path(__file__).resolve().parent / "f3_substitution.json")
 
 
 def run(capsys, *argv):
@@ -294,6 +301,9 @@ class TestVerify:
          "takes consecutive_ratio certificates, not explicit_list"),
         ({"kind": "consecutive_ratio"}, ["1", "2", "1"], [{"poly": "1"}] * 3, THREE_DOT,
          "shifts by rationals, not exponent vectors"),
+        # With u1 -> 2 this printed PASS at proof grade: 2 * 2 - 2^2 = 0 at n = 2.
+        ({"kind": "consecutive_ratio"}, ["1", "2", "1"], ["1", "-1", "1"], TIMES23,
+         "shifts by rationals, not exponent vectors"),
         ({"kind": "prime_power", "p": 2}, ["0", "1", "2"], [{"poly": "1"}] * 3, THREE_DOT,
          "needs exponent-vector shape points"),
         # These printed PASS: (1, n, n-1) never reads the stored shape.
@@ -304,7 +314,8 @@ class TestVerify:
         # Laurent polynomials over F_p have integer exponents only.
         ({"kind": "prime_power", "p": 2}, [["1/2", "0"], ["1", "0"], ["0", "1"]],
          [{"poly": "1"}] * 3, THREE_DOT, "needs integer shape points"),
-    ], ids=["dual-scalar-list", "dual-vector-list", "charp-ratio", "charp-scalar-prime-power",
+    ], ids=["dual-scalar-list", "dual-vector-list", "charp-ratio", "evaluation-ratio",
+            "charp-scalar-prime-power",
             "ratio-forged-scalars", "ratio-forged-vectors", "charp-fractional-point"])
     def test_shape_the_system_cannot_take_is_an_input_error(
             self, capsys, tmp_path, family, shape, coefficients, presentation, message):
@@ -377,6 +388,237 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(bad), THREE_DOT)
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("forge, grade_line", [
+        # 1 + u1^3 + u2^3 is not in (1 + u1 + u2) over F_2.
+        (lambda d: d.update(family={"kind": "prime_power", "p": 3}, transcript=[[1, 1]]),
+         "grade: FAILED (labelled proof, but a prime_power certificate with p = 3 in "
+         "characteristic 2 is evidence)"),
+        # (1 + u1 + u2)^2 is in the ideal, but the sum at dilation 2 is not.
+        (lambda d: d.update(shape=[["0", "0"], ["1", "0"], ["0", "1"]],
+                            coefficients=[{"poly": "1"}, {"poly": "u1"}, {"poly": "u2"}],
+                            transcript=[[1, 1]]),
+         "grade: FAILED (labelled proof, but a prime_power certificate with a non-constant "
+         "coefficient is evidence)"),
+        # The Frobenius argument starts from the sum at dilation 1.
+        (lambda d: d.update(transcript=[[2, 1], [4, 1]]),
+         "grade: FAILED (labelled proof, but a prime_power certificate whose transcript "
+         "lacks dilation 1 is evidence)"),
+        (lambda d: d.update(grade="certain"),
+         "grade: FAILED (labelled certain, but its derived grade is proof)"),
+    ], ids=["p-is-not-the-characteristic", "non-constant-coefficients", "no-dilation-one",
+            "unknown-label"])
+    def test_prime_power_grade_is_derived(self, capsys, cert_path, tmp_path, forge, grade_line):
+        # Each printed its label as the grade, then PASS.
+        data = json.loads(cert_path.read_text())
+        forge(data)
+        bad = tmp_path / "forged.cert.json"
+        bad.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(bad), THREE_DOT)
+        assert code == 1
+        assert out.splitlines()[-2:] == [grade_line, "FAIL: grade"]
+        bad.write_text(json.dumps({**data, "grade": "evidence"}))
+        code, out, _ = run(capsys, "verify", str(bad), THREE_DOT)
+        assert code == 0 and out.splitlines()[-1] == "PASS"
+
+    def test_repeated_shape_point_is_evidence(self, capsys, tmp_path):
+        # Over F_3 the coefficients 2 and 2 at the repeated origin merge to 1,
+        # so every dilation by 3^k sums to a multiple of 1 + u1 + u2, but the
+        # two slots at the origin never separate.  This printed PASS.
+        cert = tmp_path / "repeated.cert.json"
+        cert.write_text(json.dumps({
+            "schema": 1, "kind": "non_mixing_certificate", "order": 4, "grade": "proof",
+            "family": {"kind": "prime_power", "p": 3},
+            "shape": [["0", "0"], ["0", "0"], ["1", "0"], ["0", "1"]],
+            "coefficients": [{"poly": "2"}, {"poly": "2"}, {"poly": "1"}, {"poly": "1"}],
+            "transcript": [[1, 1]], "system_hash": load_system(F3_SUBST).hash,
+        }))
+        code, out, _ = run(capsys, "verify", str(cert), F3_SUBST)
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "grade: FAILED (labelled proof, but a prime_power certificate with a repeated "
+            "shape point is evidence)", "FAIL: grade"]
+
+    def test_a_failing_dilation_comes_before_the_grade(self, capsys, cert_path, tmp_path):
+        data = json.loads(cert_path.read_text())
+        data.update(shape=[["0", "0"], ["1", "0"], ["0", "1"]],
+                    coefficients=[{"poly": "1"}, {"poly": "u1"}, {"poly": "u2"}],
+                    transcript=[[1, 1], [2, 1]])
+        bad = tmp_path / "tampered.cert.json"
+        bad.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(bad), THREE_DOT)
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[1] == "dilation 2: correlation 0 (expected 1) FAIL"
+        assert lines[-2].startswith("grade: FAILED (labelled proof")
+        assert lines[-1] == "FAIL at dilation 2"
+
+    def test_ratio_coefficients_off_the_identities_fail_on_grade(self, capsys, tmp_path):
+        # At n = 2 the shifts 1 and 1 merge: (1 - 3) * 1 + 1 * 2 = 0, yet the
+        # family fails at every other n.
+        run(capsys, "certify", RATIONAL_DUAL, "--order", "3", "--out", str(tmp_path))
+        cert = next(tmp_path.glob("*.cert.json"))
+        data = json.loads(cert.read_text())
+        data.update(coefficients=["1", "1", "-3"], transcript=[[2, 1]])
+        cert.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(cert), RATIONAL_DUAL)
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "grade: FAILED (labelled proof, but a consecutive_ratio certificate whose "
+            "coefficients are not (a, -a, a) is evidence)", "FAIL: grade"]
+
+def _without(path):
+    def edit(data):
+        block, key = path.split(".")
+        del data[block][key]
+    return edit
+
+
+class TestMalformedFiles:
+    """A file that is not what its command reads is an input error naming
+    the field, never a traceback."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [], "a certificate must be a JSON object"),
+        (lambda d: {k: d[k] for k in ("kind", "schema", "system_hash")},
+         "missing field 'family'"),
+        (lambda d: {**d, "family": {"kind": "prime_power"}}, "missing field 'family.p'"),
+        (lambda d: {**d, "order": None}, "field 'order' cannot hold None"),
+        (lambda d: {**d, "transcript": [1, 2]}, "field 'transcript' cannot hold 1"),
+        (lambda d: {**d, "coefficients": ["1", "1", "1"]},
+         "field 'coefficients' cannot hold '1'"),
+    ], ids=["list", "no-family", "no-p", "order-null", "scalar-entry", "plain-coefficient"])
+    def test_certificate(self, capsys, tmp_path, edit, message):
+        # The first two crashed with an AttributeError and a KeyError.
+        run(capsys, "certify", THREE_DOT, "--order", "3", "--out", str(tmp_path))
+        cert = next(tmp_path.glob("*.cert.json"))
+        cert.write_text(json.dumps(edit(json.loads(cert.read_text()))))
+        code, out, err = run(capsys, "verify", str(cert), THREE_DOT)
+        assert code == 2
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("source, edit, message", [
+        (THREE_DOT, _without("group.d"), "missing field 'group.d'"),
+        (THREE_DOT, _without("module.characteristic"),
+         "missing field 'module.characteristic'"),
+        (TIMES23, _without("module.assignment"), "missing field 'module.assignment'"),
+        (THREE_DOT, lambda d: d.update(group=[{"kind": "free_abelian", "d": 2}]),
+         "group must be a JSON object"),
+    ], ids=["no-d", "no-characteristic", "no-assignment", "group-list"])
+    def test_presentation(self, capsys, tmp_path, source, edit, message):
+        data = json.loads(Path(source).read_text())
+        edit(data)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Certificates as `certify` writes them, with their presentations:
+    ledrappier at order 3 (prime power), one explicit list from its forced
+    search, and the rational dual at order 3."""
+    out = tmp_path_factory.mktemp("written")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, argv in (("proof", [THREE_DOT]), ("forced", [THREE_DOT, "--force-search"]),
+                           ("dual", [RATIONAL_DUAL])):
+            assert main(["certify", *argv, "--order", "3", "--out", str(out / name)]) == 0
+    first = [json.loads(p.read_text()) for p in sorted((out / "forced").glob("*.cert.json"))
+             if '"explicit_list"' in p.read_text()][0]
+    return out, [(json.loads(next((out / name).glob("*.cert.json")).read_text()), pres)
+                 for name, pres in (("proof", THREE_DOT), ("dual", RATIONAL_DUAL))] + [
+                     (first, THREE_DOT)]
+
+
+def _in_three_dot_ideal(terms) -> bool:
+    """Membership in (1 + u1 + u2) over F_2, apart from the engines: the
+    quotient is F_2[x][1/x, 1/(1 + x)] by u1 -> x, u2 -> 1 + x, so clear the
+    denominators and test the image, a polynomial packed into an int."""
+    low = [min((m[i] for m in terms), default=0) for i in (0, 1)]
+    image = 0
+    for (a, b), c in terms.items():
+        power = 1
+        for _ in range(b - low[1]):
+            power ^= power << 1  # times 1 + x
+        image ^= (c % 2) * power << (a - low[0])
+    return image == 0
+
+
+def _proof_holds(data) -> bool:
+    """The derived proof conditions, read off the file independently."""
+    family = data["family"]
+    if family["kind"] == "prime_power":
+        coefficients = [LaurentPoly.parse(c["poly"], 2, GF(2)) for c in data["coefficients"]]
+        shape = [tuple(int(Fraction(x)) for x in q) for q in data["shape"]]
+
+        def dilated_sum(n):
+            terms = {}
+            for q, a in zip(shape, coefficients):
+                for m, c in a.terms.items():
+                    key = (m[0] + n * q[0], m[1] + n * q[1])
+                    terms[key] = terms.get(key, 0) + c
+            return terms
+
+        return (int(family["p"]) == 2 and all(set(a.terms) <= {(0, 0)} for a in coefficients)
+                and 1 in [int(n) for n, _ in data["transcript"]] and len(set(shape)) == len(shape)
+                and all(_in_three_dot_ideal(dilated_sum(n)) for n in (1, 2, 4)))
+    if family["kind"] == "consecutive_ratio":
+        a1, a2, a3 = (Fraction(c) for c in data["coefficients"])
+        return a1 == a3 == -a2 != 0 and [Fraction(g) for g in data["shape"]] == [1, 2, 1]
+    return False
+
+
+_POLYS = ["0", "1", "u1", "u2", "1 + u1", "u1 + u2", "1 + u1 + u2", "u1^-1", "1 + u1 + u1^2"]
+_EDITS = {
+    "order": st.one_of(st.integers(0, 5), st.sampled_from([None, "3", "x"])),
+    "family.kind": st.sampled_from(["prime_power", "explicit_list", "consecutive_ratio",
+                                    "lattice"]),
+    "family.p": st.one_of(st.integers(0, 7), st.sampled_from([None, "2"])),
+    "family.dilations": st.one_of(st.lists(st.integers(0, 9), max_size=4), st.just("1")),
+    "shape": st.one_of(
+        st.lists(st.sampled_from(["-1", "0", "1", "2", "1/2"]), min_size=1, max_size=3),
+        st.sampled_from(["0", "1", "2", "3", "1/2", None])),
+    "coefficients": st.one_of(st.sampled_from(_POLYS).map(lambda t: {"poly": t}),
+                              st.sampled_from(["1", "-1", "2", "-3", "1/2", "0", None,
+                                               {"field": ["1"]}])),
+    "transcript": st.one_of(st.tuples(st.integers(-1, 20), st.integers(0, 2)).map(list),
+                            st.sampled_from([1, [1], None, [1, 1, 1]])),
+    "grade": st.sampled_from(["proof", "evidence", "Proof", "", None, 1]),
+}
+
+
+class TestVerifyMutations:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_single_field_edits(self, written, data):
+        # Every edit ends in a verdict or an input error, and a PASS at proof
+        # grade needs the derived conditions, whatever the label says.
+        out, certificates = written
+        cert, presentation = certificates[data.draw(st.integers(0, 2))]
+        cert = json.loads(json.dumps(cert))
+        field = data.draw(st.sampled_from(sorted(_EDITS) + ["drop"]))
+        if field == "drop":
+            del cert[data.draw(st.sampled_from(sorted(cert)))]
+        elif field.startswith("family."):
+            cert["family"][field.split(".")[1]] = data.draw(_EDITS[field])
+        elif field in ("shape", "coefficients", "transcript"):
+            index = data.draw(st.integers(0, len(cert[field]) - 1))
+            cert[field][index] = data.draw(_EDITS[field])
+        else:
+            cert[field] = data.draw(_EDITS[field])
+        path = out / "edited.cert.json"
+        path.write_text(json.dumps(cert))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", str(path), presentation])
+        lines = stdout.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        if code == 0 and "grade: proof" in lines:
+            assert lines[-1] == "PASS" and _proof_holds(cert), cert
 
 
 class TestSimulate:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mixlab import linalg
+from mixlab import linalg, mixing
 from mixlab.ideals import IdealPresentation
 from mixlab.mixing import (
     KERNEL_COMBO_LIMIT,
@@ -26,7 +26,6 @@ from mixlab.mixing import (
     _box_points,
     _canonical_shapes,
     _default_is_zero,
-    _dilated_tuples,
     _projective_combinations,
     _separation_check,
     consecutive_ratio_family,
@@ -496,7 +495,7 @@ class TestFrobeniusCertificates:
         report = verify_certificate(three_dot, cert)
         assert report.ok
         assert report.first_failure is None
-        assert report.separation_ok
+        assert report.verdict == "PASS"
 
     def test_tampered_certificate_fails(self, three_dot):
         cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"))
@@ -598,11 +597,19 @@ class TestCertificateChecks:
     def test_separation_closed_form_matches_the_enumeration(self, cert):
         assert _separation_check(cert) == ref_separation_check(cert)
 
-    def test_ratio_family_merges_at_two(self):
-        cert = rational_dual_certificate(
-            AlgebraicSystem(positive_rationals([2]), RationalDualModule()), n_max=3)
+    def test_ratio_family_merges_at_two(self, monkeypatch):
+        system = AlgebraicSystem(positive_rationals([2]), RationalDualModule())
+        cert = rational_dual_certificate(system, n_max=3)
+        replayed = []
+
+        def recorded(system, tup, nonzero=None):
+            replayed.append(tup)
+            return character_correlation(system, tup, nonzero)
+
+        monkeypatch.setattr(mixing, "character_correlation", recorded)
+        assert verify_certificate(system, cert).ok
         # (1, 2, 1) merges its two shifts 1 and keeps the shift 2.
-        assert [len(t.pairs) for t in _dilated_tuples(cert)] == [2, 3]
+        assert [len(t.pairs) for t in replayed] == [2, 3]
 
     @pytest.mark.parametrize("change, message", [
         ({"order": 2}, "does not match"),
@@ -628,10 +635,46 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError, match=message):
             verify_certificate(rational_dual, replace(cert, **change))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"shape": ((Fraction(1), Fraction(0)), (0, 1), (0, 0))}, "integer shape points"),
+        ({"shape": (1, 2, 1)}, "needs exponent-vector shape points"),
+        ({"family": consecutive_ratio_family(), "shape": (1, 2, 1),
+          "transcript": ((2, 1),)}, "shifts by rationals"),
+    ])
+    def test_hand_built_certificates_meet_the_file_rules(self, three_dot, change, message):
+        # The rules a decoded certificate meets hold for one built in memory.
+        cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2)
+        with pytest.raises(CertificateError, match=message):
+            verify_certificate(three_dot, replace(cert, **change))
+
+    def test_rational_dual_takes_only_its_family(self, rational_dual):
+        cert = rational_dual_certificate(rational_dual, n_max=4)
+        with pytest.raises(CertificateError, match="not explicit_list"):
+            verify_certificate(rational_dual, replace(cert, family=explicit_family((2, 3, 4))))
+
+    @pytest.mark.parametrize("change, grade", [
+        ({}, "proof"),
+        ({"family": prime_power_family(3)}, "evidence"),
+        ({"transcript": ((2, 1), (4, 1))}, "evidence"),
+        ({"coefficients": (p2("u1"), p2("u1"), p2("u1"))}, "evidence"),
+        ({"family": explicit_family((1, 2, 4))}, "evidence"),
+    ])
+    def test_prime_power_grade_is_derived(self, three_dot, change, grade):
+        cert = replace(frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2), **change)
+        assert verify_certificate(three_dot, replace(cert, grade="evidence")).ok
+        report = verify_certificate(three_dot, cert)
+        assert report.ok == (grade == "proof")
+        assert report.verdict == ("PASS" if grade == "proof" else "FAIL: grade")
+
+    def test_frobenius_certificate_is_verified(self, three_dot, monkeypatch):
+        monkeypatch.setattr(mixing, "character_correlation", lambda *args: 0)
+        with pytest.raises(CertificateError, match="FAIL at dilation 1"):
+            frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2)
+
     def test_separation_failure_has_no_failing_dilation(self, three_dot):
         cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2)
         report = verify_certificate(three_dot, replace(cert, transcript=((2, 1), (2, 1))))
-        assert not report.ok and not report.separation_ok
+        assert not report.ok and report.verdict == "FAIL: separation"
         assert report.first_failure is None
 
 
@@ -973,6 +1016,16 @@ class TestEvaluationSearch:
         assert len(outcome) > 0
         cert = outcome.certificates[0]
         assert verify_certificate(system, cert).ok
+
+    def test_failed_replay_is_an_internal_fault(self, monkeypatch):
+        # The value classes said the sum vanishes; a replay that disagrees is
+        # a fault to report, not a certificate to drop.
+        K = QQ1
+        module = EvaluationModule.make(K, {0: K.from_rational(2), 1: K.from_rational(2)})
+        system = AlgebraicSystem(free_abelian(2), module)
+        monkeypatch.setattr(mixing, "character_correlation", lambda *args: 0)
+        with pytest.raises(CertificateError, match="internal value-class fault"):
+            evaluation_shape_search(system, 2, [(-1, 1)] * 2)
 
 
 class TestRationalDual:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mixlab.mixing import frobenius_certificate, verify_certificate
+from mixlab.mixing import CertificateError, frobenius_certificate, verify_certificate
 from mixlab.presentation import (
     PresentationError,
     canonical_json,
@@ -160,8 +160,8 @@ class TestCertificateRoundtrip:
         gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
         data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
         data[block] = value
-        with pytest.raises(PresentationError, match="dilations must be positive"):
-            certificate_from_dict(data, loaded.system)
+        with pytest.raises(CertificateError, match="dilations must be positive"):
+            verify_certificate(loaded.system, certificate_from_dict(data, loaded.system))
 
     def test_empty_transcript_rejected(self):
         # An empty transcript replays nothing, so verify would pass it.
@@ -169,8 +169,8 @@ class TestCertificateRoundtrip:
         gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
         data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
         data["transcript"] = []
-        with pytest.raises(PresentationError, match="transcript is empty"):
-            certificate_from_dict(data, loaded.system)
+        with pytest.raises(CertificateError, match="transcript is empty"):
+            verify_certificate(loaded.system, certificate_from_dict(data, loaded.system))
 
     @pytest.mark.parametrize("forge", [
         lambda d: d.update(order=2),
@@ -184,8 +184,8 @@ class TestCertificateRoundtrip:
         gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
         data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
         forge(data)
-        with pytest.raises(PresentationError, match="does not match"):
-            certificate_from_dict(data, loaded.system)
+        with pytest.raises(CertificateError, match="does not match"):
+            verify_certificate(loaded.system, certificate_from_dict(data, loaded.system))
 
     def test_order_below_two_rejected(self):
         # An empty shape sums to zero at every dilation.
@@ -193,8 +193,8 @@ class TestCertificateRoundtrip:
         gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
         data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
         data.update(order=0, shape=[], coefficients=[])
-        with pytest.raises(PresentationError, match="below 2"):
-            certificate_from_dict(data, loaded.system)
+        with pytest.raises(CertificateError, match="below 2"):
+            verify_certificate(loaded.system, certificate_from_dict(data, loaded.system))
 
     @pytest.mark.parametrize("change, message", [
         ({"transcript": [[1, 1], [2, 1]]}, "at least 2"),
@@ -207,9 +207,10 @@ class TestCertificateRoundtrip:
         data = {"schema": 1, "kind": "non_mixing_certificate", "order": 3,
                 "family": {"kind": "consecutive_ratio"}, "shape": ["1", "2", "1"],
                 "coefficients": ["1", "-1", "1"], "transcript": [[2, 1], [3, 1]]}
-        certificate_from_dict(data, loaded.system)
-        with pytest.raises(PresentationError, match=message):
-            certificate_from_dict({**data, **change}, loaded.system)
+        verify_certificate(loaded.system, certificate_from_dict(data, loaded.system))
+        with pytest.raises(CertificateError, match=message):
+            verify_certificate(loaded.system,
+                               certificate_from_dict({**data, **change}, loaded.system))
 
     def test_wrong_kind_rejected(self):
         loaded = sample("ledrappier.json")

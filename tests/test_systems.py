@@ -350,11 +350,6 @@ class TestSplitAction:
         assert split.correlation(same_fiber) == 1
         assert split.correlation(crossed) == 0
 
-    def test_explicit_split_must_cover_generators(self, split_system):
-        system, _ = split_system
-        with pytest.raises(DomainError):
-            split_action(system, inner_vars=[1])
-
     def test_coefficient_support_restriction(self, split_system):
         _, split = split_system
         with pytest.raises(DomainError):
