@@ -16,19 +16,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import comb
+from math import ceil, comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .numfield import FieldElement, NumberField, power_table
-from .ring import GF, DomainError, LaurentPoly, expvec
+from .ring import GF, DomainError, LaurentPoly, expvec, rational
 from .systems import (
     AlgebraicSystem,
     CharacterTuple,
     CharPModule,
     EvaluationModule,
     RationalDualModule,
-    _exact,
     _gamma_key,
     character_correlation,
     shifted_sum_vanishes,
@@ -232,20 +231,49 @@ def _evidence_reason(system: AlgebraicSystem, cert: NonMixingCertificate) -> Opt
     return f"an {family.kind} certificate is evidence"
 
 
+# The most bits, estimated by `_unit_power_bits`, of a unit power u^(n q) that
+# `verify_certificate` computes before it stops with `BudgetExceededError`.
+UNIT_POWER_BIT_LIMIT = 1 << 20
+
+
+def _unit_power_bits(module, shape):
+    """0 off an evaluation module, else the estimated bits of the widest unit
+    power u^q, q a shape point: u_i^(q_i) = w_i^(q_i L) takes about |q_i L|
+    times the longest numerator or denominator in w_i and 1/w_i."""
+    if not isinstance(module, EvaluationModule):
+        return 0
+    width = {i: max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for v in (w, w.inv()) for c in v.coeffs) for i, w in module.assignment}
+    return max((sum(abs(q * module.level) * width.get(i, 0) for i, q in enumerate(g))
+                for g in shape), default=0)
+
+
 def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> VerificationReport:
     """The one certificate check: parts (`check_certificate`, which raises),
     then the replay of every transcript dilation through the correlation
     oracle, bit for bit, then separation, then the grade, derived from the
     certificate and the system: a label other than evidence must match it.
     Colliding shifts are merged (see `_merged`), and each distinct
-    coefficient is tested for being nonzero once per call."""
+    coefficient is tested for being nonzero once per call.  A lattice family
+    is merged once, on its base shape, as n q_s = n q_t iff q_s = q_t for n >= 1."""
     check_certificate(system, cert)
+    family = cert.family
+    base = None
+    if family.kind != "consecutive_ratio":
+        base = _merged(cert.shape, cert.coefficients)
+        n = max(cert.dilations())
+        bits = ceil(n * _unit_power_bits(system.module, [g for g, _ in base]))
+        if bits > UNIT_POWER_BIT_LIMIT:
+            raise BudgetExceededError(
+                f"a unit power at dilation {n} takes about {bits} bits, over the limit",
+                {"dilation": n, "estimated_bits": bits, "bit_limit": UNIT_POWER_BIT_LIMIT})
     lines = []
     first_failure = None
     nonzero: set = set()
     for n, expected in cert.transcript:
-        tup = CharacterTuple(_merged(cert.family.shape_at(cert.shape, n), cert.coefficients))
-        bit = character_correlation(system, tup, nonzero)
+        pairs = (_merged(family.shape_at(cert.shape, n), cert.coefficients) if base is None
+                 else [(tuple([n * e for e in g]), a) for g, a in base])
+        bit = character_correlation(system, CharacterTuple(pairs), nonzero)
         status = "ok" if bit == expected == 1 else "FAIL"
         lines.append(f"dilation {n}: correlation {bit} (expected {expected}) {status}")
         if status == "FAIL" and first_failure is None:
@@ -489,7 +517,7 @@ def shape_search(
 def _default_is_zero(x) -> bool:
     if isinstance(x, (LaurentPoly, FieldElement)):
         return x.is_zero()
-    return _exact(x) == 0
+    return rational(x) == 0
 
 
 def vanishing_subsums(terms: Sequence) -> List[Tuple[int, ...]]:
@@ -670,7 +698,7 @@ def evaluation_shape_search(
         candidates = []
     else:
         candidates = [q for q in points if class_size[value[q]] >= 2]
-    rational = m.field.degree == 1
+    over_q = m.field.degree == 1
     found: List[NonMixingCertificate] = []
     for rest in combinations(candidates, r - 1):
         shape = (origin,) + rest
@@ -682,7 +710,7 @@ def evaluation_shape_search(
         for q in shape:
             c = 1 if value[q] in seen else 1 - members[value[q]]
             seen.add(value[q])
-            coeffs.append(Fraction(c) if rational else m.field.from_rational(c))
+            coeffs.append(Fraction(c) if over_q else m.field.from_rational(c))
         cert = NonMixingCertificate(
             order=r,
             shape=tuple(tuple(q) for q in shape),

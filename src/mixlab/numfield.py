@@ -217,9 +217,6 @@ class FieldElement:
     def inv(self) -> "FieldElement":
         return self.field.inv(self)
 
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inv()
-
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
             return self.inv() ** (-k)

@@ -17,7 +17,7 @@ from typing import Dict
 from .ideals import IdealPresentation
 from .mixing import DilationFamily, NonMixingCertificate
 from .numfield import FieldElement, NumberField
-from .ring import GF, LaurentPoly, ParseError, expvec
+from .ring import GF, LaurentPoly, ParseError, expvec, rational
 from .systems import (
     AlgebraicSystem,
     CharPModule,
@@ -144,18 +144,14 @@ def parse_system(data: dict) -> LoadedSystem:
         raise PresentationError(f"unknown module type {mtype!r}")
     name = data.get("name", "")
     notes = data.get("notes", "")
-    normalized = _normalize(data)
+    # Only the semantically meaningful fields are hashed.  Their canonical
+    # text is dumped once, hashed as `system_hash` would, and read back.
+    text = canonical_json({key: data[key] for key in ("schema", "group", "module")})
     system = AlgebraicSystem(group=group, module=module, name=name)
     return LoadedSystem(
         system=system, name=name, notes=notes,
-        normalized=normalized, hash=system_hash(normalized),
+        normalized=json.loads(text), hash=hashlib.sha256(text.encode()).hexdigest(),
     )
-
-
-def _normalize(data: dict) -> dict:
-    # Keep only semantically meaningful fields in the hashed form.
-    out = {"schema": data["schema"], "group": data["group"], "module": data["module"]}
-    return json.loads(canonical_json(out))
 
 
 def load_system(path: str) -> LoadedSystem:
@@ -228,7 +224,7 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
         family = DilationFamily("consecutive_ratio")
     else:
         raise PresentationError(f"unknown dilation family {fkind!r}")
-    shape = tuple(_convert(expvec if isinstance(g, list) else Fraction, g, "shape")
+    shape = tuple(_convert(expvec if isinstance(g, list) else rational, g, "shape")
                   for g in _field(data, "shape", list))
     m = system.module
     coefficients = []
@@ -245,7 +241,7 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
             coefficients.append(m.field.element(
                 [_convert(Fraction, c, "coefficients") for c in _field(enc, "field", list)]))
         else:
-            a = _convert(Fraction, enc, "coefficients")
+            a = _convert(rational, enc, "coefficients")
             coefficients.append(m.field.from_rational(a) if isinstance(m, EvaluationModule) else a)
     transcript = []
     for entry in _field(data, "transcript", list):

@@ -58,18 +58,25 @@ def GF(p: int) -> Domain:
     return Domain(p)
 
 
+def rational(e) -> Union[int, Fraction]:
+    """e as an exact rational: an ``int`` when integral, else a ``Fraction``.
+    A string goes to ``int`` first, which agrees with ``Fraction`` on every
+    string it accepts and skips the ``Fraction`` parser."""
+    if type(e) is str:
+        try:
+            return int(e)
+        except ValueError:
+            pass
+    if type(e) is not int:
+        e = Fraction(e)
+        e = e.numerator if e.denominator == 1 else e
+    return e
+
+
 def expvec(entries: Iterable) -> Tuple[Union[int, Fraction], ...]:
     """Normalize a group element's ints/fractions/strings into a tuple of
-    exact rationals: integral entries come back as ``int``, the others as
-    ``Fraction``."""
-    out = []
-    for e in entries:
-        if type(e) is not int:
-            e = Fraction(e)
-            if e.denominator == 1:
-                e = e.numerator
-        out.append(e)
-    return tuple(out)
+    exact rationals (see `rational`)."""
+    return tuple([e if type(e) is int else rational(e) for e in entries])
 
 
 class LaurentPoly:

@@ -14,7 +14,6 @@ positive rationals indexed by primes) with one of three module presentations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import add, mul
@@ -22,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ideals import IdealPresentation
 from .numfield import FieldElement, NumberField, power_table
-from .ring import GF, DomainError, LaurentPoly, expvec
+from .ring import GF, DomainError, LaurentPoly, expvec, rational
 
 
 class InvalidTupleError(ValueError):
@@ -108,7 +107,7 @@ class AlgebraicSystem:
         if isinstance(m, EvaluationModule):
             return not _as_field(m, a).is_zero()
         if isinstance(m, RationalDualModule):
-            return Fraction(a) != 0
+            return rational(a) != 0
         raise UnsupportedOperationError("unknown module type")
 
 
@@ -138,20 +137,13 @@ class CharacterTuple:
 
 
 def _gamma_key(g):
-    if isinstance(g, (tuple, list)):
-        return expvec(g)
-    return _exact(g)
-
-
-def _exact(x):
-    """x as an exact rational: an int or Fraction as it is, else a Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return expvec(g) if isinstance(g, (tuple, list)) else rational(g)
 
 
 def _as_field(module: EvaluationModule, a) -> FieldElement:
     if isinstance(a, FieldElement):
         return a
-    return module.field.from_rational(Fraction(a))
+    return module.field.from_rational(a)
 
 
 def _unit_power(module: EvaluationModule, gamma) -> FieldElement:
@@ -199,33 +191,6 @@ def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
     return value
 
 
-def shifted_terms(module, pairs):
-    """The module elements gamma . a for the pairs (gamma, a), the module's
-    zero and its zero test.  Each module kind builds its shifts only here.
-    In characteristic p a shift is an exponent vector of ints, as
-    `DilationFamily.shape_at` gives it for an integral shape, and u^gamma a
-    has the terms c u^(gamma + m) of a's terms c u^m."""
-    if isinstance(module, CharPModule):
-        ideal = module.ideal
-        d, dom = ideal.d, GF(module.characteristic)
-        terms = []
-        for gamma, a in pairs:
-            if len(gamma) != d:
-                raise DomainError(
-                    f"exponent vector {expvec(gamma)} has length {len(gamma)}, expected {d}")
-            ideal.check_ring(a)
-            terms.append(LaurentPoly._trusted(
-                d, dom, {tuple(map(add, gamma, m)): c for m, c in a.terms.items()}))
-        return terms, LaurentPoly.zero(d, dom), ideal.contains
-    if isinstance(module, EvaluationModule):
-        terms = [_unit_power(module, gamma) * _as_field(module, a) for gamma, a in pairs]
-        return terms, module.field.zero, FieldElement.is_zero
-    if isinstance(module, RationalDualModule):
-        terms = [_exact(gamma) * _exact(a) for gamma, a in pairs]
-        return terms, Fraction(0), lambda x: x == 0
-    raise UnsupportedOperationError("unknown module type")
-
-
 def character_correlation(
     system: AlgebraicSystem, tup: CharacterTuple, nonzero: Optional[set] = None
 ) -> int:
@@ -241,11 +206,32 @@ def character_correlation(
 
 def shifted_sum_vanishes(module, pairs) -> bool:
     """Whether the sum of gamma . a over the pairs (gamma, a) is zero in the
-    module; no check on the pairs themselves."""
-    terms, total, is_zero = shifted_terms(module, pairs)
-    for t in terms:
-        total = total + t
-    return is_zero(total)
+    module; no check on the pairs themselves.  Each module kind builds its
+    shifts only here.  In characteristic p a shift is an exponent vector of
+    ints, and the terms c u^(gamma + m) of every u^gamma a (a's terms c u^m)
+    go into one dict, reduced mod p once, for one membership test."""
+    if isinstance(module, CharPModule):
+        ideal, p = module.ideal, module.characteristic
+        d, dom = ideal.d, GF(p)
+        acc: Dict[Tuple[int, ...], int] = {}
+        for gamma, a in pairs:
+            if len(gamma) != d:
+                raise DomainError(
+                    f"exponent vector {expvec(gamma)} has length {len(gamma)}, expected {d}")
+            ideal.check_ring(a)
+            for m, c in a.terms.items():
+                k = tuple(map(add, gamma, m))
+                acc[k] = acc.get(k, 0) + c
+        return ideal.contains(
+            LaurentPoly._trusted(d, dom, {m: c % p for m, c in acc.items() if c % p}))
+    if isinstance(module, EvaluationModule):
+        total = module.field.zero
+        for gamma, a in pairs:
+            total = total + _unit_power(module, gamma) * _as_field(module, a)
+        return total.is_zero()
+    if isinstance(module, RationalDualModule):
+        return sum(rational(gamma) * rational(a) for gamma, a in pairs) == 0
+    raise UnsupportedOperationError("unknown module type")
 
 
 def find_nonmixing_element(system: AlgebraicSystem, box: Sequence[Tuple[int, int]]):

@@ -20,6 +20,7 @@ from mixlab.ring import GF, LaurentPoly
 from mixlab.systems import CharPModule, EvaluationModule, RationalDualModule
 
 SAMPLES = Path(__file__).resolve().parents[1] / "presentations"
+TESTS = Path(__file__).resolve().parent
 
 
 def sample(name):
@@ -88,6 +89,18 @@ class TestHashing:
     def test_canonical_json_is_key_sorted(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
         assert system_hash({"a": 1}) == system_hash({"a": 1})
+
+    @pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.json")) + sorted(TESTS.glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_one_dump_hashes_as_the_two_step_normalization(self, path):
+        # A load dumps the blocks once; its hash must equal system_hash of
+        # the blocks dumped, loaded back and dumped again.
+        data = json.loads(path.read_text())
+        blocks = {"schema": data["schema"], "group": data["group"], "module": data["module"]}
+        normalized = json.loads(canonical_json(blocks))
+        loaded = load_system(str(path))
+        assert loaded.hash == system_hash(normalized)
+        assert loaded.normalized == normalized
 
 
 class TestErrors:
@@ -211,6 +224,41 @@ class TestCertificateRoundtrip:
         with pytest.raises(CertificateError, match=message):
             verify_certificate(loaded.system,
                                certificate_from_dict({**data, **change}, loaded.system))
+
+    def test_integral_coefficients_decode_as_ints(self):
+        loaded = sample("rational_dual.json")
+        data = {"schema": 1, "kind": "non_mixing_certificate", "order": 3,
+                "family": {"kind": "consecutive_ratio"}, "shape": ["1", "2", "1"],
+                "coefficients": ["2", "1/2", "-4/2"], "transcript": [[2, 1]]}
+        cert = certificate_from_dict(data, loaded.system)
+        assert cert.coefficients == (2, Fraction(1, 2), -2)
+        assert [type(a) for a in cert.coefficients] == [int, Fraction, int]
+        assert cert.shape == (1, 2, 1) and all(type(g) is int for g in cert.shape)
+
+    @pytest.mark.parametrize("coefficients, verdict", [
+        (["2", "-2", "2"], "PASS"),
+        (["1/2", "-1/2", "1/2"], "PASS"),
+        (["1", "1", "-3"], "FAIL: grade"),
+    ])
+    def test_rational_dual_grades_decoded_coefficients(self, coefficients, verdict):
+        # (1, 1, -3) vanishes at n = 2 only: 1 + n - 3(n - 1) = 4 - 2n.
+        loaded = sample("rational_dual.json")
+        data = {"schema": 1, "kind": "non_mixing_certificate", "order": 3, "grade": "proof",
+                "family": {"kind": "consecutive_ratio"}, "shape": ["1", "2", "1"],
+                "coefficients": coefficients, "transcript": [[2, 1]]}
+        report = verify_certificate(loaded.system, certificate_from_dict(data, loaded.system))
+        assert report.verdict == verdict
+        assert report.lines[0] == "dilation 2: correlation 1 (expected 1) ok"
+
+    @pytest.mark.parametrize("text, value", [("1_0", 10), (" 1", 1), ("1.0", 1), ("-4/2", -2)])
+    def test_shape_strings_decode_as_their_rational(self, text, value):
+        loaded = sample("ledrappier.json")
+        gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
+        data = certificate_to_dict(frobenius_certificate(loaded.system, gen, kmax=1))
+        data["shape"][0] = [text, "0"]
+        shape = certificate_from_dict(data, loaded.system).shape
+        assert shape[0] == (value, 0) and type(shape[0][0]) is int
+        assert Fraction(text) == value
 
     def test_wrong_kind_rejected(self):
         loaded = sample("ledrappier.json")

@@ -1,0 +1,272 @@
+"""The certificate replay of `verify_certificate` against a per-dilation
+reference: bits, lines, verdicts and errors agree, and the correlation
+oracle runs once per transcript dilation."""
+
+import json
+import time
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mixlab import mixing
+from mixlab.cli import EXIT_BUDGET, main
+from mixlab.ideals import IdealPresentation
+from mixlab.mixing import (
+    UNIT_POWER_BIT_LIMIT,
+    BudgetExceededError,
+    NonMixingCertificate,
+    VerificationReport,
+    _default_is_zero,
+    _evidence_reason,
+    _separation_check,
+    check_certificate,
+    explicit_family,
+    prime_power_family,
+    verify_certificate,
+)
+from mixlab.numfield import NumberField
+from mixlab.presentation import load_system
+from mixlab.ring import GF, LaurentPoly
+from mixlab.systems import (
+    AlgebraicSystem,
+    CharacterTuple,
+    CharPModule,
+    EvaluationModule,
+    _as_field,
+    _gamma_key,
+    _unit_power,
+    free_abelian,
+)
+
+SAMPLES = Path(__file__).resolve().parents[1] / "presentations"
+QQ = NumberField([-1, 1])
+
+
+# -- the reference: each dilation's shape dilated, merged and summed anew ----
+
+def ref_sum_vanishes(module, pairs) -> bool:
+    """The shifted sum one term at a time: in characteristic p each term is
+    its own polynomial, added to a running total."""
+    pairs = list(pairs)
+    if isinstance(module, CharPModule):
+        ideal = module.ideal
+        total = LaurentPoly.zero(ideal.d, GF(module.characteristic))
+        for gamma, a in pairs:
+            total = total + LaurentPoly(ideal.d, total.domain, {
+                tuple(g + e for g, e in zip(gamma, m)): c for m, c in a.terms.items()})
+        return ideal.contains(total)
+    total = module.field.zero
+    for gamma, a in pairs:
+        total = total + _unit_power(module, gamma) * _as_field(module, a)
+    return total.is_zero()
+
+
+def ref_merged(shape, coefficients):
+    """Colliding shifts merged in order of first occurrence, formal zeros dropped."""
+    merged = {}
+    for g, a in zip(shape, coefficients):
+        k = _gamma_key(g)
+        merged[k] = [merged[k][0], merged[k][1] + a] if k in merged else [g, a]
+    return [(g, a) for g, a in merged.values() if not _default_is_zero(a)]
+
+
+def ref_verify(system, cert) -> VerificationReport:
+    check_certificate(system, cert)
+    lines, first_failure, nonzero = [], None, set()
+    for n, expected in cert.transcript:
+        tup = CharacterTuple(ref_merged(cert.family.shape_at(cert.shape, n), cert.coefficients))
+        tup.validate(system, nonzero)
+        bit = 1 if ref_sum_vanishes(system.module, tup.pairs) else 0
+        status = "ok" if bit == expected == 1 else "FAIL"
+        lines.append(f"dilation {n}: correlation {bit} (expected {expected}) {status}")
+        if status == "FAIL" and first_failure is None:
+            first_failure = n
+    separated = _separation_check(cert)
+    lines.append("separation: pairwise differences distinct over transcript" if separated
+                 else "separation: FAILED (differences repeat)")
+    reason = _evidence_reason(system, cert)
+    derived = "evidence" if reason else "proof"
+    graded = cert.grade in ("evidence", derived)
+    if not graded:
+        lines.append(f"grade: FAILED (labelled {cert.grade}, but "
+                     f"{reason or 'its derived grade is proof'})")
+    elif cert.grade == "evidence":
+        lines.append("grade: evidence (transcript covers the tested range only)")
+    else:
+        lines.append(f"grade: {cert.grade}")
+    failures = ((first_failure is not None, f"FAIL at dilation {first_failure}"),
+                (not separated, "FAIL: separation"), (not graded, "FAIL: grade"))
+    verdict = next((v for failed, v in failures if failed), "PASS")
+    return VerificationReport(lines, verdict, first_failure)
+
+
+def outcome(verify, system, cert):
+    """The report's parts, or the type and text of the error raised."""
+    try:
+        report = verify(system, cert)
+    except (ValueError, ArithmeticError) as e:
+        return ("raised", type(e).__name__, str(e))
+    return (report.lines, report.verdict, report.first_failure)
+
+
+def assert_same_replay(system, cert):
+    with mock.patch.object(mixing, "character_correlation",
+                           wraps=mixing.character_correlation) as oracle:
+        got = outcome(verify_certificate, system, cert)
+    assert got == outcome(ref_verify, system, cert)
+    if got[0] != "raised":
+        assert oracle.call_count == len(cert.transcript)
+    return got
+
+
+# -- the systems --------------------------------------------------------------
+
+def charp_system(p, engine):
+    dom = GF(p)
+    hint = {1: LaurentPoly.parse("1 + u1" if p == 2 else "2 + 2*u1", 2, dom)}
+    ideal = IdealPresentation([LaurentPoly.parse("1 + u1 + u2", 2, dom)], p, d=2, engine=engine,
+                              substitution=hint if engine == "substitution" else None)
+    return AlgebraicSystem(free_abelian(2), CharPModule(ideal))
+
+
+CHARP = {(p, engine): charp_system(p, engine)
+         for p in (2, 3) for engine in ("groebner", "substitution")}
+# u1 = 4 and u2 = 9, at level 2: u^(1/2, 0) = 2, so shape points live in (1/2)Z^2.
+HALVES = AlgebraicSystem(free_abelian(2), EvaluationModule.make(
+    QQ, {0: QQ.from_rational(2), 1: QQ.from_rational(3)}, level=2))
+
+# Coefficients that repeat, cancel in pairs (1 + u1 against 1 + u1 over F_2,
+# 1 against 2 over F_3), or are zero in the module (1 + u1 + u2).
+CHARP_COEFFICIENTS = ["1", "2", "u1", "1 + u1", "2 + 2*u1", "u2^-1", "1 + u1 + u2"]
+
+
+def charp_certificate(p, shape, texts, dilations, bits, kind="explicit_list", grade="evidence"):
+    coefficients = tuple(LaurentPoly.parse(t, 2, GF(p)) for t in texts)
+    family = prime_power_family(p) if kind == "prime_power" else explicit_family(dilations)
+    return NonMixingCertificate(order=len(shape), shape=tuple(shape),
+                                coefficients=coefficients, family=family,
+                                transcript=tuple(zip(dilations, bits)), grade=grade)
+
+
+@st.composite
+def charp_cases(draw):
+    p, engine = draw(st.sampled_from(sorted(CHARP)))
+    r = draw(st.integers(2, 4))
+    point = st.tuples(st.integers(-1, 2), st.integers(-1, 2))
+    shape = draw(st.lists(point, min_size=r, max_size=r))
+    texts = draw(st.lists(st.sampled_from(CHARP_COEFFICIENTS), min_size=r, max_size=r))
+    dilations = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    bits = draw(st.lists(st.sampled_from([1, 1, 0]), min_size=len(dilations),
+                         max_size=len(dilations)))
+    kind = draw(st.sampled_from(["explicit_list", "prime_power"]))
+    grade = draw(st.sampled_from(["evidence", "proof"]))
+    return CHARP[p, engine], charp_certificate(p, shape, texts, dilations, bits, kind, grade)
+
+
+@st.composite
+def halves_cases(draw):
+    r = draw(st.integers(2, 4))
+    coordinate = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+    shape = draw(st.lists(st.tuples(coordinate, coordinate), min_size=r, max_size=r))
+    coefficients = draw(st.lists(st.sampled_from([1, -1, 2, Fraction(1, 2), -6]),
+                                 min_size=r, max_size=r))
+    dilations = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    return HALVES, NonMixingCertificate(
+        order=r, shape=tuple(shape), coefficients=tuple(coefficients),
+        family=explicit_family(dilations), transcript=tuple((n, 1) for n in dilations),
+        grade="evidence")
+
+
+class TestReplayMatchesTheReference:
+    @given(charp_cases())
+    @settings(max_examples=250, deadline=None)
+    @example((CHARP[2, "groebner"], charp_certificate(
+        2, [(0, 0), (1, 0), (0, 1)], ["1"] * 3, [1, 2, 4], [1, 1, 1], "prime_power", "proof")))
+    @example((CHARP[3, "substitution"], charp_certificate(
+        3, [(0, 0), (1, 0), (0, 1), (0, 0)], ["1", "1", "1", "2"], [1, 3], [1, 1])))
+    def test_characteristic_p(self, case):
+        assert_same_replay(*case)
+
+    @pytest.mark.parametrize("key", sorted(CHARP))
+    def test_a_slot_pair_that_merges_to_zero_is_dropped(self, key):
+        # Slots 1 and 3 share a point and their coefficients cancel; what is
+        # left is the three-dot relation at (0, 0), (1, 0), (0, 1), which
+        # vanishes at every power of p.  The repeated point never separates.
+        p = key[0]
+        minus = "1 + u1" if p == 2 else "2 + 2*u1"
+        cert = charp_certificate(p, [(0, 0), (2, 2), (1, 0), (2, 2), (0, 1)],
+                                 ["1", "1 + u1", "1", minus, "1"], [1, p, p * p], [1, 1, 1])
+        lines, verdict, _ = assert_same_replay(CHARP[key], cert)
+        assert verdict == "FAIL: separation"
+        assert lines[:3] == [f"dilation {n}: correlation 1 (expected 1) ok"
+                             for n in (1, p, p * p)]
+
+    @pytest.mark.parametrize("key", sorted(CHARP))
+    def test_a_zero_coefficient_raises_the_same_error(self, key):
+        cert = charp_certificate(key[0], [(0, 0), (1, 0)], ["1", "1 + u1 + u2"], [1, 2], [1, 1])
+        got = assert_same_replay(CHARP[key], cert)
+        assert got == ("raised", "InvalidTupleError", "tuple coefficient is zero in the module")
+
+    @given(halves_cases())
+    @settings(max_examples=150, deadline=None)
+    @example((HALVES, NonMixingCertificate(
+        order=3, shape=((0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), 0)),
+        coefficients=(4, -1, -1), family=explicit_family((1,)), transcript=((1, 1),),
+        grade="evidence")))
+    def test_evaluation_at_level_two(self, case):
+        assert_same_replay(*case)
+
+    def test_oracle_runs_once_per_transcript_dilation(self):
+        # Repeated dilations are replayed, not skipped.
+        cert = charp_certificate(2, [(0, 0), (1, 0), (0, 1)], ["1"] * 3, [1, 2, 2, 4],
+                                 [1] * 4)
+        with mock.patch.object(mixing, "character_correlation",
+                               wraps=mixing.character_correlation) as oracle:
+            report = verify_certificate(CHARP[2, "groebner"], cert)
+        assert report.verdict == "FAIL: separation"
+        assert [c.args[1].pairs[1][0] for c in oracle.call_args_list] == [
+            (1, 0), (2, 0), (2, 0), (4, 0)]
+
+
+# -- the unit power budget -----------------------------------------------------
+
+class TestUnitPowerBudget:
+    def test_a_huge_dilation_exits_4_at_once(self, tmp_path, capsys):
+        # Replayed, this would compute 6^n: 0.36 s at n = 10^6, gigabytes at 10^9.
+        presentation = str(SAMPLES / "times2times3.json")
+        n = 10 ** 9
+        path = tmp_path / "huge.cert.json"
+        path.write_text(json.dumps({
+            "schema": 1, "kind": "non_mixing_certificate",
+            "system_hash": load_system(presentation).hash, "order": 2, "grade": "evidence",
+            "family": {"kind": "explicit_list", "dilations": [n]},
+            "shape": [["0", "0"], ["1", "1"]], "coefficients": ["1", "-1"],
+            "transcript": [[n, 1]]}))
+        start = time.perf_counter()
+        code = main(["verify", str(path), presentation])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        out, err = capsys.readouterr()
+        assert out == ""
+        first, region = err.splitlines()
+        assert first.startswith("budget exhausted: a unit power at dilation 1000000000 ")
+        assert json.loads(region.removeprefix("region: ")) == {
+            "dilation": 10 ** 9, "estimated_bits": 4 * 10 ** 9,
+            "bit_limit": UNIT_POWER_BIT_LIMIT}
+
+    def test_the_largest_dilation_is_budgeted(self):
+        # 2^n 3^n: about 4 bits per unit of n by the estimate, 2.6 in fact.
+        system = load_system(str(SAMPLES / "times2times3.json")).system
+        cert = NonMixingCertificate(
+            order=2, shape=((0, 0), (1, 1)), coefficients=(QQ.one, -QQ.one),
+            family=explicit_family((1,)), transcript=((1, 0),), grade="evidence")
+        limit = UNIT_POWER_BIT_LIMIT // 4
+        assert verify_certificate(system, replace(cert, transcript=((limit, 0),))).ok is False
+        with pytest.raises(BudgetExceededError) as raised:
+            verify_certificate(system, replace(cert, transcript=((1, 0), (limit + 1, 0))))
+        assert raised.value.region["dilation"] == limit + 1

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixlab.ideals import _dilated
-from mixlab.ring import GF, DomainError, LaurentPoly, ParseError, expvec
+from mixlab.ring import GF, DomainError, LaurentPoly, ParseError, expvec, rational
 
 F2 = GF(2)
 F3 = GF(3)
@@ -64,6 +64,25 @@ class TestExponentTypes:
         assert all(type(e) is int for e in v)
         for m in poly("u1^4/2 * u2^-3 + u1^2/2").terms:
             assert all(type(e) is int for e in m)
+
+    @given(st.text(alphabet="0123456789_ +-./e\t", max_size=6))
+    @settings(max_examples=400, deadline=None)
+    @example("1_0")
+    @example(" 1")
+    @example("1.0")
+    @example("1__0")
+    def test_strings_read_as_fraction_reads_them(self, text):
+        # int() is tried first; where it accepts a string it must agree
+        # with Fraction(), and where it refuses, Fraction() decides.
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as e:
+            with pytest.raises(type(e)):
+                rational(text)
+            return
+        got = rational(text)
+        assert got == expected
+        assert type(got) is (int if expected.denominator == 1 else Fraction)
 
     def test_fractional_exponents_stay_fractions(self):
         # Group elements (shape points) may have rational coordinates.
