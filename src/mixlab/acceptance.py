@@ -43,7 +43,7 @@ from .simulate import (
     correlation_exact,
     cylinder_measure,
 )
-from .systems import CharacterTuple, character_correlation, split_action
+from .systems import character_correlation, split_action
 
 
 @dataclass
@@ -243,9 +243,9 @@ def _criterion_5() -> CriterionResult:
     total = agree = vanishing = 0
     for g1, g2 in combinations(gammas, 2):
         for c1, c2 in product(coeff_pool[:3], repeat=2):
-            tup = CharacterTuple([(g1, c1), (g2, c2)])
-            direct = character_correlation(system, tup)
-            factored = split.correlation(tup)
+            pairs = [(g1, c1), (g2, c2)]
+            direct = character_correlation(system, pairs)
+            factored = split.correlation(pairs)
             total += 1
             agree += direct == factored
             vanishing += direct
@@ -257,9 +257,8 @@ def _criterion_5() -> CriterionResult:
                 ((s[0], base[0] + dx, base[1] + dy, s[1]), one)
                 for dx, dy in ((0, 0), (1, 0), (0, 1))
             ]
-            tup = CharacterTuple(triple)
-            direct = character_correlation(system, tup)
-            factored = split.correlation(tup)
+            direct = character_correlation(system, triple)
+            factored = split.correlation(triple)
             total += 1
             agree += direct == factored
             vanishing += direct
@@ -335,11 +334,8 @@ def _criterion_8() -> CriterionResult:
     t0 = time.perf_counter()
     dom = GF(2)
     gen = LaurentPoly.parse("1 + u1 + u2", 2, dom)
-    groebner = IdealPresentation([gen], 2, engine="groebner")
-    subst = IdealPresentation(
-        [gen], 2, engine="substitution",
-        substitution={1: LaurentPoly.parse("1 + u1", 2, dom)},
-    )
+    groebner = IdealPresentation([gen], 2)
+    subst = IdealPresentation([gen], 2, substitution={1: LaurentPoly.parse("1 + u1", 2, dom)})
     rng = random.Random(7)
     agree = 0
     trials = 200

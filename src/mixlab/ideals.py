@@ -216,13 +216,13 @@ def _primitive_monic(f: PolyDict, p: int) -> PolyDict:
 # -- the presentation --------------------------------------------------------
 
 class IdealPresentation:
-    """Generators plus characteristic and membership-engine configuration.
+    """Generators plus characteristic and an optional substitution hint.
 
     Generators, hints and the polynomials `contains` is asked about are
-    Laurent polynomials over F_p for the prime p = characteristic.  Engine
-    "groebner" computes a saturated basis; engine "substitution" uses a
-    supplied solution of variables by polynomials in strictly earlier
-    variables.
+    Laurent polynomials over F_p for the prime p = characteristic.  Without
+    a hint `contains` computes a saturated Gröbner basis; with one (a
+    nonempty map solving variables by polynomials in strictly earlier
+    variables) it runs the substitution engine.
     """
 
     def __init__(
@@ -230,7 +230,6 @@ class IdealPresentation:
         generators: Sequence[LaurentPoly],
         characteristic: int,
         d: Optional[int] = None,
-        engine: str = "groebner",
         substitution: Optional[Mapping[int, LaurentPoly]] = None,
     ):
         if characteristic > 2 ** 31:
@@ -245,9 +244,6 @@ class IdealPresentation:
         self.generators = tuple(generators)
         for g in self.generators + tuple((substitution or {}).values()):
             self.check_ring(g)
-        if engine not in ("groebner", "substitution"):
-            raise DomainError(f"unknown engine {engine!r}")
-        self.engine = engine
         self.substitution = dict(substitution) if substitution else None
         self._gb_full: Optional[List[PolyDict]] = None
         self._gb_contracted: Optional[List[PolyDict]] = None
@@ -258,9 +254,7 @@ class IdealPresentation:
         self._hint_powers: Dict[Tuple[int, int], PolyDict] = {}
         # simulate.window_space's memo: window -> WindowConfigSpace.
         self.window_spaces: Dict[Tuple[Tuple[int, int], ...], object] = {}
-        if engine == "substitution":
-            if not self.substitution:
-                raise DomainError("substitution engine requires a substitution map")
+        if self.substitution:
             for var, poly in self.substitution.items():
                 if not 0 <= var < self.d:
                     raise DomainError(f"substitution for u{var + 1} out of range for d={self.d}")
@@ -439,9 +433,10 @@ class IdealPresentation:
     # -- public surface ------------------------------------------------------
 
     def contains(self, f: LaurentPoly) -> bool:
-        """Exact ideal membership of f, via the configured engine."""
+        """Exact ideal membership of f: by the substitution hint if there
+        is one, else by the Gröbner basis."""
         self.check_ring(f)
-        if self.engine == "substitution":
+        if self.substitution:
             return self.contains_substitution(f)
         return self.contains_groebner(f)
 

@@ -24,13 +24,12 @@ from .numfield import FieldElement, NumberField, power_table
 from .ring import GF, DomainError, LaurentPoly, expvec, rational
 from .systems import (
     AlgebraicSystem,
-    CharacterTuple,
     CharPModule,
     EvaluationModule,
+    InvalidTupleError,
     RationalDualModule,
     _gamma_key,
     character_correlation,
-    shifted_sum_vanishes,
     unit_powers,
 )
 
@@ -143,10 +142,12 @@ def check_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> No
     each other and with the system: shape points the module takes (integer
     vectors in characteristic p, rationals for (1, n, n-1)), an order of at
     least 2 with one shape point and one coefficient per slot (3 for
-    (1, n, n-1)), and a nonempty transcript of dilations in the family's
-    range.  A mismatch would let `zip` drop a slot unseen.  The (1, n, n-1)
-    family ignores its stored shape, so that shape must be its value at
-    n = 2, (1, 2, 1), or a file could show one shape and replay another."""
+    (1, n, n-1)), a nonempty transcript of dilations in the family's range,
+    and for an explicit list the family's dilations equal to the
+    transcript's, in order.  A mismatch would let `zip` drop a slot unseen.
+    The (1, n, n-1) family ignores its stored shape, so that shape must be
+    its value at n = 2, (1, 2, 1), or a file could show one shape and replay
+    another."""
     family = cert.family
     m = system.module
     if family.kind == "consecutive_ratio":
@@ -165,6 +166,12 @@ def check_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> No
         # An empty transcript replays nothing, so it would pass at any grade.
         raise CertificateError("certificate transcript is empty")
     _require_positive_dilations(list(family.dilations) + cert.dilations())
+    if family.kind == "explicit_list" and list(family.dilations) != cert.dilations():
+        # The transcript is all that is replayed, so a longer family list
+        # would claim dilations nothing checked.
+        raise CertificateError(
+            f"explicit_list family dilations {list(family.dilations)} differ from "
+            f"the transcript's dilations {cert.dilations()}")
     if family.kind == "consecutive_ratio" and min(cert.dilations()) < 2:
         raise CertificateError("consecutive_ratio dilations must be at least 2")
     if cert.order < 2:
@@ -250,12 +257,23 @@ def _unit_power_bits(module, shape):
 
 def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> VerificationReport:
     """The one certificate check: parts (`check_certificate`, which raises),
-    then the replay of every transcript dilation through the correlation
-    oracle, bit for bit, then separation, then the grade, derived from the
-    certificate and the system: a label other than evidence must match it.
-    Colliding shifts are merged (see `_merged`), and each distinct
-    coefficient is tested for being nonzero once per call.  A lattice family
-    is merged once, on its base shape, as n q_s = n q_t iff q_s = q_t for n >= 1."""
+    then the tuple rules, then the replay of every transcript dilation
+    through the correlation oracle, bit for bit, then separation, then the
+    grade, derived from the certificate and the system: a label other than
+    evidence must match it.
+
+    Colliding shifts are merged (see `_merged`).  A lattice family is merged
+    once, on its base shape, as n q_s = n q_t iff q_s = q_t for n >= 1.  The
+    tuple rules are checked once per certificate, before any correlation
+    runs.  Merged shifts are pairwise distinct by construction, so what is
+    left is that every coefficient is nonzero in the module, and each
+    distinct coefficient the replay uses is tested once.  That set is known
+    before the replay starts: a lattice family carries the merged base's
+    coefficients at every dilation, and (1, n, n-1) carries (a1 + a3, a2) at
+    n = 2 and (a1, a2, a3) at n >= 3 (formal zeros dropped).  A check per
+    dilation, before each sum, would raise the same `InvalidTupleError` on
+    exactly the same certificates, since nothing is printed before the
+    report is returned."""
     check_certificate(system, cert)
     family = cert.family
     base = None
@@ -267,13 +285,17 @@ def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> V
             raise BudgetExceededError(
                 f"a unit power at dilation {n} takes about {bits} bits, over the limit",
                 {"dilation": n, "estimated_bits": bits, "bit_limit": UNIT_POWER_BIT_LIMIT})
+    replay = [(n, expected,
+               _merged(family.shape_at(cert.shape, n), cert.coefficients) if base is None
+               else [(tuple([n * e for e in g]), a) for g, a in base])
+              for n, expected in cert.transcript]
+    for a in dict.fromkeys(a for _, _, pairs in replay for _, a in pairs):
+        if not system.is_nonzero(a):
+            raise InvalidTupleError("tuple coefficient is zero in the module")
     lines = []
     first_failure = None
-    nonzero: set = set()
-    for n, expected in cert.transcript:
-        pairs = (_merged(family.shape_at(cert.shape, n), cert.coefficients) if base is None
-                 else [(tuple([n * e for e in g]), a) for g, a in base])
-        bit = character_correlation(system, CharacterTuple(pairs), nonzero)
+    for n, expected, pairs in replay:
+        bit = character_correlation(system, pairs)
         status = "ok" if bit == expected == 1 else "FAIL"
         lines.append(f"dilation {n}: correlation {bit} (expected {expected}) {status}")
         if status == "FAIL" and first_failure is None:
@@ -402,8 +424,8 @@ def shape_search(
     certificates.
 
     Certificates are read off the kernel without a per-certificate replay.
-    Each basis vector is replayed once per dilation through `ideal.contains`
-    (a basis vector that fails raises `CertificateError`), and every
+    Each basis vector is replayed once per dilation through the correlation
+    oracle (a basis vector that fails raises `CertificateError`), and every
     combination then vanishes by linearity.  A canonical shape has distinct
     points, so separation holds exactly when the dilations are distinct,
     which is tested once per search.  A block is
@@ -492,8 +514,7 @@ def shape_search(
         for basis_vec in kernel:
             blocks = blocks_of(basis_vec)
             for n in dilations:
-                if not shifted_sum_vanishes(system.module,
-                                            zip(family.shape_at(shape, n), blocks)):
+                if not character_correlation(system, zip(family.shape_at(shape, n), blocks)):
                     raise CertificateError(
                         f"kernel vector of shape {list(shape)} does not vanish at "
                         f"dilation {n}: internal elimination fault"

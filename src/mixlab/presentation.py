@@ -47,8 +47,6 @@ def system_hash(normalized: dict) -> str:
 class LoadedSystem:
     system: AlgebraicSystem
     name: str
-    notes: str
-    normalized: dict
     hash: str
 
 
@@ -114,7 +112,6 @@ def parse_system(data: dict) -> LoadedSystem:
                 raise PresentationError(f"generator {text!r}: {e}") from None
         engine = module_block.get("engine", "groebner")
         substitution = None
-        engine_name = engine
         if isinstance(engine, dict):
             sub_block = engine.get("substitution")
             if sub_block is None:
@@ -122,11 +119,14 @@ def parse_system(data: dict) -> LoadedSystem:
             substitution = {}
             for var, text in _object(sub_block, "module.engine.substitution").items():
                 substitution[_var_index(var)] = LaurentPoly.parse(text, d, dom)
-            engine_name = "substitution"
-        ideal = IdealPresentation(
-            gens, p, d=d, engine=engine_name, substitution=substitution
-        )
-        module = CharPModule(ideal)
+            engine = "substitution"
+        # The ideal's own refusals (such as a characteristic over 2^31) come
+        # before these two; with no hint, building it runs no elimination.
+        module = CharPModule(IdealPresentation(gens, p, d=d, substitution=substitution))
+        if engine not in ("groebner", "substitution"):
+            raise PresentationError(f"unknown engine {engine!r}")
+        if engine == "substitution" and not substitution:
+            raise PresentationError("substitution engine requires a substitution map")
     elif mtype == "evaluation":
         field = NumberField([_convert(Fraction, c, "module.modulus")
                              for c in _field(module_block, "module.modulus", list)])
@@ -143,14 +143,10 @@ def parse_system(data: dict) -> LoadedSystem:
     else:
         raise PresentationError(f"unknown module type {mtype!r}")
     name = data.get("name", "")
-    notes = data.get("notes", "")
-    # Only the semantically meaningful fields are hashed.  Their canonical
-    # text is dumped once, hashed as `system_hash` would, and read back.
-    text = canonical_json({key: data[key] for key in ("schema", "group", "module")})
-    system = AlgebraicSystem(group=group, module=module, name=name)
+    # Only the semantically meaningful fields are hashed.
     return LoadedSystem(
-        system=system, name=name, notes=notes,
-        normalized=json.loads(text), hash=hashlib.sha256(text.encode()).hexdigest(),
+        system=AlgebraicSystem(group=group, module=module, name=name), name=name,
+        hash=system_hash({key: data[key] for key in ("schema", "group", "module")}),
     )
 
 

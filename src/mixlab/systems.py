@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import add, mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .ideals import IdealPresentation
 from .numfield import FieldElement, NumberField, power_table
@@ -25,7 +25,7 @@ from .ring import GF, DomainError, LaurentPoly, expvec, rational
 
 
 class InvalidTupleError(ValueError):
-    """A character tuple with a zero coefficient or repeated shift."""
+    """A certificate tuple with a coefficient that is zero in the module."""
 
 
 class UnsupportedOperationError(ValueError):
@@ -111,31 +111,6 @@ class AlgebraicSystem:
         raise UnsupportedOperationError("unknown module type")
 
 
-@dataclass(frozen=True)
-class CharacterTuple:
-    """Pairs (gamma_s, a_s) of group elements and nonzero module elements."""
-
-    pairs: Tuple[Tuple[object, object], ...]
-
-    def __init__(self, pairs):
-        object.__setattr__(self, "pairs", tuple((g, a) for g, a in pairs))
-
-    def validate(self, system: AlgebraicSystem, nonzero: Optional[set] = None):
-        """Raise InvalidTupleError on a repeated shift or a zero coefficient.
-
-        nonzero, if given, holds coefficients already found nonzero in this
-        system; they are not tested again, and newly tested ones are added."""
-        gammas = [g for g, _ in self.pairs]
-        if len(set(map(_gamma_key, gammas))) != len(gammas):
-            raise InvalidTupleError("shift elements must be pairwise distinct")
-        known = set() if nonzero is None else nonzero
-        for _, a in self.pairs:
-            if a not in known:
-                if not system.is_nonzero(a):
-                    raise InvalidTupleError("tuple coefficient is zero in the module")
-                known.add(a)
-
-
 def _gamma_key(g):
     return expvec(g) if isinstance(g, (tuple, list)) else rational(g)
 
@@ -191,25 +166,19 @@ def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
     return value
 
 
-def character_correlation(
-    system: AlgebraicSystem, tup: CharacterTuple, nonzero: Optional[set] = None
-) -> int:
-    """1 iff the shifted character sum vanishes in the module, else 0.
+def character_correlation(system: AlgebraicSystem, pairs) -> int:
+    """1 iff the sum of gamma . a over the pairs (gamma, a) is zero in the
+    module, else 0.
 
-    This bit is the Haar integral of the product of the shifted characters,
-    via the orthogonality relations.  nonzero is a caller's memo of
-    coefficients already validated (see `CharacterTuple.validate`).
-    """
-    tup.validate(system, nonzero)
-    return 1 if shifted_sum_vanishes(system.module, tup.pairs) else 0
-
-
-def shifted_sum_vanishes(module, pairs) -> bool:
-    """Whether the sum of gamma . a over the pairs (gamma, a) is zero in the
-    module; no check on the pairs themselves.  Each module kind builds its
-    shifts only here.  In characteristic p a shift is an exponent vector of
-    ints, and the terms c u^(gamma + m) of every u^gamma a (a's terms c u^m)
-    go into one dict, reduced mod p once, for one membership test."""
+    By the orthogonality relations this bit is the Haar integral of the
+    product of the shifted characters, for any finite list of pairs: the
+    pairs are not checked.  Which tuples count (distinct shifts, coefficients
+    nonzero in the module) is `mixing.verify_certificate`'s rule.  Each module
+    kind builds its shifts only here.  In characteristic p a shift is an
+    exponent vector of ints, and the terms c u^(gamma + m) of every u^gamma a
+    (a's terms c u^m) go into one dict, reduced mod p once, for one
+    membership test."""
+    module = system.module
     if isinstance(module, CharPModule):
         ideal, p = module.ideal, module.characteristic
         d, dom = ideal.d, GF(p)
@@ -222,15 +191,15 @@ def shifted_sum_vanishes(module, pairs) -> bool:
             for m, c in a.terms.items():
                 k = tuple(map(add, gamma, m))
                 acc[k] = acc.get(k, 0) + c
-        return ideal.contains(
-            LaurentPoly._trusted(d, dom, {m: c % p for m, c in acc.items() if c % p}))
+        return int(ideal.contains(
+            LaurentPoly._trusted(d, dom, {m: c % p for m, c in acc.items() if c % p})))
     if isinstance(module, EvaluationModule):
         total = module.field.zero
         for gamma, a in pairs:
             total = total + _unit_power(module, gamma) * _as_field(module, a)
-        return total.is_zero()
+        return int(total.is_zero())
     if isinstance(module, RationalDualModule):
-        return sum(rational(gamma) * rational(a) for gamma, a in pairs) == 0
+        return int(sum(rational(gamma) * rational(a) for gamma, a in pairs) == 0)
     raise UnsupportedOperationError("unknown module type")
 
 
@@ -290,23 +259,19 @@ class SplitSystem:
         terms = {tuple(m[i] for i in self.inner_vars): c for m, c in a.terms.items()}
         return LaurentPoly(len(self.inner_vars), a.domain, terms)
 
-    def correlation(self, tup: CharacterTuple) -> int:
+    def correlation(self, pairs) -> int:
         """Correlation factored over shift fibers: 1 iff every fiber sum vanishes.
 
         Entries sharing a shift component form one fiber; distinct fibers are
-        independent under the full-shift coordinates, and a lone entry in a
-        fiber can never vanish (its coefficient is nonzero).
+        independent under the full-shift coordinates, so the sum vanishes
+        exactly when each fiber's inner sum does.
         """
         fibers: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], LaurentPoly]]] = {}
-        for gamma, a in tup.pairs:
+        for gamma, a in pairs:
             fibers.setdefault(self.project_shift(gamma), []).append(
                 (self.project_inner(gamma), self.restrict_coefficient(a))
             )
-        for entries in fibers.values():
-            inner_tuple = CharacterTuple(entries)
-            if character_correlation(self.inner, inner_tuple) == 0:
-                return 0
-        return 1
+        return int(all(character_correlation(self.inner, entries) for entries in fibers.values()))
 
 
 def split_action(system: AlgebraicSystem) -> SplitSystem:

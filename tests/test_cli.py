@@ -516,6 +516,22 @@ class TestMalformedFiles:
         assert err == f"error: {message}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("engine, message", [
+        ("substitution", "substitution engine requires a substitution map"),
+        ({"substitution": {}}, "substitution engine requires a substitution map"),
+        ("foo", "unknown engine 'foo'"),
+        ({"hint": {"u2": "1 + u1"}}, "engine object must carry a substitution map"),
+    ], ids=["string-no-map", "empty-map", "unknown", "no-substitution-key"])
+    def test_engine_field(self, capsys, tmp_path, engine, message):
+        # The substitution engine runs exactly when a hint map is given, so
+        # the file's engine field must name it together with its map.
+        data = json.loads(Path(THREE_DOT).read_text())
+        data["module"]["engine"] = engine
+        path = tmp_path / "engine.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
@@ -619,6 +635,27 @@ class TestVerifyMutations:
         assert code in (0, 1, 2)
         if code == 0 and "grade: proof" in lines:
             assert lines[-1] == "PASS" and _proof_holds(cert), cert
+
+    @pytest.mark.parametrize("dilations, transcript", [
+        ([1, 2, 4, 8, 16, 32, 64], [[1, 1]]),
+        ([4, 2, 1], [[1, 1], [2, 1], [4, 1]]),
+        ([], [[1, 1]]),
+    ], ids=["longer-family", "reordered", "empty-family"])
+    def test_explicit_list_family_is_its_transcript(self, written, capsys, dilations,
+                                                   transcript):
+        # Only the transcript is replayed, so a family listing other
+        # dilations than it would claim dilations nothing checked.
+        out, certificates = written
+        cert, presentation = certificates[2]
+        path = out / "family.cert.json"
+        path.write_text(json.dumps(cert))
+        assert run(capsys, "verify", str(path), presentation)[0] == 0
+        path.write_text(json.dumps({**cert, "transcript": transcript, "family": {
+            "kind": "explicit_list", "dilations": dilations}}))
+        code, stdout, err = run(capsys, "verify", str(path), presentation)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: explicit_list family dilations {dilations} differ from "
+                       f"the transcript's dilations {[n for n, _ in transcript]}\n")
 
 
 class TestSimulate:

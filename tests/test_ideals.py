@@ -52,7 +52,6 @@ def three_dot_subst():
     return IdealPresentation(
         [p2("1 + u1 + u2")],
         2,
-        engine="substitution",
         substitution={1: p2("1 + u1")},
     )
 
@@ -137,13 +136,8 @@ class TestSubstitution:
             IdealPresentation(
                 [p2("1 + u1 + u2")],
                 2,
-                engine="substitution",
                 substitution={0: p2("1 + u2")},
             )
-
-    def test_substitution_requires_map(self):
-        with pytest.raises(DomainError):
-            IdealPresentation([p2("1 + u1 + u2")], 2, engine="substitution")
 
     @pytest.mark.parametrize("gens, hint, message", [
         # u1 -> 0 is not a unit: the ideal is the unit ideal, and under the
@@ -159,7 +153,7 @@ class TestSubstitution:
     def test_inconsistent_hint_rejected(self, gens, hint, message):
         with pytest.raises(DomainError, match=message):
             IdealPresentation(
-                [p2(g) for g in gens], 2, engine="substitution",
+                [p2(g) for g in gens], 2,
                 substitution={v: p2(t) for v, t in hint.items()},
             )
 
@@ -482,7 +476,7 @@ def substitution_ideal(data, p, d, max_terms):
              for v in vars_}
     gens = [LaurentPoly.variable(v, d, dom) - g for v, g in hints.items()]
     try:
-        return IdealPresentation(gens, p, d=d, engine="substitution", substitution=hints)
+        return IdealPresentation(gens, p, d=d, substitution=hints)
     except DomainError as err:
         # Only a chained hint whose image is zero, which is not a unit, may
         # be refused; any other refusal is a fault of the engine.
@@ -559,7 +553,6 @@ class TestSubstitutionLadder:
 
     def test_memo_is_per_ideal(self, three_dot_subst):
         assert three_dot_subst.contains(p2("1 + u1^64 + u2^64"))
-        other = IdealPresentation([p2("1 + u1 + u2")], 2, engine="substitution",
-                                  substitution={1: p2("1 + u1")})
+        other = IdealPresentation([p2("1 + u1 + u2")], 2, substitution={1: p2("1 + u1")})
         assert (1, 64) in three_dot_subst._hint_powers
         assert (1, 64) not in other._hint_powers

@@ -47,7 +47,6 @@ from mixlab.presentation import certificate_to_dict
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.systems import (
     AlgebraicSystem,
-    CharacterTuple,
     CharPModule,
     EvaluationModule,
     InvalidTupleError,
@@ -538,7 +537,7 @@ class TestFrobeniusCertificates:
         verify_certificate(three_dot, product_cert)
         assert len(calls) == 3
 
-    def test_merged_coefficient_still_validated(self, three_dot):
+    def test_merged_coefficient_still_validated(self, three_dot, solenoid_23, monkeypatch):
         # The shape repeats a point, so both shifts collide at n = 1 and the
         # merged coefficient 1 + u1 + u2 is zero in the module, though each
         # part is not.
@@ -552,6 +551,17 @@ class TestFrobeniusCertificates:
         )
         with pytest.raises(InvalidTupleError, match="zero in the module"):
             verify_certificate(three_dot, cert)
+        # Shape points compare exactly: (0, 0) and (Fraction(0), Fraction(0))
+        # are one slot, whose coefficients 1 and -1 merge to zero and drop.
+        replayed = []
+        monkeypatch.setattr(mixing, "character_correlation",
+                            lambda system, pairs: replayed.append(pairs) or 0)
+        exact = NonMixingCertificate(
+            order=3, shape=((Fraction(0), Fraction(0)), (1, 0), (0, 0)),
+            coefficients=(Fraction(1), Fraction(1), Fraction(-1)),
+            family=explicit_family((1,)), transcript=((1, 1),), grade="evidence")
+        assert verify_certificate(solenoid_23, exact).verdict == "FAIL at dilation 1"
+        assert replayed == [[((1, 0), Fraction(1))]]
         # At n = 0 every shift collides; that dilation is refused outright.
         at_zero = replace(cert, shape=((0, 0), (1, 0)), family=explicit_family((1, 0)),
                           transcript=((1, 1), (0, 1)))
@@ -602,14 +612,14 @@ class TestCertificateChecks:
         cert = rational_dual_certificate(system, n_max=3)
         replayed = []
 
-        def recorded(system, tup, nonzero=None):
-            replayed.append(tup)
-            return character_correlation(system, tup, nonzero)
+        def recorded(system, pairs):
+            replayed.append(pairs)
+            return character_correlation(system, pairs)
 
         monkeypatch.setattr(mixing, "character_correlation", recorded)
         assert verify_certificate(system, cert).ok
         # (1, 2, 1) merges its two shifts 1 and keeps the shift 2.
-        assert [len(t.pairs) for t in replayed] == [2, 3]
+        assert [len(pairs) for pairs in replayed] == [2, 3]
 
     @pytest.mark.parametrize("change, message", [
         ({"order": 2}, "does not match"),
@@ -726,7 +736,7 @@ class TestShapeSearch:
         ideals = [IdealPresentation(generators, p, d=d)]
         if hint is not None:
             ideals.append(IdealPresentation(
-                generators, p, d=d, engine="substitution",
+                generators, p, d=d,
                 substitution={v: LaurentPoly.parse(t, d, dom) for v, t in hint.items()},
             ))
         for ideal in ideals:
@@ -1073,8 +1083,7 @@ class TestRationalDual:
                 continue
             families += 1
             for g, h in pairs:
-                tup = CharacterTuple([(g, rho), (h, Fraction(-1))])
-                assert character_correlation(rational_dual, tup) == 1
+                assert character_correlation(rational_dual, [(g, rho), (h, Fraction(-1))]) == 1
             assert {h / g for g, h in pairs} == {rho}
         outcome = rational_dual_order2_search(
             rational_dual, coeff_height=coeff_height, shape_height=shape_height

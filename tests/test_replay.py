@@ -1,6 +1,7 @@
 """The certificate replay of `verify_certificate` against a per-dilation
-reference: bits, lines, verdicts and errors agree, and the correlation
-oracle runs once per transcript dilation."""
+reference: bits, lines, verdicts and errors agree, the tuple rules are
+checked before any correlation, and the correlation oracle runs once per
+transcript dilation."""
 
 import json
 import time
@@ -30,13 +31,14 @@ from mixlab.mixing import (
     verify_certificate,
 )
 from mixlab.numfield import NumberField
-from mixlab.presentation import load_system
+from mixlab.presentation import certificate_from_dict, load_system
 from mixlab.ring import GF, LaurentPoly
 from mixlab.systems import (
     AlgebraicSystem,
-    CharacterTuple,
     CharPModule,
     EvaluationModule,
+    InvalidTupleError,
+    RationalDualModule,
     _as_field,
     _gamma_key,
     _unit_power,
@@ -60,6 +62,8 @@ def ref_sum_vanishes(module, pairs) -> bool:
             total = total + LaurentPoly(ideal.d, total.domain, {
                 tuple(g + e for g, e in zip(gamma, m)): c for m, c in a.terms.items()})
         return ideal.contains(total)
+    if isinstance(module, RationalDualModule):
+        return sum(Fraction(gamma) * Fraction(a) for gamma, a in pairs) == 0
     total = module.field.zero
     for gamma, a in pairs:
         total = total + _unit_power(module, gamma) * _as_field(module, a)
@@ -75,13 +79,27 @@ def ref_merged(shape, coefficients):
     return [(g, a) for g, a in merged.values() if not _default_is_zero(a)]
 
 
+def ref_validate(system, pairs, nonzero):
+    """The tuple rules checked before each dilation's sum: distinct shifts
+    and coefficients nonzero in the module, each coefficient tested once
+    (nonzero is the memo of those already found nonzero)."""
+    gammas = [g for g, _ in pairs]
+    if len(set(map(_gamma_key, gammas))) != len(gammas):
+        raise InvalidTupleError("shift elements must be pairwise distinct")
+    for _, a in pairs:
+        if a not in nonzero:
+            if not system.is_nonzero(a):
+                raise InvalidTupleError("tuple coefficient is zero in the module")
+            nonzero.add(a)
+
+
 def ref_verify(system, cert) -> VerificationReport:
     check_certificate(system, cert)
     lines, first_failure, nonzero = [], None, set()
     for n, expected in cert.transcript:
-        tup = CharacterTuple(ref_merged(cert.family.shape_at(cert.shape, n), cert.coefficients))
-        tup.validate(system, nonzero)
-        bit = 1 if ref_sum_vanishes(system.module, tup.pairs) else 0
+        pairs = ref_merged(cert.family.shape_at(cert.shape, n), cert.coefficients)
+        ref_validate(system, pairs, nonzero)
+        bit = 1 if ref_sum_vanishes(system.module, pairs) else 0
         status = "ok" if bit == expected == 1 else "FAIL"
         lines.append(f"dilation {n}: correlation {bit} (expected {expected}) {status}")
         if status == "FAIL" and first_failure is None:
@@ -121,6 +139,9 @@ def assert_same_replay(system, cert):
     assert got == outcome(ref_verify, system, cert)
     if got[0] != "raised":
         assert oracle.call_count == len(cert.transcript)
+    elif got[1] == "InvalidTupleError":
+        # The tuple rules are checked once, before any correlation runs.
+        assert oracle.call_count == 0
     return got
 
 
@@ -129,7 +150,7 @@ def assert_same_replay(system, cert):
 def charp_system(p, engine):
     dom = GF(p)
     hint = {1: LaurentPoly.parse("1 + u1" if p == 2 else "2 + 2*u1", 2, dom)}
-    ideal = IdealPresentation([LaurentPoly.parse("1 + u1 + u2", 2, dom)], p, d=2, engine=engine,
+    ideal = IdealPresentation([LaurentPoly.parse("1 + u1 + u2", 2, dom)], p, d=2,
                               substitution=hint if engine == "substitution" else None)
     return AlgebraicSystem(free_abelian(2), CharPModule(ideal))
 
@@ -212,6 +233,25 @@ class TestReplayMatchesTheReference:
         got = assert_same_replay(CHARP[key], cert)
         assert got == ("raised", "InvalidTupleError", "tuple coefficient is zero in the module")
 
+    @pytest.mark.parametrize("slot", range(3))
+    def test_a_zero_ratio_coefficient_is_merged_away(self, slot):
+        # On the rational dual a coefficient "0" is formally zero, so the
+        # merge drops its slot at every dilation and nothing is refused: the
+        # replay runs and fails at n = 2, as in the per-dilation reference.
+        loaded = load_system(str(SAMPLES / "rational_dual.json"))
+        coefficients = ["1", "-1", "1"]
+        coefficients[slot] = "0"
+        cert = certificate_from_dict({
+            "schema": 1, "kind": "non_mixing_certificate", "system_hash": loaded.hash,
+            "order": 3, "grade": "evidence", "family": {"kind": "consecutive_ratio"},
+            "shape": ["1", "2", "1"], "coefficients": coefficients,
+            "transcript": [[2, 1], [3, 1], [5, 1]]}, loaded.system)
+        with mock.patch.object(mixing, "character_correlation",
+                               wraps=mixing.character_correlation) as oracle:
+            _, verdict, _ = assert_same_replay(loaded.system, cert)
+        assert verdict == "FAIL at dilation 2"
+        assert all(a != 0 for call in oracle.call_args_list for _, a in call.args[1])
+
     @given(halves_cases())
     @settings(max_examples=150, deadline=None)
     @example((HALVES, NonMixingCertificate(
@@ -229,7 +269,7 @@ class TestReplayMatchesTheReference:
                                wraps=mixing.character_correlation) as oracle:
             report = verify_certificate(CHARP[2, "groebner"], cert)
         assert report.verdict == "FAIL: separation"
-        assert [c.args[1].pairs[1][0] for c in oracle.call_args_list] == [
+        assert [c.args[1][1][0] for c in oracle.call_args_list] == [
             (1, 0), (2, 0), (2, 0), (4, 0)]
 
 
@@ -266,7 +306,12 @@ class TestUnitPowerBudget:
             order=2, shape=((0, 0), (1, 1)), coefficients=(QQ.one, -QQ.one),
             family=explicit_family((1,)), transcript=((1, 0),), grade="evidence")
         limit = UNIT_POWER_BIT_LIMIT // 4
-        assert verify_certificate(system, replace(cert, transcript=((limit, 0),))).ok is False
+
+        def at(*dilations):
+            return replace(cert, family=explicit_family(dilations),
+                           transcript=tuple((n, 0) for n in dilations))
+
+        assert verify_certificate(system, at(limit)).ok is False
         with pytest.raises(BudgetExceededError) as raised:
-            verify_certificate(system, replace(cert, transcript=((1, 0), (limit + 1, 0))))
+            verify_certificate(system, at(1, limit + 1))
         assert raised.value.region["dilation"] == limit + 1
