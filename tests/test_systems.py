@@ -1,4 +1,4 @@
-"""Systems, the correlation oracle, and splitting."""
+"""Systems, the tuple rules, the correlation oracle, and splitting."""
 
 from fractions import Fraction
 from itertools import product
@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mixlab import mixing
 from mixlab.ideals import IdealPresentation
+from mixlab.mixing import NonMixingCertificate, explicit_family, verify_certificate
 from mixlab.numfield import NumberField
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.systems import (
@@ -15,6 +17,7 @@ from mixlab.systems import (
     CharPModule,
     EvaluationModule,
     GroupDescriptor,
+    InvalidTupleError,
     RationalDualModule,
     character_correlation,
     find_nonmixing_element,
@@ -64,6 +67,37 @@ class TestGroups:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             GroupDescriptor("cyclic", d=1)
+
+
+class TestCharacterTuples:
+    """The tuple rules, which `verify_certificate` applies to the merged
+    shifts before any correlation runs."""
+
+    @staticmethod
+    def certificate(shape, coefficients):
+        return NonMixingCertificate(
+            order=len(shape), shape=shape, coefficients=coefficients,
+            family=explicit_family((1,)), transcript=((1, 1),), grade="evidence")
+
+    def test_zero_coefficient_rejected(self, three_dot, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mixing, "character_correlation",
+                            lambda system, pairs: calls.append(pairs) or 1)
+        cert = self.certificate(((0, 0), (1, 0)), (p2("1"), p2("1 + u1 + u2")))
+        with pytest.raises(InvalidTupleError, match="zero in the module"):
+            verify_certificate(three_dot, cert)
+        assert calls == []
+
+    def test_fraction_and_tuple_shifts_compared_exactly(self, solenoid_23, monkeypatch):
+        # (Fraction(0), Fraction(0)) and (0, 0) are one shift, so their
+        # coefficients merge into one slot before the oracle sees them.
+        calls = []
+        monkeypatch.setattr(mixing, "character_correlation",
+                            lambda system, pairs: calls.append(pairs) or 1)
+        cert = self.certificate(((Fraction(0), Fraction(0)), (0, 0)),
+                                (Fraction(1), Fraction(2)))
+        verify_certificate(solenoid_23, cert)
+        assert calls == [[((Fraction(0), Fraction(0)), Fraction(3))]]
 
 
 class TestCorrelationCharP:
