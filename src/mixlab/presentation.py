@@ -224,6 +224,7 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
                   for g in _field(data, "shape", list))
     m = system.module
     coefficients = []
+    polys: Dict[str, LaurentPoly] = {}  # one parse per distinct coefficient text
     for enc in _field(data, "coefficients", list):
         if isinstance(enc, dict) and "poly" in enc and not isinstance(m, CharPModule):
             raise PresentationError("polynomial coefficient for a non-CharP system")
@@ -232,7 +233,10 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
         if isinstance(m, CharPModule):
             if not (isinstance(enc, dict) and isinstance(enc.get("poly"), str)):
                 raise PresentationError(f"field 'coefficients' cannot hold {enc!r}")
-            coefficients.append(LaurentPoly.parse(enc["poly"], m.ideal.d, GF(m.characteristic)))
+            text = enc["poly"]
+            if text not in polys:
+                polys[text] = LaurentPoly.parse(text, m.ideal.d, GF(m.characteristic))
+            coefficients.append(polys[text])
         elif isinstance(enc, dict) and "field" in enc:
             coefficients.append(m.field.element(
                 [_convert(Fraction, c, "coefficients") for c in _field(enc, "field", list)]))

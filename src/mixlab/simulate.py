@@ -12,8 +12,16 @@ the valid patterns are the combinations x @ K mod p of the free values x.
 A cylinder or correlation measure is p^-rank of the pinned columns of K (0
 if the pins are inconsistent), exact for any window that holds the pins:
 the patterns are those of X itself, not of a truncation.  A uniform sample
-draws x with a counter-based generator and multiplies, exactly for every p
-the engine accepts, so every empirical number is reproducible from its seed.
+draws x from a Philox stream and multiplies, exactly for every p the engine
+accepts, so every empirical number is reproducible from its seed.  A sample's
+free values are read off the stream's 64-bit words as uint32 halves h, low
+half first: a half is dropped when h·p mod 2^32 < 2^32 mod p, and the
+accepted halves fill the free-value matrix row by row, each entry
+(h·p) >> 32.  That is NumPy's `Generator.integers(0, p)` on the same stream
+(Lemire's bounded integers).  An estimate decodes only the pinned support,
+the free values whose kernel row is nonzero at some pin, and its block i
+reads the stream keyed by the exact uint64 pair (seed, i), so its seed lies
+in [0, 2^64).
 
 A loaded ideal keeps the window spaces built for it, one per window
 (`window_space`): a correlation, its cylinder measures and their estimate
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import sqrt
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +57,42 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     for i in range(0, a.shape[-1], step):
         out = (out + a[..., i:i + step] @ b[i:i + step]) % p
     return out
+
+
+# Rows decoded at a time.  A block's words stay its one large array, so the
+# small temporaries reuse the same pages from block to block.
+_ROWS = 4096
+
+
+def _free_values(
+    bitgen: np.random.Philox, p: int, count: int, k: int, columns: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Columns `columns` of `Generator(bitgen).integers(0, p, size=(count, k))`,
+    `_ROWS` rows at a time (one empty chunk when count is 0).
+
+    The halves of the raw words are taken in order and each one that the
+    bounded map would reject is dropped (none for p = 2, only 0 for p = 3);
+    a shortfall is topped up from the same generator.  Only the requested
+    columns of the accepted halves are decoded.
+    """
+    need = count * k
+    threshold = (1 << 32) % p
+    halves = np.empty(0, dtype=np.uint32)
+    while len(halves) < need:
+        words = bitgen.random_raw((need - len(halves) + 1) // 2)
+        # Little-endian halves: the low half of each word comes first.
+        drawn = words.astype("<u8", copy=False).view("<u4")
+        if threshold:
+            keep = drawn * np.uint32(p) >= threshold
+            if not keep.all():
+                drawn = drawn[keep]
+        halves = np.concatenate((halves, drawn)) if len(halves) else drawn
+    free = halves[:need].reshape(count, k)
+    for start in range(0, count or 1, _ROWS):
+        values = free[start:start + _ROWS, columns].astype(np.int64)
+        values *= p
+        values >>= 32
+        yield values
 
 
 class WindowError(ValueError):
@@ -143,9 +187,9 @@ class WindowConfigSpace:
 
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
         """Uniform samples of valid configurations; Philox keyed by the seed."""
-        rng = np.random.Generator(np.random.Philox(seed))
-        free = rng.integers(0, self.p, size=(count, len(self.kernel)))
-        return matmul_mod(free, self.kernel, self.p)
+        k = len(self.kernel)
+        chunks = _free_values(np.random.Philox(seed), self.p, count, k, np.arange(k))
+        return np.concatenate([matmul_mod(free, self.kernel, self.p) for free in chunks])
 
     def grid_text(self, config: np.ndarray) -> str:
         """A sample as a text grid (2D windows row per second coordinate)."""
@@ -270,6 +314,8 @@ def correlation_estimate(
     """
     if samples < 1:
         raise DomainError("an estimate needs at least one sample")
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed {seed} lies outside [0, 2^64)")
     space = window_space(system, window)
     pins = _shifted_pins(space, sets, shifts)
     blocks = [
@@ -277,14 +323,21 @@ def correlation_estimate(
         for i in range((samples + _BLOCK - 1) // _BLOCK)
     ]
     pin_cols = space.kernel[:, [space.site_index[site] for site, _ in pins]]
-    pin_vals = np.array([v % space.p for _, v in pins], dtype=np.int64)
+    support = np.flatnonzero(pin_cols.any(axis=1))
+    support_cols = pin_cols[support]
+    pin_vals = [v % space.p for _, v in pins]
 
     def run_block(block):
         index, size = block
-        rng = np.random.Generator(np.random.Philox(key=(seed, index)))
-        free = rng.integers(0, space.p, size=(size, len(space.kernel)))
-        pinned = matmul_mod(free, pin_cols, space.p)
-        return int(np.count_nonzero((pinned == pin_vals).all(axis=1)))
+        bitgen = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+        hit_count = 0
+        for free in _free_values(bitgen, space.p, size, len(space.kernel), support):
+            pinned = matmul_mod(free, support_cols, space.p)
+            hits = np.ones(len(free), dtype=bool)
+            for column, value in zip(pinned.T, pin_vals):
+                hits &= column == value
+            hit_count += int(np.count_nonzero(hits))
+        return hit_count
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

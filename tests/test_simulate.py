@@ -6,10 +6,14 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixlab import cli, simulate
 from mixlab.ideals import IdealPresentation
 from mixlab.presentation import load_system
 from mixlab.ring import GF, DomainError, LaurentPoly
@@ -17,6 +21,7 @@ from mixlab.simulate import (
     CylinderSet,
     WindowConfigSpace,
     WindowError,
+    _free_values,
     _window_sites,
     correlation_estimate,
     correlation_exact,
@@ -42,6 +47,8 @@ def p2(text, d=2):
 
 TESTS = Path(__file__).resolve().parent
 F3_TWO_GENERATORS = str(TESTS / "f3_two_generators.json")
+F3_SUBSTITUTION = str(TESTS / "f3_substitution.json")
+LEDRAPPIER = str(TESTS.parent / "presentations" / "ledrappier.json")
 
 
 def system_over(p, *generators, d=2):
@@ -185,6 +192,25 @@ class TestConfigSpace:
         digest = hashlib.sha1(samples.tobytes()).hexdigest()
         assert digest == "cd9eb07efde0d993317371673e96ac15aabbd8fc"
 
+    def test_sample_rows_are_pinned(self, three_dot):
+        # Rows drawn through Generator.integers before the free values were
+        # read off the raw Philox words, over F_2 and over F_3.
+        space = WindowConfigSpace(three_dot, [(0, 2), (0, 2)])
+        assert space.sample_uniform(4, seed=5).tolist() == [
+            [1, 1, 1, 0, 0, 1, 0, 1, 1],
+            [0, 1, 0, 1, 1, 1, 0, 0, 1],
+            [0, 1, 0, 1, 1, 1, 0, 0, 1],
+            [0, 0, 1, 0, 1, 1, 1, 0, 1],
+        ]
+        space = WindowConfigSpace(load_system(F3_SUBSTITUTION).system, [(0, 2), (0, 2)])
+        assert space.sample_uniform(4, seed=5).tolist() == [
+            [0, 2, 2, 1, 2, 2, 0, 2, 2],
+            [2, 0, 1, 1, 2, 1, 0, 0, 1],
+            [1, 1, 0, 1, 2, 1, 0, 0, 1],
+            [0, 0, 2, 0, 1, 1, 2, 1, 2],
+        ]
+        assert space.sample_uniform(0, seed=5).shape == (0, 9)
+
     def test_grid_text(self, three_dot):
         space = WindowConfigSpace(three_dot, [(0, 2), (0, 2)])
         text = space.grid_text(space.sample_uniform(1, seed=0)[0])
@@ -285,6 +311,18 @@ class TestEstimates:
         )
         assert (est.estimate, est.stderr) == (estimate, stderr)
 
+    def test_f3_estimate_is_pinned(self):
+        cyl = CylinderSet.make({(0, 0): 0})
+        est = correlation_estimate(
+            load_system(F3_SUBSTITUTION).system, [cyl] * 3, [(0, 0), (3, 0), (0, 3)],
+            [(0, 9)] * 2, samples=100_000, seed=7,
+        )
+        assert (est.estimate, est.stderr) == (0.11113, 0.0009938818999257408)
+
+    def test_no_pins_hit_every_sample(self, three_dot):
+        est = correlation_estimate(three_dot, [], [], WINDOW, samples=45_001, seed=3)
+        assert (est.estimate, est.stderr) == (1.0, 0.0)
+
     def test_pin_symbols_are_read_mod_p(self, three_dot):
         # The symbol 2 is 0 in F_2: the estimate must count it as the exact
         # measure does.
@@ -313,6 +351,75 @@ class TestEstimates:
         a = correlation_estimate(three_dot, [cyl], [(0, 0)], WINDOW, samples=10_000, seed=1)
         b = correlation_estimate(three_dot, [cyl], [(0, 0)], WINDOW, samples=10_000, seed=2)
         assert a.estimate != b.estimate
+
+
+class TestFreeValues:
+    """The free values are Generator.integers(0, p) on the block's Philox
+    stream, read off the raw words."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_generator_integers(self, data):
+        # 1431655777 rejects about a third of the halves, so the draw is
+        # topped up; an odd n * k leaves the last word's high half unread;
+        # the rows come in chunks of any size.
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 65537, 1431655777, 2 ** 31 - 1]))
+        n = 2 * data.draw(st.integers(0, 150)) + 1
+        k = 2 * data.draw(st.integers(0, 20)) + 1
+        columns = np.array(sorted(data.draw(st.sets(st.integers(0, k - 1)))), dtype=np.intp)
+        rows = data.draw(st.integers(1, 400))
+        key = np.array([data.draw(st.integers(0, 2 ** 64 - 1)) for _ in range(2)],
+                       dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).integers(0, p, size=(n, k))
+        with patch.object(simulate, "_ROWS", rows):
+            chunks = list(_free_values(np.random.Philox(key=key), p, n, k, columns))
+        assert [len(c) for c in chunks] == [len(expected[i:i + rows]) for i in range(0, n, rows)]
+        assert all(c.dtype == np.int64 for c in chunks)
+        assert np.concatenate(chunks).tolist() == expected[:, columns].tolist()
+
+
+class TestSeeds:
+    """Block i of an estimate is keyed by the exact pair (seed, i)."""
+
+    CYL = CylinderSet.make({(0, 0): 0})
+    SHIFTS = [(0, 0), (4, 0), (0, 4)]
+
+    def estimate(self, system, seed):
+        est = correlation_estimate(system, [self.CYL] * 3, self.SHIFTS, WINDOW,
+                                   samples=20_000, seed=seed)
+        return est.estimate, est.stderr
+
+    @pytest.mark.parametrize(
+        "seed, estimate, stderr",
+        [
+            (2 ** 63 - 1, 0.2499, 0.0030614538213077787),
+            (2 ** 63, 0.2467, 0.0030482709033155175),
+        ],
+    )
+    def test_seeds_up_to_two_to_the_63_keep_their_streams(self, three_dot, seed, estimate,
+                                                            stderr):
+        # Pinned before the key became an exact uint64 pair; 2^63 is exact
+        # in float64, so it kept its stream too.
+        assert self.estimate(three_dot, seed) == (estimate, stderr)
+
+    @pytest.mark.parametrize("a, b", [(2 ** 64 - 1, 0), (2 ** 63 + 1, 2 ** 63),
+                                      (2 ** 64 - 1, 2 ** 64 - 2)])
+    def test_large_seeds_have_their_own_streams(self, three_dot, a, b):
+        # Through float64 each pair here shared one stream.
+        assert self.estimate(three_dot, a) != self.estimate(three_dot, b)
+
+    @pytest.mark.parametrize("seed", [2 ** 64, -1, -(2 ** 64)])
+    def test_seed_outside_the_range_refused(self, three_dot, seed):
+        with pytest.raises(DomainError, match=r"outside \[0, 2\^64\)"):
+            correlation_estimate(three_dot, [self.CYL], [(0, 0)], WINDOW, samples=10,
+                                 seed=seed)
+
+    def test_simulate_refuses_the_seed(self, capsys):
+        code = cli.main(["simulate", LEDRAPPIER, "--sets", '[{"0,0":0}]', "--shifts",
+                         "[[0,0]]", "--samples", "10", "--seed", str(2 ** 64)])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: seed 18446744073709551616 lies outside [0, 2^64)\n"
 
 
 class TestWindowsFromNormalForms:
