@@ -17,6 +17,7 @@ from pathlib import Path
 
 from mixlab import cli
 from mixlab.presentation import load_system
+from mixlab.ring import DomainError
 from mixlab.simulate import (
     CylinderSet,
     WindowConfigSpace,
@@ -88,10 +89,14 @@ def main() -> None:
         print(f"mu(triple at {shifts}) = {exact}  [{label}]")
     print(f"product of measures   = {single.value ** 3}")
 
-    est = correlation_estimate(
-        system, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], window,
-        samples=args.samples, seed=args.seed,
-    )
+    try:
+        est = correlation_estimate(
+            system, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], window,
+            samples=args.samples, seed=args.seed,
+        )
+    except DomainError as e:  # a seed outside [0, 2^64) or no samples
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(cli.EXIT_INPUT)
     print(
         f"monte carlo           = {est.estimate:.5f} +/- {est.stderr:.5f} "
         f"(N={est.samples}, seed={est.seed})"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -58,13 +57,6 @@ def _emit(args, payload: dict, lines):
     else:
         for line in lines:
             print(line)
-
-
-def _threads(args) -> int:
-    """--threads if given, else MIXLAB_THREADS as it is at call time."""
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("MIXLAB_THREADS", "1"))
 
 
 # -- analyze -----------------------------------------------------------------
@@ -271,7 +263,7 @@ def cmd_simulate(args) -> int:
     if args.samples:
         est = correlation_estimate(
             system, sets, shifts, window, args.samples, args.seed,
-            threads=_threads(args),
+            threads=args.threads,
         )
         payload.update(estimate=est.estimate, stderr=est.stderr,
                        samples=est.samples, seed=est.seed)
@@ -353,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mixlab",
         description="workbench for mixing questions on algebraic dynamical systems",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for parallel sections")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,6 +19,17 @@ reduces one small polynomial per base-p digit of the exponents instead of
 walking down from u^m; a monomial whose exponents are all below p is
 reduced directly.
 
+A variable u_i that the reduced basis does not mention factors out of every
+normal form.  A reduction step by a basis element g with no u_i multiplies
+g by lt / lead(g), which carries the whole u_i-exponent of the current lead
+lt, so no step changes the exponent of u_i; and the order is multiplicative.
+So NF(u^m) = u^(m_F) NF(u^(m_V)), where F are the variables the basis does
+not mention and m_V is m with its F-exponents set to 0.  The one condition
+is that the basis does not mention u_i; it is read off the basis, whatever
+the generators or the group.  A relation on the positive rationals that
+names few of the primes thus reduces only the V-part, and the ladder climbs
+on V-parts alone.
+
 The substitution engine decides membership when the ideal is presented by
 relations solving variables in terms of earlier ones (as for the three-dot
 ideal via u2 = 1 + u1 over F_2).  It is a ring map: the highest substituted
@@ -248,6 +259,9 @@ class IdealPresentation:
         self._gb_full: Optional[List[PolyDict]] = None
         self._gb_contracted: Optional[List[PolyDict]] = None
         self._gb_prepared = None
+        # The variables the contracted basis does not mention, set with
+        # _gb_prepared.
+        self._free: List[int] = []
         # NF(u^m) per exponent tuple m of d nonnegative ints (the ladder's memo).
         self._nf_cache: Dict[Mono, PolyDict] = {}
         # g_var^b per (var, b) for the hints over F_p (their ladder's memo).
@@ -340,20 +354,32 @@ class IdealPresentation:
         return [self._to_laurent(g) for g in self._contracted_basis()]
 
     def _monomial_nf(self, m: Mono) -> PolyDict:
-        """NF(u^m) for a tuple m of d nonnegative ints, memoised.  A miss with
-        an exponent of at least p climbs the Frobenius ladder:
+        """NF(u^m) for a tuple m of d nonnegative ints, memoised.  The
+        exponents m_F of the variables the basis does not mention factor out:
+        NF(u^m) = u^(m_F) NF(u^(m_V)).  A miss with m_F = 0 and an exponent
+        of at least p climbs the Frobenius ladder, which stays on V-parts:
         NF(u^(pq + r)) = NF(NF(u^q)^[p] u^r)."""
         nf = self._nf_cache.get(m)
         if nf is None:
             p = self.characteristic
-            if max(m, default=0) < p:
-                f = {m + (0,): 1}
-            else:
-                f = _dilated(self._monomial_nf(tuple(e // p for e in m)), p,
-                             tuple(e % p for e in m) + (0,))
             if self._gb_prepared is None:
-                self._gb_prepared = _prepared(self._contracted_basis(), p)
-            nf = self._nf_cache[m] = _normal_form(f, self._gb_prepared, p)
+                basis = self._contracted_basis()
+                self._gb_prepared = _prepared(basis, p)
+                self._free = [i for i in range(self.d)
+                              if not any(mu[i] for g in basis for mu in g)]
+            free = self._free
+            if any(m[i] for i in free):
+                core = tuple(0 if i in free else e for i, e in enumerate(m))
+                shift = tuple(map(sub, m, core)) + (0,)
+                nf = {_mono_mul(mu, shift): c for mu, c in self._monomial_nf(core).items()}
+            else:
+                if max(m, default=0) < p:
+                    f = {m + (0,): 1}
+                else:
+                    f = _dilated(self._monomial_nf(tuple(e // p for e in m)), p,
+                                 tuple(e % p for e in m) + (0,))
+                nf = _normal_form(f, self._gb_prepared, p)
+            self._nf_cache[m] = nf
         return nf
 
     def _reduced(self, f: LaurentPoly) -> PolyDict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import add, mul
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .ideals import IdealPresentation
 from .numfield import FieldElement, NumberField, power_table
@@ -235,67 +235,3 @@ def find_nonmixing_element(system: AlgebraicSystem, box: Sequence[Tuple[int, int
         return None
     raise UnsupportedOperationError("unknown module type")
 
-
-@dataclass(frozen=True)
-class SplitSystem:
-    """A positive-rationals action split as inner Z^d action x full shift."""
-
-    inner: AlgebraicSystem
-    inner_vars: Tuple[int, ...]  # indices into the prime list
-    shift_primes: Tuple[int, ...]
-
-    def project_inner(self, gamma) -> Tuple[int, ...]:
-        return tuple(int(gamma[i]) for i in self.inner_vars)
-
-    def project_shift(self, gamma) -> Tuple[int, ...]:
-        inner = set(self.inner_vars)
-        return tuple(int(g) for i, g in enumerate(gamma) if i not in inner)
-
-    def restrict_coefficient(self, a: LaurentPoly) -> LaurentPoly:
-        inner = set(self.inner_vars)
-        for m in a.terms:
-            if any(m[i] != 0 for i in range(a.d) if i not in inner):
-                raise DomainError("coefficient has support on shift coordinates")
-        terms = {tuple(m[i] for i in self.inner_vars): c for m, c in a.terms.items()}
-        return LaurentPoly(len(self.inner_vars), a.domain, terms)
-
-    def correlation(self, pairs) -> int:
-        """Correlation factored over shift fibers: 1 iff every fiber sum vanishes.
-
-        Entries sharing a shift component form one fiber; distinct fibers are
-        independent under the full-shift coordinates, so the sum vanishes
-        exactly when each fiber's inner sum does.
-        """
-        fibers: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], LaurentPoly]]] = {}
-        for gamma, a in pairs:
-            fibers.setdefault(self.project_shift(gamma), []).append(
-                (self.project_inner(gamma), self.restrict_coefficient(a))
-            )
-        return int(all(character_correlation(self.inner, entries) for entries in fibers.values()))
-
-
-def split_action(system: AlgebraicSystem) -> SplitSystem:
-    """Split a finitely generated positive-rationals CharP system.
-
-    The inner system is the Z^d action on the variables the generators
-    mention; the remaining prime coordinates act as a full shift.
-    """
-    if system.group.kind != "positive_rationals":
-        raise UnsupportedOperationError("split_action needs a positive-rationals group")
-    if not isinstance(system.module, CharPModule):
-        raise UnsupportedOperationError("split_action needs a CharP module")
-    ideal = system.module.ideal
-    inner_vars = sorted({i for g in ideal.generators for m in g.terms
-                         for i, e in enumerate(m) if e})
-    if not inner_vars:
-        raise DomainError("no variables mentioned by the generators")
-    dom = GF(ideal.characteristic)
-    inner_gens = [LaurentPoly(len(inner_vars), dom,
-                              {tuple(m[i] for i in inner_vars): c for m, c in g.terms.items()})
-                  for g in ideal.generators]
-    inner_ideal = IdealPresentation(inner_gens, ideal.characteristic, d=len(inner_vars))
-    inner = AlgebraicSystem(free_abelian(len(inner_vars)), CharPModule(inner_ideal))
-    shift = tuple(
-        p for i, p in enumerate(system.group.primes) if i not in set(inner_vars)
-    )
-    return SplitSystem(inner=inner, inner_vars=tuple(inner_vars), shift_primes=shift)

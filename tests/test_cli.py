@@ -698,9 +698,7 @@ class TestSimulate:
         assert code == 0
         assert "estimate" not in json.loads(out)
 
-    def test_threads_read_from_environment_at_each_call(self, capsys, monkeypatch):
-        # The parser is built once per process, so MIXLAB_THREADS must be
-        # read when a command runs, not when the parser is built.
+    def test_threads_option_reaches_the_estimate(self, capsys, monkeypatch):
         import mixlab.simulate as simulate
 
         seen = []
@@ -713,17 +711,12 @@ class TestSimulate:
         monkeypatch.setattr(simulate, "correlation_estimate", spy)
         argv = ["simulate", THREE_DOT, "--sets", '[{"0,0": 0}]', "--shifts", "[[0,0]]",
                 "--window", "3", "--samples", "100"]
-        outputs = []
-        for value in ("1", "2"):
-            monkeypatch.setenv("MIXLAB_THREADS", value)
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            outputs.append(out)
-        monkeypatch.delenv("MIXLAB_THREADS")
-        assert run(capsys, *argv)[0] == 0
-        assert run(capsys, "--threads", "3", *argv)[0] == 0
-        assert seen == [1, 2, 1, 3]
-        assert outputs[0] == outputs[1]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, threaded, _ = run(capsys, "--threads", "3", *argv)
+        assert code == 0
+        assert seen == [1, 3]
+        assert threaded == out
 
     def test_rational_dual_not_simulable(self, capsys):
         code, _, err = run(

@@ -432,6 +432,50 @@ class TestFrobeniusLadder:
         assert ideal.normal_form(p2("u1^5")) == p2("1 + u2 + u2^4 + u2^5")
 
 
+# -- free variables factored out of the normal form --------------------------
+
+def terms_of(text, d, p):
+    return LaurentPoly.parse(text, d, GF(p)).terms
+
+
+@st.composite
+def split_cases(draw):
+    """One or two generators over F_p in d <= 4 that mention a random
+    nonempty subset of the variables, and three exponent vectors whose
+    coordinates are small or at least p^3, so that the ladder climbs."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 4))
+    mentioned = draw(st.sets(st.integers(0, d - 1), min_size=1))
+    mono = st.tuples(*[st.integers(0, 2) if i in mentioned else st.just(0) for i in range(d)])
+    # Two terms at least: a monomial generator is a unit.
+    gens = draw(st.lists(st.dictionaries(mono, st.integers(1, p - 1), min_size=2, max_size=3),
+                         min_size=1, max_size=2))
+    exponent = st.one_of(st.integers(0, 2 * p), st.integers(p ** 3, p ** 3 + p))
+    exps = draw(st.lists(st.tuples(*[exponent] * d), min_size=3, max_size=3))
+    return p, d, gens, exps
+
+
+class TestFreeVariables:
+    @given(split_cases())
+    @settings(max_examples=150, deadline=None)
+    @example((2, 3, [terms_of("1", 3, 2)], [(9, 0, 17), (0, 0, 0), (1, 8, 2)]))  # unit ideal
+    @example((3, 2, [], [(30, 4), (0, 27), (2, 2)]))                            # no generators
+    @example((2, 4, [terms_of("1 + u2 + u3", 4, 2), terms_of("u1 * u4 - 1", 4, 2)],
+              [(9, 8, 1, 3), (1, 0, 0, 8), (0, 9, 9, 0)]))                      # nothing free
+    @example((2, 4, [terms_of("1 + u2 + u3", 4, 2)], [(9, 8, 1, 3), (8, 0, 0, 9), (3, 9, 9, 10)]))
+    def test_matches_division_by_the_full_basis(self, case):
+        # The reference divides by the Buchberger basis with the saturation
+        # variable: no principal shortcut, no memo, no ladder, no factoring.
+        p, d, gens, exps = case
+        dom = GF(p)
+        ideal = IdealPresentation([LaurentPoly(d, dom, g) for g in gens], p, d=d)
+        full = _prepared(ideal._full_basis(), p)
+        for m in exps:
+            assert ideal.normal_form_monomial(m) == _normal_form({m + (0,): 1}, full, p)
+        mentioned = {i for g in gens for m in g for i, e in enumerate(m) if e}
+        assert set(ideal._free) >= set(range(d)) - mentioned
+
+
 # -- the substitution engine against elimination by Laurent powers ----------
 
 def _eliminate_variable(f: LaurentPoly, var: int, g: LaurentPoly) -> LaurentPoly:

@@ -1,4 +1,4 @@
-"""Systems, the tuple rules, the correlation oracle, and splitting."""
+"""Systems, the tuple rules, the correlation oracle, and split actions."""
 
 from fractions import Fraction
 from itertools import product
@@ -24,7 +24,6 @@ from mixlab.systems import (
     free_abelian,
     positive_rationals,
     rational_vector,
-    split_action,
     unit_powers,
 )
 from mixlab.systems import _unit_power
@@ -323,40 +322,55 @@ def test_nonmixing_element_matches_monomial_probes(gens, p, d, substitution, b, 
 
 
 @pytest.fixture(scope="module")
-def split_system():
+def split_ledrappier():
+    """1 + u2 + u3 over F_2 on the primes 2, 3, 5, 7: u1 and u4 are free."""
     ideal = IdealPresentation([LaurentPoly.parse("1 + u2 + u3", 4, F2)], 2, d=4)
-    system = AlgebraicSystem(positive_rationals([2, 3, 5, 7]), CharPModule(ideal))
-    return system, split_action(system)
+    return AlgebraicSystem(positive_rationals([2, 3, 5, 7]), CharPModule(ideal))
+
+
+def p4(text):
+    return LaurentPoly.parse(text, 4, F2)
+
+
+def sympy_vanishes(pairs) -> int:
+    """The bit of sum gamma . a by sympy's Groebner basis of
+    (1 + u2 + u3, t*u1*u2*u3*u4 - 1) over F_2, t eliminated."""
+    sympy = pytest.importorskip("sympy")
+    t, *u = sympy.symbols("t u1 u2 u3 u4")
+    basis = sympy.groebner([1 + u[1] + u[2], t * u[0] * u[1] * u[2] * u[3] - 1],
+                           t, *u, modulus=2)
+    total = sum((LaurentPoly.monomial(4, F2, gamma) * a for gamma, a in pairs),
+                LaurentPoly.zero(4, F2))
+    low = [min([m[i] for m in total.terms] + [0]) for i in range(4)]
+    cleared = sum((c * sympy.prod([x ** (e - lo) for x, e, lo in zip(u, m, low)])
+                   for m, c in total.terms.items()), sympy.S.Zero)
+    return int(basis.contains(cleared))
 
 
 class TestSplitAction:
-    def test_inner_variables_inferred(self, split_system):
-        _, split = split_system
-        assert split.inner_vars == (1, 2)
-        assert split.shift_primes == (2, 7)
+    """A positive-rationals action whose relation leaves coordinates free,
+    through the one correlation function."""
 
-    def test_projections(self, split_system):
-        _, split = split_system
-        assert split.project_inner((4, 1, 2, 3)) == (1, 2)
-        assert split.project_shift((4, 1, 2, 3)) == (4, 3)
-
-    def test_correlation_agrees_with_direct(self, split_system):
-        system, split = split_system
-        one = LaurentPoly.one(4, F2)
-        same_fiber = [((1, 0, 0, 2), one), ((1, 1, 0, 2), one), ((1, 0, 1, 2), one)]
+    def test_correlation_agrees_with_direct(self, split_ledrappier):
+        one = p4("1")
+        same_fibre = [((1, 0, 0, 2), one), ((1, 1, 0, 2), one), ((1, 0, 1, 2), one)]
         crossed = [((1, 0, 0, 2), one), ((0, 1, 0, 2), one), ((1, 0, 1, 2), one)]
-        for tup in (same_fiber, crossed):
-            assert split.correlation(tup) == character_correlation(system, tup)
-        assert split.correlation(same_fiber) == 1
-        assert split.correlation(crossed) == 0
+        assert character_correlation(split_ledrappier, same_fibre) == 1
+        assert character_correlation(split_ledrappier, crossed) == 0
+        for pairs in (same_fibre, crossed):
+            assert character_correlation(split_ledrappier, pairs) == sympy_vanishes(pairs)
 
-    def test_coefficient_support_restriction(self, split_system):
-        _, split = split_system
-        with pytest.raises(DomainError):
-            split.restrict_coefficient(LaurentPoly.parse("u1", 4, F2))
-
-    def test_needs_positive_rationals(self, three_dot):
-        from mixlab.systems import UnsupportedOperationError
-
-        with pytest.raises(UnsupportedOperationError):
-            split_action(three_dot)
+    def test_coefficient_support_restriction(self, split_ledrappier):
+        # A coefficient with support on a free coordinate gets an answer.
+        cases = [
+            ([((0, 0, 0, 0), "u1"), ((0, 1, 0, 0), "u1"), ((0, 0, 1, 0), "u1")], 1),
+            ([((0, 0, 0, 0), "u1 * u4^2"), ((1, 1, 0, 2), "1"), ((0, 0, 1, 0), "u1 * u4^2")], 1),
+            ([((0, 0, 0, 0), "u1 + u4"), ((0, 1, 0, 0), "u1"), ((0, 0, 1, 0), "u4")], 0),
+            ([((0, 0, 0, 0), "u1 + u4"), ((0, 1, 0, 0), "u1 + u4"), ((0, 0, 1, 0), "u1 + u4")], 1),
+            ([((2, 0, 0, 0), "u1^-2"), ((0, 0, 0, 1), "u4^-1")], 1),
+        ]
+        cases = [([(gamma, p4(a)) for gamma, a in pairs], bit) for pairs, bit in cases]
+        for pairs, expected in cases:
+            assert character_correlation(split_ledrappier, pairs) == expected
+        for pairs, expected in cases:
+            assert sympy_vanishes(pairs) == expected
