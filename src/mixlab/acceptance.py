@@ -167,6 +167,10 @@ def _criterion_3() -> CriterionResult:
     cyl = CylinderSet.make({(0, 0): 0})
     window = [(0, 6), (0, 6)]
     exact4 = correlation_exact(system, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], window)
+    # The exact measure builds no window space, so it also answers at n = 2^40.
+    far = 1 << 40
+    exact_far = correlation_exact(system, [cyl] * 3, [(0, 0), (far, 0), (0, far)],
+                                  [(0, far)] * 2)
     single = cylinder_measure(system, cyl, window)
     product_measure = single.value ** 3
     est = correlation_estimate(
@@ -189,6 +193,7 @@ def _criterion_3() -> CriterionResult:
     dt = time.perf_counter() - t0
     ok = (
         exact4 == Fraction(1, 4)
+        and exact_far == Fraction(1, 4)
         and product_measure == Fraction(1, 8)
         and single.stable
         and within

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import ceil, comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .numfield import FieldElement, NumberField, power_table
@@ -382,8 +382,9 @@ def _box_points(box: Sequence[Tuple[int, int]]):
 
 
 def _canonical_shapes(points: Sequence[Tuple[int, ...]],
-                      r: int) -> List[Tuple[Tuple[int, ...], ...]]:
-    """One r-point shape per translation class that fits in a box, sorted.
+                      r: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """One r-point shape per translation class that fits in a box, sorted,
+    yielded as the search reaches it.
 
     `points` is the box moved to the origin, in `_box_points` order.  A
     class's member whose minimum on each axis is the box's lower corner is
@@ -391,7 +392,7 @@ def _canonical_shapes(points: Sequence[Tuple[int, ...]],
     are the r-subsets of `points` that meet every coordinate hyperplane, and
     combinations() yields them in sorted order.
     """
-    return [c for c in combinations(points, r) if all(0 in axis for axis in zip(*c))]
+    return (c for c in combinations(points, r) if all(0 in axis for axis in zip(*c)))
 
 
 def _projective_combinations(kernel: Sequence[Sequence[int]], p: int):
@@ -465,10 +466,11 @@ def shape_search(
         "coeff_window": [list(b) for b in coeff_window],
         "reduced_window_size": len(window),
         "dilations": list(dilations),
-        "shapes_examined": len(shapes),
+        "shapes_examined": 0,
         "order": r,
     }
     if not window:
+        region["shapes_examined"] = sum(1 for _ in shapes)
         return SearchOutcome([], region)
     ncols = r * len(window)
     family = explicit_family(dilations)
@@ -499,6 +501,7 @@ def shape_search(
     block = {q: [column(q, w) for w in window] for q in points}
 
     for shape in shapes:
+        region["shapes_examined"] += 1
         kernel = linalg.nullspace([col for q in shape for col in block[q]], ncols, p)
         if not kernel:
             continue

@@ -9,23 +9,30 @@ space keeps its reduced echelon basis K with each row's lead at its highest
 nonzero site: row f is 1 at site f, 0 at the other leads and 0 above f, and
 the valid patterns are the combinations x @ K mod p of the free values x.
 
-A cylinder or correlation measure is p^-rank of the pinned columns of K (0
-if the pins are inconsistent), exact for any window that holds the pins:
-the patterns are those of X itself, not of a truncation.  A uniform sample
-draws x from a Philox stream and multiplies, exactly for every p the engine
-accepts, so every empirical number is reproducible from its seed.  A sample's
-free values are read off the stream's 64-bit words as uint32 halves h, low
-half first: a half is dropped when h·p mod 2^32 < 2^32 mod p, and the
-accepted halves fill the free-value matrix row by row, each entry
-(h·p) >> 32.  That is NumPy's `Generator.integers(0, p)` on the same stream
-(Lemire's bounded integers).  An estimate decodes only the pinned support,
-the free values whose kernel row is nonzero at some pin, and its block i
-reads the stream keyed by the exact uint64 pair (seed, i), so its seed lies
-in [0, 2^64).
+A cylinder or correlation measure needs no window space.  A point of X is
+an F_p-linear functional chi on R/I, x_s = chi(u^s), and Haar measure on X
+maps onto the uniform measure on the patterns its points show at the pinned
+sites, a space dual to the span of their monomials in R/I.  Moving the pins
+by their componentwise minimum low is a unit shift, so the measure is
+p^-rank of the rows NF(u^(s - low)), or 0 when the pins' symbols mod p are
+not a consistent right-hand side for them.  The Frobenius ladder gives each
+row in about log_p of its exponent steps, so the value is exact at any
+dilation.  The window only bounds the pins, refusing one outside it, and in
+an estimate it fixes the sampler's free-value count.
+
+A uniform sample draws x from a Philox stream and multiplies, exactly for
+every p the engine accepts, so every empirical number is reproducible from
+its seed.  A sample's free values are read off the stream's 64-bit words as
+uint32 halves h, low half first: a half is dropped when h·p mod 2^32 <
+2^32 mod p, and the accepted halves fill the free-value matrix row by row,
+each entry (h·p) >> 32.  That is NumPy's `Generator.integers(0, p)` on the
+same stream (Lemire's bounded integers).  An estimate decodes only the
+pinned support, the free values whose kernel row is nonzero at some pin,
+and its block i reads the stream keyed by the exact uint64 pair (seed, i),
+so its seed lies in [0, 2^64).
 
 A loaded ideal keeps the window spaces built for it, one per window
-(`window_space`): a correlation, its cylinder measures and their estimate
-share them.
+(`window_space`), which its estimates share.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import sqrt
+from operator import sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -46,21 +54,32 @@ Site = Tuple[int, ...]
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 arrays with entries in [0, p), exactly.
+    """a @ b mod p for int64 arrays with entries in [0, p), as int64, exactly.
 
     A sum of k products is at most k (p - 1)^2.  The inner dimension is
     summed in slices of the largest k for which that, plus a residue below
-    p, fits in int64; for small p the whole dimension is one slice.
+    p, stays below 2^53, in float64: every partial sum is then an integer
+    float64 holds exactly, so BLAS computes the slice exactly in any order.
+    Where (p - 1)^2 alone passes 2^53 (p above about 9.49e7) the slices are
+    summed in int64, below 2^63.  For small p the whole dimension is one
+    slice.
     """
-    step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
+    square = max((p - 1) ** 2, 1)
+    step, dtype = ((1 << 53) - p) // square, np.float64
+    if not step:
+        step, dtype = ((1 << 63) - p) // square, np.int64
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     for i in range(0, a.shape[-1], step):
-        out = (out + a[..., i:i + step] @ b[i:i + step]) % p
+        out += (a[..., i:i + step] @ b[i:i + step]).astype(np.int64, copy=False)
+        # x - p (x // p) is x mod p for x >= 0; NumPy divides int64 by a
+        # scalar faster than it takes the remainder.
+        out -= p * (out // p)
     return out
 
 
-# Rows decoded at a time.  A block's words stay its one large array, so the
-# small temporaries reuse the same pages from block to block.
+# Rows drawn and decoded at a time.  A block holds one chunk's words at a
+# time, not the whole block's.
 _ROWS = 4096
 
 
@@ -71,25 +90,27 @@ def _free_values(
     `_ROWS` rows at a time (one empty chunk when count is 0).
 
     The halves of the raw words are taken in order and each one that the
-    bounded map would reject is dropped (none for p = 2, only 0 for p = 3);
-    a shortfall is topped up from the same generator.  Only the requested
+    bounded map would reject is dropped (none for p = 2, only 0 for p = 3).
+    Each chunk draws the words it is short of from the same generator, and
+    the halves it leaves over begin the next chunk.  Only the requested
     columns of the accepted halves are decoded.
     """
-    need = count * k
     threshold = (1 << 32) % p
     halves = np.empty(0, dtype=np.uint32)
-    while len(halves) < need:
-        words = bitgen.random_raw((need - len(halves) + 1) // 2)
-        # Little-endian halves: the low half of each word comes first.
-        drawn = words.astype("<u8", copy=False).view("<u4")
-        if threshold:
-            keep = drawn * np.uint32(p) >= threshold
-            if not keep.all():
-                drawn = drawn[keep]
-        halves = np.concatenate((halves, drawn)) if len(halves) else drawn
-    free = halves[:need].reshape(count, k)
     for start in range(0, count or 1, _ROWS):
-        values = free[start:start + _ROWS, columns].astype(np.int64)
+        rows = min(_ROWS, count - start)
+        need = rows * k
+        while len(halves) < need:
+            words = bitgen.random_raw((need - len(halves) + 1) // 2)
+            # Little-endian halves: the low half of each word comes first.
+            drawn = words.astype("<u8", copy=False).view("<u4")
+            if threshold:
+                keep = drawn * np.uint32(p) >= threshold
+                if not keep.all():
+                    drawn = drawn[keep]
+            halves = np.concatenate((halves, drawn)) if len(halves) else drawn
+        values = halves[:need].reshape(rows, k)[:, columns].astype(np.int64)
+        halves = halves[need:]
         values *= p
         values >>= 32
         yield values
@@ -127,6 +148,14 @@ def _require_charp(system: AlgebraicSystem) -> CharPModule:
     return system.module
 
 
+def _bounds(ideal, window: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """The window as int bounds, one pair per variable of the ideal."""
+    bounds = tuple((int(lo), int(hi)) for lo, hi in window)
+    if len(bounds) != ideal.d:
+        raise WindowError("window dimension does not match the system")
+    return bounds
+
+
 def _normal_forms(ideal, shape: Sequence[int]) -> List[Dict[Tuple[int, ...], int]]:
     """NF(u^e) for every e in the box [0, shape), in lexicographic order, each
     from a neighbour r = NF(u^(e - e_i)) by the linear map `_reduced` applies:
@@ -160,9 +189,7 @@ class WindowConfigSpace:
     def __init__(self, system: AlgebraicSystem, window: Sequence[Tuple[int, int]]):
         ideal = _require_charp(system).ideal
         self.p = ideal.characteristic
-        self.window = tuple((int(lo), int(hi)) for lo, hi in window)
-        if len(self.window) != ideal.d:
-            raise WindowError("window dimension does not match the system")
+        self.window = _bounds(ideal, window)
         self.sites = _window_sites(self.window)
         self.site_index = {s: i for i, s in enumerate(self.sites)}
         nsites = len(self.sites)
@@ -213,21 +240,23 @@ def window_space(system: AlgebraicSystem, window: Sequence[Tuple[int, int]]) -> 
     return spaces[key]
 
 
-def _measure_given_pins(
-    space: WindowConfigSpace, pins: Sequence[Tuple[Site, int]]
-) -> Fraction:
-    """p^-rank of the pinned kernel columns, or 0 if the pins contradict."""
-    p = space.p
-    for site, _ in pins:
-        if site not in space.site_index:
-            raise WindowError(f"pinned site {site} lies outside the window")
+def _inside(site: Site, window: Tuple[Tuple[int, int], ...]) -> bool:
+    return len(site) == len(window) and all(
+        lo <= x <= hi for x, (lo, hi) in zip(site, window))
+
+
+def _measure(ideal, pins: Sequence[Tuple[Site, int]]) -> Fraction:
+    """p^-rank of the pinned sites' normal-form rows, or 0 if the pins
+    contradict.  The rows are NF(u^(s - low)), low the pins' componentwise
+    minimum, and pin (s, v) reads chi(NF(u^(s - low))) = v."""
     if not pins:
         return Fraction(1)
-    # Pin (site, value) reads free values x with x @ K[:, site] = value.
-    aug = [
-        space.kernel[:, space.site_index[site]].tolist() + [value % p]
-        for site, value in pins
-    ]
+    p = ideal.characteristic
+    low = [min(axis) for axis in zip(*(site for site, _ in pins))]
+    forms = [ideal.normal_form_monomial(tuple(map(sub, site, low))) for site, _ in pins]
+    monomials = list(dict.fromkeys(mu for nf in forms for mu in nf))
+    aug = [[nf.get(mu, 0) for mu in monomials] + [value % p]
+           for nf, (_, value) in zip(forms, pins)]
     consistent, rank = linalg.affine_consistent_rank(aug, p)
     if not consistent:
         return Fraction(0)
@@ -246,23 +275,28 @@ def cylinder_measure(
     cylinder: CylinderSet,
     window: Sequence[Tuple[int, int]],
 ) -> MeasureResult:
-    """Exact Haar measure of a cylinder set."""
-    value = _measure_given_pins(window_space(system, window), list(cylinder.pins))
+    """Exact Haar measure of a cylinder set whose pins lie in the window."""
+    ideal = _require_charp(system).ideal
+    bounds = _bounds(ideal, window)
+    for site, _ in cylinder.pins:
+        if not _inside(site, bounds):
+            raise WindowError(f"pinned site {site} lies outside the window")
+    value = _measure(ideal, cylinder.pins)
     return MeasureResult(value=value, stable=True, window=tuple(tuple(w) for w in window))
 
 
 def _shifted_pins(
-    space: WindowConfigSpace, sets: Sequence[CylinderSet], shifts: Sequence[Site]
+    window: Tuple[Tuple[int, int], ...], sets: Sequence[CylinderSet], shifts: Sequence[Site]
 ) -> List[Tuple[Site, int]]:
     """The pins of every set moved by its shift, all inside the window."""
     if len(sets) != len(shifts):
         raise DomainError("need one shift per set")
     pins: List[Tuple[Site, int]] = []
     for cyl, gamma in zip(sets, shifts):
-        if len(gamma) != len(space.window):
+        if len(gamma) != len(window):
             raise DomainError(f"shift {list(gamma)} does not match the window dimension")
         for site, v in cyl.shifted(tuple(int(x) for x in gamma)):
-            if site not in space.site_index:
+            if not _inside(site, window):
                 raise WindowError(f"shifted pin {site} outside the window; enlarge it")
             pins.append((site, v))
     return pins
@@ -279,8 +313,8 @@ def correlation_exact(
     Contradictory pins at a site give measure zero (an inconsistent affine
     system), which is a value, not an error.
     """
-    space = window_space(system, window)
-    return _measure_given_pins(space, _shifted_pins(space, sets, shifts))
+    ideal = _require_charp(system).ideal
+    return _measure(ideal, _shifted_pins(_bounds(ideal, window), sets, shifts))
 
 
 @dataclass
@@ -317,7 +351,7 @@ def correlation_estimate(
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed {seed} lies outside [0, 2^64)")
     space = window_space(system, window)
-    pins = _shifted_pins(space, sets, shifts)
+    pins = _shifted_pins(space.window, sets, shifts)
     blocks = [
         (i, min(_BLOCK, samples - i * _BLOCK))
         for i in range((samples + _BLOCK - 1) // _BLOCK)

@@ -780,7 +780,7 @@ class TestShapeSearch:
         box = [(lo, lo + width) for lo, width in sides]
         expected = sorted({_canonical_shape(c) for c in combinations(_box_points(box), r)})
         moved = _box_points([(0, hi - lo) for lo, hi in box])
-        assert _canonical_shapes(moved, r) == expected
+        assert list(_canonical_shapes(moved, r)) == expected
 
     def test_box_lower_corner_only_translates(self, three_dot):
         args = (3, [(0, 1), (0, 1)], [(0, 1)] * 2, (1, 2, 4))

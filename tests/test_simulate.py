@@ -1,6 +1,7 @@
 """Window configuration spaces, exact measures, and Monte Carlo estimates."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import partial
@@ -10,10 +11,10 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixlab import cli, simulate
+from mixlab import cli, linalg, simulate
 from mixlab.ideals import IdealPresentation
 from mixlab.presentation import load_system
 from mixlab.ring import GF, DomainError, LaurentPoly
@@ -26,6 +27,7 @@ from mixlab.simulate import (
     correlation_estimate,
     correlation_exact,
     cylinder_measure,
+    matmul_mod,
 )
 from mixlab.systems import (
     AlgebraicSystem,
@@ -49,11 +51,38 @@ TESTS = Path(__file__).resolve().parent
 F3_TWO_GENERATORS = str(TESTS / "f3_two_generators.json")
 F3_SUBSTITUTION = str(TESTS / "f3_substitution.json")
 LEDRAPPIER = str(TESTS.parent / "presentations" / "ledrappier.json")
+# Every characteristic-p presentation, shipped or under tests/, by file name.
+CHAR_P_FILES = {
+    path.name: str(path)
+    for path in sorted([*(TESTS.parent / "presentations").glob("*.json"), *TESTS.glob("*.json")])
+    if json.loads(path.read_text())["module"]["type"] == "char_p"
+}
+# A small window per dimension: negative corners, and d = 4 for split_ledrappier.
+SMALL_WINDOWS = {1: [(-3, 8)], 2: [(-2, 3), (-1, 4)], 4: [(0, 1), (-1, 1), (0, 1), (0, 2)]}
 
 
 def system_over(p, *generators, d=2):
     ideal = IdealPresentation([LaurentPoly.parse(g, d, GF(p)) for g in generators], p, d=d)
     return AlgebraicSystem(free_abelian(d), CharPModule(ideal))
+
+
+def _measure_given_pins(space, pins):
+    """p^-rank of the pinned kernel columns, or 0 if the pins contradict."""
+    p = space.p
+    for site, _ in pins:
+        if site not in space.site_index:
+            raise WindowError(f"pinned site {site} lies outside the window")
+    if not pins:
+        return Fraction(1)
+    # Pin (site, value) reads free values x with x @ K[:, site] = value.
+    aug = [
+        space.kernel[:, space.site_index[site]].tolist() + [value % p]
+        for site, value in pins
+    ]
+    consistent, rank = linalg.affine_consistent_rank(aug, p)
+    if not consistent:
+        return Fraction(0)
+    return Fraction(1, p ** rank)
 
 
 def translate_rows(system, space):
@@ -445,11 +474,15 @@ class TestWindowsFromNormalForms:
         assert len(translates) > len(space.kernel)
 
     def test_one_window_space_per_window(self):
+        # Exact measures build none; the estimate builds its window's one.
         system = system_over(2, "1 + u1 + u2")
         cyl = CylinderSet.make({(0, 0): 0})
         correlation_exact(system, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], WINDOW)
         assert cylinder_measure(system, cyl, WINDOW).stable
+        assert system.module.ideal.window_spaces == {}
         correlation_estimate(system, [cyl], [(0, 0)], WINDOW, samples=100, seed=0)
+        assert list(system.module.ideal.window_spaces) == [tuple(WINDOW)]
+        correlation_estimate(system, [cyl] * 2, [(0, 0), (1, 1)], WINDOW, samples=100, seed=1)
         assert list(system.module.ideal.window_spaces) == [tuple(WINDOW)]
 
     def test_estimate_checks_pins_as_the_exact_measure_does(self, three_dot):
@@ -528,3 +561,122 @@ class TestWindowsFromNormalForms:
         relations = ref_nullspace(normal_forms, nsites, p) if monos else [
             [int(i == j) for j in range(nsites)] for i in range(nsites)]
         assert space.kernel.tolist() == ref_nullspace(relations, nsites, p)
+
+
+@pytest.fixture(scope="module")
+def window_oracles():
+    """Each characteristic-p file's system and its small window's space."""
+    out = {}
+    for name, path in CHAR_P_FILES.items():
+        system = load_system(path).system
+        out[name] = system, WindowConfigSpace(system, SMALL_WINDOWS[system.module.ideal.d])
+    return out
+
+
+class TestWindowFreeMeasures:
+    """Exact measures from the pins' normal forms alone, against the rank of
+    the pinned columns of the window space's kernel."""
+
+    @given(
+        name=st.sampled_from(sorted(CHAR_P_FILES)),
+        picks=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 11),
+                                 st.integers(0, 10 ** 6)), min_size=1, max_size=7),
+    )
+    @example(name="trivial_unit.json", picks=[(4, 0, 0)])
+    @example(name="trivial_unit.json", picks=[(4, 1, 0), (9, 2, 5)])
+    # Two pins at one site with different symbols, then with the same
+    # symbol mod p.
+    @example(name="ledrappier.json", picks=[(7, 0, 0), (7, 1, 4)])
+    @example(name="f3_substitution.json", picks=[(7, 1, 0), (7, 4, 4)])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_window_space(self, window_oracles, name, picks):
+        # A pick (i, v, g) pins site i of the window (mod its size) to the
+        # symbol v, possibly at least p, and as a set of its own it is moved
+        # there by the shift whose coordinates are the base-3 digits of g,
+        # less 1.
+        system, space = window_oracles[name]
+        d = len(space.window)
+        pins = [(space.sites[i % len(space.sites)], v) for i, v, _ in picks]
+        shifts = [tuple(g // 3 ** j % 3 - 1 for j in range(d)) for _, _, g in picks]
+        cyl = CylinderSet.make(dict(pins))
+        measure = cylinder_measure(system, cyl, space.window)
+        assert measure.value == _measure_given_pins(space, list(cyl.pins))
+        sets = [CylinderSet.make({tuple(a - b for a, b in zip(site, gamma)): v})
+                for (site, v), gamma in zip(pins, shifts)]
+        exact = correlation_exact(system, sets, shifts, space.window)
+        assert exact == _measure_given_pins(space, pins)
+        assert system.module.ideal.window_spaces == {}
+
+    @pytest.mark.parametrize(
+        "n, value",
+        [(2 ** 40, Fraction(1, 4)), (2 ** 60, Fraction(1, 4))]
+        + [(n, Fraction(1, 8)) for n in (3, 5, 6, 7, 12, 100, 1000)],
+    )
+    def test_three_dot_at_any_dilation(self, n, value):
+        # The window (0, n) holds the shifted pins; no window space is built.
+        system = load_system(LEDRAPPIER).system
+        cyl = CylinderSet.make({(0, 0): 0})
+        window = [(0, n)] * 2
+        assert correlation_exact(system, [cyl] * 3, [(0, 0), (n, 0), (0, n)], window) == value
+        assert cylinder_measure(system, cyl, window).value == Fraction(1, 2)
+        assert system.module.ideal.window_spaces == {}
+
+    def test_refusals_keep_their_messages(self):
+        system = system_over(2, "1 + u1 + u2")
+        cyl = CylinderSet.make({(0, 0): 0})
+        refusals = [
+            (partial(cylinder_measure, system, cyl, [(0, 3)]), WindowError,
+             "window dimension does not match the system"),
+            (partial(cylinder_measure, system, CylinderSet.make({(7, 0): 1}), WINDOW),
+             WindowError, "pinned site (7, 0) lies outside the window"),
+            (partial(cylinder_measure, system, CylinderSet.make({(0, 0, 0): 1}), WINDOW),
+             WindowError, "pinned site (0, 0, 0) lies outside the window"),
+            (partial(correlation_exact, system, [cyl], [(0, 0)], [(0, 3)] * 3), WindowError,
+             "window dimension does not match the system"),
+            (partial(correlation_exact, system, [cyl], [(40, 0)], WINDOW), WindowError,
+             "shifted pin (40, 0) outside the window; enlarge it"),
+            (partial(correlation_exact, system, [cyl], [(0, 0)], [(0, -1)] * 2), WindowError,
+             "shifted pin (0, 0) outside the window; enlarge it"),
+            (partial(correlation_exact, system, [cyl], [(1, 0, 5)], WINDOW), DomainError,
+             "shift [1, 0, 5] does not match the window dimension"),
+            (partial(correlation_exact, system, [cyl] * 2, [(0, 0)], WINDOW), DomainError,
+             "need one shift per set"),
+            (partial(cylinder_measure, AlgebraicSystem(positive_rationals([2]),
+                                                       RationalDualModule()), cyl, WINDOW),
+             UnsupportedOperationError,
+             "measure-level simulation is only available in characteristic p"),
+        ]
+        for call, error, message in refusals:
+            with pytest.raises(error) as info:
+                call()
+            assert str(info.value) == message
+        assert system.module.ideal.window_spaces == {}
+
+
+class TestMatmulMod:
+    """matmul_mod against the Python-int product, at characteristics on both
+    sides of sqrt(2^53) and inner dimensions on both sides of a slice."""
+
+    # 67108859 and 94906249 sum in float64 slices of 2 and 1 products;
+    # 94906297 and 2^31 - 1 in int64 slices of 1023 and 2.
+    PRIMES = [2, 3, 5, 65537, 67108859, 94906249, 94906297, 2 ** 31 - 1]
+
+    @given(p=st.sampled_from(PRIMES), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_python_ints(self, p, data):
+        square = (p - 1) ** 2
+        step = ((1 << 53) - p) // square or ((1 << 63) - p) // square
+        near = [k for k in (step - 1, step, step + 1, 2 * step + 1) if k <= 2100]
+        k = data.draw(st.integers(0, 6) | st.sampled_from(near or [0]))
+        m, n = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        if data.draw(st.booleans()):
+            # Every product at its largest, (p - 1)^2.
+            a, b = np.full((m, k), p - 1), np.full((k, n), p - 1)
+        else:
+            a, b = rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))
+        out = matmul_mod(a.astype(np.int64), b.astype(np.int64), p)
+        expected = [[sum(int(a[i, j]) * int(b[j, c]) for j in range(k)) % p
+                     for c in range(n)] for i in range(m)]
+        assert out.dtype == np.int64
+        assert out.tolist() == expected
