@@ -16,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 from mixlab import cli
+from mixlab.mixing import BudgetExceededError
 from mixlab.presentation import load_system
 from mixlab.ring import DomainError
 from mixlab.simulate import (
@@ -97,6 +98,10 @@ def main() -> None:
     except DomainError as e:  # a seed outside [0, 2^64) or no samples
         print(f"error: {e}", file=sys.stderr)
         sys.exit(cli.EXIT_INPUT)
+    except BudgetExceededError as e:  # a window of more sites than the sampler lists
+        print(f"budget exhausted: {e}", file=sys.stderr)
+        print(f"region: {json.dumps(e.region, sort_keys=True)}", file=sys.stderr)
+        sys.exit(cli.EXIT_BUDGET)
     print(
         f"monte carlo           = {est.estimate:.5f} +/- {est.stderr:.5f} "
         f"(N={est.samples}, seed={est.seed})"

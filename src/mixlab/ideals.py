@@ -266,8 +266,6 @@ class IdealPresentation:
         self._nf_cache: Dict[Mono, PolyDict] = {}
         # g_var^b per (var, b) for the hints over F_p (their ladder's memo).
         self._hint_powers: Dict[Tuple[int, int], PolyDict] = {}
-        # simulate.window_space's memo: window -> WindowConfigSpace.
-        self.window_spaces: Dict[Tuple[Tuple[int, int], ...], object] = {}
         if self.substitution:
             for var, poly in self.substitution.items():
                 if not 0 <= var < self.d:
@@ -319,9 +317,6 @@ class IdealPresentation:
         shift = [min(0, min(m[i] for m in f.terms)) for i in range(self.d)]
         return {tuple(map(sub, m, shift)): c for m, c in f.terms.items()}
 
-    def _to_laurent(self, poly: PolyDict) -> LaurentPoly:
-        return LaurentPoly(self.d, self._dom, {m[:-1]: c for m, c in poly.items()})
-
     # -- Groebner engine -----------------------------------------------------
 
     def _full_basis(self) -> List[PolyDict]:
@@ -348,10 +343,6 @@ class IdealPresentation:
                 full = self._full_basis()
                 self._gb_contracted = [g for g in full if all(m[-1] == 0 for m in g)]
         return self._gb_contracted
-
-    def groebner_basis(self) -> List[LaurentPoly]:
-        """Reduced, saturated basis of the Laurent ideal, t eliminated."""
-        return [self._to_laurent(g) for g in self._contracted_basis()]
 
     def _monomial_nf(self, m: Mono) -> PolyDict:
         """NF(u^m) for a tuple m of d nonnegative ints, memoised.  The
@@ -391,10 +382,6 @@ class IdealPresentation:
             for mu, a in self._monomial_nf(m).items():
                 out[mu] = (out.get(mu, 0) + c * a) % p
         return {mu: c for mu, c in out.items() if c}
-
-    def normal_form(self, f: LaurentPoly) -> LaurentPoly:
-        """Canonical remainder of the cleared lift of f; zero iff f is in the ideal."""
-        return self._to_laurent(self._reduced(f))
 
     def normal_form_monomial(self, exps: Sequence[int]) -> PolyDict:
         """Cached normal form of a nonnegative monomial, for linear algebra.

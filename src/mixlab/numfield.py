@@ -55,16 +55,14 @@ def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
 
 
 def _poly_xgcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Extended Euclid in Q[x]: returns (g, s, t) with s*a + t*b = g."""
+    """Extended Euclid in Q[x]: returns (g, s) with s*a = g mod b."""
     r0, r1 = list(a), list(b)
     s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
     while _poly_trim(r1):
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
+    return r0, s0
 
 
 def _zip_pad(a, b):
@@ -145,12 +143,6 @@ class NumberField:
     def one(self) -> "FieldElement":
         return self.from_rational(1)
 
-    @property
-    def gen(self) -> "FieldElement":
-        if self.degree == 1:
-            return self.from_rational(-self.modulus[0])
-        return self.element([0, 1])
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, a: "FieldElement"):
@@ -168,7 +160,7 @@ class NumberField:
         self._check(a)
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = _poly_xgcd(_poly_trim(list(a.coeffs)), list(self.modulus))
+        g, s = _poly_xgcd(_poly_trim(list(a.coeffs)), list(self.modulus))
         if len(g) != 1:
             raise FieldPresentationError(
                 "element has no inverse: the modulus is reducible"

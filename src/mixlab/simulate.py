@@ -17,8 +17,12 @@ by their componentwise minimum low is a unit shift, so the measure is
 p^-rank of the rows NF(u^(s - low)), or 0 when the pins' symbols mod p are
 not a consistent right-hand side for them.  The Frobenius ladder gives each
 row in about log_p of its exponent steps, so the value is exact at any
-dilation.  The window only bounds the pins, refusing one outside it, and in
-an estimate it fixes the sampler's free-value count.
+dilation.  The window plays no part in it beyond its dimension, which every
+shift and pinned site must share.
+
+The window only sizes an estimate: the sampler draws the free values of the
+window's space, so a shifted pin must lie in the window, and a window of
+more than `WINDOW_SITE_LIMIT` sites is refused before its sites are listed.
 
 A uniform sample draws x from a Philox stream and multiplies, exactly for
 every p the engine accepts, so every empirical number is reproducible from
@@ -30,9 +34,6 @@ same stream (Lemire's bounded integers).  An estimate decodes only the
 pinned support, the free values whose kernel row is nonzero at some pin,
 and its block i reads the stream keyed by the exact uint64 pair (seed, i),
 so its seed lies in [0, 2^64).
-
-A loaded ideal keeps the window spaces built for it, one per window
-(`window_space`), which its estimates share.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import sqrt
-from operator import sub
+from math import prod, sqrt
+from operator import add, sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
+from .mixing import BudgetExceededError
 from .ring import DomainError
 from .systems import AlgebraicSystem, CharPModule, UnsupportedOperationError
 
@@ -132,9 +134,6 @@ class CylinderSet:
             raise DomainError("a cylinder set pins at least one coordinate")
         return CylinderSet(tuple(sorted((tuple(s), int(v)) for s, v in pins.items())))
 
-    def shifted(self, gamma: Site) -> List[Tuple[Site, int]]:
-        return [(tuple(a + g for a, g in zip(site, gamma)), v) for site, v in self.pins]
-
 
 def _window_sites(window: Sequence[Tuple[int, int]]) -> List[Site]:
     return [tuple(s) for s in product(*[range(lo, hi + 1) for lo, hi in window])]
@@ -154,6 +153,28 @@ def _bounds(ideal, window: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], 
     if len(bounds) != ideal.d:
         raise WindowError("window dimension does not match the system")
     return bounds
+
+
+def _shifted_pins(
+    ideal, window: Sequence[Tuple[int, int]], sets: Sequence[CylinderSet],
+    shifts: Sequence[Site],
+) -> List[Tuple[Site, int]]:
+    """The pins of every set moved by its shift.  The window, each shift and
+    each pinned site must have one coordinate per variable of the ideal."""
+    _bounds(ideal, window)
+    d = ideal.d
+    if len(sets) != len(shifts):
+        raise DomainError("need one shift per set")
+    pins: List[Tuple[Site, int]] = []
+    for cyl, gamma in zip(sets, shifts):
+        gamma = tuple(int(x) for x in gamma)
+        if len(gamma) != d:
+            raise DomainError(f"shift {list(gamma)} does not match the window dimension")
+        for site, v in cyl.pins:
+            if len(site) != d:
+                raise DomainError(f"pinned site {site} does not match the window dimension")
+            pins.append((tuple(map(add, site, gamma)), v))
+    return pins
 
 
 def _normal_forms(ideal, shape: Sequence[int]) -> List[Dict[Tuple[int, ...], int]]:
@@ -183,6 +204,16 @@ def _normal_forms(ideal, shape: Sequence[int]) -> List[Dict[Tuple[int, ...], int
     return list(out.values())
 
 
+# The most sites a window space lists.  It keeps every site and a dense
+# kernel over them with one row per free value (2 side - 1 of them for
+# `ledrappier`), so its cost grows with the cube of a 2-dimensional window's
+# side: at 2^14 sites (side 128) the build took 0.9 s and 130 MB for
+# `ledrappier` and 4.6 s and 180 MB for `tests/f3_substitution.json`.  The
+# windows sampled in CI (side 40, 1,600 sites) and in the benchmark (side
+# 20, 400 sites) lie well inside.
+WINDOW_SITE_LIMIT = 1 << 14
+
+
 class WindowConfigSpace:
     """The patterns a system's points show on a finite window, as a basis."""
 
@@ -190,9 +221,14 @@ class WindowConfigSpace:
         ideal = _require_charp(system).ideal
         self.p = ideal.characteristic
         self.window = _bounds(ideal, window)
+        nsites = prod(max(hi - lo + 1, 0) for lo, hi in self.window)
+        if nsites > WINDOW_SITE_LIMIT:
+            raise BudgetExceededError(
+                f"a window of {nsites} sites exceeds the site limit",
+                {"window": [list(w) for w in self.window], "sites": nsites,
+                 "site_limit": WINDOW_SITE_LIMIT})
         self.sites = _window_sites(self.window)
         self.site_index = {s: i for i, s in enumerate(self.sites)}
-        nsites = len(self.sites)
         columns = _normal_forms(ideal, [hi - lo + 1 for lo, hi in self.window])
         # N has one row per normal-form monomial; its columns are numbered
         # from the far end, so rref's lowest leads are the highest sites.
@@ -200,17 +236,9 @@ class WindowConfigSpace:
         for j, col in enumerate(columns):
             for mu, c in col.items():
                 rows.setdefault(mu, {})[nsites - 1 - j] = c
-        basis, pivots = linalg.rref(list(rows.values()), nsites, self.p)
+        basis, _ = linalg.rref(list(rows.values()), nsites, self.p)
         basis = np.array(basis, dtype=np.int64).reshape(len(basis), nsites)
         self.kernel = np.ascontiguousarray(basis[::-1, ::-1])
-        self.rank = nsites - len(pivots)
-
-    @property
-    def solution_dimension(self) -> int:
-        return len(self.sites) - self.rank
-
-    def configuration_count(self) -> int:
-        return self.p ** self.solution_dimension
 
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
         """Uniform samples of valid configurations; Philox keyed by the seed."""
@@ -229,20 +257,6 @@ class WindowConfigSpace:
                 "".join(str(int(config[self.site_index[(x, y)]])) for x in range(x0, x1 + 1))
             )
         return "\n".join(lines)
-
-
-def window_space(system: AlgebraicSystem, window: Sequence[Tuple[int, int]]) -> WindowConfigSpace:
-    """The window space of the system's ideal, built once per window."""
-    spaces = _require_charp(system).ideal.window_spaces
-    key = tuple((int(lo), int(hi)) for lo, hi in window)
-    if key not in spaces:
-        spaces[key] = WindowConfigSpace(system, key)
-    return spaces[key]
-
-
-def _inside(site: Site, window: Tuple[Tuple[int, int], ...]) -> bool:
-    return len(site) == len(window) and all(
-        lo <= x <= hi for x, (lo, hi) in zip(site, window))
 
 
 def _measure(ideal, pins: Sequence[Tuple[Site, int]]) -> Fraction:
@@ -266,7 +280,7 @@ def _measure(ideal, pins: Sequence[Tuple[Site, int]]) -> Fraction:
 @dataclass
 class MeasureResult:
     value: Fraction
-    stable: bool  # always: the value is exact on any window holding the pins
+    stable: bool  # always: the value is exact, whatever the window
     window: Tuple[Tuple[int, int], ...]
 
 
@@ -275,31 +289,10 @@ def cylinder_measure(
     cylinder: CylinderSet,
     window: Sequence[Tuple[int, int]],
 ) -> MeasureResult:
-    """Exact Haar measure of a cylinder set whose pins lie in the window."""
+    """Exact Haar measure of a cylinder set, wherever its pins lie."""
     ideal = _require_charp(system).ideal
-    bounds = _bounds(ideal, window)
-    for site, _ in cylinder.pins:
-        if not _inside(site, bounds):
-            raise WindowError(f"pinned site {site} lies outside the window")
-    value = _measure(ideal, cylinder.pins)
+    value = _measure(ideal, _shifted_pins(ideal, window, [cylinder], [[0] * ideal.d]))
     return MeasureResult(value=value, stable=True, window=tuple(tuple(w) for w in window))
-
-
-def _shifted_pins(
-    window: Tuple[Tuple[int, int], ...], sets: Sequence[CylinderSet], shifts: Sequence[Site]
-) -> List[Tuple[Site, int]]:
-    """The pins of every set moved by its shift, all inside the window."""
-    if len(sets) != len(shifts):
-        raise DomainError("need one shift per set")
-    pins: List[Tuple[Site, int]] = []
-    for cyl, gamma in zip(sets, shifts):
-        if len(gamma) != len(window):
-            raise DomainError(f"shift {list(gamma)} does not match the window dimension")
-        for site, v in cyl.shifted(tuple(int(x) for x in gamma)):
-            if not _inside(site, window):
-                raise WindowError(f"shifted pin {site} outside the window; enlarge it")
-            pins.append((site, v))
-    return pins
 
 
 def correlation_exact(
@@ -314,7 +307,7 @@ def correlation_exact(
     system), which is a value, not an error.
     """
     ideal = _require_charp(system).ideal
-    return _measure(ideal, _shifted_pins(_bounds(ideal, window), sets, shifts))
+    return _measure(ideal, _shifted_pins(ideal, window, sets, shifts))
 
 
 @dataclass
@@ -344,19 +337,26 @@ def correlation_estimate(
     """Empirical frequency of the intersection with binomial standard error.
 
     Sampling is split into fixed-size blocks with per-block derived Philox
-    keys, so the result is identical for any thread count.
+    keys, so the result is identical for any thread count.  The sampler draws
+    the free values of the window's space, so every shifted pin must lie in
+    the window.
     """
     if samples < 1:
         raise DomainError("an estimate needs at least one sample")
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed {seed} lies outside [0, 2^64)")
-    space = window_space(system, window)
-    pins = _shifted_pins(space.window, sets, shifts)
+    pins = _shifted_pins(_require_charp(system).ideal, window, sets, shifts)
+    space = WindowConfigSpace(system, window)
+    columns = []
+    for site, _ in pins:
+        if site not in space.site_index:
+            raise WindowError(f"shifted pin {site} outside the window; enlarge it")
+        columns.append(space.site_index[site])
     blocks = [
         (i, min(_BLOCK, samples - i * _BLOCK))
         for i in range((samples + _BLOCK - 1) // _BLOCK)
     ]
-    pin_cols = space.kernel[:, [space.site_index[site] for site, _ in pins]]
+    pin_cols = space.kernel[:, columns]
     support = np.flatnonzero(pin_cols.any(axis=1))
     support_cols = pin_cols[support]
     pin_vals = [v % space.p for _, v in pins]

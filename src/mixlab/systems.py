@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import add, mul
+from operator import add, mul, neg, sub
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .ideals import IdealPresentation
@@ -210,19 +210,23 @@ def find_nonmixing_element(system: AlgebraicSystem, box: Sequence[Tuple[int, int
     is whether u^gamma - 1 is in the ideal.  Any monomial u^e gives the same
     answer: monomials are units of the Laurent ring and both engines decide
     membership up to units, so (u^gamma - 1) * u^e is in the ideal iff
-    u^gamma - 1 is.
+    u^gamma - 1 is.  Both engines decide the same ideal (checked at load),
+    so the scan asks the normal form: with s = min(gamma, 0) componentwise,
+    u^(gamma - s) - u^(-s) is the cleared lift of u^gamma - 1, and it lies in
+    the ideal iff NF(u^(gamma - s)) = NF(u^(-s)).
     """
     m = system.module
     ranges = [range(lo, hi + 1) for lo, hi in box]
     if isinstance(m, CharPModule):
         ideal = m.ideal
-        dom = GF(m.characteristic)
-        one = LaurentPoly.one(ideal.d, dom)
-        if ideal.contains(one):
+        if ideal.constant_in_ideal():
             return None  # trivial quotient: no nonzero element to fix
+        nf = ideal.normal_form_monomial
         for gamma in product(*ranges):
-            if any(gamma) and ideal.contains(LaurentPoly.monomial(ideal.d, dom, gamma) - one):
-                return gamma
+            if any(gamma):
+                low = tuple(min(g, 0) for g in gamma)
+                if nf(tuple(map(sub, gamma, low))) == nf(tuple(map(neg, low))):
+                    return gamma
         return None
     if isinstance(m, EvaluationModule):
         value = unit_powers(m, box)

@@ -687,6 +687,20 @@ class TestSimulate:
         assert code == 2
         assert "does not match the window dimension" in err
 
+    def test_exact_at_any_window_estimate_within_the_site_limit(self, capsys):
+        argv = ["simulate", THREE_DOT, "--sets", '[{"0,0": 0}, {"0,0": 0}, {"0,0": 0}]',
+                "--shifts", "[[0,0],[1099511627776,0],[0,1099511627776]]"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["exact"] == "1/4"
+        code, _, err = run(capsys, *argv, "--window", "1099511627777", "--samples", "10")
+        assert code == 4
+        sites = (2 ** 40 + 1) ** 2
+        lines = err.splitlines()
+        assert lines[0] == f"budget exhausted: a window of {sites} sites exceeds the site limit"
+        assert json.loads(lines[1].removeprefix("region: ")) == {
+            "site_limit": 16384, "sites": sites, "window": [[0, 2 ** 40]] * 2}
+
     def test_sample_count(self, capsys):
         argv = ["simulate", THREE_DOT, "--sets", '[{"0,0": 0}]', "--shifts", "[[1,0]]",
                 "--window", "7", "--json"]

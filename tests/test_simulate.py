@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from mixlab import cli, linalg, simulate
 from mixlab.ideals import IdealPresentation
+from mixlab.mixing import BudgetExceededError
 from mixlab.presentation import load_system
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.simulate import (
@@ -64,6 +66,15 @@ SMALL_WINDOWS = {1: [(-3, 8)], 2: [(-2, 3), (-1, 4)], 4: [(0, 1), (-1, 1), (0, 1
 def system_over(p, *generators, d=2):
     ideal = IdealPresentation([LaurentPoly.parse(g, d, GF(p)) for g in generators], p, d=d)
     return AlgebraicSystem(free_abelian(d), CharPModule(ideal))
+
+
+@contextmanager
+def space_builds():
+    """A mock of `WindowConfigSpace.__init__` that builds as before and
+    counts its calls inside the block."""
+    with patch.object(WindowConfigSpace, "__init__", autospec=True,
+                      side_effect=WindowConfigSpace.__init__) as init:
+        yield init
 
 
 def _measure_given_pins(space, pins):
@@ -142,15 +153,18 @@ def full_shift():
 class TestConfigSpace:
     def test_solution_dimension(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
-        # 49 sites, one constraint per fully contained translate (6x6).
+        # 49 sites, one constraint per fully contained translate (6x6): rank
+        # 36, so 13 free values.
         assert len(space.sites) == 49
-        assert space.rank == 36
-        assert space.solution_dimension == 13
-        assert space.configuration_count() == 2 ** 13
+        assert len(space.sites) - len(space.kernel) == 36
+        assert len(space.kernel) == 13
+        # The 2^13 combinations of the kernel rows are distinct configurations.
+        free = np.array(list(product(range(2), repeat=13)), dtype=np.int64)
+        assert len(np.unique(matmul_mod(free, space.kernel, 2), axis=0)) == 2 ** 13
 
     def test_full_shift_is_unconstrained(self, full_shift):
         space = WindowConfigSpace(full_shift, [(0, 2), (0, 2)])
-        assert space.solution_dimension == 9
+        assert len(space.sites) == len(space.kernel) == 9
 
     def test_samples_satisfy_constraints(self, three_dot):
         space = WindowConfigSpace(three_dot, WINDOW)
@@ -301,10 +315,11 @@ class TestExactMeasures:
         )
         assert exact == Fraction(1, 4)
 
-    def test_shift_outside_window_rejected(self, three_dot):
+    def test_shift_outside_window_measured(self, three_dot):
+        # An exact measure takes the window's dimension only.
         cyl = CylinderSet.make({(0, 0): 0})
-        with pytest.raises(WindowError):
-            correlation_exact(three_dot, [cyl], [(40, 0)], WINDOW)
+        exact = correlation_exact(three_dot, [cyl] * 3, [(0, 0), (40, 0), (0, 40)], WINDOW)
+        assert exact == Fraction(1, 8)
 
     def test_mismatched_sets_and_shifts(self, three_dot):
         cyl = CylinderSet.make({(0, 0): 0})
@@ -474,24 +489,27 @@ class TestWindowsFromNormalForms:
         assert len(translates) > len(space.kernel)
 
     def test_one_window_space_per_window(self):
-        # Exact measures build none; the estimate builds its window's one.
+        # Exact measures build none; each estimate builds its window's one.
         system = system_over(2, "1 + u1 + u2")
         cyl = CylinderSet.make({(0, 0): 0})
-        correlation_exact(system, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], WINDOW)
-        assert cylinder_measure(system, cyl, WINDOW).stable
-        assert system.module.ideal.window_spaces == {}
-        correlation_estimate(system, [cyl], [(0, 0)], WINDOW, samples=100, seed=0)
-        assert list(system.module.ideal.window_spaces) == [tuple(WINDOW)]
-        correlation_estimate(system, [cyl] * 2, [(0, 0), (1, 1)], WINDOW, samples=100, seed=1)
-        assert list(system.module.ideal.window_spaces) == [tuple(WINDOW)]
+        with space_builds() as init:
+            correlation_exact(system, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], WINDOW)
+            assert cylinder_measure(system, cyl, WINDOW).stable
+            assert init.call_count == 0
+            correlation_estimate(system, [cyl], [(0, 0)], WINDOW, samples=100, seed=0)
+            assert init.call_count == 1
+            correlation_estimate(system, [cyl] * 2, [(0, 0), (1, 1)], WINDOW, samples=100,
+                                 seed=1)
+            assert init.call_count == 2
 
     def test_estimate_checks_pins_as_the_exact_measure_does(self, three_dot):
         cyl = CylinderSet.make({(0, 0): 0})
         for measure in (correlation_exact, partial(correlation_estimate, samples=10, seed=0)):
-            with pytest.raises(WindowError):
-                measure(three_dot, [cyl], [(40, 0)], WINDOW)
             with pytest.raises(DomainError):
                 measure(three_dot, [cyl] * 2, [(0, 0)], WINDOW)
+        # Only the estimate, which samples the window, needs the pins in it.
+        with pytest.raises(WindowError):
+            correlation_estimate(three_dot, [cyl], [(40, 0)], WINDOW, samples=10, seed=0)
 
     def test_shift_of_the_wrong_length_refused(self, three_dot):
         # zip would cut (1, 0, 5) to (1, 0) and measure the wrong cylinder.
@@ -517,7 +535,7 @@ class TestWindowsFromNormalForms:
         ideal = system.module.ideal
         p = ideal.characteristic
         window = [(-1, 3), (-2, 4)]
-        nfs = {s: ideal.normal_form(LaurentPoly(2, GF(p), {(s[0] + 1, s[1] + 2): 1})).terms
+        nfs = {s: ideal._reduced(LaurentPoly(2, GF(p), {(s[0] + 1, s[1] + 2): 1}))
                for s in _window_sites(window)}
         monos = sorted({m for nf in nfs.values() for m in nf})
         patterns = [
@@ -599,13 +617,14 @@ class TestWindowFreeMeasures:
         pins = [(space.sites[i % len(space.sites)], v) for i, v, _ in picks]
         shifts = [tuple(g // 3 ** j % 3 - 1 for j in range(d)) for _, _, g in picks]
         cyl = CylinderSet.make(dict(pins))
-        measure = cylinder_measure(system, cyl, space.window)
-        assert measure.value == _measure_given_pins(space, list(cyl.pins))
         sets = [CylinderSet.make({tuple(a - b for a, b in zip(site, gamma)): v})
                 for (site, v), gamma in zip(pins, shifts)]
-        exact = correlation_exact(system, sets, shifts, space.window)
+        with space_builds() as init:
+            measure = cylinder_measure(system, cyl, space.window)
+            exact = correlation_exact(system, sets, shifts, space.window)
+        assert measure.value == _measure_given_pins(space, list(cyl.pins))
         assert exact == _measure_given_pins(space, pins)
-        assert system.module.ideal.window_spaces == {}
+        assert init.call_count == 0
 
     @pytest.mark.parametrize(
         "n, value",
@@ -613,30 +632,35 @@ class TestWindowFreeMeasures:
         + [(n, Fraction(1, 8)) for n in (3, 5, 6, 7, 12, 100, 1000)],
     )
     def test_three_dot_at_any_dilation(self, n, value):
-        # The window (0, n) holds the shifted pins; no window space is built.
+        # The window (0, n) holds the shifted pins and the window (0, 6) does
+        # not for n > 6; either way no window space is built.
         system = load_system(LEDRAPPIER).system
         cyl = CylinderSet.make({(0, 0): 0})
-        window = [(0, n)] * 2
-        assert correlation_exact(system, [cyl] * 3, [(0, 0), (n, 0), (0, n)], window) == value
-        assert cylinder_measure(system, cyl, window).value == Fraction(1, 2)
-        assert system.module.ideal.window_spaces == {}
+        with space_builds() as init:
+            for window in ([(0, n)] * 2, WINDOW):
+                exact = correlation_exact(system, [cyl] * 3, [(0, 0), (n, 0), (0, n)], window)
+                assert exact == value
+                assert cylinder_measure(system, cyl, window).value == Fraction(1, 2)
+        assert init.call_count == 0
 
     def test_refusals_keep_their_messages(self):
         system = system_over(2, "1 + u1 + u2")
         cyl = CylinderSet.make({(0, 0): 0})
+        # Pins outside the window are measured, not refused.
+        space = WindowConfigSpace(system, [(0, 40), (0, 6)])
+        with space_builds() as init:
+            measure = cylinder_measure(system, CylinderSet.make({(7, 0): 1}), WINDOW)
+            assert measure.value == _measure_given_pins(space, [((7, 0), 1)])
+            far = correlation_exact(system, [cyl], [(40, 0)], WINDOW)
+            assert far == _measure_given_pins(space, [((40, 0), 0)])
+            empty = correlation_exact(system, [cyl], [(0, 0)], [(0, -1)] * 2)
+            assert empty == _measure_given_pins(space, [((0, 0), 0)])
+        assert init.call_count == 0
         refusals = [
             (partial(cylinder_measure, system, cyl, [(0, 3)]), WindowError,
              "window dimension does not match the system"),
-            (partial(cylinder_measure, system, CylinderSet.make({(7, 0): 1}), WINDOW),
-             WindowError, "pinned site (7, 0) lies outside the window"),
-            (partial(cylinder_measure, system, CylinderSet.make({(0, 0, 0): 1}), WINDOW),
-             WindowError, "pinned site (0, 0, 0) lies outside the window"),
             (partial(correlation_exact, system, [cyl], [(0, 0)], [(0, 3)] * 3), WindowError,
              "window dimension does not match the system"),
-            (partial(correlation_exact, system, [cyl], [(40, 0)], WINDOW), WindowError,
-             "shifted pin (40, 0) outside the window; enlarge it"),
-            (partial(correlation_exact, system, [cyl], [(0, 0)], [(0, -1)] * 2), WindowError,
-             "shifted pin (0, 0) outside the window; enlarge it"),
             (partial(correlation_exact, system, [cyl], [(1, 0, 5)], WINDOW), DomainError,
              "shift [1, 0, 5] does not match the window dimension"),
             (partial(correlation_exact, system, [cyl] * 2, [(0, 0)], WINDOW), DomainError,
@@ -646,11 +670,53 @@ class TestWindowFreeMeasures:
              UnsupportedOperationError,
              "measure-level simulation is only available in characteristic p"),
         ]
-        for call, error, message in refusals:
-            with pytest.raises(error) as info:
+        with space_builds() as init:
+            for call, error, message in refusals:
+                with pytest.raises(error) as info:
+                    call()
+                assert str(info.value) == message
+        assert init.call_count == 0
+        estimate = partial(correlation_estimate, samples=10, seed=0)
+        for window, shift in ([(0, 6)] * 2, (40, 0)), ([(0, -1)] * 2, (0, 0)):
+            with pytest.raises(WindowError) as info:
+                estimate(system, [cyl], [shift], window)
+            assert str(info.value) == f"shifted pin {shift} outside the window; enlarge it"
+
+    def test_pin_of_the_wrong_length_refused(self):
+        # A pinned site with three coordinates on a d = 2 system is refused
+        # alike by all three measures, not cut to two by the shift.
+        system = system_over(2, "1 + u1 + u2")
+        cyl = CylinderSet.make({(0, 0, 0): 1})
+        for call in (partial(cylinder_measure, system, cyl, WINDOW),
+                     partial(correlation_exact, system, [cyl], [(0, 0)], WINDOW),
+                     partial(correlation_estimate, system, [cyl], [(0, 0)], WINDOW,
+                             samples=10, seed=0)):
+            with pytest.raises(DomainError) as info:
                 call()
-            assert str(info.value) == message
-        assert system.module.ideal.window_spaces == {}
+            assert str(info.value) == "pinned site (0, 0, 0) does not match the window dimension"
+
+    def test_window_too_large_to_list_refused(self, three_dot):
+        # The estimate refuses before it lists a site; the exact measure
+        # needs no window space at all.
+        side = 2 ** 40 + 1
+        window = [(0, side - 1)] * 2
+        cyl = CylinderSet.make({(0, 0): 0})
+        shifts = [(0, 0), (2 ** 40, 0), (0, 2 ** 40)]
+        assert correlation_exact(three_dot, [cyl] * 3, shifts, window) == Fraction(1, 4)
+        with patch.object(simulate, "_window_sites") as listed:
+            with pytest.raises(BudgetExceededError) as info:
+                correlation_estimate(three_dot, [cyl] * 3, shifts, window, samples=10, seed=0)
+        assert listed.call_count == 0
+        assert str(info.value) == f"a window of {side ** 2} sites exceeds the site limit"
+        assert info.value.region == {"window": [[0, side - 1]] * 2, "sites": side ** 2,
+                                     "site_limit": simulate.WINDOW_SITE_LIMIT}
+
+    def test_site_limit_is_inclusive(self):
+        limit = simulate.WINDOW_SITE_LIMIT
+        system = system_over(2, "1 + u1 + u1^3", d=1)
+        assert len(WindowConfigSpace(system, [(1, limit)]).sites) == limit
+        with pytest.raises(BudgetExceededError):
+            WindowConfigSpace(system, [(0, limit)])
 
 
 class TestMatmulMod:

@@ -239,7 +239,7 @@ class TestNonMixingElements:
 
     def test_evaluation_root_of_unity(self):
         K = NumberField([1, 0, 1])  # x^2 + 1: u1 -> i is a 4-torsion unit
-        module = EvaluationModule.make(K, {0: K.gen})
+        module = EvaluationModule.make(K, {0: K.element([0, 1])})
         system = AlgebraicSystem(free_abelian(1), module)
         assert find_nonmixing_element(system, [(-4, 4)]) == (-4,)
 
@@ -249,7 +249,7 @@ class TestNonMixingElements:
     ])
     def test_unit_powers_match_per_point(self, level, box):
         K = NumberField([-2, 0, 1])
-        units = {0: K.element([1, 1]), 1: K.from_rational(Fraction(-3, 2)), 2: K.gen}
+        units = {0: K.element([1, 1]), 1: K.from_rational(Fraction(-3, 2)), 2: K.element([0, 1])}
         module = EvaluationModule.make(K, {i: units[i] for i in range(len(box))}, level)
         value = unit_powers(module, box)
         points = set(product(*(range(lo, hi + 1) for lo, hi in box)))
@@ -306,6 +306,11 @@ def ref_find_nonmixing_element(system, box):
     (["u1 - 1"], 2, 2, {0: "1"}, 2, (-2, 0)),
     (["u1", "1 + u1"], 2, 1, None, 3, None),
     ([], 2, 2, None, 2, None),
+    # presentations/split_ledrappier.json, tests/f3_two_generators.json and
+    # tests/f5_two_generators.json.
+    (["1 + u2 + u3"], 2, 4, None, 2, None),
+    (["2*u1^2*u2^2 + u1*u2 + u1", "2*u1^2*u2 + 2*u1 + u1*u2^2"], 3, 2, None, 5, (-5, 0)),
+    (["1 + 2*u1 + u2", "u1^2 + 3"], 5, 2, None, 5, (-1, -3)),
 ])
 def test_nonmixing_element_matches_monomial_probes(gens, p, d, substitution, b, expected):
     dom = GF(p)
