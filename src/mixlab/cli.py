@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +52,14 @@ EXIT_EMPTY = 3
 EXIT_BUDGET = 4
 
 
+def _require_nonnegative(args, *flags: str) -> None:
+    """Refuse a negative budget: a box, window or limit below 0 would pass
+    for an exhausted empty region."""
+    for flag in flags:
+        if getattr(args, flag) < 0:
+            raise PresentationError(f"--{flag} must be nonnegative")
+
+
 def _emit(args, payload: dict, lines):
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2, default=str))
@@ -62,6 +71,7 @@ def _emit(args, payload: dict, lines):
 # -- analyze -----------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    _require_nonnegative(args, "box")
     loaded = load_system(args.file)
     system = loaded.system
     m = system.module
@@ -121,8 +131,7 @@ def _write_certificate(outdir: Path, name: str, index: int, cert_dict: dict) -> 
 def cmd_certify(args) -> int:
     if args.order < 2:
         raise PresentationError("--order must be at least 2")
-    if args.kmax < 0:
-        raise PresentationError("--kmax must be nonnegative")
+    _require_nonnegative(args, "kmax", "box", "window")
     loaded = load_system(args.file)
     system = loaded.system
     m = system.module
@@ -215,18 +224,44 @@ def cmd_verify(args) -> int:
 
 # -- simulate ----------------------------------------------------------------
 
+def _integer(x, what: str) -> int:
+    """A JSON integer (or an integral number) as an int; a fraction, a
+    string or a boolean is refused, not truncated."""
+    if isinstance(x, float) and x.is_integer() or type(x) is int:
+        return int(x)
+    raise PresentationError(f"{what} must be an integer, not {json.dumps(x)}")
+
+
+# A pinned-site coordinate: ASCII decimal digits, as int() reads them less
+# its digit separators ("1_0" is 10) and non-ASCII digits.
+_COORDINATE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
 def _parse_sets(text: str):
     from .simulate import CylinderSet
 
     raw = json.loads(text)
+    if not isinstance(raw, list) or not all(isinstance(block, dict) for block in raw):
+        raise PresentationError('--sets must be a JSON list of pin maps, e.g. [{"0,0": 0}]')
     sets = []
     for block in raw:
         pins = {}
         for key, v in block.items():
-            site = tuple(int(x) for x in key.split(","))
-            pins[site] = int(v)
+            coordinates = key.split(",")
+            if not all(map(_COORDINATE.fullmatch, coordinates)):
+                raise PresentationError(
+                    f"pinned site {key!r} is not a comma-separated list of integers")
+            site = tuple(map(int, coordinates))
+            pins[site] = _integer(v, f"the symbol pinned at {key!r}")
         sets.append(CylinderSet.make(pins))
     return sets
+
+
+def _parse_shifts(text: str):
+    raw = json.loads(text)
+    if not isinstance(raw, list) or not all(isinstance(shift, list) for shift in raw):
+        raise PresentationError("--shifts must be a JSON list of integer vectors, e.g. [[0, 0]]")
+    return [tuple(_integer(x, "a shift coordinate") for x in shift) for shift in raw]
 
 
 def cmd_simulate(args) -> int:
@@ -240,7 +275,7 @@ def cmd_simulate(args) -> int:
         )
     d = system.module.ideal.d
     sets = _parse_sets(args.sets)
-    shifts = [tuple(int(x) for x in s) for s in json.loads(args.shifts)]
+    shifts = _parse_shifts(args.shifts)
     window = [(0, args.window - 1)] * d
     exact = correlation_exact(system, sets, shifts, window)
     product_measure = Fraction(1)
@@ -282,6 +317,7 @@ def _parse_rationals(text: str):
 
 
 def cmd_uniteq(args) -> int:
+    _require_nonnegative(args, "box", "budget")
     field = NumberField(_parse_rationals(args.modulus))
     coeffs = _parse_rationals(args.coeffs)
     gens = _parse_rationals(args.gens)

@@ -22,7 +22,9 @@ shift and pinned site must share.
 
 The window only sizes an estimate: the sampler draws the free values of the
 window's space, so a shifted pin must lie in the window, and a window of
-more than `WINDOW_SITE_LIMIT` sites is refused before its sites are listed.
+more than `WINDOW_SITE_LIMIT` sites is refused before its sites are listed,
+one whose matrix N has more than `WINDOW_ENTRY_LIMIT` entries before it is
+reduced.
 
 A uniform sample draws x from a Philox stream and multiplies, exactly for
 every p the engine accepts, so every empirical number is reproducible from
@@ -213,6 +215,19 @@ def _normal_forms(ideal, shape: Sequence[int]) -> List[Dict[Tuple[int, ...], int
 # 20, 400 sites) lie well inside.
 WINDOW_SITE_LIMIT = 1 << 14
 
+# The most entries, rows times sites, of the matrix N a window space reduces.
+# Its rows are the distinct normal-form monomials, which bound the kernel's
+# rank, so this bounds the dense kernel too, and the build's cost follows
+# it: about 17 bytes of peak memory per entry.  Where the basis leaves
+# variables free the rows grow with the window.  Builds measured on one
+# core: `split_ledrappier` (d = 4) at side 10, 1,900 rows over 10,000 sites
+# (1.9e7 entries), 1.4 s and 330 MB; the full shift at side 76, one row per
+# site (3.3e7), 2.0 s and 550 MB, and at side 90 (6.6e7) 4.1 s and 1.0 GB.
+# `split_ledrappier` at side 11 (2,541 rows over 14,641 sites, 3.7e7) is
+# refused; every window the site limit admits for `ledrappier` (255 rows at
+# side 128) builds.
+WINDOW_ENTRY_LIMIT = 1 << 25
+
 
 class WindowConfigSpace:
     """The patterns a system's points show on a finite window, as a basis."""
@@ -236,6 +251,11 @@ class WindowConfigSpace:
         for j, col in enumerate(columns):
             for mu, c in col.items():
                 rows.setdefault(mu, {})[nsites - 1 - j] = c
+        if len(rows) * nsites > WINDOW_ENTRY_LIMIT:
+            raise BudgetExceededError(
+                f"a window space of {len(rows)} rows over {nsites} sites exceeds the entry limit",
+                {"window": [list(w) for w in self.window], "rows": len(rows), "sites": nsites,
+                 "entry_limit": WINDOW_ENTRY_LIMIT})
         basis, _ = linalg.rref(list(rows.values()), nsites, self.p)
         basis = np.array(basis, dtype=np.int64).reshape(len(basis), nsites)
         self.kernel = np.ascontiguousarray(basis[::-1, ::-1])

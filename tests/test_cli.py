@@ -745,6 +745,64 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("sets, shifts, message", [
+        ("[1]", "[[0,0]]", "--sets must be a JSON list of pin maps"),
+        ('{"0,0": 0}', "[[0,0]]", "--sets must be a JSON list of pin maps"),
+        ('[{"0,0": 1.5}]', "[[0,0]]", "the symbol pinned at '0,0' must be an integer, not 1.5"),
+        ('[{"0,0": "1"}]', "[[0,0]]", "the symbol pinned at '0,0' must be an integer"),
+        ('[{"0,0": true}]', "[[0,0]]", "the symbol pinned at '0,0' must be an integer"),
+        ('[{"0.5,0": 0}]', "[[0,0]]", "pinned site '0.5,0' is not a comma-separated list"),
+        ('[{"1_0,0": 0}]', "[[0,0]]", "pinned site '1_0,0' is not a comma-separated list"),
+        ('[{"\u0661,0": 0}]', "[[0,0]]", "pinned site '\u0661,0' is not a comma-separated list"),
+        ('[{"0,0": 0}]', "[5]", "--shifts must be a JSON list of integer vectors"),
+        ('[{"0,0": 0}]', '{"0": [0, 0]}', "--shifts must be a JSON list of integer vectors"),
+        ('[{"0,0": 0}]', "[[0.5,0]]", "a shift coordinate must be an integer, not 0.5"),
+    ])
+    def test_malformed_sets_and_shifts_refused(self, capsys, sets, shifts, message):
+        # These crashed with a traceback, were truncated by int() to the
+        # answer 1/2, were read by int() as another site ("1_0" as 10, the
+        # Arabic-Indic one as 1), or (an object as --sets) were read as no
+        # set at all.
+        code, out, err = run(capsys, "simulate", THREE_DOT, "--sets", sets, "--shifts", shifts)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+    def test_integral_numbers_are_still_read(self, capsys):
+        argv = ["simulate", THREE_DOT, "--sets", '[{"0,0": 1}, {"1, 0": -1}]']
+        code, out, _ = run(capsys, *argv, "--shifts", "[[0,0],[0,2]]")
+        assert code == 0
+        assert run(capsys, *argv, "--shifts", "[[0.0,0],[0,2.0]]") == (0, out, "")
+        assert out.splitlines()[0] == "exact correlation:  1/4"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", THREE_DOT, "--order", "2", "--box", "-1"], "--box"),
+    (["certify", THREE_DOT, "--order", "3", "--window", "-1"], "--window"),
+    (["certify", TIMES23, "--order", "2", "--box", "-2"], "--box"),
+    (["analyze", THREE_DOT, "--box", "-1"], "--box"),
+    (["uniteq", "--coeffs", "1,1", "--gens", "2,3", "--box", "-1"], "--box"),
+    (["uniteq", "--coeffs", "1,1", "--gens", "2,3", "--budget", "-1"], "--budget"),
+])
+def test_negative_budgets_are_input_errors(capsys, tmp_path, argv, flag):
+    # A negative box or window named an empty "exhausted region" (exit 3),
+    # and uniteq asserted its bound over no box at all.
+    out_dir = ["--out", str(tmp_path)] if argv[0] == "certify" else []
+    code, out, err = run(capsys, *argv, *out_dir)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be nonnegative\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_zero_box_and_window_stay_legal(capsys, tmp_path):
+    code, out, _ = run(capsys, "certify", THREE_DOT, "--order", "2", "--box", "0",
+                       "--window", "0", "--out", str(tmp_path))
+    assert code == 3 and "exhausted region" in out
+    code, out, _ = run(capsys, "analyze", THREE_DOT, "--box", "0")
+    assert code == 0 and "none in box |gamma| <= 0" in out
+    assert run(capsys, "uniteq", "--coeffs", "1,1", "--gens", "2", "--box", "0")[0] == 3
+
 
 class TestUniteq:
     def test_x_plus_y(self, capsys):

@@ -6,6 +6,7 @@ from itertools import combinations, product
 from math import lcm
 from pathlib import Path
 from typing import List
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -686,6 +687,42 @@ class TestCertificateChecks:
         report = verify_certificate(three_dot, replace(cert, transcript=((2, 1), (2, 1))))
         assert not report.ok and report.verdict == "FAIL: separation"
         assert report.first_failure is None
+
+
+def principal_system(p, substitution):
+    """The ideal (1 + u1 + u2) over F_p, by the Groebner basis or by the
+    hint u2 -> -1 - u1 that solves it."""
+    dom = GF(p)
+    hint = {1: LaurentPoly.parse(f"{p - 1} + {p - 1}*u1", 2, dom)} if substitution else None
+    ideal = IdealPresentation([LaurentPoly.parse("1 + u1 + u2", 2, dom)], p, d=2,
+                              substitution=hint)
+    return AlgebraicSystem(free_abelian(2), CharPModule(ideal))
+
+
+class TestFrobeniusShortcut:
+    """A dilation m p^j of an earlier m whose sum lies in the ideal takes
+    bit 1 from the Frobenius identity, not the oracle.  That the report is
+    unchanged is checked against a per-dilation reference in
+    `tests/test_replay.py`."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("substitution", [False, True])
+    def test_one_oracle_call_per_chain(self, p, substitution):
+        system = principal_system(p, substitution)
+        k = 4
+        with mock.patch.object(mixing, "character_correlation",
+                               wraps=character_correlation) as oracle:
+            cert = frobenius_certificate(system, LaurentPoly.parse("1 + u1 + u2", 2, GF(p)),
+                                         kmax=k)
+            assert oracle.call_count == 1
+            assert verify_certificate(system, cert).ok
+            assert oracle.call_count == 2
+            # u1 (1 + u1^n + u2^n) = u1 f^n lies in the ideal at every n = p^j,
+            # but the p-th power map does not fix u1: every dilation is replayed.
+            polynomial = replace(cert, coefficients=(LaurentPoly.parse("u1", 2, GF(p)),) * 3,
+                                 grade="evidence")
+            assert verify_certificate(system, polynomial).ok
+            assert oracle.call_count == 2 + k + 1
 
 
 class TestShapeSearch:

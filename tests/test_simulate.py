@@ -718,6 +718,31 @@ class TestWindowFreeMeasures:
         with pytest.raises(BudgetExceededError):
             WindowConfigSpace(system, [(0, limit)])
 
+    def test_split_ledrappier_side_11_is_refused_before_reduction(self):
+        # u1 and u4 are free, so the rows grow with the window: 2,541 rows
+        # over 14,641 sites, within the site limit but not the entry limit.
+        system = load_system(CHAR_P_FILES["split_ledrappier.json"]).system
+        window = [(0, 10)] * 4
+        with patch.object(linalg, "rref") as reduced:
+            with pytest.raises(BudgetExceededError) as info:
+                WindowConfigSpace(system, window)
+        assert reduced.call_count == 0
+        assert str(info.value) == (
+            "a window space of 2541 rows over 14641 sites exceeds the entry limit")
+        assert info.value.region == {"window": [[0, 10]] * 4, "rows": 2541, "sites": 14641,
+                                     "entry_limit": simulate.WINDOW_ENTRY_LIMIT}
+        with pytest.raises(BudgetExceededError):
+            correlation_estimate(system, [CylinderSet.make({(0, 0, 0, 0): 0})], [(0, 0, 0, 0)],
+                                 window, samples=10, seed=0)
+
+    def test_entry_limit_is_inclusive(self):
+        # With no relation every site is its own row: n sites, n^2 entries.
+        system = system_over(2, d=1)
+        with patch.object(simulate, "WINDOW_ENTRY_LIMIT", 100):
+            assert WindowConfigSpace(system, [(1, 10)]).kernel.shape == (10, 10)
+            with pytest.raises(BudgetExceededError, match="11 rows over 11 sites"):
+                WindowConfigSpace(system, [(0, 10)])
+
 
 class TestMatmulMod:
     """matmul_mod against the Python-int product, at characteristics on both
