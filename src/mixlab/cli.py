@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -31,9 +30,11 @@ from .mixing import (
 )
 from .numfield import NumberField
 from .presentation import (
+    INTEGER_TEXT,
     PresentationError,
     certificate_from_dict,
     certificate_to_dict,
+    integer,
     load_certificate,
     load_system,
 )
@@ -135,7 +136,7 @@ def cmd_certify(args) -> int:
     loaded = load_system(args.file)
     system = loaded.system
     m = system.module
-    dilations = (tuple(int(x) for x in args.dilations.split(","))
+    dilations = (tuple(integer(x, "--dilations") for x in args.dilations.split(","))
                  if args.dilations is not None else None)
     certs = []
     region = None
@@ -232,11 +233,6 @@ def _integer(x, what: str) -> int:
     raise PresentationError(f"{what} must be an integer, not {json.dumps(x)}")
 
 
-# A pinned-site coordinate: ASCII decimal digits, as int() reads them less
-# its digit separators ("1_0" is 10) and non-ASCII digits.
-_COORDINATE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
-
-
 def _parse_sets(text: str):
     from .simulate import CylinderSet
 
@@ -248,7 +244,7 @@ def _parse_sets(text: str):
         pins = {}
         for key, v in block.items():
             coordinates = key.split(",")
-            if not all(map(_COORDINATE.fullmatch, coordinates)):
+            if not all(map(INTEGER_TEXT.fullmatch, coordinates)):
                 raise PresentationError(
                     f"pinned site {key!r} is not a comma-separated list of integers")
             site = tuple(map(int, coordinates))
@@ -451,6 +447,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
+        if args.threads < 1:
+            raise PresentationError("--threads must be at least 1")
         return args.func(args)
     except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)

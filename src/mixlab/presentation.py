@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
@@ -64,6 +65,22 @@ def _convert(convert, value, path: str):
         raise PresentationError(f"field {path!r} cannot hold {value!r}") from None
 
 
+# An integer written in a flag: ASCII decimal digits, as int() reads them
+# less its digit separators ("1_0" is 10) and non-ASCII digits.
+INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def integer(value, path: str) -> int:
+    """A JSON integer, or a string of ASCII decimal digits such as a flag's,
+    as an int.  A bool, a float (even 2.0) or any other text is an input
+    error naming path, never truncated."""
+    if type(value) is int:
+        return value
+    if type(value) is str and INTEGER_TEXT.fullmatch(value):
+        return int(value)
+    raise PresentationError(f"field {path!r} cannot hold {value!r}")
+
+
 def _field(block: dict, path: str, convert=None):
     """block[key] for the last key of a dotted path such as "group.d",
     through convert if given; a missing key is an input error naming path."""
@@ -91,18 +108,18 @@ def parse_system(data: dict) -> LoadedSystem:
         raise PresentationError(f"missing block {e.args[0]!r}") from None
     kind = group_block.get("kind")
     if kind == "free_abelian":
-        group = free_abelian(_field(group_block, "group.d", int))
+        group = free_abelian(integer(_field(group_block, "group.d"), "group.d"))
     elif kind == "rational_vector":
-        group = rational_vector(_field(group_block, "group.d", int))
+        group = rational_vector(integer(_field(group_block, "group.d"), "group.d"))
     elif kind == "positive_rationals":
-        group = positive_rationals([_convert(int, p, "group.primes")
+        group = positive_rationals([integer(p, "group.primes")
                                     for p in _field(group_block, "group.primes", list)])
     else:
         raise PresentationError(f"unknown group kind {kind!r}")
     d = group.rank
     mtype = module_block.get("type")
     if mtype == "char_p":
-        p = _field(module_block, "module.characteristic", int)
+        p = integer(_field(module_block, "module.characteristic"), "module.characteristic")
         dom = GF(p)
         gens = []
         for text in _convert(list, module_block.get("generators", []), "module.generators"):
@@ -130,7 +147,7 @@ def parse_system(data: dict) -> LoadedSystem:
     elif mtype == "evaluation":
         field = NumberField([_convert(Fraction, c, "module.modulus")
                              for c in _field(module_block, "module.modulus", list)])
-        level = _convert(int, module_block.get("level", 1), "module.level")
+        level = integer(module_block.get("level", 1), "module.level")
         assignment = {}
         block = _object(_field(module_block, "module.assignment"), "module.assignment")
         for var, coeffs in block.items():
@@ -211,11 +228,12 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
     fam_block = _object(_field(data, "family"), "family")
     fkind = _field(fam_block, "family.kind")
     if fkind == "prime_power":
-        family = DilationFamily("prime_power", p=_field(fam_block, "family.p", int))
+        family = DilationFamily("prime_power",
+                                p=integer(_field(fam_block, "family.p"), "family.p"))
     elif fkind == "explicit_list":
         dilations = _field(fam_block, "family.dilations", list)
         family = DilationFamily("explicit_list", dilations=tuple(
-            _convert(int, n, "family.dilations") for n in dilations))
+            integer(n, "family.dilations") for n in dilations))
     elif fkind == "consecutive_ratio":
         family = DilationFamily("consecutive_ratio")
     else:
@@ -247,9 +265,9 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
     for entry in _field(data, "transcript", list):
         if not isinstance(entry, list) or len(entry) != 2:
             raise PresentationError(f"field 'transcript' cannot hold {entry!r}")
-        transcript.append(tuple(_convert(int, x, "transcript") for x in entry))
+        transcript.append(tuple(integer(x, "transcript") for x in entry))
     return NonMixingCertificate(
-        order=_field(data, "order", int),
+        order=integer(_field(data, "order"), "order"),
         shape=shape,
         coefficients=tuple(coefficients),
         family=family,

@@ -32,20 +32,25 @@ its seed.  A sample's free values are read off the stream's 64-bit words as
 uint32 halves h, low half first: a half is dropped when h·p mod 2^32 <
 2^32 mod p, and the accepted halves fill the free-value matrix row by row,
 each entry (h·p) >> 32.  That is NumPy's `Generator.integers(0, p)` on the
-same stream (Lemire's bounded integers).  An estimate decodes only the
-pinned support, the free values whose kernel row is nonzero at some pin,
-and its block i reads the stream keyed by the exact uint64 pair (seed, i),
-so its seed lies in [0, 2^64).
+same stream (Lemire's bounded integers).  Over odd p an estimate decodes
+only the pinned support, the free values whose kernel row is nonzero at
+some pin, and multiplies.  Over F_2 it decodes nothing: a free value
+(h·2) >> 32 is the sign bit of its half h, a pin reads the XOR of the free
+values on its kernel column, and the sign bit of an XOR is the XOR of the
+sign bits, so each pin is the sign bit of the XOR of its column's halves.
+Either way an estimate's block i reads the stream keyed by the exact uint64
+pair (seed, i), so its seed lies in [0, 2^64).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod, sqrt
 from operator import add, sub
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,22 +87,20 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-# Rows drawn and decoded at a time.  A block holds one chunk's words at a
-# time, not the whole block's.
+# Rows drawn at a time.  A block holds one chunk's words at a time, not the
+# whole block's.
 _ROWS = 4096
 
 
-def _free_values(
-    bitgen: np.random.Philox, p: int, count: int, k: int, columns: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Columns `columns` of `Generator(bitgen).integers(0, p, size=(count, k))`,
-    `_ROWS` rows at a time (one empty chunk when count is 0).
+def _halves(bitgen: np.random.Philox, p: int, count: int, k: int) -> Iterator[np.ndarray]:
+    """The uint32 halves that `Generator(bitgen).integers(0, p, size=(count, k))`
+    decodes, as `(rows, k)` arrays of `_ROWS` rows at a time (one empty chunk
+    when count is 0).
 
     The halves of the raw words are taken in order and each one that the
     bounded map would reject is dropped (none for p = 2, only 0 for p = 3).
     Each chunk draws the words it is short of from the same generator, and
-    the halves it leaves over begin the next chunk.  Only the requested
-    columns of the accepted halves are decoded.
+    the halves it leaves over begin the next chunk.
     """
     threshold = (1 << 32) % p
     halves = np.empty(0, dtype=np.uint32)
@@ -113,11 +116,16 @@ def _free_values(
                 if not keep.all():
                     drawn = drawn[keep]
             halves = np.concatenate((halves, drawn)) if len(halves) else drawn
-        values = halves[:need].reshape(rows, k)[:, columns].astype(np.int64)
+        yield halves[:need].reshape(rows, k)
         halves = halves[need:]
-        values *= p
-        values >>= 32
-        yield values
+
+
+def _decode(halves: np.ndarray, p: int) -> np.ndarray:
+    """The free values (h·p) >> 32 of accepted halves h, as int64."""
+    values = halves.astype(np.int64)
+    values *= p
+    values >>= 32
+    return values
 
 
 class WindowError(ValueError):
@@ -262,9 +270,9 @@ class WindowConfigSpace:
 
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
         """Uniform samples of valid configurations; Philox keyed by the seed."""
-        k = len(self.kernel)
-        chunks = _free_values(np.random.Philox(seed), self.p, count, k, np.arange(k))
-        return np.concatenate([matmul_mod(free, self.kernel, self.p) for free in chunks])
+        chunks = _halves(np.random.Philox(seed), self.p, count, len(self.kernel))
+        return np.concatenate([matmul_mod(_decode(h, self.p), self.kernel, self.p)
+                               for h in chunks])
 
     def grid_text(self, config: np.ndarray) -> str:
         """A sample as a text grid (2D windows row per second coordinate)."""
@@ -345,6 +353,39 @@ class EstimateResult:
 _BLOCK = 20_000
 
 
+def _hit_counter(
+    pin_cols: np.ndarray, pin_vals: Sequence[int], p: int
+) -> Callable[[np.ndarray], int]:
+    """A function counting the samples in a `(rows, k)` chunk of accepted
+    halves that show symbol pin_vals[j] at every pin j, where column j of
+    pin_cols is pin j's kernel column."""
+    if p == 2:
+        # A free value is (h·2) >> 32, the sign bit of its half h, and a pin
+        # reads the XOR of the free values on its kernel column: the sign bit
+        # of the XOR of their halves.  A symbol 1 flips that bit, so a sample
+        # hits every pin exactly when the OR over the pins has sign bit 0.
+        parities = [(np.flatnonzero(column), np.uint32(value << 31))
+                    for column, value in zip(pin_cols.T, pin_vals)]
+
+        def hits(halves: np.ndarray) -> int:
+            missed = np.zeros(len(halves), dtype=np.uint32)
+            for rows, flip in parities:
+                missed |= np.bitwise_xor.reduce(halves[:, rows], axis=1) ^ flip
+            return int(np.count_nonzero(missed < 1 << 31))
+        return hits
+
+    support = np.flatnonzero(pin_cols.any(axis=1))
+    support_cols = pin_cols[support]
+
+    def hits(halves: np.ndarray) -> int:
+        pinned = matmul_mod(_decode(halves[:, support], p), support_cols, p)
+        hit = np.ones(len(pinned), dtype=bool)
+        for column, value in zip(pinned.T, pin_vals):
+            hit &= column == value
+        return int(np.count_nonzero(hit))
+    return hits
+
+
 def correlation_estimate(
     system: AlgebraicSystem,
     sets: Sequence[CylinderSet],
@@ -357,14 +398,17 @@ def correlation_estimate(
     """Empirical frequency of the intersection with binomial standard error.
 
     Sampling is split into fixed-size blocks with per-block derived Philox
-    keys, so the result is identical for any thread count.  The sampler draws
-    the free values of the window's space, so every shifted pin must lie in
-    the window.
+    keys, so the result is identical for any thread count.  No more workers
+    run than there are blocks or processors.  The sampler draws the free
+    values of the window's space, so every shifted pin must lie in the
+    window.
     """
     if samples < 1:
         raise DomainError("an estimate needs at least one sample")
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed {seed} lies outside [0, 2^64)")
+    if threads < 1:
+        raise DomainError(f"an estimate needs at least one thread, not {threads}")
     pins = _shifted_pins(_require_charp(system).ideal, window, sets, shifts)
     space = WindowConfigSpace(system, window)
     columns = []
@@ -376,27 +420,19 @@ def correlation_estimate(
         (i, min(_BLOCK, samples - i * _BLOCK))
         for i in range((samples + _BLOCK - 1) // _BLOCK)
     ]
-    pin_cols = space.kernel[:, columns]
-    support = np.flatnonzero(pin_cols.any(axis=1))
-    support_cols = pin_cols[support]
-    pin_vals = [v % space.p for _, v in pins]
+    p, k = space.p, len(space.kernel)
+    hits = _hit_counter(space.kernel[:, columns], [v % p for _, v in pins], p)
 
     def run_block(block):
         index, size = block
         bitgen = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-        hit_count = 0
-        for free in _free_values(bitgen, space.p, size, len(space.kernel), support):
-            pinned = matmul_mod(free, support_cols, space.p)
-            hits = np.ones(len(free), dtype=bool)
-            for column, value in zip(pinned.T, pin_vals):
-                hits &= column == value
-            hit_count += int(np.count_nonzero(hits))
-        return hit_count
+        return sum(hits(halves) for halves in _halves(bitgen, p, size, k))
 
-    if threads > 1:
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             hit_counts = list(pool.map(run_block, blocks))
     else:
         hit_counts = [run_block(b) for b in blocks]

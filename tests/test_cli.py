@@ -232,6 +232,26 @@ class TestCertify:
         assert "dilations must be positive" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("dilations, bad", [
+        ("1_0, 2", "1_0"), ("1,2.0", "2.0"), ("1,\u0662", "\u0662"), ("1,,2", ""),
+    ])
+    def test_dilations_must_be_decimal_integers(self, capsys, tmp_path, dilations, bad):
+        # int() read "1_0" as 10 and the Arabic-Indic digit as 2.
+        code, out, err = run(
+            capsys, "certify", THREE_DOT, "--order", "2", "--dilations", dilations,
+            "--force-search", "--box", "1", "--window", "0", "--out", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: field '--dilations' cannot hold {bad!r}\n"
+
+    def test_dilations_keep_their_spaces_and_signs(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "certify", THREE_DOT, "--order", "2", "--dilations", " 1, +2 ",
+            "--force-search", "--box", "1", "--window", "0", "--json", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert json.loads(out)["region"]["dilations"] == [1, 2]
+
     def test_negative_kmax_refused(self, capsys, tmp_path):
         # The prime-power certificate it would write has an empty transcript.
         code, _, err = run(
@@ -487,7 +507,21 @@ class TestMalformedFiles:
         (lambda d: {**d, "transcript": [1, 2]}, "field 'transcript' cannot hold 1"),
         (lambda d: {**d, "coefficients": ["1", "1", "1"]},
          "field 'coefficients' cannot hold '1'"),
-    ], ids=["list", "no-family", "no-p", "order-null", "scalar-entry", "plain-coefficient"])
+        (lambda d: {**d, "family": {"kind": "prime_power", "p": 2.9},
+                    "transcript": [[1, 1], [2.7, 1]]}, "field 'family.p' cannot hold 2.9"),
+        (lambda d: {**d, "family": {"kind": "prime_power", "p": True}},
+         "field 'family.p' cannot hold True"),
+        (lambda d: {**d, "transcript": [[1, 1], [2.7, 1]]},
+         "field 'transcript' cannot hold 2.7"),
+        (lambda d: {**d, "transcript": [[1, 1], [2, 1.0]]},
+         "field 'transcript' cannot hold 1.0"),
+        (lambda d: {**d, "order": 3.0}, "field 'order' cannot hold 3.0"),
+        (lambda d: {**d, "order": True}, "field 'order' cannot hold True"),
+        (lambda d: {**d, "family": {"kind": "explicit_list", "dilations": [1, 2.0]}},
+         "field 'family.dilations' cannot hold 2.0"),
+    ], ids=["list", "no-family", "no-p", "order-null", "scalar-entry", "plain-coefficient",
+            "float-p-and-dilation", "bool-p", "float-dilation", "float-bit", "float-order",
+            "bool-order", "float-family-dilation"])
     def test_certificate(self, capsys, tmp_path, edit, message):
         # The first two crashed with an AttributeError and a KeyError.
         run(capsys, "certify", THREE_DOT, "--order", "3", "--out", str(tmp_path))
@@ -505,7 +539,20 @@ class TestMalformedFiles:
         (TIMES23, _without("module.assignment"), "missing field 'module.assignment'"),
         (THREE_DOT, lambda d: d.update(group=[{"kind": "free_abelian", "d": 2}]),
          "group must be a JSON object"),
-    ], ids=["no-d", "no-characteristic", "no-assignment", "group-list"])
+        (THREE_DOT, lambda d: d["module"].update(characteristic=2.9),
+         "field 'module.characteristic' cannot hold 2.9"),
+        (THREE_DOT, lambda d: d["module"].update(characteristic=2.0),
+         "field 'module.characteristic' cannot hold 2.0"),
+        (THREE_DOT, lambda d: d["group"].update(d=2.0), "field 'group.d' cannot hold 2.0"),
+        (THREE_DOT, lambda d: d["group"].update(d=True), "field 'group.d' cannot hold True"),
+        (RATIONAL_DUAL, lambda d: d["group"].update(primes=[2, 3.5]),
+         "field 'group.primes' cannot hold 3.5"),
+        (TIMES23, lambda d: d["module"].update(level=1.5), "field 'module.level' cannot hold 1.5"),
+        (TIMES23, lambda d: d["module"].update(level=True),
+         "field 'module.level' cannot hold True"),
+    ], ids=["no-d", "no-characteristic", "no-assignment", "group-list", "float-characteristic",
+            "integral-float-characteristic", "float-d", "bool-d", "float-prime", "float-level",
+            "bool-level"])
     def test_presentation(self, capsys, tmp_path, source, edit, message):
         data = json.loads(Path(source).read_text())
         edit(data)
@@ -731,6 +778,13 @@ class TestSimulate:
         assert code == 0
         assert seen == [1, 3]
         assert threaded == out
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_fewer_than_one_thread_refused(self, capsys, threads):
+        # Below 1 the estimate ran serially without saying so.
+        code, out, err = run(capsys, "--threads", threads, "simulate", THREE_DOT, "--sets",
+                             '[{"0,0": 0}]', "--shifts", "[[0,0]]", "--samples", "100")
+        assert (code, out, err) == (2, "", "error: --threads must be at least 1\n")
 
     def test_rational_dual_not_simulable(self, capsys):
         code, _, err = run(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
@@ -24,7 +25,9 @@ from mixlab.simulate import (
     CylinderSet,
     WindowConfigSpace,
     WindowError,
-    _free_values,
+    _decode,
+    _halves,
+    _hit_counter,
     _window_sites,
     correlation_estimate,
     correlation_exact,
@@ -94,6 +97,19 @@ def _measure_given_pins(space, pins):
     if not consistent:
         return Fraction(0)
     return Fraction(1, p ** rank)
+
+
+def ref_hits(halves, pin_cols, pin_vals, p):
+    """The samples of a chunk of halves that hit every pin, counted as before
+    the F_2 parity reading: decode the pinned support as (h p) >> 32 and
+    multiply by its kernel rows mod p."""
+    support = np.flatnonzero(pin_cols.any(axis=1))
+    free = (halves[:, support].astype(np.int64) * p) >> 32
+    pinned = matmul_mod(free, pin_cols[support].astype(np.int64), p)
+    hits = np.ones(len(halves), dtype=bool)
+    for column, value in zip(pinned.T, pin_vals):
+        hits &= column == value % p
+    return int(np.count_nonzero(hits))
 
 
 def translate_rows(system, space):
@@ -380,15 +396,45 @@ class TestEstimates:
         assert est.within_sigma(exact, sigma=5.0)
 
     def test_thread_count_does_not_change_the_estimate(self, three_dot):
+        for pins, shifts in (([{(0, 0): 0}], [(0, 0)]),
+                             ([{(0, 0): 1}, {(0, 0): 0, (1, 1): 1}], [(0, 0), (2, 0)])):
+            sets = [CylinderSet.make(p) for p in pins]
+            single, *pooled = (
+                correlation_estimate(three_dot, sets, shifts, WINDOW, samples=45_000, seed=9,
+                                     threads=threads)
+                for threads in (1, 2, 4))
+            assert all(single == other for other in pooled)
+
+    @pytest.mark.parametrize("threads, cpus, samples, workers", [
+        (8, 64, 45_000, 3),    # capped by the three blocks
+        (8, 2, 45_000, 2),     # capped by the processors
+        (10 ** 6, 64, 60_000, 3),
+        (10 ** 6, 64, 20_000, None),  # one block runs on the calling thread
+        (3, None, 60_000, None),      # an unknown processor count counts as one
+    ])
+    def test_workers_are_capped(self, three_dot, threads, cpus, samples, workers):
+        started = []
+
+        def executor(max_workers):
+            started.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
         cyl = CylinderSet.make({(0, 0): 0})
-        kwargs = dict(samples=45_000, seed=9)
-        single = correlation_estimate(
-            three_dot, [cyl], [(0, 0)], WINDOW, threads=1, **kwargs
-        )
-        pooled = correlation_estimate(
-            three_dot, [cyl], [(0, 0)], WINDOW, threads=4, **kwargs
-        )
-        assert single.estimate == pooled.estimate
+        with patch("concurrent.futures.ThreadPoolExecutor", executor), \
+                patch.object(simulate.os, "cpu_count", lambda: cpus):
+            pooled = correlation_estimate(three_dot, [cyl], [(0, 0)], WINDOW,
+                                          samples=samples, seed=2, threads=threads)
+        single = correlation_estimate(three_dot, [cyl], [(0, 0)], WINDOW,
+                                      samples=samples, seed=2)
+        assert started == ([] if workers is None else [workers])
+        assert pooled == single
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_refused(self, three_dot, threads):
+        cyl = CylinderSet.make({(0, 0): 0})
+        with pytest.raises(DomainError, match="at least one thread"):
+            correlation_estimate(three_dot, [cyl], [(0, 0)], WINDOW, samples=10, seed=0,
+                                 threads=threads)
 
     def test_seed_changes_the_sample(self, three_dot):
         cyl = CylinderSet.make({(0, 0): 0})
@@ -399,7 +445,8 @@ class TestEstimates:
 
 class TestFreeValues:
     """The free values are Generator.integers(0, p) on the block's Philox
-    stream, read off the raw words."""
+    stream, read off the raw words, and an estimate's hit count is the one
+    the decoded free values give."""
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)
@@ -416,10 +463,34 @@ class TestFreeValues:
                        dtype=np.uint64)
         expected = np.random.Generator(np.random.Philox(key=key)).integers(0, p, size=(n, k))
         with patch.object(simulate, "_ROWS", rows):
-            chunks = list(_free_values(np.random.Philox(key=key), p, n, k, columns))
+            chunks = [_decode(h[:, columns], p)
+                      for h in _halves(np.random.Philox(key=key), p, n, k)]
         assert [len(c) for c in chunks] == [len(expected[i:i + rows]) for i in range(0, n, rows)]
         assert all(c.dtype == np.int64 for c in chunks)
         assert np.concatenate(chunks).tolist() == expected[:, columns].tolist()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_f2_parity_count_matches_the_decoded_product(self, data):
+        # Random 0/1 kernels, symbols 0 and 1, repeated pins (a repeated
+        # site has a repeated kernel column), a pin on an all-zero column,
+        # no pins at all, and odd row counts in chunks of any size.
+        k = data.draw(st.integers(0, 12))
+        m = data.draw(st.integers(0, 5))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        pin_cols = np.random.default_rng(seed).integers(0, 2, (k, m))
+        if m and data.draw(st.booleans()):
+            pin_cols[:, data.draw(st.integers(0, m - 1))] = 0
+        if m > 1 and data.draw(st.booleans()):
+            pin_cols[:, 1] = pin_cols[:, 0]
+        pin_vals = [data.draw(st.integers(0, 1)) for _ in range(m)]
+        n = 2 * data.draw(st.integers(0, 300)) + 1
+        rows = data.draw(st.integers(1, 400))
+        parity = _hit_counter(pin_cols, pin_vals, 2)
+        with patch.object(simulate, "_ROWS", rows):
+            chunks = list(_halves(np.random.Philox(seed), 2, n, k))
+        assert sum(map(parity, chunks)) == sum(ref_hits(h, pin_cols, pin_vals, 2)
+                                               for h in chunks)
 
 
 class TestSeeds:
