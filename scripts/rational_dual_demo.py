@@ -23,7 +23,7 @@ def main() -> None:
     args = parser.parse_args()
 
     system = AlgebraicSystem(
-        positive_rationals([2, 3, 5, 7]), RationalDualModule(), name="rational-dual"
+        positive_rationals(None), RationalDualModule(), name="rational-dual"
     )
 
     cert = rational_dual_certificate(system, n_max=args.nmax)

@@ -174,7 +174,12 @@ def cmd_certify(args) -> int:
         region = outcome.region
         certs = outcome.certificates
     elif isinstance(m, RationalDualModule):
-        if args.order == 3:
+        if system.group.primes is not None:
+            region = {"order": args.order, "note": (
+                "a finitely generated group of positive rationals acts on the dual "
+                "of Q as a mixing Z^k action on a connected compact group, which is "
+                "mixing of all orders (Schmidt-Ward 1993); no certificate exists")}
+        elif args.order == 3:
             certs = [rational_dual_certificate(system)]
         elif args.order == 2:
             outcome = rational_dual_order2_search(system)

@@ -39,6 +39,17 @@ and f is in the ideal iff the image is zero.  Its hints are reduced to F_p
 once, when the ideal is built, and the hint powers g_v^b come from a memo
 on the ideal filled by the same ladder: the hint coefficients lie in F_p,
 so g^(pq + r) = (g^q)^[p] g^r, in the Laurent ring too.
+
+A principal ideal needs no written hint when its generator f, less its
+monomial content, has degree 1 in its highest variable u_v with a one-term
+coefficient c u^a.  Then f = c u^a (u_v - g) with g != 0 in the earlier
+variables, and c u^a is a unit, so the ideal is (u_v - g) and the map
+{v: g} is its hint.  The engine is exact for it: with R' the Laurent ring
+in the other variables, a polynomial P in u_v over R' lies in (u_v - g)
+iff P(g) = 0 in the localisation R'[1/g], and R' is a domain, so iff
+P(g) = 0 in R'.  Such an ideal, the three-dot ideal (1 + u1 + u2) among
+them, decides membership with no Gröbner basis; `normal_form_monomial`
+and `constant_in_ideal` still use the basis.
 """
 
 from __future__ import annotations
@@ -230,10 +241,14 @@ class IdealPresentation:
     """Generators plus characteristic and an optional substitution hint.
 
     Generators, hints and the polynomials `contains` is asked about are
-    Laurent polynomials over F_p for the prime p = characteristic.  Without
-    a hint `contains` computes a saturated Gröbner basis; with one (a
-    nonempty map solving variables by polynomials in strictly earlier
-    variables) it runs the substitution engine.
+    Laurent polynomials over F_p for the prime p = characteristic.  A hint
+    is a nonempty map solving variables by polynomials in strictly earlier
+    variables.  Without one, a single generator linear in its highest
+    variable is solved for it (`_solved`), and that map is the hint.
+    `contains` runs the substitution engine when there is a hint and
+    computes a saturated Gröbner basis otherwise.  A written hint equal to
+    the solved map needs no load-time check; any other is checked against
+    the generators in both directions.
     """
 
     def __init__(
@@ -255,7 +270,8 @@ class IdealPresentation:
         self.generators = tuple(generators)
         for g in self.generators + tuple((substitution or {}).values()):
             self.check_ring(g)
-        self.substitution = dict(substitution) if substitution else None
+        solved = self._solved()
+        self.substitution = dict(substitution) if substitution else solved
         self._gb_full: Optional[List[PolyDict]] = None
         self._gb_contracted: Optional[List[PolyDict]] = None
         self._gb_prepared = None
@@ -266,7 +282,7 @@ class IdealPresentation:
         self._nf_cache: Dict[Mono, PolyDict] = {}
         # g_var^b per (var, b) for the hints over F_p (their ladder's memo).
         self._hint_powers: Dict[Tuple[int, int], PolyDict] = {}
-        if self.substitution:
+        if substitution and self.substitution != solved:
             for var, poly in self.substitution.items():
                 if not 0 <= var < self.d:
                     raise DomainError(f"substitution for u{var + 1} out of range for d={self.d}")
@@ -403,6 +419,28 @@ class IdealPresentation:
 
     # -- substitution engine -------------------------------------------------
 
+    def _solved(self) -> Optional[Dict[int, LaurentPoly]]:
+        """{v: g} when the ideal is principal and its generator, less its
+        monomial content, has degree 1 in its highest variable u_v with a
+        one-term coefficient c u^a: then f = c u^a (u_v - g) with g != 0 in
+        earlier variables, and the ideal is (u_v - g).  Else None."""
+        gens = [g for g in self.generators if g]
+        if len(gens) != 1:
+            return None
+        terms = gens[0].terms
+        low = [min(e) for e in zip(*terms)]
+        v = max((i for i in range(self.d) if any(m[i] != low[i] for m in terms)), default=None)
+        if v is None:
+            return None  # a monomial: the unit ideal
+        top = [m for m in terms if m[v] != low[v]]
+        if len(top) != 1 or top[0][v] != low[v] + 1:
+            return None
+        a, p = top[0], self.characteristic
+        scale = p - pow(terms[a], -1, p)
+        g = {tuple(0 if i == v else e - s for i, (e, s) in enumerate(zip(m, a))): c * scale % p
+             for m, c in terms.items() if m != a}
+        return {v: LaurentPoly._trusted(self.d, self._dom, g)}
+
     def _hint_power(self, var: int, b: int) -> PolyDict:
         """g_var^b for the reduced hint g_var and b >= 0, memoised.  A miss
         with b >= p climbs the ladder g^(pq + r) = (g^q)^[p] g^r; below p,
@@ -446,8 +484,8 @@ class IdealPresentation:
     # -- public surface ------------------------------------------------------
 
     def contains(self, f: LaurentPoly) -> bool:
-        """Exact ideal membership of f: by the substitution hint if there
-        is one, else by the Gröbner basis."""
+        """Exact ideal membership of f: by the substitution hint, written
+        or solved, if there is one, else by the Gröbner basis."""
         self.check_ring(f)
         if self.substitution:
             return self.contains_substitution(f)

@@ -221,7 +221,9 @@ def _evidence_reason(system: AlgebraicSystem, cert: NonMixingCertificate) -> Opt
     F_p and the transcript holds dilation 1: the p-th power map fixes c
     (c^p = c) and carries the sum at n in the ideal to the sum at pn.  Its
     shape points must be distinct, or two slots never separate.
-    (1, n, n-1) is proof with coefficients (a, -a, a): a - an + a(n-1) = 0."""
+    (1, n, n-1) is proof with coefficients (a, -a, a), as a - an + a(n-1) = 0,
+    on the whole group of positive rationals only: on a finitely generated
+    group n and n - 1 both lie in it for finitely many n (Størmer)."""
     family, coefficients = cert.family, cert.coefficients
     if family.kind == "prime_power":
         characteristic = getattr(system.module, "characteristic", 0)
@@ -237,9 +239,13 @@ def _evidence_reason(system: AlgebraicSystem, cert: NonMixingCertificate) -> Opt
         return None
     if family.kind == "consecutive_ratio":
         a1, a2, a3 = coefficients
-        if _default_is_zero(a1 - a3) and _default_is_zero(a2 + a3):
-            return None
-        return "a consecutive_ratio certificate whose coefficients are not (a, -a, a) is evidence"
+        if not (_default_is_zero(a1 - a3) and _default_is_zero(a2 + a3)):
+            return ("a consecutive_ratio certificate whose coefficients are not (a, -a, a) "
+                    "is evidence")
+        if system.group.primes is not None:
+            return ("a consecutive_ratio certificate off the whole group of positive "
+                    "rationals is evidence")
+        return None
     return f"an {family.kind} certificate is evidence"
 
 
@@ -267,6 +273,16 @@ def _in_chain(n: int, roots, p: int) -> bool:
     return n in roots
 
 
+def _stray_shift(group, pairs):
+    """The first rational shift of the pairs that a positive-rationals group
+    on a list of primes does not hold, or None.  An exponent vector names a
+    product of the group's generators, so it never strays."""
+    if group.kind != "positive_rationals":
+        return None
+    return next((g for g, _ in pairs
+                 if not isinstance(g, tuple) and not group.holds_ratio(g)), None)
+
+
 def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> VerificationReport:
     """The one certificate check: parts (`check_certificate`, which raises),
     then the tuple rules, then the replay of every transcript dilation
@@ -275,7 +291,9 @@ def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> V
     evidence must match it.  A dilation m p^j of an earlier m whose sum lies
     in the ideal takes bit 1 from the Frobenius identity instead of the
     oracle, for a lattice family with constant coefficients in characteristic
-    p.
+    p.  A dilation with a shift outside the declared group fails with no
+    correlation: (1, n, n-1) on a list of primes leaves it unless n and
+    n - 1 factor over the list.
 
     Colliding shifts are merged (see `_merged`).  A lattice family is merged
     once, on its base shape, as n q_s = n q_t iff q_s = q_t for n >= 1.  The
@@ -318,6 +336,11 @@ def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> V
     lines = []
     first_failure = None
     for n, expected, pairs in replay:
+        stray = _stray_shift(system.group, pairs)
+        if stray is not None:
+            lines.append(f"dilation {n}: shift {stray} is not in the declared group FAIL")
+            first_failure = n if first_failure is None else first_failure
+            continue
         if frobenius and _in_chain(n, roots, system.module.characteristic):
             bit = 1
         else:
@@ -460,8 +483,8 @@ def shape_search(
     which is tested once per search.  A block is
     nonzero in the module exactly when it is formally nonzero, because the
     window is column-reduced: its monomials have independent normal forms,
-    and both engines decide the same ideal (checked when the presentation
-    loads).
+    and both engines decide the same ideal (a hint is solved from the
+    generator, or a written one is checked when the presentation loads).
     """
     if r < 2:
         raise CertificateError("order must be at least 2")

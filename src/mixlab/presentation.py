@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict
 
 from .ideals import IdealPresentation
@@ -65,6 +66,23 @@ def _convert(convert, value, path: str):
         raise PresentationError(f"field {path!r} cannot hold {value!r}") from None
 
 
+def _list(value) -> list:
+    """A JSON array as it is; any other value (a string above all, which
+    list() would split into characters) is refused."""
+    if type(value) is not list:
+        raise TypeError("not a JSON array")
+    return value
+
+
+def _schema(data: dict):
+    """data's schema when it is absent or a JSON integer; a bool, a float or
+    a string is refused, though True == 1.0 == 1 in Python."""
+    schema = data.get("schema")
+    if "schema" in data and type(schema) is not int:
+        raise PresentationError(f"field 'schema' cannot hold {schema!r}")
+    return schema
+
+
 # An integer written in a flag: ASCII decimal digits, as int() reads them
 # less its digit separators ("1_0" is 10) and non-ASCII digits.
 INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
@@ -98,7 +116,7 @@ def _var_index(name: str) -> int:
 
 def parse_system(data: dict) -> LoadedSystem:
     _object(data, "presentation")
-    schema = data.get("schema")
+    schema = _schema(data)
     if schema != SCHEMA_VERSION:
         raise PresentationError(f"unsupported schema {schema!r} (expected {SCHEMA_VERSION})")
     try:
@@ -112,17 +130,30 @@ def parse_system(data: dict) -> LoadedSystem:
     elif kind == "rational_vector":
         group = rational_vector(integer(_field(group_block, "group.d"), "group.d"))
     elif kind == "positive_rationals":
-        group = positive_rationals([integer(p, "group.primes")
-                                    for p in _field(group_block, "group.primes", list)])
+        # "all" declares the whole group, generated by every prime.  A list
+        # gives one free generator per entry, so its entries must be
+        # pairwise coprime and above 1, as distinct primes are (a gcd test,
+        # where a primality test by trial division could run for minutes).
+        primes = _field(group_block, "group.primes")
+        if primes != "all":
+            primes = [integer(p, "group.primes") for p in _convert(_list, primes, "group.primes")]
+            for i, p in enumerate(primes):
+                if p < 2 or any(gcd(p, q) > 1 for q in primes[:i]):
+                    raise PresentationError(f"field 'group.primes' cannot hold {p!r}")
+        group = positive_rationals(None if primes == "all" else primes)
     else:
         raise PresentationError(f"unknown group kind {kind!r}")
     d = group.rank
     mtype = module_block.get("type")
+    if group.primes is None and mtype != "rational_dual":
+        raise PresentationError(
+            "field 'group.primes' cannot hold 'all' here: only the rational dual "
+            "takes the whole group")
     if mtype == "char_p":
         p = integer(_field(module_block, "module.characteristic"), "module.characteristic")
         dom = GF(p)
         gens = []
-        for text in _convert(list, module_block.get("generators", []), "module.generators"):
+        for text in _convert(_list, module_block.get("generators", []), "module.generators"):
             try:
                 gens.append(LaurentPoly.parse(text, d, dom))
             except ParseError as e:
@@ -146,14 +177,14 @@ def parse_system(data: dict) -> LoadedSystem:
             raise PresentationError("substitution engine requires a substitution map")
     elif mtype == "evaluation":
         field = NumberField([_convert(Fraction, c, "module.modulus")
-                             for c in _field(module_block, "module.modulus", list)])
+                             for c in _field(module_block, "module.modulus", _list)])
         level = integer(module_block.get("level", 1), "module.level")
         assignment = {}
         block = _object(_field(module_block, "module.assignment"), "module.assignment")
         for var, coeffs in block.items():
             path = f"module.assignment.{var}"
             assignment[_var_index(var)] = field.element(
-                [_convert(Fraction, c, path) for c in _convert(list, coeffs, path)])
+                [_convert(Fraction, c, path) for c in _convert(_list, coeffs, path)])
         module = EvaluationModule.make(field, assignment, level)
     elif mtype == "rational_dual":
         module = RationalDualModule()
@@ -223,7 +254,7 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
     data = _object(data, "a certificate")
     if data.get("kind") != "non_mixing_certificate":
         raise PresentationError("not a certificate file")
-    if data.get("schema") != SCHEMA_VERSION:
+    if _schema(data) != SCHEMA_VERSION:
         raise PresentationError(f"unsupported certificate schema {data.get('schema')!r}")
     fam_block = _object(_field(data, "family"), "family")
     fkind = _field(fam_block, "family.kind")
@@ -231,7 +262,7 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
         family = DilationFamily("prime_power",
                                 p=integer(_field(fam_block, "family.p"), "family.p"))
     elif fkind == "explicit_list":
-        dilations = _field(fam_block, "family.dilations", list)
+        dilations = _field(fam_block, "family.dilations", _list)
         family = DilationFamily("explicit_list", dilations=tuple(
             integer(n, "family.dilations") for n in dilations))
     elif fkind == "consecutive_ratio":
@@ -239,11 +270,11 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
     else:
         raise PresentationError(f"unknown dilation family {fkind!r}")
     shape = tuple(_convert(expvec if isinstance(g, list) else rational, g, "shape")
-                  for g in _field(data, "shape", list))
+                  for g in _field(data, "shape", _list))
     m = system.module
     coefficients = []
     polys: Dict[str, LaurentPoly] = {}  # one parse per distinct coefficient text
-    for enc in _field(data, "coefficients", list):
+    for enc in _field(data, "coefficients", _list):
         if isinstance(enc, dict) and "poly" in enc and not isinstance(m, CharPModule):
             raise PresentationError("polynomial coefficient for a non-CharP system")
         if isinstance(enc, dict) and "field" in enc and not isinstance(m, EvaluationModule):
@@ -257,12 +288,12 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
             coefficients.append(polys[text])
         elif isinstance(enc, dict) and "field" in enc:
             coefficients.append(m.field.element(
-                [_convert(Fraction, c, "coefficients") for c in _field(enc, "field", list)]))
+                [_convert(Fraction, c, "coefficients") for c in _field(enc, "field", _list)]))
         else:
             a = _convert(rational, enc, "coefficients")
             coefficients.append(m.field.from_rational(a) if isinstance(m, EvaluationModule) else a)
     transcript = []
-    for entry in _field(data, "transcript", list):
+    for entry in _field(data, "transcript", _list):
         if not isinstance(entry, list) or len(entry) != 2:
             raise PresentationError(f"field 'transcript' cannot hold {entry!r}")
         transcript.append(tuple(integer(x, "transcript") for x in entry))

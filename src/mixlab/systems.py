@@ -13,11 +13,12 @@ positive rationals indexed by primes) with one of three module presentations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import add, mul, neg, sub
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .ideals import IdealPresentation
 from .numfield import FieldElement, NumberField, power_table
@@ -34,17 +35,42 @@ class UnsupportedOperationError(ValueError):
 
 @dataclass(frozen=True)
 class GroupDescriptor:
+    """The acting group.  The positive rationals are generated by a finite
+    list of primes, or by every prime when `primes` is None: the whole
+    group, free abelian of infinite rank."""
+
     kind: str  # "free_abelian" | "rational_vector" | "positive_rationals"
     d: int = 0
-    primes: Tuple[int, ...] = ()
+    primes: Optional[Tuple[int, ...]] = ()
 
     def __post_init__(self):
         if self.kind not in ("free_abelian", "rational_vector", "positive_rationals"):
             raise DomainError(f"unknown group kind {self.kind!r}")
 
     @property
-    def rank(self) -> int:
-        return len(self.primes) if self.kind == "positive_rationals" else self.d
+    def rank(self) -> Union[int, float]:
+        if self.kind != "positive_rationals":
+            return self.d
+        return math.inf if self.primes is None else len(self.primes)
+
+    def holds_ratio(self, q) -> bool:
+        """Whether the positive rational q lies in a positive-rationals
+        group: always in the whole group, and on a list of primes (pairwise
+        coprime entries above 1 suffice) exactly when the numerator and
+        denominator of q factor over the list."""
+        if self.primes is None:
+            return True
+        q = rational(q)
+        return q > 0 and _smooth(q.numerator, self.primes) and _smooth(q.denominator, self.primes)
+
+
+def _smooth(n: int, primes: Sequence[int]) -> bool:
+    """Whether the positive integer n is a product of powers of the listed
+    entries."""
+    for p in primes:
+        while p > 1 and n % p == 0:
+            n //= p
+    return n == 1
 
 
 def free_abelian(d: int) -> GroupDescriptor:
@@ -55,8 +81,11 @@ def rational_vector(d: int) -> GroupDescriptor:
     return GroupDescriptor("rational_vector", d=d)
 
 
-def positive_rationals(primes: Sequence[int]) -> GroupDescriptor:
-    return GroupDescriptor("positive_rationals", primes=tuple(primes))
+def positive_rationals(primes: Optional[Sequence[int]]) -> GroupDescriptor:
+    """The positive rationals generated by the listed primes, or the whole
+    group when primes is None."""
+    return GroupDescriptor("positive_rationals",
+                           primes=None if primes is None else tuple(primes))
 
 
 @dataclass(frozen=True)
@@ -210,8 +239,9 @@ def find_nonmixing_element(system: AlgebraicSystem, box: Sequence[Tuple[int, int
     is whether u^gamma - 1 is in the ideal.  Any monomial u^e gives the same
     answer: monomials are units of the Laurent ring and both engines decide
     membership up to units, so (u^gamma - 1) * u^e is in the ideal iff
-    u^gamma - 1 is.  Both engines decide the same ideal (checked at load),
-    so the scan asks the normal form: with s = min(gamma, 0) componentwise,
+    u^gamma - 1 is.  Both engines decide the same ideal (a hint is solved
+    from the generator, or a written one is checked at load), so the scan
+    asks the normal form: with s = min(gamma, 0) componentwise,
     u^(gamma - s) - u^(-s) is the cleared lift of u^gamma - 1, and it lies in
     the ideal iff NF(u^(gamma - s)) = NF(u^(-s)).
     """

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixlab.cli import main
+from mixlab.ideals import IdealPresentation
 from mixlab.presentation import load_system
 from mixlab.ring import GF, LaurentPoly
 
@@ -164,6 +165,34 @@ class TestCertify:
         data = json.loads(next(tmp_path.glob("*.cert.json")).read_text())
         assert data["family"]["kind"] == "consecutive_ratio"
 
+    def test_rational_dual_on_a_finite_list_is_mixing_of_all_orders(self, capsys, tmp_path):
+        data = json.loads(Path(RATIONAL_DUAL).read_text())
+        data["group"]["primes"] = [2, 3]
+        two = tmp_path / "two_primes.json"
+        two.write_text(json.dumps(data))
+        for order in ("2", "3"):
+            code, out, _ = run(capsys, "certify", str(two), "--order", order, "--json",
+                               "--out", str(tmp_path / "out"))
+            assert code == 3
+            assert json.loads(out)["count"] == 0
+            assert "Schmidt-Ward" in json.loads(out)["region"]["note"]
+        assert not (tmp_path / "out").exists()
+        # The shipped file's certificate, bound to the copy, leaves <2, 3>
+        # first at n = 5.
+        run(capsys, "certify", RATIONAL_DUAL, "--order", "3", "--out", str(tmp_path / "all"))
+        cert = next((tmp_path / "all").glob("*.cert.json"))
+        forged = json.loads(cert.read_text())
+        forged["system_hash"] = load_system(str(two)).hash
+        cert.write_text(json.dumps(forged))
+        code, out, _ = run(capsys, "verify", str(cert), str(two))
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[:4] == [f"dilation {n}: correlation 1 (expected 1) ok" for n in (2, 3, 4)] + [
+            "dilation 5: shift 5 is not in the declared group FAIL"]
+        assert lines[-2:] == [
+            "grade: FAILED (labelled proof, but a consecutive_ratio certificate off the "
+            "whole group of positive rationals is evidence)", "FAIL at dilation 5"]
+
     def test_rational_dual_order2_counts_constant_ratio_families(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "certify", RATIONAL_DUAL, "--order", "2", "--json", "--out", str(tmp_path)
@@ -272,6 +301,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(cert_path), THREE_DOT)
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("name", ["ledrappier.json", "ledrappier_substitution.json"])
+    def test_solved_generator_builds_no_groebner_basis(self, capsys, tmp_path, monkeypatch,
+                                                       name):
+        # 1 + u1 + u2 is solved for u2 when the file loads, and the written
+        # hint u2 -> 1 + u1 is that map, so it needs no load-time check.
+        presentation = str(SAMPLES / name)
+        run(capsys, "certify", presentation, "--order", "3", "--force-search",
+            "--out", str(tmp_path))
+
+        def refuse(*_args):
+            raise AssertionError("verify used the Gröbner engine")
+
+        monkeypatch.setattr(IdealPresentation, "_contracted_basis", refuse)
+        monkeypatch.setattr(IdealPresentation, "contains_groebner", refuse)
+        for cert in sorted(tmp_path.glob("*.cert.json"))[:5]:
+            code, out, _ = run(capsys, "verify", str(cert), presentation)
+            assert (code, out.splitlines()[-1]) == (0, "PASS")
 
     def test_hash_mismatch_is_an_input_error(self, capsys, cert_path):
         code, _, err = run(capsys, "verify", str(cert_path), TIMES23)
@@ -519,9 +566,15 @@ class TestMalformedFiles:
         (lambda d: {**d, "order": True}, "field 'order' cannot hold True"),
         (lambda d: {**d, "family": {"kind": "explicit_list", "dilations": [1, 2.0]}},
          "field 'family.dilations' cannot hold 2.0"),
+        (lambda d: {**d, "schema": True}, "field 'schema' cannot hold True"),
+        (lambda d: {**d, "shape": "123"}, "field 'shape' cannot hold '123'"),
+        (lambda d: {**d, "transcript": "11"}, "field 'transcript' cannot hold '11'"),
+        (lambda d: {**d, "family": {"kind": "explicit_list", "dilations": "1"}},
+         "field 'family.dilations' cannot hold '1'"),
     ], ids=["list", "no-family", "no-p", "order-null", "scalar-entry", "plain-coefficient",
             "float-p-and-dilation", "bool-p", "float-dilation", "float-bit", "float-order",
-            "bool-order", "float-family-dilation"])
+            "bool-order", "float-family-dilation", "bool-schema", "string-shape",
+            "string-transcript", "string-family-dilations"])
     def test_certificate(self, capsys, tmp_path, edit, message):
         # The first two crashed with an AttributeError and a KeyError.
         run(capsys, "certify", THREE_DOT, "--order", "3", "--out", str(tmp_path))
@@ -550,9 +603,33 @@ class TestMalformedFiles:
         (TIMES23, lambda d: d["module"].update(level=1.5), "field 'module.level' cannot hold 1.5"),
         (TIMES23, lambda d: d["module"].update(level=True),
          "field 'module.level' cannot hold True"),
+        # list() would read a string character by character, and True == 1.
+        (RATIONAL_DUAL, lambda d: d.update(schema=True) or d["group"].update(primes="23"),
+         "field 'schema' cannot hold True"),
+        (THREE_DOT, lambda d: d.update(schema=1.0), "field 'schema' cannot hold 1.0"),
+        (RATIONAL_DUAL, lambda d: d["group"].update(primes="23"),
+         "field 'group.primes' cannot hold '23'"),
+        (THREE_DOT, lambda d: d["module"].update(generators="1"),
+         "field 'module.generators' cannot hold '1'"),
+        # An entry sharing a factor with an earlier one names no new free
+        # generator, and <2, 6> holds 3 though 3 is not a product of 2 and 6.
+        (RATIONAL_DUAL, lambda d: d["group"].update(primes=[2, 6]),
+         "field 'group.primes' cannot hold 6"),
+        (RATIONAL_DUAL, lambda d: d["group"].update(primes=[3, 2, 3]),
+         "field 'group.primes' cannot hold 3"),
+        (RATIONAL_DUAL, lambda d: d["group"].update(primes=[1]),
+         "field 'group.primes' cannot hold 1"),
+        (TIMES23, lambda d: d["module"].update(modulus="-11"),
+         "field 'module.modulus' cannot hold '-11'"),
+        (TIMES23, lambda d: d["module"]["assignment"].update(u1="2"),
+         "field 'module.assignment.u1' cannot hold '2'"),
+        (THREE_DOT, lambda d: d.update(group={"kind": "positive_rationals", "primes": "all"}),
+         "field 'group.primes' cannot hold 'all' here: only the rational dual takes the "
+         "whole group"),
     ], ids=["no-d", "no-characteristic", "no-assignment", "group-list", "float-characteristic",
             "integral-float-characteristic", "float-d", "bool-d", "float-prime", "float-level",
-            "bool-level"])
+            "bool-level", "bool-schema", "float-schema", "string-primes", "shared-factor-prime", "repeated-prime", "prime-one", "string-generators",
+            "string-modulus", "string-assignment", "whole-group-char-p"])
     def test_presentation(self, capsys, tmp_path, source, edit, message):
         data = json.loads(Path(source).read_text())
         edit(data)

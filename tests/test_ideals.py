@@ -56,31 +56,40 @@ def three_dot_subst():
     )
 
 
+def member(ideal, f):
+    """Membership of f by the Gröbner engine, checked against `contains`,
+    which a generator linear in its highest variable sends to the solved
+    substitution map."""
+    answer = ideal.contains_groebner(f)
+    assert ideal.contains(f) == answer
+    return answer
+
+
 class TestGroebner:
     def test_reduced_basis(self, three_dot):
         # u1 + u2 + 1, keys ending in the saturation slot t.
         assert three_dot._contracted_basis() == [{(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1}]
 
     def test_membership_positive(self, three_dot):
-        assert three_dot.contains(p2("1 + u1 + u2"))
-        assert three_dot.contains(p2("1 + u1^2 + u2^2"))
-        assert three_dot.contains(p2("1 + u1 + u2") * p2("u1^3 + u2"))
+        assert member(three_dot, p2("1 + u1 + u2"))
+        assert member(three_dot, p2("1 + u1^2 + u2^2"))
+        assert member(three_dot, p2("1 + u1 + u2") * p2("u1^3 + u2"))
 
     def test_membership_negative(self, three_dot):
-        assert not three_dot.contains(p2("u1"))
-        assert not three_dot.contains(p2("1 + u1"))
-        assert not three_dot.contains(LaurentPoly.one(2, F2))
+        assert not member(three_dot, p2("u1"))
+        assert not member(three_dot, p2("1 + u1"))
+        assert not member(three_dot, LaurentPoly.one(2, F2))
 
     def test_laurent_membership_uses_units(self, three_dot):
         # u1^-1 (1 + u1 + u2) is in the Laurent ideal though its cleared lift
         # is not a multiple of the generator alone.
-        assert three_dot.contains(p2("u1^-1 + 1 + u2 * u1^-1"))
+        assert member(three_dot, p2("u1^-1 + 1 + u2 * u1^-1"))
 
     def test_saturation_removes_monomial_factors(self):
         # <u1 * (1 + u2)> in the Laurent ring equals <1 + u2>.
         ideal = IdealPresentation([p2("u1 + u1 * u2")], 2)
-        assert ideal.contains(p2("1 + u2"))
-        assert not ideal.contains(p2("1 + u1"))
+        assert member(ideal, p2("1 + u2"))
+        assert not member(ideal, p2("1 + u1"))
 
     def test_normal_form_is_canonical(self, three_dot):
         f = p2("u2^3 + u1")
@@ -106,8 +115,8 @@ class TestGroebner:
         dom = F3
         g = LaurentPoly.parse("1 + u1 + u2", 2, dom)
         ideal = IdealPresentation([g], 3)
-        assert ideal.contains(frobenius_power(g, 2))
-        assert not ideal.contains(LaurentPoly.parse("1 + u1 + 2 * u2", 2, dom))
+        assert member(ideal, frobenius_power(g, 2))
+        assert not member(ideal, LaurentPoly.parse("1 + u1 + 2 * u2", 2, dom))
 
 
 class TestSubstitution:
@@ -115,7 +124,7 @@ class TestSubstitution:
         cases = ["1 + u1 + u2", "u1", "1 + u1^2 + u2^2", "u1^-2 + u2", "1"]
         for text in cases:
             f = p2(text)
-            assert three_dot.contains(f) == three_dot_subst.contains(f)
+            assert three_dot.contains_groebner(f) == three_dot_subst.contains(f)
 
     @given(
         st.dictionaries(
@@ -128,7 +137,7 @@ class TestSubstitution:
     @settings(max_examples=60, deadline=None)
     def test_agrees_on_random_polys(self, three_dot, three_dot_subst, terms):
         f = LaurentPoly(2, F2, terms)
-        assert three_dot.contains(f) == three_dot_subst.contains(f)
+        assert three_dot.contains_groebner(f) == three_dot_subst.contains(f)
 
     def test_substitution_requires_earlier_variables(self):
         with pytest.raises(DomainError):
@@ -155,6 +164,115 @@ class TestSubstitution:
                 [p2(g) for g in gens], 2,
                 substitution={v: p2(t) for v, t in hint.items()},
             )
+
+
+# -- a principal ideal solved for its highest variable ------------------------
+
+def sympy_member(gens, f, p, d):
+    """Membership of the Laurent f in the ideal of gens by sympy's Gröbner
+    basis of the cleared generators plus t*u1*...*ud - 1, t eliminated."""
+    sympy = pytest.importorskip("sympy")
+    t, *u = sympy.symbols(f"t u1:{d + 1}")
+
+    def expr(poly):
+        low = [min([m[i] for m in poly.terms] + [0]) for i in range(d)]
+        return sum((int(c) * sympy.prod([x ** (e - lo) for x, e, lo in zip(u, m, low)])
+                    for m, c in poly.terms.items()), sympy.S.Zero)
+
+    basis = sympy.groebner([expr(g) for g in gens] + [t * sympy.prod(u) - 1],
+                           t, *u, modulus=p)
+    return basis.contains(expr(f))
+
+
+@st.composite
+def solvable_generators(draw):
+    """(f, v, g): f = c u^a (u_v - g) with g != 0 a Laurent polynomial in the
+    variables before u_v and a arbitrary, so that the coefficient of u_v is
+    often a monomial that is not a constant, as in u1 u2 + 1."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 3))
+    v = draw(st.integers(0, d - 1))
+    dom = GF(p)
+    earlier = st.tuples(*[st.integers(-2, 2)] * v + [st.just(0)] * (d - v))
+    g = LaurentPoly(d, dom, draw(st.dictionaries(earlier, st.integers(1, p - 1),
+                                                 min_size=1, max_size=3)))
+    a = draw(st.tuples(*[st.integers(-1, 2)] * d))
+    unit = LaurentPoly.monomial(d, dom, a, draw(st.integers(1, p - 1)))
+    return unit * (LaurentPoly.variable(v, d, dom) - g), v, g
+
+
+class TestSolvedMap:
+    @given(solvable_generators(), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_groebner_and_sympy(self, case, planted, data):
+        f, v, g = case
+        d, dom, p = f.d, f.domain, f.domain.p
+        ideal = IdealPresentation([f], p, d=d)
+        assert ideal.substitution == {v: g}
+        mono = st.tuples(*[st.integers(-2, 3)] * d)
+        x = LaurentPoly(d, dom, data.draw(st.dictionaries(
+            mono, st.integers(1, p - 1), min_size=1, max_size=4)))
+        if planted:
+            x = x * f
+        answer = ideal.contains(x)
+        assert answer == ideal.contains_groebner(x) == sympy_member([f], x, p, d)
+        if planted:
+            assert answer
+
+    @pytest.mark.parametrize("p, d, gens", [
+        (2, 2, ["1 + u1 + u2^2"]),          # degree 2 in the top variable
+        (3, 2, ["1 + u2 + u1*u2"]),         # the coefficient of u2 has two terms
+        (2, 2, ["u1 * u2^-1"]),             # a monomial: the unit ideal
+        (5, 2, ["1 + 2*u1 + u2", "u1^2 + 3"]),  # two generators
+        (2, 2, []),                         # no generators
+    ], ids=["quadratic", "two-term-coefficient", "monomial", "two-generators", "none"])
+    def test_other_ideals_keep_the_groebner_engine(self, p, d, gens, monkeypatch):
+        dom = GF(p)
+        generators = [LaurentPoly.parse(t, d, dom) for t in gens]
+        ideal = IdealPresentation(generators, p, d=d)
+        assert ideal.substitution is None
+        calls = []
+        real = IdealPresentation.contains_groebner
+
+        def refuse(*_args):
+            raise AssertionError("the substitution engine ran")
+
+        monkeypatch.setattr(IdealPresentation, "contains_substitution", refuse)
+        monkeypatch.setattr(IdealPresentation, "contains_groebner",
+                            lambda ideal, f: calls.append(f) or real(ideal, f))
+        for text in ("1", "1 + u1 + u2^2", "u1^3 + u2 + u1*u2^-1"):
+            f = LaurentPoly.parse(text, d, dom)
+            assert ideal.contains(f) == sympy_member(generators, f, p, d)
+        assert len(calls) == 3
+
+    def test_hint_equal_to_the_solved_map_is_not_checked(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a load-time membership check ran")
+
+        monkeypatch.setattr(IdealPresentation, "contains_groebner", refuse)
+        monkeypatch.setattr(IdealPresentation, "contains_substitution", refuse)
+        f = LaurentPoly.parse("1 + u1*u2", 2, F3)
+        ideal = IdealPresentation([f], 3, substitution={1: LaurentPoly.parse("2*u1^-1", 2, F3)})
+        assert ideal.substitution == IdealPresentation([f], 3).substitution
+
+    def test_any_other_hint_is_checked(self):
+        # u2 -> u1 is refused as before, though the ideal solves for u2.
+        with pytest.raises(DomainError, match=r"^generator 'u1 \+ u2 \+ 1' does not vanish "
+                                              r"under the substitution$"):
+            IdealPresentation([p2("1 + u1 + u2")], 2, substitution={1: p2("u1")})
+
+    def test_d3_top_variable_at_large_exponents(self):
+        # u3 - g(u1, u2) over F_5 with exponents up to 4 * 5^5: the solved
+        # map answers at once where the Gröbner normal form of one such f
+        # took seconds.
+        dom = GF(5)
+        g = LaurentPoly.parse("2*u1^-1*u2 + u1^2 + 3*u2^-2", 3, dom)
+        f = LaurentPoly.variable(2, 3, dom) - g
+        ideal = IdealPresentation([f], 5, d=3)
+        assert ideal.substitution == {2: g}
+        member = frobenius_power(f, 5) * LaurentPoly.parse("u1^3 + 4*u3^7", 3, dom)
+        assert ideal.contains(member)
+        assert not ideal.contains(member + LaurentPoly.parse("u1^12500*u2^17", 3, dom))
 
 
 class TestEngineContract:
@@ -292,7 +410,7 @@ class TestPrincipalBasis:
         real = ideals._buchberger
         monkeypatch.setattr(ideals, "_buchberger",
                             lambda gens, p: calls.append(len(gens)) or real(gens, p))
-        assert IdealPresentation([p2("1 + u1 + u2")], 2).contains(p2("1 + u1^2 + u2^2"))
+        assert IdealPresentation([p2("1 + u1 + u2")], 2).contains_groebner(p2("1 + u1^2 + u2^2"))
         assert calls == []
         assert IdealPresentation([p2("u1"), p2("1 + u1")], 2).constant_in_ideal()
         assert not IdealPresentation([], 2, d=2).contains(p2("1"))
@@ -320,7 +438,7 @@ class TestSympyMembership:
             [expr(LaurentPoly(2, dom, g)) for g in gens] + [t * u1 * u2 - 1],
             t, u1, u2, modulus=p,
         )
-        assert ideal.contains(f) == basis.contains(expr(f))
+        assert ideal.contains(f) == ideal.contains_groebner(f) == basis.contains(expr(f))
 
 
 # -- the Frobenius ladder against direct reduction ---------------------------
@@ -427,7 +545,7 @@ class TestFrobeniusLadder:
             raise AssertionError("_reduced went through normal_form_monomial")
 
         monkeypatch.setattr(IdealPresentation, "normal_form_monomial", refuse)
-        assert ideal.contains(p2("1 + u1^8 + u2^8"))
+        assert ideal.contains_groebner(p2("1 + u1^8 + u2^8"))
         # 1 + u2 + u2^4 + u2^5
         assert ideal._reduced(p2("u1^5")) == {(0, 0, 0): 1, (0, 1, 0): 1, (0, 4, 0): 1,
                                              (0, 5, 0): 1}

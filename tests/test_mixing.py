@@ -464,7 +464,7 @@ def solenoid_23():
 @pytest.fixture(scope="module")
 def rational_dual():
     return AlgebraicSystem(
-        positive_rationals([2, 3]), RationalDualModule(), name="rational-dual"
+        positive_rationals(None), RationalDualModule(), name="rational-dual"
     )
 
 
@@ -609,7 +609,7 @@ class TestCertificateChecks:
         assert _separation_check(cert) == ref_separation_check(cert)
 
     def test_ratio_family_merges_at_two(self, monkeypatch):
-        system = AlgebraicSystem(positive_rationals([2]), RationalDualModule())
+        system = AlgebraicSystem(positive_rationals(None), RationalDualModule())
         cert = rational_dual_certificate(system, n_max=3)
         replayed = []
 
@@ -1098,6 +1098,39 @@ class TestRationalDual:
             shifts = cert.family.shape_at(cert.shape, n)
             terms = [g * a for g, a in zip(shifts, cert.coefficients)]
             assert vanishing_subsums(terms) == [(0, 1, 2)]
+
+    @given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4,
+                    unique=True),
+           st.lists(st.integers(2, 400), min_size=1, max_size=6, unique=True),
+           st.sampled_from([1, -2, 3]))
+    @settings(max_examples=150, deadline=None)
+    @example([2, 3], [2, 3, 4, 9], 1)
+    @example([2, 3], [2, 3, 4, 5], 1)
+    def test_transcript_must_stay_in_a_finite_group(self, primes, dilations, a):
+        # On <S> for a finite list S of primes, (1, n, n-1) is in the group
+        # exactly when n and n - 1 are S-smooth (finitely many n, Størmer).
+        def smooth(n):
+            for p in primes:
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        system = AlgebraicSystem(positive_rationals(primes), RationalDualModule())
+        family = consecutive_ratio_family()
+        cert = NonMixingCertificate(
+            order=3, shape=family.shape_at((), 2),
+            coefficients=(Fraction(a), Fraction(-a), Fraction(a)), family=family,
+            transcript=tuple((n, 1) for n in dilations), grade="evidence")
+        report = verify_certificate(system, cert)
+        strays = [n for n in dilations if not (smooth(n) and smooth(n - 1))]
+        assert report.ok == (not strays)
+        assert report.first_failure == (strays[0] if strays else None)
+        # Proof grade needs the whole group.
+        proof = replace(cert, grade="proof")
+        assert verify_certificate(system, proof).verdict == (
+            f"FAIL at dilation {strays[0]}" if strays else "FAIL: grade")
+        whole = AlgebraicSystem(positive_rationals(None), RationalDualModule())
+        assert verify_certificate(whole, proof).ok
 
     def test_order2_search_empty(self, rational_dual):
         outcome = rational_dual_order2_search(

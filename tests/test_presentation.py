@@ -1,6 +1,7 @@
 """Presentation files, canonical hashing, certificate (de)serialization."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +48,7 @@ class TestSampleFiles:
         subst = sample("ledrappier_substitution.json").system.module.ideal
         for text in ("1 + u1 + u2", "u1", "1 + u1^4 + u2^4"):
             f = LaurentPoly.parse(text, 2, GF(2))
-            assert groebner.contains(f) == subst.contains(f)
+            assert groebner.contains_groebner(f) == subst.contains(f)
 
     def test_evaluation_sample(self):
         loaded = sample("times2times3.json")
@@ -58,7 +59,9 @@ class TestSampleFiles:
     def test_rational_dual_sample(self):
         loaded = sample("rational_dual.json")
         assert isinstance(loaded.system.module, RationalDualModule)
-        assert loaded.system.group.primes == (2, 3, 5, 7)
+        # "primes": "all" declares the whole group, free on every prime.
+        assert loaded.system.group.primes is None
+        assert loaded.system.group.rank == math.inf
 
 
 class TestHashing:

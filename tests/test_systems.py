@@ -160,7 +160,7 @@ class TestShiftedSum:
     @settings(max_examples=150, deadline=None)
     def test_one_dict_over_fp_matches_the_laurent_sum(self, case):
         ideal, pairs = case
-        expected = ideal.contains(ref_shifted_sum(ideal, pairs))
+        expected = ideal.contains_groebner(ref_shifted_sum(ideal, pairs))
         system = AlgebraicSystem(free_abelian(ideal.d), CharPModule(ideal))
         assert character_correlation(system, pairs) == expected
 
