@@ -27,6 +27,7 @@ from .mixing import (
     ess_bound_exponent,
     evaluation_shape_search,
     frobenius_certificate,
+    PrimePower,
     rational_dual_certificate,
     rational_dual_order2_search,
     UnitEquationProblem,
@@ -118,8 +119,7 @@ def _criterion_1() -> CriterionResult:
         rc == 0,
         len(files) == 1,
         data.get("grade") == "proof",
-        data.get("family", {}).get("kind") == "prime_power",
-        data.get("family", {}).get("p") == 2,
+        data.get("family") == PrimePower(2).to_json(),
         shape == {(0, 0), (1, 0), (0, 1)},
         all(c == {"poly": "1"} for c in data.get("coefficients", [])),
         data.get("transcript") == [[2 ** k, 1] for k in range(7)],

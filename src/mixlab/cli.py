@@ -325,29 +325,17 @@ def cmd_uniteq(args) -> int:
     problem = UnitEquationProblem.make(field, coeffs, gens, args.box, budget=args.budget)
     result = enumerate_unit_solutions(problem)
     exponent = result.bound_exponent
-    payload = {
-        "count": result.count,
-        "bound_exponent": str(exponent),
-        "bound_ok": result.bound_ok,
-        "solutions": [
-            {
-                "exponents": [list(e) for e in sol.exponents],
-                "values": [
-                    str(Fraction(v.coeffs[0])) if field.degree == 1
-                    else [str(c) for c in v.coeffs]
-                    for v in sol.values
-                ],
-            }
-            for sol in result.solutions
-        ],
-    }
+    # A value over Q prints as one rational, else as its coefficient list.
+    solutions = [{"exponents": [list(e) for e in sol.exponents],
+                  "values": [str(Fraction(v.coeffs[0])) if field.degree == 1
+                             else [str(c) for c in v.coeffs] for v in sol.values]}
+                 for sol in result.solutions]
+    payload = {"count": result.count, "bound_exponent": str(exponent),
+               "bound_ok": result.bound_ok, "solutions": solutions}
     lines = [f"solutions: {result.count}"]
-    for sol in result.solutions:
-        if field.degree == 1:
-            vals = ", ".join(str(Fraction(v.coeffs[0])) for v in sol.values)
-        else:
-            vals = "; ".join(str([str(c) for c in v.coeffs]) for v in sol.values)
-        lines.append(f"  ({vals})  exponents {[list(e) for e in sol.exponents]}")
+    for sol in solutions:
+        vals = (", " if field.degree == 1 else "; ").join(map(str, sol["values"]))
+        lines.append(f"  ({vals})  exponents {sol['exponents']}")
     lines.append(f"bound exponent (log form): {exponent}")
     lines.append(f"bound assertion: {'pass' if result.bound_ok else 'FAIL'}")
     _emit(args, payload, lines)

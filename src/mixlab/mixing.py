@@ -2,12 +2,15 @@
 equation enumerator.
 
 A certificate packages an order-r shape, nonzero module coefficients, a
-symbolic dilation family and a finite verification transcript.
-`verify_certificate` is the one check of a certificate: its parts, its
-replay, its separation and its grade, which it derives rather than reads.
-A prime-power family in characteristic p with constant coefficients is
-proof grade (the Frobenius identity makes every dilation work); explicit
-lists are evidence grade: the transcript covers a tested range only.
+dilation family and a finite verification transcript.  Each family is one
+class that holds its own rules: its shifts at dilation n, its part checks,
+its separation rule, its grade and its JSON block.  `PrimePower` and
+`ExplicitList` scale a base shape of exponent vectors and may give a
+Frobenius chain's bits without the oracle; `ConsecutiveRatio` is
+(1, n, n - 1) in the positive rationals.  `verify_certificate` is the one
+check of a certificate: its parts, its replay, its separation and its
+grade, which it derives rather than reads; it keeps only the rules every
+family shares.
 """
 
 from __future__ import annotations
@@ -51,29 +54,6 @@ class EssBoundViolation(AssertionError):
 
 # -- dilation families -------------------------------------------------------
 
-@dataclass(frozen=True)
-class DilationFamily:
-    """Symbolic description of the infinite family a transcript samples.
-
-    kinds:
-      prime_power       -- dilate the shape by p^k        (proof grade in char p)
-      explicit_list     -- dilate the shape by listed n   (evidence grade)
-      consecutive_ratio -- shape (1, n, n-1) in Q_{>0}    (closed-form family)
-
-    The first two scale a base shape and run over n >= 1; (1, n, n-1) runs
-    over n >= 2, where its three shifts are nonzero.
-    """
-
-    kind: str
-    p: Optional[int] = None
-    dilations: Tuple[int, ...] = ()
-
-    def shape_at(self, base_shape, n):
-        if self.kind == "consecutive_ratio":
-            return (1, n, n - 1)
-        return tuple(expvec(x * n for x in g) for g in base_shape)
-
-
 def _require_positive_dilations(dilations: Sequence[int]) -> None:
     """Dilation families run over positive n: at n = 0 every shift
     collides, so a transcript entry there says nothing about the shape.
@@ -84,16 +64,227 @@ def _require_positive_dilations(dilations: Sequence[int]) -> None:
         raise CertificateError("dilations must be positive integers")
 
 
-def prime_power_family(p: int) -> DilationFamily:
-    return DilationFamily("prime_power", p=p)
+def _merged(shape, coefficients) -> List[Tuple[object, object]]:
+    """The pairs (gamma, a) with colliding shifts merged by summing their
+    coefficients, in order of first occurrence; a shift whose merged
+    coefficient is formally zero is dropped."""
+    merged: Dict[object, list] = {}
+    for g, a in zip(shape, coefficients):
+        k = _gamma_key(g)
+        if k in merged:
+            merged[k][1] = merged[k][1] + a
+        else:
+            merged[k] = [g, a]
+    return [(g, a) for g, a in merged.values() if not _default_is_zero(a)]
 
 
-def explicit_family(dilations: Sequence[int]) -> DilationFamily:
-    return DilationFamily("explicit_list", dilations=tuple(dilations))
+def _is_constant(a) -> bool:
+    """Whether a is a Laurent polynomial with no term off exponent 0, that
+    is a constant of F_p, which the p-th power map fixes."""
+    return isinstance(a, LaurentPoly) and not any(map(any, a.terms))
 
 
-def consecutive_ratio_family() -> DilationFamily:
-    return DilationFamily("consecutive_ratio")
+class DilationFamily:
+    """The infinite family a certificate's transcript samples, one class per
+    family holding its rules: its shifts at dilation n (`shape_at`), its
+    part checks, its separation rule, why it proves no more than its
+    transcript (`evidence_reason`), the bits it may give without the oracle
+    (`bits`) and its JSON block, named by `kind`.  `check_certificate` and
+    `verify_certificate` keep only the rules every family shares."""
+
+    def check_dilations(self, dilations: List[int]) -> None:
+        """Raise unless the (positive) transcript dilations are the family's."""
+
+    def check_order(self, cert: NonMixingCertificate) -> None:
+        """Raise unless the order and shape, which agree, are the family's."""
+
+    def separated(self, cert: NonMixingCertificate) -> bool:
+        """Whether the pairwise shape differences are pairwise distinct over
+        the transcript (a finite stand-in for 'they go to infinity'): with two
+        or more entries, when the dilations are and `_apart` holds."""
+        dilations = cert.dilations()
+        return len(dilations) <= 1 or (len(set(dilations)) == len(dilations)
+                                        and self._apart(cert.shape))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_json(cls, block: dict) -> DilationFamily:
+        return cls()
+
+
+class _Lattice(DilationFamily):
+    """A base shape of exponent vectors scaled by n >= 1, its shifts merged
+    once, on the base shape, as n q_s = n q_t iff q_s = q_t."""
+
+    def shape_at(self, shape, n):
+        return tuple(expvec(x * n for x in g) for g in shape)
+
+    def check_shape(self, system: AlgebraicSystem, shape) -> None:
+        if isinstance(system.module, RationalDualModule):
+            raise CertificateError(
+                f"the rational dual takes consecutive_ratio certificates, not {self.kind}")
+        if not all(isinstance(g, tuple) for g in shape):
+            raise CertificateError(f"a {self.kind} certificate needs exponent-vector shape points")
+        if isinstance(system.module, CharPModule) and any(
+                type(e) is not int for g in shape for e in g):
+            # Laurent polynomials over F_p have integer exponents only.
+            raise CertificateError("a characteristic-p certificate needs integer shape points")
+
+    def replay(self, cert: NonMixingCertificate) -> list:
+        """(n, expected bit, merged pairs) per transcript entry."""
+        base = _merged(cert.shape, cert.coefficients)
+        return [(n, expected, [(tuple([n * e for e in g]), a) for g, a in base])
+                for n, expected in cert.transcript]
+
+    def _apart(self, shape) -> bool:
+        """The difference of slots s and t at n is n (q_s - q_t): constant
+        when q_s = q_t, injective in n >= 1 otherwise."""
+        return len(set(map(_gamma_key, shape))) == len(shape)
+
+    def bits(self, system: AlgebraicSystem, replay: list) -> Iterator[int]:
+        """Each dilation's bit, from the oracle unless the Frobenius gives it:
+        with constant coefficients in characteristic p the sum at m p^j is the
+        sum at m to the power p^j (c^p = c), in the ideal once the sum at m is,
+        so on an increasing transcript each chain m, m p, ... costs one test."""
+        p = getattr(system.module, "characteristic", 0)
+        chain = p and all(_is_constant(a) for _, a in replay[0][2])
+        roots = set()  # dilations on a chain whose sum lies in the ideal
+        for n, _, pairs in replay:
+            m = n
+            while chain and m not in roots and m % p == 0:
+                m //= p
+            bit = 1 if m in roots else character_correlation(system, pairs)
+            if chain and bit:
+                roots.add(n)
+            yield bit
+
+
+@dataclass(frozen=True)
+class PrimePower(_Lattice):
+    """Dilate the shape by p^k.  Proof grade when p is the characteristic,
+    every coefficient is a constant c in F_p and the transcript holds
+    dilation 1: the p-th power map fixes c (c^p = c) and carries the sum at
+    n in the ideal to the sum at pn.  Its shape points must be distinct, or
+    two slots never separate."""
+
+    p: int
+    kind = "prime_power"
+
+    def evidence_reason(self, system, cert) -> Optional[str]:
+        characteristic = getattr(system.module, "characteristic", 0)
+        if self.p != characteristic:
+            return (f"a prime_power certificate with p = {self.p} in characteristic "
+                    f"{characteristic} is evidence")
+        if not all(map(_is_constant, cert.coefficients)):
+            return "a prime_power certificate with a non-constant coefficient is evidence"
+        if 1 not in cert.dilations():
+            return "a prime_power certificate whose transcript lacks dilation 1 is evidence"
+        if not self._apart(cert.shape):
+            return "a prime_power certificate with a repeated shape point is evidence"
+        return None
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "p": self.p}
+
+    @classmethod
+    def from_json(cls, block: dict) -> PrimePower:
+        from .presentation import _field, integer  # presentation imports this module
+        return cls(integer(_field(block, "family.p"), "family.p"))
+
+
+@dataclass(frozen=True)
+class ExplicitList(_Lattice):
+    """Dilate the shape by the listed n, which must be the transcript's own:
+    evidence grade, as the transcript covers a tested range only."""
+
+    dilations: Tuple[int, ...]
+    kind = "explicit_list"
+
+    def check_dilations(self, dilations: List[int]) -> None:
+        _require_positive_dilations(list(self.dilations) + dilations)
+        if list(self.dilations) != dilations:
+            # The transcript is all that is replayed, so a longer family list
+            # would claim dilations nothing checked.
+            raise CertificateError(
+                f"explicit_list family dilations {list(self.dilations)} differ from "
+                f"the transcript's dilations {dilations}")
+
+    def evidence_reason(self, system, cert) -> Optional[str]:
+        return "an explicit_list certificate is evidence"
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "dilations": list(self.dilations)}
+
+    @classmethod
+    def from_json(cls, block: dict) -> ExplicitList:
+        from .presentation import _field, _list, integer  # presentation imports this module
+        return cls(tuple(integer(n, "family.dilations")
+                         for n in _field(block, "family.dilations", _list)))
+
+
+@dataclass(frozen=True)
+class ConsecutiveRatio(DilationFamily):
+    """Shape (1, n, n-1) in the positive rationals, over n >= 2, where its
+    three shifts are nonzero.  Proof grade with coefficients (a, -a, a), as
+    a - an + a(n-1) = 0, on the whole group of positive rationals only: on a
+    finitely generated group n and n - 1 both lie in it for finitely many n
+    (Størmer)."""
+
+    kind = "consecutive_ratio"
+
+    def shape_at(self, shape, n):
+        return (1, n, n - 1)
+
+    def check_shape(self, system: AlgebraicSystem, shape) -> None:
+        if not isinstance(system.module, RationalDualModule):
+            raise CertificateError(
+                "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
+
+    def check_dilations(self, dilations: List[int]) -> None:
+        if min(dilations) < 2:
+            raise CertificateError("consecutive_ratio dilations must be at least 2")
+
+    def check_order(self, cert: NonMixingCertificate) -> None:
+        """The family ignores its stored shape, so it must be (1, 2, 1), its
+        value at n = 2, or a file could show one shape and replay another."""
+        if cert.order != 3:
+            raise CertificateError("the consecutive_ratio family has order 3")
+        if tuple(cert.shape) != self.shape_at((), 2):
+            raise CertificateError(
+                "a consecutive_ratio certificate's shape must be (1, 2, 1), its value at n = 2")
+
+    def replay(self, cert: NonMixingCertificate) -> list:
+        return [(n, expected, _merged(self.shape_at(cert.shape, n), cert.coefficients))
+                for n, expected in cert.transcript]
+
+    def _apart(self, shape) -> bool:
+        """At n >= 2 the ratios 1/n, 1/(n-1) and n/(n-1) are injective in n."""
+        return True
+
+    def evidence_reason(self, system, cert) -> Optional[str]:
+        a1, a2, a3 = cert.coefficients
+        if not (_default_is_zero(a1 - a3) and _default_is_zero(a2 + a3)):
+            return ("a consecutive_ratio certificate whose coefficients are not (a, -a, a) "
+                    "is evidence")
+        if system.group.primes is not None:
+            return ("a consecutive_ratio certificate off the whole group of positive "
+                    "rationals is evidence")
+        return None
+
+    def bits(self, system: AlgebraicSystem, replay: list) -> Iterator:
+        """Each replayed dilation's bit from the oracle, or in its place a
+        note naming a shift outside the declared group: (1, n, n-1) on a list
+        of primes leaves it unless n and n - 1 factor over the list."""
+        for _, _, pairs in replay:
+            stray = next((g for g, _ in pairs if not system.group.holds_ratio(g)), None)
+            yield (character_correlation(system, pairs) if stray is None
+                   else f"shift {stray} is not in the declared group")
+
+
+# Each family class by the name a certificate file gives it.
+FAMILIES = {cls.kind: cls for cls in (PrimePower, ExplicitList, ConsecutiveRatio)}
 
 
 @dataclass(frozen=True)
@@ -123,130 +314,26 @@ class VerificationReport:
         return self.verdict == "PASS"
 
 
-def _merged(shape, coefficients) -> List[Tuple[object, object]]:
-    """The pairs (gamma, a) with colliding shifts merged by summing their
-    coefficients, in order of first occurrence; a shift whose merged
-    coefficient is formally zero is dropped."""
-    merged: Dict[object, list] = {}
-    for g, a in zip(shape, coefficients):
-        k = _gamma_key(g)
-        if k in merged:
-            merged[k][1] = merged[k][1] + a
-        else:
-            merged[k] = [g, a]
-    return [(g, a) for g, a in merged.values() if not _default_is_zero(a)]
-
-
 def check_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> None:
     """Raise `CertificateError` unless the certificate's parts agree with
-    each other and with the system: shape points the module takes (integer
-    vectors in characteristic p, rationals for (1, n, n-1)), an order of at
-    least 2 with one shape point and one coefficient per slot (3 for
-    (1, n, n-1)), a nonempty transcript of dilations in the family's range,
-    and for an explicit list the family's dilations equal to the
-    transcript's, in order.  A mismatch would let `zip` drop a slot unseen.
-    The (1, n, n-1) family ignores its stored shape, so that shape must be
-    its value at n = 2, (1, 2, 1), or a file could show one shape and replay
-    another."""
+    each other and with the system: shape points the module takes, a
+    nonempty transcript of positive dilations in the family's range, and an
+    order of at least 2 (the family's, if it fixes one) with one shape point
+    and one coefficient per slot, which `zip` would otherwise drop unseen."""
     family = cert.family
-    m = system.module
-    if family.kind == "consecutive_ratio":
-        if not isinstance(m, RationalDualModule):
-            raise CertificateError(
-                "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
-    elif isinstance(m, RationalDualModule):
-        raise CertificateError(
-            f"the rational dual takes consecutive_ratio certificates, not {family.kind}")
-    elif not all(isinstance(g, tuple) for g in cert.shape):
-        raise CertificateError(f"a {family.kind} certificate needs exponent-vector shape points")
-    elif isinstance(m, CharPModule) and any(type(e) is not int for g in cert.shape for e in g):
-        # Laurent polynomials over F_p have integer exponents only.
-        raise CertificateError("a characteristic-p certificate needs integer shape points")
+    family.check_shape(system, cert.shape)
     if not cert.transcript:
         # An empty transcript replays nothing, so it would pass at any grade.
         raise CertificateError("certificate transcript is empty")
-    _require_positive_dilations(list(family.dilations) + cert.dilations())
-    if family.kind == "explicit_list" and list(family.dilations) != cert.dilations():
-        # The transcript is all that is replayed, so a longer family list
-        # would claim dilations nothing checked.
-        raise CertificateError(
-            f"explicit_list family dilations {list(family.dilations)} differ from "
-            f"the transcript's dilations {cert.dilations()}")
-    if family.kind == "consecutive_ratio" and min(cert.dilations()) < 2:
-        raise CertificateError("consecutive_ratio dilations must be at least 2")
+    _require_positive_dilations(cert.dilations())
+    family.check_dilations(cert.dilations())
     if cert.order < 2:
         raise CertificateError(f"certificate order {cert.order} is below 2")
     if not cert.order == len(cert.shape) == len(cert.coefficients):
         raise CertificateError(
             f"certificate order {cert.order} does not match its {len(cert.shape)} "
             f"shape points and {len(cert.coefficients)} coefficients")
-    if family.kind == "consecutive_ratio":
-        if cert.order != 3:
-            raise CertificateError("the consecutive_ratio family has order 3")
-        if tuple(cert.shape) != family.shape_at((), 2):
-            raise CertificateError(
-                "a consecutive_ratio certificate's shape must be (1, 2, 1), its value at n = 2")
-
-
-def _separation_check(cert: NonMixingCertificate) -> bool:
-    """Whether the pairwise shape differences are pairwise distinct over the
-    transcript (a finite stand-in for 'the differences go to infinity').
-
-    For a lattice family the difference of slots s and t at n is
-    n (q_s - q_t): constant when q_s = q_t, injective in n >= 1 otherwise.
-    So with two or more entries the differences are distinct exactly when
-    the dilations are and the shape's points are.  For (1, n, n-1) at
-    n >= 2 the ratios 1/n, 1/(n-1) and n/(n-1) are each injective in n, so
-    distinct dilations suffice.  (Two or more slots are assumed.)"""
-    dilations = cert.dilations()
-    if len(dilations) <= 1:
-        return True
-    if len(set(dilations)) < len(dilations):
-        return False
-    if cert.family.kind == "consecutive_ratio":
-        return True
-    return len(set(map(_gamma_key, cert.shape))) == len(cert.shape)
-
-
-def _is_constant(a) -> bool:
-    """Whether a is a Laurent polynomial with no term off exponent 0, that
-    is a constant of F_p, which the p-th power map fixes."""
-    return isinstance(a, LaurentPoly) and not any(map(any, a.terms))
-
-
-def _evidence_reason(system: AlgebraicSystem, cert: NonMixingCertificate) -> Optional[str]:
-    """Why the certificate covers no more than its transcript, or None when
-    its family covers every dilation (proof grade).  A prime-power family is
-    proof when p is the characteristic, every coefficient is a constant c in
-    F_p and the transcript holds dilation 1: the p-th power map fixes c
-    (c^p = c) and carries the sum at n in the ideal to the sum at pn.  Its
-    shape points must be distinct, or two slots never separate.
-    (1, n, n-1) is proof with coefficients (a, -a, a), as a - an + a(n-1) = 0,
-    on the whole group of positive rationals only: on a finitely generated
-    group n and n - 1 both lie in it for finitely many n (Størmer)."""
-    family, coefficients = cert.family, cert.coefficients
-    if family.kind == "prime_power":
-        characteristic = getattr(system.module, "characteristic", 0)
-        if family.p != characteristic:
-            return (f"a prime_power certificate with p = {family.p} in characteristic "
-                    f"{characteristic} is evidence")
-        if not all(map(_is_constant, coefficients)):
-            return "a prime_power certificate with a non-constant coefficient is evidence"
-        if 1 not in cert.dilations():
-            return "a prime_power certificate whose transcript lacks dilation 1 is evidence"
-        if len(set(map(_gamma_key, cert.shape))) < len(cert.shape):
-            return "a prime_power certificate with a repeated shape point is evidence"
-        return None
-    if family.kind == "consecutive_ratio":
-        a1, a2, a3 = coefficients
-        if not (_default_is_zero(a1 - a3) and _default_is_zero(a2 + a3)):
-            return ("a consecutive_ratio certificate whose coefficients are not (a, -a, a) "
-                    "is evidence")
-        if system.group.primes is not None:
-            return ("a consecutive_ratio certificate off the whole group of positive "
-                    "rationals is evidence")
-        return None
-    return f"an {family.kind} certificate is evidence"
+    family.check_order(cert)
 
 
 # The most bits, estimated by `_unit_power_bits`, of a unit power u^(n q) that
@@ -266,95 +353,44 @@ def _unit_power_bits(module, shape):
                 for g in shape), default=0)
 
 
-def _in_chain(n: int, roots, p: int) -> bool:
-    """Whether n = m p^j for some m in roots and j >= 0."""
-    while n not in roots and n % p == 0:
-        n //= p
-    return n in roots
-
-
-def _stray_shift(group, pairs):
-    """The first rational shift of the pairs that a positive-rationals group
-    on a list of primes does not hold, or None.  An exponent vector names a
-    product of the group's generators, so it never strays."""
-    if group.kind != "positive_rationals":
-        return None
-    return next((g for g, _ in pairs
-                 if not isinstance(g, tuple) and not group.holds_ratio(g)), None)
-
-
 def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> VerificationReport:
     """The one certificate check: parts (`check_certificate`, which raises),
-    then the tuple rules, then the replay of every transcript dilation
-    through the correlation oracle, bit for bit, then separation, then the
-    grade, derived from the certificate and the system: a label other than
-    evidence must match it.  A dilation m p^j of an earlier m whose sum lies
-    in the ideal takes bit 1 from the Frobenius identity instead of the
-    oracle, for a lattice family with constant coefficients in characteristic
-    p.  A dilation with a shift outside the declared group fails with no
-    correlation: (1, n, n-1) on a list of primes leaves it unless n and
-    n - 1 factor over the list.
+    then the tuple rules, then the replay of every transcript dilation, bit
+    for bit, then separation, then the grade, derived from the certificate
+    and the system: a label other than evidence must match it.  The family
+    gives each dilation's merged shifts (`replay`) and its bit (`bits`): a
+    note in place of a bit fails the dilation with no correlation.
 
-    Colliding shifts are merged (see `_merged`).  A lattice family is merged
-    once, on its base shape, as n q_s = n q_t iff q_s = q_t for n >= 1.  The
-    tuple rules are checked once per certificate, before any correlation
-    runs.  Merged shifts are pairwise distinct by construction, so what is
-    left is that every coefficient is nonzero in the module, and each
-    distinct coefficient the replay uses is tested once.  That set is known
-    before the replay starts: a lattice family carries the merged base's
-    coefficients at every dilation, and (1, n, n-1) carries (a1 + a3, a2) at
-    n = 2 and (a1, a2, a3) at n >= 3 (formal zeros dropped).  A check per
-    dilation, before each sum, would raise the same `InvalidTupleError` on
-    exactly the same certificates, since nothing is printed before the
-    report is returned."""
+    The tuple rules are checked once, before any correlation: merged shifts
+    are distinct by construction, so what is left is a widest unit power
+    under `UNIT_POWER_BIT_LIMIT` and every coefficient nonzero in the module,
+    each distinct one tested once.  Nothing is printed before the report
+    returns, so a check per dilation would raise the same errors."""
     check_certificate(system, cert)
     family = cert.family
-    base = None
-    if family.kind != "consecutive_ratio":
-        base = _merged(cert.shape, cert.coefficients)
-        n = max(cert.dilations())
-        bits = ceil(n * _unit_power_bits(system.module, [g for g, _ in base]))
-        if bits > UNIT_POWER_BIT_LIMIT:
-            raise BudgetExceededError(
-                f"a unit power at dilation {n} takes about {bits} bits, over the limit",
-                {"dilation": n, "estimated_bits": bits, "bit_limit": UNIT_POWER_BIT_LIMIT})
-    replay = [(n, expected,
-               _merged(family.shape_at(cert.shape, n), cert.coefficients) if base is None
-               else [(tuple([n * e for e in g]), a) for g, a in base])
-              for n, expected in cert.transcript]
+    replay = family.replay(cert)
+    n, _, widest = max(replay, key=lambda entry: entry[0])
+    bits = ceil(_unit_power_bits(system.module, [g for g, _ in widest]))
+    if bits > UNIT_POWER_BIT_LIMIT:
+        raise BudgetExceededError(
+            f"a unit power at dilation {n} takes about {bits} bits, over the limit",
+            {"dilation": n, "estimated_bits": bits, "bit_limit": UNIT_POWER_BIT_LIMIT})
     for a in dict.fromkeys(a for _, _, pairs in replay for _, a in pairs):
         if not system.is_nonzero(a):
             raise InvalidTupleError("tuple coefficient is zero in the module")
-    # With constant coefficients in characteristic p the sum at m p^j is the
-    # sum at m to the power p^j, as c^p = c and the Frobenius is additive, so
-    # it lies in the ideal once the sum at m does: its bit is 1 with no
-    # membership test, and on an increasing transcript each chain m, m p,
-    # m p^2, ... costs one test.
-    frobenius = (base is not None and isinstance(system.module, CharPModule)
-                 and all(_is_constant(a) for _, a in base))
-    roots = set()  # replayed dilations whose sum lies in the ideal
     lines = []
     first_failure = None
-    for n, expected, pairs in replay:
-        stray = _stray_shift(system.group, pairs)
-        if stray is not None:
-            lines.append(f"dilation {n}: shift {stray} is not in the declared group FAIL")
-            first_failure = n if first_failure is None else first_failure
-            continue
-        if frobenius and _in_chain(n, roots, system.module.characteristic):
-            bit = 1
-        else:
-            bit = character_correlation(system, pairs)
-            if bit:
-                roots.add(n)
-        status = "ok" if bit == expected == 1 else "FAIL"
-        lines.append(f"dilation {n}: correlation {bit} (expected {expected}) {status}")
-        if status == "FAIL" and first_failure is None:
+    for (n, expected, _), bit in zip(replay, family.bits(system, replay)):
+        ok = bit == expected == 1
+        lines.append(f"dilation {n}: {bit} FAIL" if isinstance(bit, str) else
+                     f"dilation {n}: correlation {bit} (expected {expected}) "
+                     f"{'ok' if ok else 'FAIL'}")
+        if not ok and first_failure is None:
             first_failure = n
-    separated = _separation_check(cert)
+    separated = family.separated(cert)
     lines.append("separation: pairwise differences distinct over transcript" if separated
                  else "separation: FAILED (differences repeat)")
-    reason = _evidence_reason(system, cert)
+    reason = family.evidence_reason(system, cert)
     derived = "evidence" if reason else "proof"
     graded = cert.grade in ("evidence", derived)
     if not graded:
@@ -403,7 +439,7 @@ def frobenius_certificate(
         order=len(support),
         shape=tuple(tuple(e for e in m) for m in support),
         coefficients=tuple(LaurentPoly.constant(ideal.d, GF(p), f.terms[m]) for m in support),
-        family=prime_power_family(p),
+        family=PrimePower(p),
         transcript=tuple((p ** k, 1) for k in range(kmax + 1)),
         grade="proof",
     ))
@@ -524,7 +560,7 @@ def shape_search(
         region["shapes_examined"] = sum(1 for _ in shapes)
         return SearchOutcome([], region)
     ncols = r * len(window)
-    family = explicit_family(dilations)
+    family = ExplicitList(tuple(dilations))
     transcript = tuple((n, 1) for n in dilations)
     separated = len(set(dilations)) == len(dilations)
     found: List[NonMixingCertificate] = []
@@ -632,15 +668,11 @@ class UnitEquationProblem:
 
     @staticmethod
     def make(field: NumberField, coefficients, generators, box: int, budget: int = 500_000):
-        coeffs = tuple(
-            c if isinstance(c, FieldElement) else field.from_rational(Fraction(c))
-            for c in coefficients
-        )
-        gens = tuple(
-            g if isinstance(g, FieldElement) else field.from_rational(Fraction(g))
-            for g in generators
-        )
-        if any(c.is_zero() for c in coeffs) or any(g.is_zero() for g in gens):
+        def element(x):
+            return x if isinstance(x, FieldElement) else field.from_rational(Fraction(x))
+
+        coeffs, gens = tuple(map(element, coefficients)), tuple(map(element, generators))
+        if any(x.is_zero() for x in coeffs + gens):
             raise DomainError("coefficients and generators must be nonzero")
         return UnitEquationProblem(field, coeffs, gens, box, budget)
 
@@ -706,11 +738,8 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
             continue
         values = tuple(x for x, _ in prefix) + (x_last,)
         terms = [a * x for a, x in zip(problem.coefficients, values)]
-        proper = [
-            s for s in vanishing_subsums(terms) if 0 < len(s) < n
-        ] if n >= 2 else []
-        if proper:
-            continue
+        if n >= 2 and any(len(s) < n for s in vanishing_subsums(terms)):
+            continue  # a proper subsum vanishes
         solutions.append(UnitSolution(tuple(e for _, e in prefix) + (e_last,), values))
     exponent = ess_bound_exponent(n, rgen)
     count = len(solutions)
@@ -790,7 +819,7 @@ def evaluation_shape_search(
             order=r,
             shape=tuple(tuple(q) for q in shape),
             coefficients=tuple(coeffs),
-            family=explicit_family(dilations),
+            family=ExplicitList(tuple(dilations)),
             transcript=tuple((n, 1) for n in dilations),
             grade="evidence",
         )
@@ -814,7 +843,7 @@ def rational_dual_certificate(
     constant part a1 - a3 and the n-part a2 + a3 both vanish."""
     if not isinstance(system.module, RationalDualModule):
         raise CertificateError("needs a rational-dual system")
-    family = consecutive_ratio_family()
+    family = ConsecutiveRatio()
     return _verified(system, NonMixingCertificate(
         order=3,
         shape=family.shape_at((), 2),
@@ -837,28 +866,17 @@ def rational_dual_order2_search(
     """
     if not isinstance(system.module, RationalDualModule):
         raise CertificateError("needs a rational-dual system")
-    region = {
-        "coeff_height": coeff_height,
-        "shape_height": shape_height,
-        "order": 2,
-    }
     ratios = {Fraction(p, q) for p in range(1, coeff_height + 1)
               for q in range(1, coeff_height + 1)}
     families = 0
-    for rho in ratios:
-        if rho == 1:
-            continue  # coincident shifts are not a two-set family
+    for rho in ratios - {1}:  # coincident shifts are not a two-set family
         # Every pair (g, rho*g) satisfies g*rho + (rho*g)*(-1) = 0 in Q; the
         # family counts when two shifts g have rho*g of height <= shape_height.
-        fits = (
-            g for g in range(1, shape_height + 1)
-            if max((rho * g).numerator, (rho * g).denominator) <= shape_height
-        )
-        if len(list(islice(fits, 2))) == 2:
-            families += 1
-    region["constant_ratio_families"] = families
-    region["note"] = (
-        "every vanishing order-2 family has a constant shift ratio, so its "
-        "differences never leave a finite set; no certificate exists"
-    )
-    return SearchOutcome([], region)
+        fits = (g for g in range(1, shape_height + 1)
+                if max((rho * g).numerator, (rho * g).denominator) <= shape_height)
+        families += len(list(islice(fits, 2))) == 2
+    return SearchOutcome([], {
+        "coeff_height": coeff_height, "shape_height": shape_height, "order": 2,
+        "constant_ratio_families": families,
+        "note": ("every vanishing order-2 family has a constant shift ratio, so its "
+                 "differences never leave a finite set; no certificate exists")})

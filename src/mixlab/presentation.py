@@ -17,7 +17,7 @@ from math import gcd
 from typing import Dict
 
 from .ideals import IdealPresentation
-from .mixing import DilationFamily, NonMixingCertificate
+from .mixing import FAMILIES, NonMixingCertificate
 from .numfield import FieldElement, NumberField
 from .ring import GF, LaurentPoly, ParseError, expvec, rational
 from .systems import (
@@ -149,6 +149,10 @@ def parse_system(data: dict) -> LoadedSystem:
         raise PresentationError(
             "field 'group.primes' cannot hold 'all' here: only the rational dual "
             "takes the whole group")
+    if mtype == "rational_dual" and group.kind != "positive_rationals":
+        raise PresentationError(
+            f"field 'group.kind' cannot hold {kind!r} here: the rational dual takes only "
+            "a positive_rationals group")
     if mtype == "char_p":
         p = integer(_field(module_block, "module.characteristic"), "module.characteristic")
         dom = GF(p)
@@ -198,15 +202,18 @@ def parse_system(data: dict) -> LoadedSystem:
     )
 
 
-def load_system(path: str) -> LoadedSystem:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as e:
         raise PresentationError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
     except OSError as e:
         raise PresentationError(f"{path}: {e}") from None
-    return parse_system(data)
+
+
+def load_system(path: str) -> LoadedSystem:
+    return parse_system(_read_json(path))
 
 
 # -- certificate (de)serialization -------------------------------------------
@@ -230,18 +237,13 @@ def _encode_gamma(g) -> object:
 
 
 def certificate_to_dict(cert: NonMixingCertificate, sys_hash: str = "") -> dict:
-    fam: Dict[str, object] = {"kind": cert.family.kind}
-    if cert.family.kind == "prime_power":
-        fam["p"] = cert.family.p
-    elif cert.family.kind == "explicit_list":
-        fam["dilations"] = list(cert.family.dilations)
     return {
         "schema": SCHEMA_VERSION,
         "kind": "non_mixing_certificate",
         "system_hash": sys_hash,
         "order": cert.order,
         "grade": cert.grade,
-        "family": fam,
+        "family": cert.family.to_json(),
         "shape": [_encode_gamma(g) for g in cert.shape],
         "coefficients": [_encode_coefficient(a) for a in cert.coefficients],
         "transcript": [[int(n), int(b)] for n, b in cert.transcript],
@@ -258,17 +260,10 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
         raise PresentationError(f"unsupported certificate schema {data.get('schema')!r}")
     fam_block = _object(_field(data, "family"), "family")
     fkind = _field(fam_block, "family.kind")
-    if fkind == "prime_power":
-        family = DilationFamily("prime_power",
-                                p=integer(_field(fam_block, "family.p"), "family.p"))
-    elif fkind == "explicit_list":
-        dilations = _field(fam_block, "family.dilations", _list)
-        family = DilationFamily("explicit_list", dilations=tuple(
-            integer(n, "family.dilations") for n in dilations))
-    elif fkind == "consecutive_ratio":
-        family = DilationFamily("consecutive_ratio")
-    else:
+    family = FAMILIES.get(fkind) if isinstance(fkind, str) else None
+    if family is None:
         raise PresentationError(f"unknown dilation family {fkind!r}")
+    family = family.from_json(fam_block)
     shape = tuple(_convert(expvec if isinstance(g, list) else rational, g, "shape")
                   for g in _field(data, "shape", _list))
     m = system.module
@@ -308,11 +303,4 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
 
 
 def load_certificate(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise PresentationError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except OSError as e:
-        raise PresentationError(f"{path}: {e}") from None
-    return _object(data, f"{path}: a certificate")
+    return _object(_read_json(path), f"{path}: a certificate")

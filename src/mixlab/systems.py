@@ -124,6 +124,8 @@ class AlgebraicSystem:
     name: str = ""
 
     def __post_init__(self):
+        if isinstance(self.module, RationalDualModule) and self.group.kind != "positive_rationals":
+            raise DomainError("the rational dual takes only a positive_rationals group")
         if isinstance(self.module, EvaluationModule):
             K = self.module.field
             for _, v in self.module.assignment:

@@ -609,8 +609,6 @@ class TestMalformedFiles:
         (THREE_DOT, lambda d: d.update(schema=1.0), "field 'schema' cannot hold 1.0"),
         (RATIONAL_DUAL, lambda d: d["group"].update(primes="23"),
          "field 'group.primes' cannot hold '23'"),
-        (THREE_DOT, lambda d: d["module"].update(generators="1"),
-         "field 'module.generators' cannot hold '1'"),
         # An entry sharing a factor with an earlier one names no new free
         # generator, and <2, 6> holds 3 though 3 is not a product of 2 and 6.
         (RATIONAL_DUAL, lambda d: d["group"].update(primes=[2, 6]),
@@ -619,6 +617,8 @@ class TestMalformedFiles:
          "field 'group.primes' cannot hold 3"),
         (RATIONAL_DUAL, lambda d: d["group"].update(primes=[1]),
          "field 'group.primes' cannot hold 1"),
+        (THREE_DOT, lambda d: d["module"].update(generators="1"),
+         "field 'module.generators' cannot hold '1'"),
         (TIMES23, lambda d: d["module"].update(modulus="-11"),
          "field 'module.modulus' cannot hold '-11'"),
         (TIMES23, lambda d: d["module"]["assignment"].update(u1="2"),
@@ -626,10 +626,18 @@ class TestMalformedFiles:
         (THREE_DOT, lambda d: d.update(group={"kind": "positive_rationals", "primes": "all"}),
          "field 'group.primes' cannot hold 'all' here: only the rational dual takes the "
          "whole group"),
+        # The rational dual is Q acted on by multiplication by positive rationals.
+        (RATIONAL_DUAL, lambda d: d.update(group={"kind": "rational_vector", "d": 2}),
+         "field 'group.kind' cannot hold 'rational_vector' here: the rational dual takes "
+         "only a positive_rationals group"),
+        (RATIONAL_DUAL, lambda d: d.update(group={"kind": "free_abelian", "d": 1}),
+         "field 'group.kind' cannot hold 'free_abelian' here: the rational dual takes "
+         "only a positive_rationals group"),
     ], ids=["no-d", "no-characteristic", "no-assignment", "group-list", "float-characteristic",
             "integral-float-characteristic", "float-d", "bool-d", "float-prime", "float-level",
             "bool-level", "bool-schema", "float-schema", "string-primes", "shared-factor-prime", "repeated-prime", "prime-one", "string-generators",
-            "string-modulus", "string-assignment", "whole-group-char-p"])
+            "string-modulus", "string-assignment", "whole-group-char-p",
+            "rational-dual-on-rational-vector", "rational-dual-on-free-abelian"])
     def test_presentation(self, capsys, tmp_path, source, edit, message):
         data = json.loads(Path(source).read_text())
         edit(data)

@@ -18,8 +18,10 @@ from mixlab.mixing import (
     KERNEL_COMBO_LIMIT,
     BudgetExceededError,
     CertificateError,
-    DilationFamily,
+    ConsecutiveRatio,
+    ExplicitList,
     NonMixingCertificate,
+    PrimePower,
     SearchOutcome,
     UnitEquationProblem,
     UnitEquationResult,
@@ -28,14 +30,10 @@ from mixlab.mixing import (
     _canonical_shapes,
     _default_is_zero,
     _projective_combinations,
-    _separation_check,
-    consecutive_ratio_family,
     enumerate_unit_solutions,
     ess_bound_exponent,
     evaluation_shape_search,
-    explicit_family,
     frobenius_certificate,
-    prime_power_family,
     rational_dual_certificate,
     rational_dual_order2_search,
     shape_search,
@@ -234,7 +232,7 @@ def ref_evaluation_shape_search(system, r, shape_box, dilations=(1, 2, 3, 4)):
             order=r,
             shape=tuple(tuple(q) for q in shape),
             coefficients=coeffs,
-            family=explicit_family(dilations),
+            family=ExplicitList(tuple(dilations)),
             transcript=tuple((n, 1) for n in dilations),
             grade="evidence",
         )
@@ -329,7 +327,7 @@ def ref_shape_search(system, r, shape_box, coeff_window, dilations):
                 order=r,
                 shape=tuple(tuple(q) for q in shape),
                 coefficients=tuple(blocks),
-                family=explicit_family(dilations),
+                family=ExplicitList(tuple(dilations)),
                 transcript=tuple((n, 1) for n in dilations),
                 grade="evidence",
             )
@@ -341,7 +339,7 @@ def ref_shape_search(system, r, shape_box, coeff_window, dilations):
 def ref_separation_check(cert):
     """Separation by enumeration: for every pair of slots, the differences
     (ratios for (1, n, n-1)) over the transcript must not repeat."""
-    mult = cert.family.kind == "consecutive_ratio"
+    mult = isinstance(cert.family, ConsecutiveRatio)
     shapes = [cert.family.shape_at(cert.shape, n) for n, _ in cert.transcript]
     for s, t in combinations(range(cert.order), 2):
         seen = set()
@@ -531,7 +529,7 @@ class TestFrobeniusCertificates:
             order=3,
             shape=((0, 0), (1, 0), (0, 1)),
             coefficients=(p2("u1 + u2^2"), p2("u1^2 + u2^3"), p2("u1^3 + u2")),
-            family=prime_power_family(2),
+            family=PrimePower(2),
             transcript=tuple((2 ** k, 1) for k in range(5)),
             grade="proof",
         )
@@ -546,7 +544,7 @@ class TestFrobeniusCertificates:
             order=2,
             shape=((0, 0), (0, 0)),
             coefficients=(p2("1 + u1"), p2("u2")),
-            family=explicit_family((1,)),
+            family=ExplicitList((1,)),
             transcript=((1, 1),),
             grade="evidence",
         )
@@ -560,11 +558,11 @@ class TestFrobeniusCertificates:
         exact = NonMixingCertificate(
             order=3, shape=((Fraction(0), Fraction(0)), (1, 0), (0, 0)),
             coefficients=(Fraction(1), Fraction(1), Fraction(-1)),
-            family=explicit_family((1,)), transcript=((1, 1),), grade="evidence")
+            family=ExplicitList((1,)), transcript=((1, 1),), grade="evidence")
         assert verify_certificate(solenoid_23, exact).verdict == "FAIL at dilation 1"
         assert replayed == [[((1, 0), Fraction(1))]]
         # At n = 0 every shift collides; that dilation is refused outright.
-        at_zero = replace(cert, shape=((0, 0), (1, 0)), family=explicit_family((1, 0)),
+        at_zero = replace(cert, shape=((0, 0), (1, 0)), family=ExplicitList((1, 0)),
                           transcript=((1, 1), (0, 1)))
         with pytest.raises(CertificateError, match="positive"):
             verify_certificate(three_dot, at_zero)
@@ -581,7 +579,7 @@ def lattice_certificates(draw):
     coefficient = st.sampled_from(["1", "u1", "1 + u1", f"u{d}^-1", f"1 + u1 + u{d}^-1"])
     coefficients = tuple(LaurentPoly.parse(draw(coefficient), d, F2) for _ in range(r))
     dilations = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
-    family = draw(st.sampled_from([explicit_family(dilations), prime_power_family(2)]))
+    family = draw(st.sampled_from([ExplicitList(tuple(dilations)), PrimePower(2)]))
     return NonMixingCertificate(order=r, shape=shape, coefficients=coefficients,
                                 family=family, transcript=tuple((n, 1) for n in dilations),
                                 grade="evidence")
@@ -592,7 +590,7 @@ def ratio_certificates(draw):
     dilations = draw(st.lists(st.integers(2, 9), min_size=1, max_size=5))
     return NonMixingCertificate(order=3, shape=(Fraction(1), Fraction(2), Fraction(1)),
                                 coefficients=(Fraction(1), Fraction(-1), Fraction(1)),
-                                family=consecutive_ratio_family(),
+                                family=ConsecutiveRatio(),
                                 transcript=tuple((n, 1) for n in dilations), grade="proof")
 
 
@@ -600,13 +598,13 @@ class TestCertificateChecks:
     @given(st.one_of(lattice_certificates(), ratio_certificates()))
     @settings(max_examples=300, deadline=None)
     @example(NonMixingCertificate(order=3, shape=((0, 0), (1, 0), (0, 1)),
-                                  coefficients=(p2("1"),) * 3, family=prime_power_family(2),
+                                  coefficients=(p2("1"),) * 3, family=PrimePower(2),
                                   transcript=((2, 1), (2, 1)), grade="proof"))
     @example(NonMixingCertificate(order=2, shape=((1, 0), (1, 0)),
-                                  coefficients=(p2("1"),) * 2, family=explicit_family((3,)),
+                                  coefficients=(p2("1"),) * 2, family=ExplicitList((3,)),
                                   transcript=((3, 1),), grade="evidence"))
     def test_separation_closed_form_matches_the_enumeration(self, cert):
-        assert _separation_check(cert) == ref_separation_check(cert)
+        assert cert.family.separated(cert) == ref_separation_check(cert)
 
     def test_ratio_family_merges_at_two(self, monkeypatch):
         system = AlgebraicSystem(positive_rationals(None), RationalDualModule())
@@ -649,7 +647,7 @@ class TestCertificateChecks:
     @pytest.mark.parametrize("change, message", [
         ({"shape": ((Fraction(1), Fraction(0)), (0, 1), (0, 0))}, "integer shape points"),
         ({"shape": (1, 2, 1)}, "needs exponent-vector shape points"),
-        ({"family": consecutive_ratio_family(), "shape": (1, 2, 1),
+        ({"family": ConsecutiveRatio(), "shape": (1, 2, 1),
           "transcript": ((2, 1),)}, "shifts by rationals"),
     ])
     def test_hand_built_certificates_meet_the_file_rules(self, three_dot, change, message):
@@ -661,14 +659,14 @@ class TestCertificateChecks:
     def test_rational_dual_takes_only_its_family(self, rational_dual):
         cert = rational_dual_certificate(rational_dual, n_max=4)
         with pytest.raises(CertificateError, match="not explicit_list"):
-            verify_certificate(rational_dual, replace(cert, family=explicit_family((2, 3, 4))))
+            verify_certificate(rational_dual, replace(cert, family=ExplicitList((2, 3, 4))))
 
     @pytest.mark.parametrize("change, grade", [
         ({}, "proof"),
-        ({"family": prime_power_family(3)}, "evidence"),
+        ({"family": PrimePower(3)}, "evidence"),
         ({"transcript": ((2, 1), (4, 1))}, "evidence"),
         ({"coefficients": (p2("u1"), p2("u1"), p2("u1"))}, "evidence"),
-        ({"family": explicit_family((1, 2, 4))}, "evidence"),
+        ({"family": ExplicitList((1, 2, 4))}, "evidence"),
     ])
     def test_prime_power_grade_is_derived(self, three_dot, change, grade):
         cert = replace(frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2), **change)
@@ -717,12 +715,20 @@ class TestFrobeniusShortcut:
             assert oracle.call_count == 1
             assert verify_certificate(system, cert).ok
             assert oracle.call_count == 2
+            # The chain is a rule of both lattice families: relabelled as an
+            # explicit list of its transcript, the certificate costs the same.
+            explicit = ExplicitList(tuple(cert.dilations()))
+            assert verify_certificate(system, replace(cert, family=explicit,
+                                                      grade="evidence")).ok
+            assert oracle.call_count == 3
             # u1 (1 + u1^n + u2^n) = u1 f^n lies in the ideal at every n = p^j,
             # but the p-th power map does not fix u1: every dilation is replayed.
             polynomial = replace(cert, coefficients=(LaurentPoly.parse("u1", 2, GF(p)),) * 3,
                                  grade="evidence")
             assert verify_certificate(system, polynomial).ok
-            assert oracle.call_count == 2 + k + 1
+            assert oracle.call_count == 3 + k + 1
+            assert verify_certificate(system, replace(polynomial, family=explicit)).ok
+            assert oracle.call_count == 3 + 2 * (k + 1)
 
 
 class TestShapeSearch:
@@ -846,19 +852,20 @@ class TestShapeSearch:
 
 class TestDilationFamilies:
     def test_prime_power_shape(self):
-        fam = prime_power_family(2)
+        fam = PrimePower(2)
         assert fam.shape_at(((0, 0), (1, 0)), 4) == (
             (Fraction(0), Fraction(0)),
             (Fraction(4), Fraction(0)),
         )
 
     def test_consecutive_ratio_shape(self):
-        fam = consecutive_ratio_family()
+        fam = ConsecutiveRatio()
         assert fam.shape_at(None, 5) == (Fraction(1), Fraction(5), Fraction(4))
 
     def test_explicit_family_records_dilations(self):
-        fam = explicit_family([1, 2, 4])
-        assert fam.dilations == (1, 2, 4)
+        fam = ExplicitList((1, 2, 4))
+        assert fam.to_json() == {"kind": "explicit_list", "dilations": [1, 2, 4]}
+        assert ExplicitList.from_json(fam.to_json()) == fam
 
 
 class TestSubsums:
@@ -1086,7 +1093,7 @@ class TestRationalDual:
     def test_certificate_family(self, rational_dual):
         cert = rational_dual_certificate(rational_dual, n_max=50)
         assert cert.order == 3
-        assert cert.family.kind == "consecutive_ratio"
+        assert cert.family == ConsecutiveRatio()
         assert all(bit == 1 for _, bit in cert.transcript)
         assert verify_certificate(rational_dual, cert).ok
 
@@ -1116,7 +1123,7 @@ class TestRationalDual:
             return n == 1
 
         system = AlgebraicSystem(positive_rationals(primes), RationalDualModule())
-        family = consecutive_ratio_family()
+        family = ConsecutiveRatio()
         cert = NonMixingCertificate(
             order=3, shape=family.shape_at((), 2),
             coefficients=(Fraction(a), Fraction(-a), Fraction(a)), family=family,

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from mixlab.mixing import CertificateError, frobenius_certificate, verify_certificate
+from mixlab.mixing import (
+    CertificateError,
+    frobenius_certificate,
+    rational_dual_certificate,
+    shape_search,
+    verify_certificate,
+)
 from mixlab.presentation import (
     PresentationError,
     canonical_json,
@@ -68,7 +74,7 @@ class TestHashing:
     def test_hash_ignores_name_and_notes(self):
         base = {
             "schema": 1,
-            "group": {"kind": "free_abelian", "d": 1},
+            "group": {"kind": "positive_rationals", "primes": "all"},
             "module": {"type": "rational_dual"},
         }
         a = parse_system({**base, "name": "a", "notes": "x"})
@@ -142,7 +148,31 @@ class TestErrors:
         assert "line 1" in str(e.value)
 
 
+THREE_DOT_F2 = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))
+# A certificate of each dilation family, built on the presentation it names.
+FAMILY_CASES = {
+    "prime_power": ("ledrappier.json",
+                    lambda system: frobenius_certificate(system, THREE_DOT_F2)),
+    "explicit_list": ("ledrappier.json", lambda system: shape_search(
+        system, 3, [(0, 1)] * 2, [(0, 0)] * 2, (1, 2, 4)).certificates[0]),
+    "consecutive_ratio": ("rational_dual.json",
+                          lambda system: rational_dual_certificate(system, n_max=20)),
+}
+
+
 class TestCertificateRoundtrip:
+    @pytest.mark.parametrize("kind", sorted(FAMILY_CASES))
+    def test_every_family_roundtrips(self, kind):
+        name, build = FAMILY_CASES[kind]
+        loaded = sample(name)
+        cert = build(loaded.system)
+        data = certificate_to_dict(cert, sys_hash=loaded.hash)
+        assert data["family"]["kind"] == kind
+        back = certificate_from_dict(json.loads(canonical_json(data)), loaded.system)
+        assert back == cert
+        again = certificate_to_dict(back, sys_hash=loaded.hash)
+        assert canonical_json(again) == canonical_json(data)
+
     def test_charp_roundtrip(self):
         loaded = sample("ledrappier.json")
         gen = LaurentPoly.parse("1 + u1 + u2", 2, GF(2))

@@ -20,14 +20,12 @@ from mixlab.ideals import IdealPresentation
 from mixlab.mixing import (
     UNIT_POWER_BIT_LIMIT,
     BudgetExceededError,
+    ExplicitList,
     NonMixingCertificate,
+    PrimePower,
     VerificationReport,
     _default_is_zero,
-    _evidence_reason,
-    _separation_check,
     check_certificate,
-    explicit_family,
-    prime_power_family,
     verify_certificate,
 )
 from mixlab.numfield import NumberField
@@ -105,10 +103,10 @@ def ref_verify(system, cert) -> VerificationReport:
         lines.append(f"dilation {n}: correlation {bit} (expected {expected}) {status}")
         if status == "FAIL" and first_failure is None:
             first_failure = n
-    separated = _separation_check(cert)
+    separated = cert.family.separated(cert)
     lines.append("separation: pairwise differences distinct over transcript" if separated
                  else "separation: FAILED (differences repeat)")
-    reason = _evidence_reason(system, cert)
+    reason = cert.family.evidence_reason(system, cert)
     derived = "evidence" if reason else "proof"
     graded = cert.grade in ("evidence", derived)
     if not graded:
@@ -139,7 +137,7 @@ def ref_oracle_calls(system, cert) -> int:
     computed, when an earlier one m with a vanishing sum has n / m a power
     of p."""
     merged = ref_merged(cert.shape, cert.coefficients)
-    if not (isinstance(system.module, CharPModule) and cert.family.kind != "consecutive_ratio"
+    if not (isinstance(system.module, CharPModule) and isinstance(cert.family, (PrimePower, ExplicitList))
             and all(set(a.terms) <= {(0,) * a.d} for _, a in merged)):
         return len(cert.transcript)
     p = system.module.characteristic
@@ -194,7 +192,7 @@ CHARP_COEFFICIENTS = ["1", "2", "u1", "1 + u1", "2 + 2*u1", "u2^-1", "1 + u1 + u
 
 def charp_certificate(p, shape, texts, dilations, bits, kind="explicit_list", grade="evidence"):
     coefficients = tuple(LaurentPoly.parse(t, 2, GF(p)) for t in texts)
-    family = prime_power_family(p) if kind == "prime_power" else explicit_family(dilations)
+    family = PrimePower(p) if kind == "prime_power" else ExplicitList(tuple(dilations))
     return NonMixingCertificate(order=len(shape), shape=tuple(shape),
                                 coefficients=coefficients, family=family,
                                 transcript=tuple(zip(dilations, bits)), grade=grade)
@@ -238,7 +236,7 @@ def halves_cases(draw):
     dilations = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
     return HALVES, NonMixingCertificate(
         order=r, shape=tuple(shape), coefficients=tuple(coefficients),
-        family=explicit_family(dilations), transcript=tuple((n, 1) for n in dilations),
+        family=ExplicitList(tuple(dilations)), transcript=tuple((n, 1) for n in dilations),
         grade="evidence")
 
 
@@ -298,7 +296,7 @@ class TestReplayMatchesTheReference:
     @settings(max_examples=150, deadline=None)
     @example((HALVES, NonMixingCertificate(
         order=3, shape=((0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), 0)),
-        coefficients=(4, -1, -1), family=explicit_family((1,)), transcript=((1, 1),),
+        coefficients=(4, -1, -1), family=ExplicitList((1,)), transcript=((1, 1),),
         grade="evidence")))
     def test_evaluation_at_level_two(self, case):
         assert_same_replay(*case)
@@ -347,11 +345,11 @@ class TestUnitPowerBudget:
         system = load_system(str(SAMPLES / "times2times3.json")).system
         cert = NonMixingCertificate(
             order=2, shape=((0, 0), (1, 1)), coefficients=(QQ.one, -QQ.one),
-            family=explicit_family((1,)), transcript=((1, 0),), grade="evidence")
+            family=ExplicitList((1,)), transcript=((1, 0),), grade="evidence")
         limit = UNIT_POWER_BIT_LIMIT // 4
 
         def at(*dilations):
-            return replace(cert, family=explicit_family(dilations),
+            return replace(cert, family=ExplicitList(tuple(dilations)),
                            transcript=tuple((n, 0) for n in dilations))
 
         assert verify_certificate(system, at(limit)).ok is False

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mixlab import mixing
 from mixlab.ideals import IdealPresentation
-from mixlab.mixing import NonMixingCertificate, explicit_family, verify_certificate
+from mixlab.mixing import ExplicitList, NonMixingCertificate, verify_certificate
 from mixlab.numfield import NumberField
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.systems import (
@@ -76,7 +76,7 @@ class TestCharacterTuples:
     def certificate(shape, coefficients):
         return NonMixingCertificate(
             order=len(shape), shape=shape, coefficients=coefficients,
-            family=explicit_family((1,)), transcript=((1, 1),), grade="evidence")
+            family=ExplicitList((1,)), transcript=((1, 1),), grade="evidence")
 
     def test_zero_coefficient_rejected(self, three_dot, monkeypatch):
         calls = []
