@@ -27,18 +27,16 @@ from .numfield import FieldElement, NumberField, power_table
 from .ring import GF, DomainError, LaurentPoly, expvec, rational
 from .systems import (
     AlgebraicSystem,
+    CertificateError,
     CharPModule,
     EvaluationModule,
     InvalidTupleError,
     RationalDualModule,
     _gamma_key,
+    box_points,
     character_correlation,
     unit_powers,
 )
-
-
-class CertificateError(ValueError):
-    pass
 
 
 class BudgetExceededError(RuntimeError):
@@ -122,15 +120,7 @@ class _Lattice(DilationFamily):
         return tuple(expvec(x * n for x in g) for g in shape)
 
     def check_shape(self, system: AlgebraicSystem, shape) -> None:
-        if isinstance(system.module, RationalDualModule):
-            raise CertificateError(
-                f"the rational dual takes consecutive_ratio certificates, not {self.kind}")
-        if not all(isinstance(g, tuple) for g in shape):
-            raise CertificateError(f"a {self.kind} certificate needs exponent-vector shape points")
-        if isinstance(system.module, CharPModule) and any(
-                type(e) is not int for g in shape for e in g):
-            # Laurent polynomials over F_p have integer exponents only.
-            raise CertificateError("a characteristic-p certificate needs integer shape points")
+        system.module.check_lattice_shape(system.group, self.kind, shape)
 
     def replay(self, cert: NonMixingCertificate) -> list:
         """(n, expected bit, merged pairs) per transcript entry."""
@@ -148,7 +138,7 @@ class _Lattice(DilationFamily):
         with constant coefficients in characteristic p the sum at m p^j is the
         sum at m to the power p^j (c^p = c), in the ideal once the sum at m is,
         so on an increasing transcript each chain m, m p, ... costs one test."""
-        p = getattr(system.module, "characteristic", 0)
+        p = system.module.characteristic
         chain = p and all(_is_constant(a) for _, a in replay[0][2])
         roots = set()  # dilations on a chain whose sum lies in the ideal
         for n, _, pairs in replay:
@@ -173,7 +163,7 @@ class PrimePower(_Lattice):
     kind = "prime_power"
 
     def evidence_reason(self, system, cert) -> Optional[str]:
-        characteristic = getattr(system.module, "characteristic", 0)
+        characteristic = system.module.characteristic
         if self.p != characteristic:
             return (f"a prime_power certificate with p = {self.p} in characteristic "
                     f"{characteristic} is evidence")
@@ -238,9 +228,7 @@ class ConsecutiveRatio(DilationFamily):
         return (1, n, n - 1)
 
     def check_shape(self, system: AlgebraicSystem, shape) -> None:
-        if not isinstance(system.module, RationalDualModule):
-            raise CertificateError(
-                "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
+        system.module.check_ratio_shape()
 
     def check_dilations(self, dilations: List[int]) -> None:
         if min(dilations) < 2:
@@ -336,21 +324,9 @@ def check_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> No
     family.check_order(cert)
 
 
-# The most bits, estimated by `_unit_power_bits`, of a unit power u^(n q) that
-# `verify_certificate` computes before it stops with `BudgetExceededError`.
+# The most bits, estimated by `Module.unit_power_bits`, of a unit power u^(n q)
+# that `verify_certificate` computes before it stops with `BudgetExceededError`.
 UNIT_POWER_BIT_LIMIT = 1 << 20
-
-
-def _unit_power_bits(module, shape):
-    """0 off an evaluation module, else the estimated bits of the widest unit
-    power u^q, q a shape point: u_i^(q_i) = w_i^(q_i L) takes about |q_i L|
-    times the longest numerator or denominator in w_i and 1/w_i."""
-    if not isinstance(module, EvaluationModule):
-        return 0
-    width = {i: max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                    for v in (w, w.inv()) for c in v.coeffs) for i, w in module.assignment}
-    return max((sum(abs(q * module.level) * width.get(i, 0) for i, q in enumerate(g))
-                for g in shape), default=0)
 
 
 def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> VerificationReport:
@@ -370,13 +346,13 @@ def verify_certificate(system: AlgebraicSystem, cert: NonMixingCertificate) -> V
     family = cert.family
     replay = family.replay(cert)
     n, _, widest = max(replay, key=lambda entry: entry[0])
-    bits = ceil(_unit_power_bits(system.module, [g for g, _ in widest]))
+    bits = ceil(system.module.unit_power_bits([g for g, _ in widest]))
     if bits > UNIT_POWER_BIT_LIMIT:
         raise BudgetExceededError(
             f"a unit power at dilation {n} takes about {bits} bits, over the limit",
             {"dilation": n, "estimated_bits": bits, "bit_limit": UNIT_POWER_BIT_LIMIT})
     for a in dict.fromkeys(a for _, _, pairs in replay for _, a in pairs):
-        if not system.is_nonzero(a):
+        if system.module.is_zero(a):
             raise InvalidTupleError("tuple coefficient is zero in the module")
     lines = []
     first_failure = None
@@ -464,16 +440,12 @@ class SearchOutcome:
 KERNEL_COMBO_LIMIT = 1 << 16
 
 
-def _box_points(box: Sequence[Tuple[int, int]]):
-    return [tuple(p) for p in product(*[range(lo, hi + 1) for lo, hi in box])]
-
-
 def _canonical_shapes(points: Sequence[Tuple[int, ...]],
                       r: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """One r-point shape per translation class that fits in a box, sorted,
     yielded as the search reaches it.
 
-    `points` is the box moved to the origin, in `_box_points` order.  A
+    `points` is the box moved to the origin, in `box_points` order.  A
     class's member whose minimum on each axis is the box's lower corner is
     unique; moved with the box, its minimum on each axis is 0.  So the shapes
     are the r-subsets of `points` that meet every coordinate hyperplane, and
@@ -532,7 +504,7 @@ def shape_search(
         raise CertificateError("quotient is trivial (unit ideal)")
     p = ideal.characteristic
     dom = GF(p)
-    window = _box_points(coeff_window)
+    window = list(box_points(coeff_window))
     if any(e < 0 for w in window for e in w):
         raise CertificateError("coefficient window must be nonnegative")
     # Column-reduce the window against the ideal: keep a subset of window
@@ -546,7 +518,7 @@ def shape_search(
             nf_rows.setdefault(mu, {})[j] = c
     _, pivots = linalg.rref(list(nf_rows.values()), len(window), p)
     window = [window[j] for j in pivots]
-    points = _box_points([(0, hi - lo) for lo, hi in shape_box])
+    points = list(box_points([(0, hi - lo) for lo, hi in shape_box]))
     shapes = _canonical_shapes(points, r)
     region = {
         "shape_box": [list(b) for b in shape_box],
@@ -785,7 +757,7 @@ def evaluation_shape_search(
             f"dilations must contain 1..{r}: the search reads rows 1..r as a "
             "Vandermonde matrix"
         )
-    points = [p for p in _box_points(shape_box) if any(p)]
+    points = [p for p in box_points(shape_box) if any(p)]
     origin = tuple(0 for _ in shape_box)
     region = {
         "shape_box": [list(b) for b in shape_box],

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict
 
 from .ideals import IdealPresentation
 from .mixing import FAMILIES, NonMixingCertificate
@@ -149,10 +148,6 @@ def parse_system(data: dict) -> LoadedSystem:
         raise PresentationError(
             "field 'group.primes' cannot hold 'all' here: only the rational dual "
             "takes the whole group")
-    if mtype == "rational_dual" and group.kind != "positive_rationals":
-        raise PresentationError(
-            f"field 'group.kind' cannot hold {kind!r} here: the rational dual takes only "
-            "a positive_rationals group")
     if mtype == "char_p":
         p = integer(_field(module_block, "module.characteristic"), "module.characteristic")
         dom = GF(p)
@@ -266,27 +261,7 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
     family = family.from_json(fam_block)
     shape = tuple(_convert(expvec if isinstance(g, list) else rational, g, "shape")
                   for g in _field(data, "shape", _list))
-    m = system.module
-    coefficients = []
-    polys: Dict[str, LaurentPoly] = {}  # one parse per distinct coefficient text
-    for enc in _field(data, "coefficients", _list):
-        if isinstance(enc, dict) and "poly" in enc and not isinstance(m, CharPModule):
-            raise PresentationError("polynomial coefficient for a non-CharP system")
-        if isinstance(enc, dict) and "field" in enc and not isinstance(m, EvaluationModule):
-            raise PresentationError("field coefficient for a non-evaluation system")
-        if isinstance(m, CharPModule):
-            if not (isinstance(enc, dict) and isinstance(enc.get("poly"), str)):
-                raise PresentationError(f"field 'coefficients' cannot hold {enc!r}")
-            text = enc["poly"]
-            if text not in polys:
-                polys[text] = LaurentPoly.parse(text, m.ideal.d, GF(m.characteristic))
-            coefficients.append(polys[text])
-        elif isinstance(enc, dict) and "field" in enc:
-            coefficients.append(m.field.element(
-                [_convert(Fraction, c, "coefficients") for c in _field(enc, "field", _list)]))
-        else:
-            a = _convert(rational, enc, "coefficients")
-            coefficients.append(m.field.from_rational(a) if isinstance(m, EvaluationModule) else a)
+    coefficients = system.module.decode_coefficients(_field(data, "coefficients", _list))
     transcript = []
     for entry in _field(data, "transcript", _list):
         if not isinstance(entry, list) or len(entry) != 2:

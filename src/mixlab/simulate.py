@@ -57,7 +57,7 @@ import numpy as np
 from . import linalg
 from .mixing import BudgetExceededError
 from .ring import DomainError
-from .systems import AlgebraicSystem, CharPModule, UnsupportedOperationError
+from .systems import AlgebraicSystem, CharPModule, UnsupportedOperationError, box_points
 
 Site = Tuple[int, ...]
 
@@ -143,10 +143,6 @@ class CylinderSet:
         if not pins:
             raise DomainError("a cylinder set pins at least one coordinate")
         return CylinderSet(tuple(sorted((tuple(s), int(v)) for s, v in pins.items())))
-
-
-def _window_sites(window: Sequence[Tuple[int, int]]) -> List[Site]:
-    return [tuple(s) for s in product(*[range(lo, hi + 1) for lo, hi in window])]
 
 
 def _require_charp(system: AlgebraicSystem) -> CharPModule:
@@ -250,7 +246,7 @@ class WindowConfigSpace:
                 f"a window of {nsites} sites exceeds the site limit",
                 {"window": [list(w) for w in self.window], "sites": nsites,
                  "site_limit": WINDOW_SITE_LIMIT})
-        self.sites = _window_sites(self.window)
+        self.sites = list(box_points(self.window))
         self.site_index = {s: i for i, s in enumerate(self.sites)}
         columns = _normal_forms(ideal, [hi - lo + 1 for lo, hi in self.window])
         # N has one row per normal-form monomial; its columns are numbered

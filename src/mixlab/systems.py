@@ -2,7 +2,10 @@
 character-correlation oracle.
 
 A system pairs a group descriptor (free abelian, rational vector, or the
-positive rationals indexed by primes) with one of three module presentations:
+positive rationals indexed by primes) with one of three module classes, and
+each class holds its module's rules: its zero test, its shifted sum (the
+correlation bit), its fixed-shift scan, the shape points it takes and its
+coefficient decoding.
 
 * CharPModule      -- a characteristic-p quotient, membership via `ideals`;
 * EvaluationModule -- a number-field evaluation of the variables at units,
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import add, mul, neg, sub
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .ideals import IdealPresentation
 from .numfield import FieldElement, NumberField, power_table
@@ -27,6 +30,10 @@ from .ring import GF, DomainError, LaurentPoly, expvec, rational
 
 class InvalidTupleError(ValueError):
     """A certificate tuple with a coefficient that is zero in the module."""
+
+
+class CertificateError(ValueError):
+    """A certificate whose parts disagree with each other or with the system."""
 
 
 class UnsupportedOperationError(ValueError):
@@ -88,17 +95,117 @@ def positive_rationals(primes: Optional[Sequence[int]]) -> GroupDescriptor:
                            primes=None if primes is None else tuple(primes))
 
 
+class Module:
+    """A module presentation; each subclass holds its module's rules.  The
+    defaults are a module's on exponent vectors, with rational coefficients."""
+
+    characteristic = 0
+
+    def check(self, group: GroupDescriptor) -> None:
+        """Raise `DomainError` unless the module is well formed over the group."""
+
+    def check_lattice_shape(self, group: GroupDescriptor, kind: str, shape) -> None:
+        """Raise `CertificateError` unless a lattice family may shift by the
+        shape's points: vectors in the group, integral off rational_vector."""
+        if not all(isinstance(g, tuple) for g in shape):
+            raise CertificateError(f"a {kind} certificate needs exponent-vector shape points")
+        if group.kind != "rational_vector" and any(e.denominator != 1 for g in shape for e in g):
+            raise CertificateError(f"a {group.kind} group holds only integer shape points")
+
+    def check_ratio_shape(self) -> None:
+        raise CertificateError(
+            "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
+
+    def unit_power_bits(self, shape) -> float:
+        """The estimated bits of the widest unit power u^q, q a shape point."""
+        return 0
+
+    def decode_coefficients(self, encoded: list) -> list:
+        """A certificate's JSON coefficients as module elements."""
+        return [self._decode(enc) for enc in encoded]
+
+    def _decode(self, enc):
+        from .presentation import PresentationError, _convert  # presentation imports this module
+        if isinstance(enc, dict) and "poly" in enc:
+            raise PresentationError("polynomial coefficient for a non-CharP system")
+        if isinstance(enc, dict) and "field" in enc:
+            raise PresentationError("field coefficient for a non-evaluation system")
+        return _convert(rational, enc, "coefficients")
+
+
 @dataclass(frozen=True)
-class CharPModule:
+class CharPModule(Module):
     ideal: IdealPresentation
 
     @property
     def characteristic(self) -> int:
         return self.ideal.characteristic
 
+    def is_zero(self, a) -> bool:
+        return self.ideal.contains(a)
+
+    def vanishes(self, pairs) -> bool:
+        """A shift is an exponent vector of ints, and the terms c u^(gamma + m)
+        of every u^gamma a (a's terms c u^m) go into one dict, reduced mod p
+        once, for one membership test."""
+        ideal, p = self.ideal, self.characteristic
+        d, dom = ideal.d, GF(p)
+        acc: Dict[Tuple[int, ...], int] = {}
+        for gamma, a in pairs:
+            if len(gamma) != d:
+                raise DomainError(
+                    f"exponent vector {expvec(gamma)} has length {len(gamma)}, expected {d}")
+            ideal.check_ring(a)
+            for m, c in a.terms.items():
+                k = tuple(map(add, gamma, m))
+                acc[k] = acc.get(k, 0) + c
+        return ideal.contains(
+            LaurentPoly._trusted(d, dom, {m: c % p for m, c in acc.items() if c % p}))
+
+    def fixed_shift(self, box: Sequence[Tuple[int, int]]):
+        """The scan asks whether gamma fixes the element 1, that is whether
+        u^gamma - 1 is in the ideal.  Any monomial u^e gives the same answer:
+        monomials are units of the Laurent ring and both engines decide
+        membership up to units, so (u^gamma - 1) * u^e is in the ideal iff
+        u^gamma - 1 is.  Both engines decide the same ideal (a hint is solved
+        from the generator, or a written one is checked at load), so the scan
+        asks the normal form: with s = min(gamma, 0) componentwise,
+        u^(gamma - s) - u^(-s) is the cleared lift of u^gamma - 1, and it lies
+        in the ideal iff NF(u^(gamma - s)) = NF(u^(-s))."""
+        if self.ideal.constant_in_ideal():
+            return None  # trivial quotient: no nonzero element to fix
+        nf = self.ideal.normal_form_monomial
+        for gamma in box_points(box):
+            if any(gamma):
+                low = tuple(min(g, 0) for g in gamma)
+                if nf(tuple(map(sub, gamma, low))) == nf(tuple(map(neg, low))):
+                    return gamma
+        return None
+
+    def check_lattice_shape(self, group: GroupDescriptor, kind: str, shape) -> None:
+        if all(isinstance(g, tuple) for g in shape) and any(
+                type(e) is not int for g in shape for e in g):
+            # Laurent polynomials over F_p have integer exponents only.
+            raise CertificateError("a characteristic-p certificate needs integer shape points")
+        super().check_lattice_shape(group, kind, shape)
+
+    def decode_coefficients(self, encoded: list) -> list:
+        """Each a {"poly": text} block, parsed once per distinct text."""
+        from .presentation import PresentationError  # presentation imports this module
+        polys: Dict[str, LaurentPoly] = {}
+        for enc in encoded:
+            if isinstance(enc, dict) and "field" in enc:
+                raise PresentationError("field coefficient for a non-evaluation system")
+            if not (isinstance(enc, dict) and isinstance(enc.get("poly"), str)):
+                raise PresentationError(f"field 'coefficients' cannot hold {enc!r}")
+            if enc["poly"] not in polys:
+                polys[enc["poly"]] = LaurentPoly.parse(enc["poly"], self.ideal.d,
+                                                       GF(self.characteristic))
+        return [polys[enc["poly"]] for enc in encoded]
+
 
 @dataclass(frozen=True)
-class EvaluationModule:
+class EvaluationModule(Module):
     field: NumberField
     assignment: Tuple[Tuple[int, FieldElement], ...]  # (variable index, unit at level L)
     level: int = 1
@@ -107,56 +214,99 @@ class EvaluationModule:
     def make(field: NumberField, assignment: Mapping[int, FieldElement], level: int = 1):
         return EvaluationModule(field, tuple(sorted(assignment.items())), level)
 
-    @property
-    def assignment_map(self) -> Dict[int, FieldElement]:
-        return dict(self.assignment)
+    def check(self, group: GroupDescriptor) -> None:
+        """Units invertible, one per variable u1..u_d of the group, level at least 1."""
+        for _, v in self.assignment:
+            self.field.inv(v)
+        variables = [i for i, _ in self.assignment]
+        if len(variables) != group.rank or variables != list(range(len(variables))):
+            names = ", ".join(f"u{i + 1}" for i in variables)
+            raise DomainError(f"field 'module.assignment' cannot hold ({names}) here: a group "
+                              f"of rank {group.rank} takes one unit for each of its variables")
+        if self.level < 1:
+            raise DomainError(
+                f"field 'module.level' cannot hold {self.level}: it must be at least 1")
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero() if isinstance(a, FieldElement) else rational(a) == 0
+
+    def vanishes(self, pairs) -> bool:
+        total = self.field.zero
+        for gamma, a in pairs:
+            a = a if isinstance(a, FieldElement) else self.field.from_rational(a)
+            total = total + _unit_power(self, gamma) * a
+        return total.is_zero()
+
+    def fixed_shift(self, box: Sequence[Tuple[int, int]]):
+        """A nonzero gamma with u^gamma = 1, which fixes every element."""
+        value = unit_powers(self, box)
+        return next((g for g in box_points(box) if any(g) and value[g] == self.field.one), None)
+
+    def unit_power_bits(self, shape) -> float:
+        """u_i^(q_i) = w_i^(q_i L) takes about |q_i L| times the longest
+        numerator or denominator in w_i and 1/w_i."""
+        width = {i: max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                        for v in (w, w.inv()) for c in v.coeffs) for i, w in self.assignment}
+        return max((sum(abs(q * self.level) * width.get(i, 0) for i, q in enumerate(g))
+                    for g in shape), default=0)
+
+    def _decode(self, enc):
+        """A {"field": [...]} block in the power basis, or a rational."""
+        if isinstance(enc, dict) and "field" in enc and "poly" not in enc:
+            from .presentation import _convert, _field, _list  # presentation imports this module
+            return self.field.element(
+                [_convert(rational, c, "coefficients") for c in _field(enc, "field", _list)])
+        return self.field.from_rational(super()._decode(enc))
 
 
 @dataclass(frozen=True)
-class RationalDualModule:
-    pass
+class RationalDualModule(Module):
+    def check(self, group: GroupDescriptor) -> None:
+        if group.kind != "positive_rationals":
+            raise DomainError(f"field 'group.kind' cannot hold {group.kind!r} here: the rational "
+                              "dual takes only a positive_rationals group")
+
+    def is_zero(self, a) -> bool:
+        return rational(a) == 0
+
+    def vanishes(self, pairs) -> bool:
+        return sum(rational(gamma) * rational(a) for gamma, a in pairs) == 0
+
+    def fixed_shift(self, box: Sequence[Tuple[int, int]]):
+        return None  # gamma*a = a in Q forces gamma = 1: multiplication is injective.
+
+    def check_lattice_shape(self, group: GroupDescriptor, kind: str, shape) -> None:
+        raise CertificateError(
+            f"the rational dual takes consecutive_ratio certificates, not {kind}")
+
+    def check_ratio_shape(self) -> None:
+        pass
 
 
 @dataclass(frozen=True)
 class AlgebraicSystem:
     group: GroupDescriptor
-    module: object
+    module: Module
     name: str = ""
 
     def __post_init__(self):
-        if isinstance(self.module, RationalDualModule) and self.group.kind != "positive_rationals":
-            raise DomainError("the rational dual takes only a positive_rationals group")
-        if isinstance(self.module, EvaluationModule):
-            K = self.module.field
-            for _, v in self.module.assignment:
-                K.inv(v)  # invertibility is part of the presentation contract
-
-    def is_nonzero(self, a) -> bool:
-        m = self.module
-        if isinstance(m, CharPModule):
-            return not m.ideal.contains(a)
-        if isinstance(m, EvaluationModule):
-            return not _as_field(m, a).is_zero()
-        if isinstance(m, RationalDualModule):
-            return rational(a) != 0
-        raise UnsupportedOperationError("unknown module type")
+        self.module.check(self.group)
 
 
 def _gamma_key(g):
     return expvec(g) if isinstance(g, (tuple, list)) else rational(g)
 
 
-def _as_field(module: EvaluationModule, a) -> FieldElement:
-    if isinstance(a, FieldElement):
-        return a
-    return module.field.from_rational(a)
+def box_points(box: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, ...]]:
+    """The integer points of a box of (lo, hi) ranges, in lexicographic order."""
+    return product(*[range(lo, hi + 1) for lo, hi in box])
 
 
 def _unit_power(module: EvaluationModule, gamma) -> FieldElement:
     """The unit u^gamma: with assignment at level L, u_i^(q) = w_i^(qL)."""
     K = module.field
     out = K.one
-    amap = module.assignment_map
+    amap = dict(module.assignment)
     key = _gamma_key(gamma)
     if not isinstance(key, tuple):
         key = (key,)
@@ -180,7 +330,7 @@ def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
 
     One power table w_i^(Lk) per variable, so a point costs d - 1 products;
     each value equals `_unit_power` at that point."""
-    amap = module.assignment_map
+    amap = dict(module.assignment)
     one = module.field.one
     tables = []
     for i, (lo, hi) in enumerate(box):
@@ -192,82 +342,20 @@ def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
         tables.append(power_table(amap[i] ** module.level, lo, hi))
     origin = tuple(0 for _ in box)
     value = {}
-    for e in [origin, *product(*(range(lo, hi + 1) for lo, hi in box))]:
+    for e in [origin, *box_points(box)]:
         value[e] = reduce(mul, [t[k] for t, k in zip(tables, e)] or [one])
     return value
 
 
 def character_correlation(system: AlgebraicSystem, pairs) -> int:
     """1 iff the sum of gamma . a over the pairs (gamma, a) is zero in the
-    module, else 0.
-
-    By the orthogonality relations this bit is the Haar integral of the
-    product of the shifted characters, for any finite list of pairs: the
-    pairs are not checked.  Which tuples count (distinct shifts, coefficients
-    nonzero in the module) is `mixing.verify_certificate`'s rule.  Each module
-    kind builds its shifts only here.  In characteristic p a shift is an
-    exponent vector of ints, and the terms c u^(gamma + m) of every u^gamma a
-    (a's terms c u^m) go into one dict, reduced mod p once, for one
-    membership test."""
-    module = system.module
-    if isinstance(module, CharPModule):
-        ideal, p = module.ideal, module.characteristic
-        d, dom = ideal.d, GF(p)
-        acc: Dict[Tuple[int, ...], int] = {}
-        for gamma, a in pairs:
-            if len(gamma) != d:
-                raise DomainError(
-                    f"exponent vector {expvec(gamma)} has length {len(gamma)}, expected {d}")
-            ideal.check_ring(a)
-            for m, c in a.terms.items():
-                k = tuple(map(add, gamma, m))
-                acc[k] = acc.get(k, 0) + c
-        return int(ideal.contains(
-            LaurentPoly._trusted(d, dom, {m: c % p for m, c in acc.items() if c % p})))
-    if isinstance(module, EvaluationModule):
-        total = module.field.zero
-        for gamma, a in pairs:
-            total = total + _unit_power(module, gamma) * _as_field(module, a)
-        return int(total.is_zero())
-    if isinstance(module, RationalDualModule):
-        return int(sum(rational(gamma) * rational(a) for gamma, a in pairs) == 0)
-    raise UnsupportedOperationError("unknown module type")
+    module (its `vanishes`), else 0: by the orthogonality relations, the Haar
+    integral of the product of the shifted characters, for any finite list
+    of pairs.  Which tuples count is `mixing.verify_certificate`'s rule."""
+    return int(system.module.vanishes(pairs))
 
 
 def find_nonmixing_element(system: AlgebraicSystem, box: Sequence[Tuple[int, int]]):
-    """A nonidentity gamma in the box fixing some nonzero module element, or None.
-
-    In characteristic p the scan asks whether gamma fixes the element 1, that
-    is whether u^gamma - 1 is in the ideal.  Any monomial u^e gives the same
-    answer: monomials are units of the Laurent ring and both engines decide
-    membership up to units, so (u^gamma - 1) * u^e is in the ideal iff
-    u^gamma - 1 is.  Both engines decide the same ideal (a hint is solved
-    from the generator, or a written one is checked at load), so the scan
-    asks the normal form: with s = min(gamma, 0) componentwise,
-    u^(gamma - s) - u^(-s) is the cleared lift of u^gamma - 1, and it lies in
-    the ideal iff NF(u^(gamma - s)) = NF(u^(-s)).
-    """
-    m = system.module
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    if isinstance(m, CharPModule):
-        ideal = m.ideal
-        if ideal.constant_in_ideal():
-            return None  # trivial quotient: no nonzero element to fix
-        nf = ideal.normal_form_monomial
-        for gamma in product(*ranges):
-            if any(gamma):
-                low = tuple(min(g, 0) for g in gamma)
-                if nf(tuple(map(sub, gamma, low))) == nf(tuple(map(neg, low))):
-                    return gamma
-        return None
-    if isinstance(m, EvaluationModule):
-        value = unit_powers(m, box)
-        for gamma in product(*ranges):
-            if any(gamma) and value[gamma] == m.field.one:
-                return gamma
-        return None
-    if isinstance(m, RationalDualModule):
-        # gamma*a = a in Q forces gamma = 1: multiplication is injective.
-        return None
-    raise UnsupportedOperationError("unknown module type")
-
+    """A nonidentity gamma in the box fixing some nonzero module element, or
+    None: the module's `fixed_shift`."""
+    return system.module.fixed_shift(box)

@@ -633,11 +633,24 @@ class TestMalformedFiles:
         (RATIONAL_DUAL, lambda d: d.update(group={"kind": "free_abelian", "d": 1}),
          "field 'group.kind' cannot hold 'free_abelian' here: the rational dual takes "
          "only a positive_rationals group"),
+        # An evaluation assigns one unit to each variable of its group, at a
+        # level of at least 1: a missing unit shrank the analyze box to one
+        # dimension, a stray one failed later, and level 0 sent every unit to 1.
+        (TIMES23, lambda d: d["module"]["assignment"].pop("u2"),
+         "field 'module.assignment' cannot hold (u1) here: a group of rank 2 takes one "
+         "unit for each of its variables"),
+        (TIMES23, lambda d: d.update(group={"kind": "free_abelian", "d": 1})
+         or d["module"].update(assignment={"u2": ["3"]}),
+         "field 'module.assignment' cannot hold (u2) here: a group of rank 1 takes one "
+         "unit for each of its variables"),
+        (TIMES23, lambda d: d["module"].update(level=0),
+         "field 'module.level' cannot hold 0: it must be at least 1"),
     ], ids=["no-d", "no-characteristic", "no-assignment", "group-list", "float-characteristic",
             "integral-float-characteristic", "float-d", "bool-d", "float-prime", "float-level",
             "bool-level", "bool-schema", "float-schema", "string-primes", "shared-factor-prime", "repeated-prime", "prime-one", "string-generators",
             "string-modulus", "string-assignment", "whole-group-char-p",
-            "rational-dual-on-rational-vector", "rational-dual-on-free-abelian"])
+            "rational-dual-on-rational-vector", "rational-dual-on-free-abelian",
+            "evaluation-missing-unit", "evaluation-stray-unit", "evaluation-level-zero"])
     def test_presentation(self, capsys, tmp_path, source, edit, message):
         data = json.loads(Path(source).read_text())
         edit(data)
@@ -647,6 +660,32 @@ class TestMalformedFiles:
         assert code == 2
         assert err == f"error: {message}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("kind, level, dilations, code, message", [
+        ("free_abelian", 2, [2, 4, 6], 2, "a free_abelian group holds only integer shape points"),
+        # This read "exponent 1/2 not supported at level 1; raise the level".
+        ("free_abelian", 1, [1, 2], 2, "a free_abelian group holds only integer shape points"),
+        ("rational_vector", 2, [2, 4, 6], 0, None),
+    ], ids=["free-abelian-level-2", "free-abelian-level-1", "rational-vector"])
+    def test_shape_point_outside_the_group(self, capsys, tmp_path, kind, level, dilations, code,
+                                           message):
+        # u1 -> -1 at level 2 sends u1^(n/2) to (-1)^n, so the shape (0, 1/2)
+        # vanishes at even n; 1/2 lies in Q but not in Z.
+        pres = tmp_path / "half.json"
+        pres.write_text(json.dumps({"schema": 1, "group": {"kind": kind, "d": 1}, "module": {
+            "type": "evaluation", "modulus": ["-1", "1"], "assignment": {"u1": ["-1"]},
+            "level": level}}))
+        cert = tmp_path / "half.cert.json"
+        cert.write_text(json.dumps({
+            "schema": 1, "kind": "non_mixing_certificate",
+            "system_hash": load_system(str(pres)).hash, "order": 2, "grade": "evidence",
+            "family": {"kind": "explicit_list", "dilations": dilations},
+            "shape": [["0"], ["1/2"]], "coefficients": ["1", "-1"],
+            "transcript": [[n, 1] for n in dilations]}))
+        result, out, err = run(capsys, "verify", str(cert), str(pres))
+        assert result == code
+        assert (err, out.splitlines()[-1:]) == ((f"error: {message}\n", []) if message
+                                                else ("", ["PASS"]))
 
     @pytest.mark.parametrize("engine, message", [
         ("substitution", "substitution engine requires a substitution map"),

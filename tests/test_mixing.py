@@ -26,7 +26,6 @@ from mixlab.mixing import (
     UnitEquationProblem,
     UnitEquationResult,
     UnitSolution,
-    _box_points,
     _canonical_shapes,
     _default_is_zero,
     _projective_combinations,
@@ -51,6 +50,7 @@ from mixlab.systems import (
     InvalidTupleError,
     RationalDualModule,
     _unit_power,
+    box_points,
     character_correlation,
     free_abelian,
     positive_rationals,
@@ -180,7 +180,7 @@ def ref_evaluation_shape_search(system, r, shape_box, dilations=(1, 2, 3, 4)):
     2^61 - 1 on Q, with the first all-nonzero kernel vector over small
     integer weights."""
     m = system.module
-    points = [p for p in _box_points(shape_box) if any(p)]
+    points = [p for p in box_points(shape_box) if any(p)]
     origin = tuple(0 for _ in shape_box)
     region = {
         "shape_box": [list(b) for b in shape_box],
@@ -257,13 +257,13 @@ def ref_shape_search(system, r, shape_box, coeff_window, dilations):
         raise CertificateError("quotient is trivial (unit ideal)")
     p = ideal.characteristic
     dom = GF(p)
-    window = _box_points(coeff_window)
+    window = list(box_points(coeff_window))
     nf_cols = [ideal.normal_form_monomial(w) for w in window]
     mono_keys = sorted({mu for col in nf_cols for mu in col})
     mat = [{j: col[mu] for j, col in enumerate(nf_cols) if mu in col} for mu in mono_keys]
     _, pivots = linalg.rref(mat, len(window), p)
     window = [window[j] for j in pivots]
-    points = _box_points(shape_box)
+    points = list(box_points(shape_box))
     shapes = sorted({_canonical_shape(c) for c in combinations(points, r)})
     region = {
         "shape_box": [list(b) for b in shape_box],
@@ -439,7 +439,7 @@ def charp_search_cases(draw):
     else:
         shape_box = [(0, 1)] * 2
         window = [(0, draw(st.integers(0, 1)))] * 2
-    points = len(_box_points(shape_box))
+    points = len(list(box_points(shape_box)))
     r = draw(st.integers(2, min(4, points)))
     dilations = tuple(draw(st.lists(st.sampled_from([1, 1, 2, 2, 3, 4]),
                                     min_size=1, max_size=4)))
@@ -511,13 +511,13 @@ class TestFrobeniusCertificates:
 
     def test_each_coefficient_validated_once(self, three_dot, monkeypatch):
         calls = []
-        real = AlgebraicSystem.is_nonzero
+        real = CharPModule.is_zero
 
-        def counted(system, a):
+        def counted(module, a):
             calls.append(a)
-            return real(system, a)
+            return real(module, a)
 
-        monkeypatch.setattr(AlgebraicSystem, "is_nonzero", counted)
+        monkeypatch.setattr(CharPModule, "is_zero", counted)
         cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=6)
         assert calls == [p2("1")]  # one distinct coefficient, 7 dilations
         calls.clear()
@@ -821,8 +821,8 @@ class TestShapeSearch:
     def test_canonical_shapes_match_the_sorted_set(self, sides, r):
         # The old enumeration: canonicalize every r-subset, then sort the set.
         box = [(lo, lo + width) for lo, width in sides]
-        expected = sorted({_canonical_shape(c) for c in combinations(_box_points(box), r)})
-        moved = _box_points([(0, hi - lo) for lo, hi in box])
+        expected = sorted({_canonical_shape(c) for c in combinations(box_points(box), r)})
+        moved = list(box_points([(0, hi - lo) for lo, hi in box]))
         assert list(_canonical_shapes(moved, r)) == expected
 
     def test_box_lower_corner_only_translates(self, three_dot):

@@ -60,7 +60,7 @@ class TestSampleFiles:
         loaded = sample("times2times3.json")
         module = loaded.system.module
         assert isinstance(module, EvaluationModule)
-        assert module.assignment_map[0] == module.field.from_rational(2)
+        assert dict(module.assignment)[0] == module.field.from_rational(2)
 
     def test_rational_dual_sample(self):
         loaded = sample("rational_dual.json")

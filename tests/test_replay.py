@@ -28,7 +28,7 @@ from mixlab.mixing import (
     check_certificate,
     verify_certificate,
 )
-from mixlab.numfield import NumberField
+from mixlab.numfield import FieldElement, NumberField
 from mixlab.presentation import certificate_from_dict, load_system
 from mixlab.ring import GF, LaurentPoly
 from mixlab.systems import (
@@ -37,7 +37,6 @@ from mixlab.systems import (
     EvaluationModule,
     InvalidTupleError,
     RationalDualModule,
-    _as_field,
     _gamma_key,
     _unit_power,
     free_abelian,
@@ -65,7 +64,8 @@ def ref_sum_vanishes(module, pairs) -> bool:
         return sum(Fraction(gamma) * Fraction(a) for gamma, a in pairs) == 0
     total = module.field.zero
     for gamma, a in pairs:
-        total = total + _unit_power(module, gamma) * _as_field(module, a)
+        a = a if isinstance(a, FieldElement) else module.field.from_rational(a)
+        total = total + _unit_power(module, gamma) * a
     return total.is_zero()
 
 
@@ -87,7 +87,7 @@ def ref_validate(system, pairs, nonzero):
         raise InvalidTupleError("shift elements must be pairwise distinct")
     for _, a in pairs:
         if a not in nonzero:
-            if not system.is_nonzero(a):
+            if system.module.is_zero(a):
                 raise InvalidTupleError("tuple coefficient is zero in the module")
             nonzero.add(a)
 

@@ -28,7 +28,6 @@ from mixlab.simulate import (
     _decode,
     _halves,
     _hit_counter,
-    _window_sites,
     correlation_estimate,
     correlation_exact,
     cylinder_measure,
@@ -39,6 +38,7 @@ from mixlab.systems import (
     CharPModule,
     RationalDualModule,
     UnsupportedOperationError,
+    box_points,
     free_abelian,
     positive_rationals,
 )
@@ -607,7 +607,7 @@ class TestWindowsFromNormalForms:
         p = ideal.characteristic
         window = [(-1, 3), (-2, 4)]
         nfs = {s: ideal._reduced(LaurentPoly(2, GF(p), {(s[0] + 1, s[1] + 2): 1}))
-               for s in _window_sites(window)}
+               for s in box_points(window)}
         monos = sorted({m for nf in nfs.values() for m in nf})
         patterns = [
             {s: sum(chi[monos.index(m)] * c for m, c in nf.items()) % p for s, nf in nfs.items()}
@@ -774,7 +774,7 @@ class TestWindowFreeMeasures:
         cyl = CylinderSet.make({(0, 0): 0})
         shifts = [(0, 0), (2 ** 40, 0), (0, 2 ** 40)]
         assert correlation_exact(three_dot, [cyl] * 3, shifts, window) == Fraction(1, 4)
-        with patch.object(simulate, "_window_sites") as listed:
+        with patch.object(simulate, "box_points") as listed:
             with pytest.raises(BudgetExceededError) as info:
                 correlation_estimate(three_dot, [cyl] * 3, shifts, window, samples=10, seed=0)
         assert listed.call_count == 0

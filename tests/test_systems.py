@@ -1,5 +1,6 @@
 """Systems, the tuple rules, the correlation oracle, and split actions."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -55,6 +56,22 @@ def rational_dual():
     return AlgebraicSystem(
         positive_rationals([2, 3, 5]), RationalDualModule(), name="rational-dual"
     )
+
+
+@pytest.mark.parametrize("name, identity, coefficients", [
+    ("three_dot", (0, 0), lambda m: [p2("1 + u1 + u2"), p2("u1 + u1^2 + u1 * u2"),
+                                     p2("1"), p2("1 + u1")]),
+    ("solenoid_23", (0, 0), lambda m: [Fraction(0), m.field.zero,
+                                       Fraction(-3), m.field.from_rational(5)]),
+    ("rational_dual", Fraction(1), lambda m: [Fraction(0), 0, Fraction(5, 2), 1]),
+], ids=["char_p", "evaluation", "rational_dual"])
+def test_zero_test_is_the_bit_at_the_identity(request, name, identity, coefficients):
+    # a is zero in the module exactly when the one-term sum 1 . a vanishes.
+    system = request.getfixturevalue(name)
+    values = coefficients(system.module)
+    assert [system.module.is_zero(a) for a in values] == [True, True, False, False]
+    for a in values:
+        assert system.module.is_zero(a) == (character_correlation(system, [(identity, a)]) == 1)
 
 
 class TestGroups:
@@ -202,6 +219,19 @@ class TestCorrelationEvaluation:
         # u1^(1/2) maps to the level generator w = 2, so u1 itself maps to 4.
         tup = [((Fraction(1, 2),), Fraction(1)), ((0,), Fraction(-2))]
         assert character_correlation(system, tup) == 1
+
+    @pytest.mark.parametrize("group, units, level, message", [
+        (free_abelian(2), {0: 2}, 1, "'module.assignment' cannot hold (u1) here"),
+        (free_abelian(1), {1: 3}, 1, "'module.assignment' cannot hold (u2) here"),
+        (free_abelian(1), {0: 2, 1: 3}, 1, "'module.assignment' cannot hold (u1, u2) here"),
+        (free_abelian(1), {0: 2}, 0, "'module.level' cannot hold 0"),
+    ], ids=["missing-unit", "stray-unit", "extra-unit", "level-zero"])
+    def test_module_contradicting_its_group_refused(self, group, units, level, message):
+        K = NumberField([-1, 1])
+        module = EvaluationModule.make(K, {i: K.from_rational(u) for i, u in units.items()},
+                                       level)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            AlgebraicSystem(group, module)
 
     def test_unsupported_fractional_exponent(self):
         K = NumberField([-1, 1])
