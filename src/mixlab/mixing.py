@@ -24,19 +24,23 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .numfield import FieldElement, NumberField, power_table
-from .ring import GF, DomainError, LaurentPoly, expvec, rational
+from .ring import GF, DomainError, LaurentPoly, expvec
 from .systems import (
     AlgebraicSystem,
-    CertificateError,
     CharPModule,
     EvaluationModule,
     InvalidTupleError,
+    Module,
     RationalDualModule,
     _gamma_key,
     box_points,
     character_correlation,
     unit_powers,
 )
+
+
+class CertificateError(ValueError):
+    pass
 
 
 class BudgetExceededError(RuntimeError):
@@ -73,7 +77,7 @@ def _merged(shape, coefficients) -> List[Tuple[object, object]]:
             merged[k][1] = merged[k][1] + a
         else:
             merged[k] = [g, a]
-    return [(g, a) for g, a in merged.values() if not _default_is_zero(a)]
+    return [(g, a) for g, a in merged.values() if not Module.is_zero(a)]
 
 
 def _is_constant(a) -> bool:
@@ -120,7 +124,17 @@ class _Lattice(DilationFamily):
         return tuple(expvec(x * n for x in g) for g in shape)
 
     def check_shape(self, system: AlgebraicSystem, shape) -> None:
-        system.module.check_lattice_shape(system.group, self.kind, shape)
+        if system.module.shifts_by_ratio:
+            raise CertificateError(
+                f"the rational dual takes consecutive_ratio certificates, not {self.kind}")
+        if not all(isinstance(g, tuple) for g in shape):
+            raise CertificateError(f"a {self.kind} certificate needs exponent-vector shape points")
+        if system.module.characteristic and any(type(e) is not int for g in shape for e in g):
+            # Laurent polynomials over F_p have integer exponents only.
+            raise CertificateError("a characteristic-p certificate needs integer shape points")
+        kind = system.group.kind
+        if kind != "rational_vector" and any(e.denominator != 1 for g in shape for e in g):
+            raise CertificateError(f"a {kind} group holds only integer shape points")
 
     def replay(self, cert: NonMixingCertificate) -> list:
         """(n, expected bit, merged pairs) per transcript entry."""
@@ -228,7 +242,9 @@ class ConsecutiveRatio(DilationFamily):
         return (1, n, n - 1)
 
     def check_shape(self, system: AlgebraicSystem, shape) -> None:
-        system.module.check_ratio_shape()
+        if not system.module.shifts_by_ratio:
+            raise CertificateError(
+                "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
 
     def check_dilations(self, dilations: List[int]) -> None:
         if min(dilations) < 2:
@@ -253,7 +269,7 @@ class ConsecutiveRatio(DilationFamily):
 
     def evidence_reason(self, system, cert) -> Optional[str]:
         a1, a2, a3 = cert.coefficients
-        if not (_default_is_zero(a1 - a3) and _default_is_zero(a2 + a3)):
+        if not (Module.is_zero(a1 - a3) and Module.is_zero(a2 + a3)):
             return ("a consecutive_ratio certificate whose coefficients are not (a, -a, a) "
                     "is evidence")
         if system.group.primes is not None:
@@ -597,12 +613,6 @@ def shape_search(
 
 # -- subsum machinery --------------------------------------------------------
 
-def _default_is_zero(x) -> bool:
-    if isinstance(x, (LaurentPoly, FieldElement)):
-        return x.is_zero()
-    return rational(x) == 0
-
-
 def vanishing_subsums(terms: Sequence) -> List[Tuple[int, ...]]:
     """All inclusion-minimal nonempty index subsets with exactly zero sum,
     by size and then lexicographically."""
@@ -616,7 +626,7 @@ def vanishing_subsums(terms: Sequence) -> List[Tuple[int, ...]]:
             total = terms[subset[0]]
             for i in subset[1:]:
                 total = total + terms[i]
-            if _default_is_zero(total):
+            if Module.is_zero(total):
                 minimal.append(subset)
     return minimal
 

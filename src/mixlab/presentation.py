@@ -261,7 +261,25 @@ def certificate_from_dict(data: dict, system: AlgebraicSystem) -> NonMixingCerti
     family = family.from_json(fam_block)
     shape = tuple(_convert(expvec if isinstance(g, list) else rational, g, "shape")
                   for g in _field(data, "shape", _list))
-    coefficients = system.module.decode_coefficients(_field(data, "coefficients", _list))
+    # Each coefficient in a form the module reads: {"poly": text}, parsed once
+    # per distinct text, {"field": [...]} in a power basis, or a rational.
+    module, polys, coefficients = system.module, {}, []
+    for enc in _field(data, "coefficients", _list):
+        block = enc if isinstance(enc, dict) else {}
+        if "poly" in block and "polynomial" not in module.coefficient_forms:
+            raise PresentationError("polynomial coefficient for a non-CharP system")
+        if "field" in block and "power_basis" not in module.coefficient_forms:
+            raise PresentationError("field coefficient for a non-evaluation system")
+        if "polynomial" in module.coefficient_forms:
+            if not isinstance(block.get("poly"), str):
+                raise PresentationError(f"field 'coefficients' cannot hold {enc!r}")
+            if block["poly"] not in polys:
+                polys[block["poly"]] = module.element(block["poly"])
+            coefficients.append(polys[block["poly"]])
+        else:
+            coefficients.append(module.element(
+                [_convert(Fraction, c, "coefficients") for c in _field(block, "field", _list)]
+                if "field" in block else _convert(rational, enc, "coefficients")))
     transcript = []
     for entry in _field(data, "transcript", _list):
         if not isinstance(entry, list) or len(entry) != 2:

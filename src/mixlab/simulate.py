@@ -47,7 +47,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod, sqrt
 from operator import add, sub
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
@@ -192,7 +191,7 @@ def _normal_forms(ideal, shape: Sequence[int]) -> List[Dict[Tuple[int, ...], int
     d = len(shape)
     out: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
     steps = {}  # (i, mu) -> NF(u^(mu + e_i))
-    for e in product(*map(range, shape)):
+    for e in box_points([(0, n - 1) for n in shape]):
         moved = [i for i in range(d) if e[i]]
         if not moved:
             out[e] = nf(e)

@@ -4,8 +4,7 @@ character-correlation oracle.
 A system pairs a group descriptor (free abelian, rational vector, or the
 positive rationals indexed by primes) with one of three module classes, and
 each class holds its module's rules: its zero test, its shifted sum (the
-correlation bit), its fixed-shift scan, the shape points it takes and its
-coefficient decoding.
+correlation bit), its fixed-shift scan and the coefficients it reads.
 
 * CharPModule      -- a characteristic-p quotient, membership via `ideals`;
 * EvaluationModule -- a number-field evaluation of the variables at units,
@@ -30,10 +29,6 @@ from .ring import GF, DomainError, LaurentPoly, expvec, rational
 
 class InvalidTupleError(ValueError):
     """A certificate tuple with a coefficient that is zero in the module."""
-
-
-class CertificateError(ValueError):
-    """A certificate whose parts disagree with each other or with the system."""
 
 
 class UnsupportedOperationError(ValueError):
@@ -97,45 +92,33 @@ def positive_rationals(primes: Optional[Sequence[int]]) -> GroupDescriptor:
 
 class Module:
     """A module presentation; each subclass holds its module's rules.  The
-    defaults are a module's on exponent vectors, with rational coefficients."""
+    defaults are those of rationals or field elements, zero when formally so."""
 
     characteristic = 0
+    coefficient_forms = ("rational",)  # or a "polynomial" text, a "power_basis" list
+    shifts_by_ratio = False  # shifts are positive rationals, not exponent vectors
 
     def check(self, group: GroupDescriptor) -> None:
-        """Raise `DomainError` unless the module is well formed over the group."""
+        """Raise `DomainError`, naming the system's field at fault, unless well formed."""
 
-    def check_lattice_shape(self, group: GroupDescriptor, kind: str, shape) -> None:
-        """Raise `CertificateError` unless a lattice family may shift by the
-        shape's points: vectors in the group, integral off rational_vector."""
-        if not all(isinstance(g, tuple) for g in shape):
-            raise CertificateError(f"a {kind} certificate needs exponent-vector shape points")
-        if group.kind != "rational_vector" and any(e.denominator != 1 for g in shape for e in g):
-            raise CertificateError(f"a {group.kind} group holds only integer shape points")
-
-    def check_ratio_shape(self) -> None:
-        raise CertificateError(
-            "a consecutive_ratio certificate shifts by rationals, not exponent vectors")
+    @staticmethod
+    def is_zero(a) -> bool:
+        """Formal zero: the zero test of rationals and field elements."""
+        return a.is_zero() if isinstance(a, (LaurentPoly, FieldElement)) else rational(a) == 0
 
     def unit_power_bits(self, shape) -> float:
         """The estimated bits of the widest unit power u^q, q a shape point."""
         return 0
 
-    def decode_coefficients(self, encoded: list) -> list:
-        """A certificate's JSON coefficients as module elements."""
-        return [self._decode(enc) for enc in encoded]
-
-    def _decode(self, enc):
-        from .presentation import PresentationError, _convert  # presentation imports this module
-        if isinstance(enc, dict) and "poly" in enc:
-            raise PresentationError("polynomial coefficient for a non-CharP system")
-        if isinstance(enc, dict) and "field" in enc:
-            raise PresentationError("field coefficient for a non-evaluation system")
-        return _convert(rational, enc, "coefficients")
+    def element(self, value):
+        """The element a certificate coefficient in one of `coefficient_forms` names."""
+        return value
 
 
 @dataclass(frozen=True)
 class CharPModule(Module):
     ideal: IdealPresentation
+    coefficient_forms = ("polynomial",)
 
     @property
     def characteristic(self) -> int:
@@ -182,26 +165,8 @@ class CharPModule(Module):
                     return gamma
         return None
 
-    def check_lattice_shape(self, group: GroupDescriptor, kind: str, shape) -> None:
-        if all(isinstance(g, tuple) for g in shape) and any(
-                type(e) is not int for g in shape for e in g):
-            # Laurent polynomials over F_p have integer exponents only.
-            raise CertificateError("a characteristic-p certificate needs integer shape points")
-        super().check_lattice_shape(group, kind, shape)
-
-    def decode_coefficients(self, encoded: list) -> list:
-        """Each a {"poly": text} block, parsed once per distinct text."""
-        from .presentation import PresentationError  # presentation imports this module
-        polys: Dict[str, LaurentPoly] = {}
-        for enc in encoded:
-            if isinstance(enc, dict) and "field" in enc:
-                raise PresentationError("field coefficient for a non-evaluation system")
-            if not (isinstance(enc, dict) and isinstance(enc.get("poly"), str)):
-                raise PresentationError(f"field 'coefficients' cannot hold {enc!r}")
-            if enc["poly"] not in polys:
-                polys[enc["poly"]] = LaurentPoly.parse(enc["poly"], self.ideal.d,
-                                                       GF(self.characteristic))
-        return [polys[enc["poly"]] for enc in encoded]
+    def element(self, text: str) -> LaurentPoly:
+        return LaurentPoly.parse(text, self.ideal.d, GF(self.characteristic))
 
 
 @dataclass(frozen=True)
@@ -209,6 +174,7 @@ class EvaluationModule(Module):
     field: NumberField
     assignment: Tuple[Tuple[int, FieldElement], ...]  # (variable index, unit at level L)
     level: int = 1
+    coefficient_forms = ("power_basis", "rational")
 
     @staticmethod
     def make(field: NumberField, assignment: Mapping[int, FieldElement], level: int = 1):
@@ -227,14 +193,8 @@ class EvaluationModule(Module):
             raise DomainError(
                 f"field 'module.level' cannot hold {self.level}: it must be at least 1")
 
-    def is_zero(self, a) -> bool:
-        return a.is_zero() if isinstance(a, FieldElement) else rational(a) == 0
-
     def vanishes(self, pairs) -> bool:
-        total = self.field.zero
-        for gamma, a in pairs:
-            a = a if isinstance(a, FieldElement) else self.field.from_rational(a)
-            total = total + _unit_power(self, gamma) * a
+        total = sum((_unit_power(self, g) * self.element(a) for g, a in pairs), self.field.zero)
         return total.is_zero()
 
     def fixed_shift(self, box: Sequence[Tuple[int, int]]):
@@ -250,37 +210,27 @@ class EvaluationModule(Module):
         return max((sum(abs(q * self.level) * width.get(i, 0) for i, q in enumerate(g))
                     for g in shape), default=0)
 
-    def _decode(self, enc):
-        """A {"field": [...]} block in the power basis, or a rational."""
-        if isinstance(enc, dict) and "field" in enc and "poly" not in enc:
-            from .presentation import _convert, _field, _list  # presentation imports this module
-            return self.field.element(
-                [_convert(rational, c, "coefficients") for c in _field(enc, "field", _list)])
-        return self.field.from_rational(super()._decode(enc))
+    def element(self, value) -> FieldElement:
+        """A list of power-basis rationals, a rational or a field element."""
+        if isinstance(value, list):
+            return self.field.element(value)
+        return value if isinstance(value, FieldElement) else self.field.from_rational(value)
 
 
 @dataclass(frozen=True)
 class RationalDualModule(Module):
+    shifts_by_ratio = True
+
     def check(self, group: GroupDescriptor) -> None:
         if group.kind != "positive_rationals":
             raise DomainError(f"field 'group.kind' cannot hold {group.kind!r} here: the rational "
                               "dual takes only a positive_rationals group")
-
-    def is_zero(self, a) -> bool:
-        return rational(a) == 0
 
     def vanishes(self, pairs) -> bool:
         return sum(rational(gamma) * rational(a) for gamma, a in pairs) == 0
 
     def fixed_shift(self, box: Sequence[Tuple[int, int]]):
         return None  # gamma*a = a in Q forces gamma = 1: multiplication is injective.
-
-    def check_lattice_shape(self, group: GroupDescriptor, kind: str, shape) -> None:
-        raise CertificateError(
-            f"the rational dual takes consecutive_ratio certificates, not {kind}")
-
-    def check_ratio_shape(self) -> None:
-        pass
 
 
 @dataclass(frozen=True)
@@ -304,20 +254,14 @@ def box_points(box: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, ...]]:
 
 def _unit_power(module: EvaluationModule, gamma) -> FieldElement:
     """The unit u^gamma: with assignment at level L, u_i^(q) = w_i^(qL)."""
-    K = module.field
-    out = K.one
-    amap = dict(module.assignment)
-    key = _gamma_key(gamma)
-    if not isinstance(key, tuple):
-        key = (key,)
-    for i, q in enumerate(key):
+    out, amap, key = module.field.one, dict(module.assignment), _gamma_key(gamma)
+    for i, q in enumerate(key if isinstance(key, tuple) else (key,)):
         if q == 0:
             continue
         e = q * module.level
         if e.denominator != 1:
             raise UnsupportedOperationError(
-                f"exponent {q} not supported at level {module.level}; raise the level"
-            )
+                f"exponent {q} not supported at level {module.level}; raise the level")
         if i not in amap:
             raise DomainError(f"no unit assigned to variable u{i + 1}")
         out = out * amap[i] ** int(e)
@@ -340,11 +284,8 @@ def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
         if i not in amap:
             raise DomainError(f"no unit assigned to variable u{i + 1}")
         tables.append(power_table(amap[i] ** module.level, lo, hi))
-    origin = tuple(0 for _ in box)
-    value = {}
-    for e in [origin, *box_points(box)]:
-        value[e] = reduce(mul, [t[k] for t, k in zip(tables, e)] or [one])
-    return value
+    return {e: reduce(mul, [t[k] for t, k in zip(tables, e)] or [one])
+            for e in [tuple(0 for _ in box), *box_points(box)]}
 
 
 def character_correlation(system: AlgebraicSystem, pairs) -> int:

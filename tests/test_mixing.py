@@ -27,7 +27,6 @@ from mixlab.mixing import (
     UnitEquationResult,
     UnitSolution,
     _canonical_shapes,
-    _default_is_zero,
     _projective_combinations,
     enumerate_unit_solutions,
     ess_bound_exponent,
@@ -48,6 +47,7 @@ from mixlab.systems import (
     CharPModule,
     EvaluationModule,
     InvalidTupleError,
+    Module,
     RationalDualModule,
     _unit_power,
     box_points,
@@ -158,7 +158,7 @@ def _all_nonzero_kernel_vector(kernel):
     """
     ncols = len(kernel[0])
     for col in range(ncols):
-        if all(_default_is_zero(vec[col]) for vec in kernel):
+        if all(Module.is_zero(vec[col]) for vec in kernel):
             return None
     for weights in product(range(0, len(kernel) + 2), repeat=len(kernel)):
         if all(w == 0 for w in weights):
@@ -170,7 +170,7 @@ def _all_nonzero_kernel_vector(kernel):
                 for _ in range(w):
                     acc = basis_vec[i] if acc is None else acc + basis_vec[i]
             vec.append(acc)
-        if all(not _default_is_zero(x) for x in vec):
+        if all(not Module.is_zero(x) for x in vec):
             return vec
     return None
 

@@ -24,7 +24,6 @@ from mixlab.mixing import (
     NonMixingCertificate,
     PrimePower,
     VerificationReport,
-    _default_is_zero,
     check_certificate,
     verify_certificate,
 )
@@ -36,10 +35,12 @@ from mixlab.systems import (
     CharPModule,
     EvaluationModule,
     InvalidTupleError,
+    Module,
     RationalDualModule,
     _gamma_key,
     _unit_power,
     free_abelian,
+    rational_vector,
 )
 
 SAMPLES = Path(__file__).resolve().parents[1] / "presentations"
@@ -75,7 +76,7 @@ def ref_merged(shape, coefficients):
     for g, a in zip(shape, coefficients):
         k = _gamma_key(g)
         merged[k] = [merged[k][0], merged[k][1] + a] if k in merged else [g, a]
-    return [(g, a) for g, a in merged.values() if not _default_is_zero(a)]
+    return [(g, a) for g, a in merged.values() if not Module.is_zero(a)]
 
 
 def ref_validate(system, pairs, nonzero):
@@ -182,7 +183,7 @@ def charp_system(p, engine):
 CHARP = {(p, engine): charp_system(p, engine)
          for p in (2, 3, 5) for engine in ("groebner", "substitution")}
 # u1 = 4 and u2 = 9, at level 2: u^(1/2, 0) = 2, so shape points live in (1/2)Z^2.
-HALVES = AlgebraicSystem(free_abelian(2), EvaluationModule.make(
+HALVES = AlgebraicSystem(rational_vector(2), EvaluationModule.make(
     QQ, {0: QQ.from_rational(2), 1: QQ.from_rational(3)}, level=2))
 
 # Coefficients that repeat, cancel in pairs (1 + u1 against 1 + u1 over F_2,
@@ -299,7 +300,8 @@ class TestReplayMatchesTheReference:
         coefficients=(4, -1, -1), family=ExplicitList((1,)), transcript=((1, 1),),
         grade="evidence")))
     def test_evaluation_at_level_two(self, case):
-        assert_same_replay(*case)
+        # The parts are well formed on Q^2, so both sides replay every case.
+        assert assert_same_replay(*case)[:2] != ("raised", "CertificateError")
 
     def test_oracle_runs_once_per_transcript_dilation(self):
         # Repeated dilations are replayed, not skipped.  The coefficient u1
