@@ -30,26 +30,22 @@ the generators or the group.  A relation on the positive rationals that
 names few of the primes thus reduces only the V-part, and the ladder climbs
 on V-parts alone.
 
-The substitution engine decides membership when the ideal is presented by
-relations solving variables in terms of earlier ones (as for the three-dot
-ideal via u2 = 1 + u1 over F_2).  It is a ring map: the highest substituted
-variable goes first, each term c u^m becomes c u^m' g_v^(m_v - low), where m'
-is m with slot v zeroed and u_v^(-low) clears the negative powers of u_v,
-and f is in the ideal iff the image is zero.  Its hints are reduced to F_p
-once, when the ideal is built, and the hint powers g_v^b come from a memo
-on the ideal filled by the same ladder: the hint coefficients lie in F_p,
-so g^(pq + r) = (g^q)^[p] g^r, in the Laurent ring too.
+The substitution engine decides membership when the generators solve
+variables in terms of earlier ones (the three-dot ideal via u2 = 1 + u1
+over F_2).  It is a ring map: the highest substituted variable goes first,
+and each term c u^m becomes c u^m' g_v^(m_v - low), with m' the exponents m
+with slot v zeroed and low the lowest m_v (u_v^low is a unit).  The hint
+powers g_v^b come from a memo filled by the same ladder, as the hints lie
+over F_p: g^(pq + r) = (g^q)^[p] g^r, in the Laurent ring too.
 
-A principal ideal needs no written hint when its generator f, less its
-monomial content, has degree 1 in its highest variable u_v with a one-term
-coefficient c u^a.  Then f = c u^a (u_v - g) with g != 0 in the earlier
-variables, and c u^a is a unit, so the ideal is (u_v - g) and the map
-{v: g} is its hint.  The engine is exact for it: with R' the Laurent ring
-in the other variables, a polynomial P in u_v over R' lies in (u_v - g)
-iff P(g) = 0 in the localisation R'[1/g], and R' is a domain, so iff
-P(g) = 0 in R'.  Such an ideal, the three-dot ideal (1 + u1 + u2) among
-them, decides membership with no Gröbner basis; `normal_form_monomial`
-and `constant_in_ideal` still use the basis.
+`_solved` derives the map by triangular elimination.  Each round takes the
+pending generators' images under the map so far, drops the zero ones and
+solves one image c u^a (u_v - g), c u^a a unit and g != 0 in earlier
+variables, for the highest such v.  As R/(u_v - g) is R'[1/g], R' the
+Laurent ring in the other variables, a map that drops or solves every
+generator and sends no g_v to zero (else I is the unit ideal) presents R/I
+as a Laurent ring, a domain, with nonzero elements inverted: f is in I iff
+its image is zero.  Any other ideal keeps the Gröbner engine.
 """
 
 from __future__ import annotations
@@ -235,20 +231,35 @@ def _primitive_monic(f: PolyDict, p: int) -> PolyDict:
     return {m: c * inv % p for m, c in g.items()}
 
 
+def _linear(f: PolyDict, p: int) -> Optional[Tuple[int, PolyDict]]:
+    """(v, g) when f, less its monomial content, has degree 1 in its highest
+    variable u_v with a one-term coefficient c u^a: then f = c u^a (u_v - g)
+    with g != 0 in the earlier variables.  Else None."""
+    low = [min(e) for e in zip(*f)]
+    v = max((i for i, lo in enumerate(low) if any(m[i] != lo for m in f)), default=None)
+    if v is None:
+        return None  # zero, or a monomial: a unit
+    top = [m for m in f if m[v] != low[v]]
+    if len(top) != 1 or top[0][v] != low[v] + 1:
+        return None
+    a = top[0]
+    scale = p - pow(f[a], -1, p)
+    return v, {tuple(0 if i == v else e - s for i, (e, s) in enumerate(zip(m, a))): c * scale % p
+               for m, c in f.items() if m != a}
+
+
 # -- the presentation --------------------------------------------------------
 
 class IdealPresentation:
-    """Generators plus characteristic and an optional substitution hint.
+    """Generators plus characteristic and an optional written substitution
+    hint, all Laurent polynomials over F_p for the prime p = characteristic.
 
-    Generators, hints and the polynomials `contains` is asked about are
-    Laurent polynomials over F_p for the prime p = characteristic.  A hint
-    is a nonempty map solving variables by polynomials in strictly earlier
-    variables.  Without one, a single generator linear in its highest
-    variable is solved for it (`_solved`), and that map is the hint.
-    `contains` runs the substitution engine when there is a hint and
-    computes a saturated Gröbner basis otherwise.  A written hint equal to
-    the solved map needs no load-time check; any other is checked against
-    the generators in both directions.
+    `substitution` is the map the generators solve (`_solved`), or None;
+    `contains` runs the substitution engine on it, or a saturated Gröbner
+    basis without one.  A written hint, solving variables by polynomials in
+    strictly earlier ones, never picks the engine: one equal to the derived
+    map needs no check, and any other is a second presentation
+    (u_v - g_v, ...) of the ideal, checked against the generators both ways.
     """
 
     def __init__(
@@ -261,7 +272,7 @@ class IdealPresentation:
         if characteristic > 2 ** 31:
             raise EngineUnavailableError("characteristic too large for the engine")
         self.characteristic = characteristic
-        dom = self._dom = GF(characteristic)
+        self._dom = GF(characteristic)
         if d is None:
             if not generators:
                 raise DomainError("d required when there are no generators")
@@ -270,8 +281,6 @@ class IdealPresentation:
         self.generators = tuple(generators)
         for g in self.generators + tuple((substitution or {}).values()):
             self.check_ring(g)
-        solved = self._solved()
-        self.substitution = dict(substitution) if substitution else solved
         self._gb_full: Optional[List[PolyDict]] = None
         self._gb_contracted: Optional[List[PolyDict]] = None
         self._gb_prepared = None
@@ -280,41 +289,36 @@ class IdealPresentation:
         self._free: List[int] = []
         # NF(u^m) per exponent tuple m of d nonnegative ints (the ladder's memo).
         self._nf_cache: Dict[Mono, PolyDict] = {}
-        # g_var^b per (var, b) for the hints over F_p (their ladder's memo).
+        # g_var^b per (var, b) for the map's hints over F_p (their ladder's memo).
         self._hint_powers: Dict[Tuple[int, int], PolyDict] = {}
-        if substitution and self.substitution != solved:
-            for var, poly in self.substitution.items():
-                if not 0 <= var < self.d:
-                    raise DomainError(f"substitution for u{var + 1} out of range for d={self.d}")
-                for m in poly.terms:
-                    if any(m[i] != 0 for i in range(var, self.d)):
-                        raise DomainError(
-                            f"substitution for u{var + 1} must use strictly earlier variables"
-                        )
-            # The hint must solve the generators with every substituted
-            # variable a unit (nonzero image); otherwise membership answers
-            # would depend on the hint rather than the ideal.
-            for var in sorted(self.substitution):
-                if self.contains_substitution(self.substitution[var]):
+        self.substitution = self._solved()
+        if substitution and substitution != self.substitution:
+            # A second presentation (u_v - g_v, ...), checked both ways.
+            for var, poly in substitution.items():
+                if not 0 <= var < d:
+                    raise DomainError(f"substitution for u{var + 1} out of range for d={d}")
+                if any(m[i] for m in poly.terms for i in range(var, d)):
+                    raise DomainError(
+                        f"substitution for u{var + 1} must use strictly earlier variables")
+            u = [LaurentPoly.variable(i, d, self._dom) for i in range(d)]
+            # The image of g_v reads only the entries below v, so the first
+            # prefix of the hint that derives no map sends its top g_v to zero.
+            for var in sorted(substitution):
+                claim = IdealPresentation([u[w] - g for w, g in substitution.items() if w <= var],
+                                          characteristic, d=d)
+                if claim.substitution is None:
                     raise DomainError(
                         f"substitution sends u{var + 1} to zero, which is not a unit "
-                        "of the Laurent ring"
-                    )
+                        "of the Laurent ring")
             for g in self.generators:
-                if not self.contains_substitution(g):
+                if not claim.contains(g):
                     raise DomainError(
-                        f"generator {g.to_text()!r} does not vanish under the substitution"
-                    )
-            # Conversely every u_v - g_v must lie in the ideal of the
-            # generators; with both directions the two engines decide the
-            # same ideal.
-            for var in sorted(self.substitution):
-                g = self.substitution[var]
-                if not self.contains_groebner(LaurentPoly.variable(var, self.d, dom) - g):
+                        f"generator {g.to_text()!r} does not vanish under the substitution")
+            for var in sorted(substitution):
+                if not self.contains(u[var] - substitution[var]):
                     raise DomainError(
-                        f"u{var + 1} - ({g.to_text()}) is not in the ideal of the "
-                        "generators: the substitution solves a larger ideal"
-                    )
+                        f"u{var + 1} - ({substitution[var].to_text()}) is not in the ideal of the "
+                        "generators: the substitution solves a larger ideal")
 
     # -- Laurent -> polynomial plumbing -------------------------------------
 
@@ -420,26 +424,24 @@ class IdealPresentation:
     # -- substitution engine -------------------------------------------------
 
     def _solved(self) -> Optional[Dict[int, LaurentPoly]]:
-        """{v: g} when the ideal is principal and its generator, less its
-        monomial content, has degree 1 in its highest variable u_v with a
-        one-term coefficient c u^a: then f = c u^a (u_v - g) with g != 0 in
-        earlier variables, and the ideal is (u_v - g).  Else None."""
-        gens = [g for g in self.generators if g]
-        if len(gens) != 1:
+        """The map the generators solve by elimination, or None.  `_image`
+        reads the map as it grows; an entry never changes once added, nor do
+        its memoised powers.  One generator needs no image and no unit check:
+        its g mentions no solved variable and is nonzero."""
+        p = self.characteristic
+        self.substitution = subs = {}
+        images = pending = [g.terms for g in self.generators if g]
+        while any(images):
+            solved = [(s, i) for i, s in enumerate(_linear(f, p) for f in images) if s]
+            if not solved:
+                return None
+            (v, g), i = max(solved, key=lambda s: s[0][0])
+            subs[v] = LaurentPoly._trusted(self.d, self._dom, g)
+            pending = [f for j, (f, image) in enumerate(zip(pending, images)) if image and j != i]
+            images = [self._image(f) for f in pending]
+        if len(subs) > 1 and not all(self._image(g.terms) for g in subs.values()):
             return None
-        terms = gens[0].terms
-        low = [min(e) for e in zip(*terms)]
-        v = max((i for i in range(self.d) if any(m[i] != low[i] for m in terms)), default=None)
-        if v is None:
-            return None  # a monomial: the unit ideal
-        top = [m for m in terms if m[v] != low[v]]
-        if len(top) != 1 or top[0][v] != low[v] + 1:
-            return None
-        a, p = top[0], self.characteristic
-        scale = p - pow(terms[a], -1, p)
-        g = {tuple(0 if i == v else e - s for i, (e, s) in enumerate(zip(m, a))): c * scale % p
-             for m, c in terms.items() if m != a}
-        return {v: LaurentPoly._trusted(self.d, self._dom, g)}
+        return subs or None
 
     def _hint_power(self, var: int, b: int) -> PolyDict:
         """g_var^b for the reduced hint g_var and b >= 0, memoised.  A miss
@@ -461,36 +463,33 @@ class IdealPresentation:
             self._hint_powers[key] = g
         return g
 
-    def contains_substitution(self, f: LaurentPoly) -> bool:
-        """Whether f maps to zero under the hints.  The highest substituted
-        variable goes first; each term c u^m becomes c u^m' g_v^(m_v - low),
-        with m' the exponents m with slot v zeroed and low = min(0, lowest
-        m_v), which clears the negative powers of u_v by a unit."""
-        if self.substitution is None:
-            raise EngineUnavailableError("no substitution hint on this presentation")
+    def _image(self, work: PolyDict) -> PolyDict:
+        """The terms' image under the map: c u^m becomes c u^m' g_v^(m_v - low),
+        the highest substituted variable v first (see the module docstring)."""
         p = self.characteristic
-        work = f.terms
         for var in sorted(self.substitution, reverse=True):
-            if not work:
-                break
-            low = min(min(m[var] for m in work), 0)
+            low = min((m[var] for m in work), default=0)
             image: PolyDict = {}
             for m, c in work.items():
                 _add_scaled(image, c, m[:var] + (0,) + m[var + 1:],
                             self._hint_power(var, m[var] - low), p)
             work = image
-        return not work
+        return work
+
+    def contains_substitution(self, f: LaurentPoly) -> bool:
+        """Whether f maps to zero under the substitution map."""
+        if self.substitution is None:
+            raise EngineUnavailableError("no substitution hint on this presentation")
+        return not self._image(f.terms)
 
     # -- public surface ------------------------------------------------------
 
     def contains(self, f: LaurentPoly) -> bool:
-        """Exact ideal membership of f: by the substitution hint, written
-        or solved, if there is one, else by the Gröbner basis."""
+        """Exact ideal membership of f: by the substitution map if the
+        generators solve one, else by the Gröbner basis."""
         self.check_ring(f)
-        if self.substitution:
-            return self.contains_substitution(f)
-        return self.contains_groebner(f)
+        return self.contains_substitution(f) if self.substitution else self.contains_groebner(f)
 
     def constant_in_ideal(self) -> bool:
         """True iff 1 lies in the ideal (trivial quotient)."""
-        return self.contains_groebner(LaurentPoly.one(self.d, self._dom))
+        return self.contains(LaurentPoly.one(self.d, self._dom))

@@ -135,6 +135,10 @@ class _Lattice(DilationFamily):
         kind = system.group.kind
         if kind != "rational_vector" and any(e.denominator != 1 for g in shape for e in g):
             raise CertificateError(f"a {kind} group holds only integer shape points")
+        d = system.group.rank
+        for g in shape:
+            if len(g) != d:
+                raise CertificateError(f"exponent vector {g} has length {len(g)}, expected {d}")
 
     def replay(self, cert: NonMixingCertificate) -> list:
         """(n, expected bit, merged pairs) per transcript entry."""
@@ -507,8 +511,8 @@ def shape_search(
     which is tested once per search.  A block is
     nonzero in the module exactly when it is formally nonzero, because the
     window is column-reduced: its monomials have independent normal forms,
-    and both engines decide the same ideal (a hint is solved from the
-    generator, or a written one is checked when the presentation loads).
+    and both engines decide the same ideal (the map is solved from the
+    generators, a written hint checked as a second presentation at load).
     """
     if r < 2:
         raise CertificateError("order must be at least 2")

@@ -168,7 +168,7 @@ def parse_system(data: dict) -> LoadedSystem:
                 substitution[_var_index(var)] = LaurentPoly.parse(text, d, dom)
             engine = "substitution"
         # The ideal's own refusals (such as a characteristic over 2^31) come
-        # before these two; with no hint, building it runs no elimination.
+        # before these two; with no hint, building it tests no membership.
         module = CharPModule(IdealPresentation(gens, p, d=d, substitution=substitution))
         if engine not in ("groebner", "substitution"):
             raise PresentationError(f"unknown engine {engine!r}")

@@ -150,8 +150,8 @@ class CharPModule(Module):
         u^gamma - 1 is in the ideal.  Any monomial u^e gives the same answer:
         monomials are units of the Laurent ring and both engines decide
         membership up to units, so (u^gamma - 1) * u^e is in the ideal iff
-        u^gamma - 1 is.  Both engines decide the same ideal (a hint is solved
-        from the generator, or a written one is checked at load), so the scan
+        u^gamma - 1 is.  Both engines decide the same ideal (the map is solved
+        from the generators, a written hint checked at load), so the scan
         asks the normal form: with s = min(gamma, 0) componentwise,
         u^(gamma - s) - u^(-s) is the cleared lift of u^gamma - 1, and it lies
         in the ideal iff NF(u^(gamma - s)) = NF(u^(-s))."""
@@ -182,7 +182,10 @@ class EvaluationModule(Module):
 
     def check(self, group: GroupDescriptor) -> None:
         """Units invertible, one per variable u1..u_d of the group, level at least 1."""
-        for _, v in self.assignment:
+        for i, v in self.assignment:
+            if v.is_zero():
+                raise DomainError(f"field 'module.assignment' cannot hold 0 for u{i + 1}: "
+                                  "a unit is nonzero")
             self.field.inv(v)
         variables = [i for i, _ in self.assignment]
         if len(variables) != group.rank or variables != list(range(len(variables))):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixlab import ideals
 from mixlab.cli import main
 from mixlab.ideals import IdealPresentation
 from mixlab.presentation import load_system
@@ -25,8 +26,9 @@ TIMES23 = str(SAMPLES / "times2times3.json")
 RATIONAL_DUAL = str(SAMPLES / "rational_dual.json")
 TRIVIAL = str(SAMPLES / "trivial_unit.json")
 # Kept out of presentations/, which the benchmark analyzes file by file.
-F5_FINITE = str(Path(__file__).resolve().parent / "f5_two_generators.json")
-F3_SUBST = str(Path(__file__).resolve().parent / "f3_substitution.json")
+TESTS = Path(__file__).resolve().parent
+F5_FINITE = str(TESTS / "f5_two_generators.json")
+F3_SUBST = str(TESTS / "f3_substitution.json")
 
 
 def run(capsys, *argv):
@@ -317,6 +319,29 @@ class TestVerify:
         monkeypatch.setattr(IdealPresentation, "_contracted_basis", refuse)
         monkeypatch.setattr(IdealPresentation, "contains_groebner", refuse)
         for cert in sorted(tmp_path.glob("*.cert.json"))[:5]:
+            code, out, _ = run(capsys, "verify", str(cert), presentation)
+            assert (code, out.splitlines()[-1]) == (0, "PASS")
+
+    @pytest.mark.parametrize("name, argv", [
+        ("f3_substitution.json", ["--kmax", "12"]),
+        ("f3_chained.json", []),
+    ])
+    def test_frobenius_path_builds_no_groebner_basis(self, capsys, tmp_path, monkeypatch,
+                                                     name, argv):
+        # Both ideals solve to a substitution map when they load, so 1 is
+        # tested through it and a prime-power certificate needs no basis.
+        def refuse(*_args):
+            raise AssertionError("a Gröbner basis was built")
+
+        monkeypatch.setattr(ideals, "_buchberger", refuse)
+        monkeypatch.setattr(IdealPresentation, "_contracted_basis", refuse)
+        presentation = str(TESTS / name)
+        code, _, _ = run(capsys, "certify", presentation, "--order", "3", *argv,
+                         "--out", str(tmp_path))
+        assert code == 0
+        certs = sorted(tmp_path.glob("*.cert.json"))
+        assert certs
+        for cert in certs:
             code, out, _ = run(capsys, "verify", str(cert), presentation)
             assert (code, out.splitlines()[-1]) == (0, "PASS")
 
@@ -687,6 +712,31 @@ class TestMalformedFiles:
         assert (err, out.splitlines()[-1:]) == ((f"error: {message}\n", []) if message
                                                 else ("", ["PASS"]))
 
+    def test_zero_unit(self, capsys, tmp_path):
+        # NumberField.inv raised ZeroDivisionError through analyze.
+        path = tmp_path / "zero_unit.json"
+        path.write_text(json.dumps({"schema": 1, "group": {"kind": "free_abelian", "d": 1},
+                                    "module": {"type": "evaluation", "modulus": ["-1", "1"],
+                                               "assignment": {"u1": ["0"]}}}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: field 'module.assignment' cannot hold 0 for u1: a unit is nonzero\n"
+
+    @pytest.mark.parametrize("shape, message", [
+        ([["0"], ["1"]], "exponent vector (0,) has length 1, expected 2"),
+        ([["0", "0", "0"], ["1", "0", "0"]], "exponent vector (0, 0, 0) has length 3, expected 2"),
+    ], ids=["one-entry", "three-entries"])
+    def test_shape_point_of_the_wrong_length(self, capsys, tmp_path, shape, message):
+        # Both printed PASS: a unit power read a short point as padded with
+        # zeros and ignored a zero entry past the rank.
+        cert = tmp_path / "short.cert.json"
+        cert.write_text(json.dumps({
+            "schema": 1, "kind": "non_mixing_certificate",
+            "system_hash": load_system(TIMES23).hash, "order": 2, "grade": "evidence",
+            "family": {"kind": "explicit_list", "dilations": [1]},
+            "shape": shape, "coefficients": ["2", "-1"], "transcript": [[1, 1]]}))
+        assert run(capsys, "verify", str(cert), TIMES23) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("engine, message", [
         ("substitution", "substitution engine requires a substitution map"),
         ({"substitution": {}}, "substitution engine requires a substitution map"),
@@ -694,8 +744,8 @@ class TestMalformedFiles:
         ({"hint": {"u2": "1 + u1"}}, "engine object must carry a substitution map"),
     ], ids=["string-no-map", "empty-map", "unknown", "no-substitution-key"])
     def test_engine_field(self, capsys, tmp_path, engine, message):
-        # The substitution engine runs exactly when a hint map is given, so
-        # the file's engine field must name it together with its map.
+        # A file naming the substitution engine writes its hint map with it;
+        # the map is then a claim checked at load, and picks no engine.
         data = json.loads(Path(THREE_DOT).read_text())
         data["module"]["engine"] = engine
         path = tmp_path / "engine.json"

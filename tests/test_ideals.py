@@ -166,7 +166,7 @@ class TestSubstitution:
             )
 
 
-# -- a principal ideal solved for its highest variable ------------------------
+# -- ideals whose generators solve to a substitution map -----------------------
 
 def sympy_member(gens, f, p, d):
     """Membership of the Laurent f in the ideal of gens by sympy's Gröbner
@@ -201,7 +201,49 @@ def solvable_generators(draw):
     return unit * (LaurentPoly.variable(v, d, dom) - g), v, g
 
 
+@st.composite
+def triangular_systems(draw):
+    """(p, d, generators): u_v - g_v for a nonempty set of variables v, with
+    g_v != 0 in the variables before u_v, each times a monomial unit, plus a
+    redundant combination of two of them, shuffled."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 3))
+    dom = GF(p)
+
+    def unit():
+        return LaurentPoly.monomial(d, dom, draw(st.tuples(*[st.integers(-1, 2)] * d)),
+                                    draw(st.integers(1, p - 1)))
+
+    gens = []
+    for v in sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))):
+        earlier = st.tuples(*[st.integers(-2, 2)] * v + [st.just(0)] * (d - v))
+        g = LaurentPoly(d, dom, draw(st.dictionaries(earlier, st.integers(1, p - 1),
+                                                     min_size=1, max_size=2)))
+        gens.append(unit() * (LaurentPoly.variable(v, d, dom) - g))
+    i, j = draw(st.lists(st.sampled_from(range(len(gens))), min_size=2, max_size=2))
+    gens.append(unit() * gens[i] + unit() * gens[j])
+    return p, d, draw(st.permutations(gens))
+
+
 class TestSolvedMap:
+    @given(triangular_systems(), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_triangular_systems_are_solved(self, case, planted, data):
+        # No hint is written.  A composition sending some g_v to zero makes
+        # the unit ideal, the one case left to the Gröbner engine.
+        p, d, gens = case
+        dom = GF(p)
+        ideal = IdealPresentation(gens, p, d=d)
+        assert ideal.substitution is not None or ideal.constant_in_ideal()
+        x = LaurentPoly(d, dom, data.draw(st.dictionaries(
+            st.tuples(*[st.integers(-2, 3)] * d), st.integers(1, p - 1), min_size=1, max_size=3)))
+        if planted:
+            x = x * data.draw(st.sampled_from(gens))
+        answer = ideal.contains(x)
+        assert answer == ideal.contains_groebner(x) == sympy_member(gens, x, p, d)
+        if planted:
+            assert answer
+
     @given(solvable_generators(), st.booleans(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_groebner_and_sympy(self, case, planted, data):
@@ -260,6 +302,40 @@ class TestSolvedMap:
         with pytest.raises(DomainError, match=r"^generator 'u1 \+ u2 \+ 1' does not vanish "
                                               r"under the substitution$"):
             IdealPresentation([p2("1 + u1 + u2")], 2, substitution={1: p2("u1")})
+
+    def test_composed_zero_is_the_unit_ideal(self):
+        # u2 -> 1 + u1 and u1 -> 1 send 1 + u1 to zero: u2 lies in the ideal.
+        ideal = IdealPresentation([p2("u2 + 1 + u1"), p2("u1 + 1")], 2)
+        assert ideal.substitution is None
+        assert ideal.constant_in_ideal()
+
+    def test_uncomposed_chained_hint_loads(self):
+        # The generators solve u3 -> u1^2 + u1 + 2, composed; the written hint
+        # leaves u3 -> u1*u2 + 2 in u2, a second presentation of the ideal.
+        def f3(text):
+            return LaurentPoly.parse(text, 3, F3)
+
+        hint = {2: f3("u1*u2 + 2"), 1: f3("1 + u1")}
+        gens = [f3("u3 + 2*u1^2 + 2*u1 + 1"), f3("u2 + 2 + 2*u1")]
+        ideal = IdealPresentation(gens, 3, substitution=hint)
+        assert ideal.substitution == {2: f3("u1^2 + u1 + 2"), 1: f3("1 + u1")} != hint
+        for text in ("u3 - u1*u2 - 2", "u3 - u1*u2", "u2^3 - 1 - u1^3"):
+            assert ideal.contains(f3(text)) == ideal.contains_groebner(f3(text))
+
+    def test_a_correct_hint_picks_no_engine(self, monkeypatch):
+        # (u2 + 1 + u1) times 1 + u1 + u1^2 and times u1 + u1^2: the ideal is
+        # (u2 + 1 + u1), but no generator has a one-term coefficient of u2.
+        line = p2("u2 + 1 + u1")
+        ideal = IdealPresentation([p2("1 + u1 + u1^2") * line, p2("u1 + u1^2") * line], 2,
+                                  substitution={1: p2("1 + u1")})
+        assert ideal.substitution is None
+
+        def refuse(*_args):
+            raise AssertionError("the substitution engine ran")
+
+        monkeypatch.setattr(IdealPresentation, "contains_substitution", refuse)
+        assert ideal.contains(line)
+        assert not ideal.contains(p2("u2 + u1"))
 
     def test_d3_top_variable_at_large_exponents(self):
         # u3 - g(u1, u2) over F_5 with exponents up to 4 * 5^5: the solved

@@ -62,8 +62,10 @@ CHAR_P_FILES = {
     for path in sorted([*(TESTS.parent / "presentations").glob("*.json"), *TESTS.glob("*.json")])
     if json.loads(path.read_text())["module"]["type"] == "char_p"
 }
-# A small window per dimension: negative corners, and d = 4 for split_ledrappier.
-SMALL_WINDOWS = {1: [(-3, 8)], 2: [(-2, 3), (-1, 4)], 4: [(0, 1), (-1, 1), (0, 1), (0, 2)]}
+# A small window per dimension: negative corners, d = 3 for f3_chained and d = 4
+# for split_ledrappier.
+SMALL_WINDOWS = {1: [(-3, 8)], 2: [(-2, 3), (-1, 4)], 3: [(-1, 2), (0, 2), (-1, 1)],
+                 4: [(0, 1), (-1, 1), (0, 1), (0, 2)]}
 
 
 def system_over(p, *generators, d=2):
