@@ -14,7 +14,6 @@ import json
 import random
 import tempfile
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -45,13 +44,12 @@ from .simulate import (
 from .systems import character_correlation
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    runtime: float = 0.0
+    __slots__ = ("number", "name", "passed", "detail", "runtime")
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str, runtime: float = 0.0):
+        self.number, self.name, self.passed, self.detail = number, name, passed, detail
+        self.runtime = runtime
 
 
 _THREE_DOT = {

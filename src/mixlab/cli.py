@@ -231,10 +231,10 @@ def cmd_verify(args) -> int:
 # -- simulate ----------------------------------------------------------------
 
 def _integer(x, what: str) -> int:
-    """A JSON integer (or an integral number) as an int; a fraction, a
-    string or a boolean is refused, not truncated."""
-    if isinstance(x, float) and x.is_integer() or type(x) is int:
-        return int(x)
+    """A JSON integer as an int; a float (even 1.0), a string or a boolean
+    is refused, not truncated, as in every other integer field."""
+    if type(x) is int:
+        return x
     raise PresentationError(f"{what} must be an integer, not {json.dumps(x)}")
 
 
@@ -313,15 +313,24 @@ def cmd_simulate(args) -> int:
 
 # -- uniteq ------------------------------------------------------------------
 
-def _parse_rationals(text: str):
-    return [Fraction(x) for x in text.split(",")] if text else []
+def _rational(text: str, flag: str) -> Fraction:
+    """The rational a flag entry names; a zero denominator is an input
+    error naming the flag."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise PresentationError(f"field {flag!r} cannot hold {text!r}") from None
+
+
+def _parse_rationals(text: str, flag: str):
+    return [_rational(x, flag) for x in text.split(",")] if text else []
 
 
 def cmd_uniteq(args) -> int:
     _require_nonnegative(args, "box", "budget")
-    field = NumberField(_parse_rationals(args.modulus))
-    coeffs = _parse_rationals(args.coeffs)
-    gens = _parse_rationals(args.gens)
+    field = NumberField(_parse_rationals(args.modulus, "--modulus"))
+    coeffs = _parse_rationals(args.coeffs, "--coeffs")
+    gens = _parse_rationals(args.gens, "--gens")
     problem = UnitEquationProblem.make(field, coeffs, gens, args.box, budget=args.budget)
     result = enumerate_unit_solutions(problem)
     exponent = result.bound_exponent

@@ -16,7 +16,6 @@ family shares.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import ceil, comb
@@ -86,13 +85,34 @@ def _is_constant(a) -> bool:
     return isinstance(a, LaurentPoly) and not any(map(any, a.terms))
 
 
-class DilationFamily:
+class _Value:
+    """Equal to an object of its own class whose slots are equal, and hashed
+    by its slots: the value semantics of families, certificates and unit
+    solutions, which callers compare."""
+
+    __slots__ = ()
+
+    def _slot_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._slot_values() == other._slot_values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values())
+
+
+class DilationFamily(_Value):
     """The infinite family a certificate's transcript samples, one class per
     family holding its rules: its shifts at dilation n (`shape_at`), its
     part checks, its separation rule, why it proves no more than its
     transcript (`evidence_reason`), the bits it may give without the oracle
     (`bits`) and its JSON block, named by `kind`.  `check_certificate` and
     `verify_certificate` keep only the rules every family shares."""
+
+    __slots__ = ()
 
     def check_dilations(self, dilations: List[int]) -> None:
         """Raise unless the (positive) transcript dilations are the family's."""
@@ -119,6 +139,8 @@ class DilationFamily:
 class _Lattice(DilationFamily):
     """A base shape of exponent vectors scaled by n >= 1, its shifts merged
     once, on the base shape, as n q_s = n q_t iff q_s = q_t."""
+
+    __slots__ = ()
 
     def shape_at(self, shape, n):
         return tuple(expvec(x * n for x in g) for g in shape)
@@ -169,7 +191,6 @@ class _Lattice(DilationFamily):
             yield bit
 
 
-@dataclass(frozen=True)
 class PrimePower(_Lattice):
     """Dilate the shape by p^k.  Proof grade when p is the characteristic,
     every coefficient is a constant c in F_p and the transcript holds
@@ -177,8 +198,11 @@ class PrimePower(_Lattice):
     n in the ideal to the sum at pn.  Its shape points must be distinct, or
     two slots never separate."""
 
-    p: int
+    __slots__ = ("p",)
     kind = "prime_power"
+
+    def __init__(self, p: int):
+        self.p = p
 
     def evidence_reason(self, system, cert) -> Optional[str]:
         characteristic = system.module.characteristic
@@ -202,13 +226,15 @@ class PrimePower(_Lattice):
         return cls(integer(_field(block, "family.p"), "family.p"))
 
 
-@dataclass(frozen=True)
 class ExplicitList(_Lattice):
     """Dilate the shape by the listed n, which must be the transcript's own:
     evidence grade, as the transcript covers a tested range only."""
 
-    dilations: Tuple[int, ...]
+    __slots__ = ("dilations",)
     kind = "explicit_list"
+
+    def __init__(self, dilations: Tuple[int, ...]):
+        self.dilations = dilations
 
     def check_dilations(self, dilations: List[int]) -> None:
         _require_positive_dilations(list(self.dilations) + dilations)
@@ -232,7 +258,6 @@ class ExplicitList(_Lattice):
                          for n in _field(block, "family.dilations", _list)))
 
 
-@dataclass(frozen=True)
 class ConsecutiveRatio(DilationFamily):
     """Shape (1, n, n-1) in the positive rationals, over n >= 2, where its
     three shifts are nonzero.  Proof grade with coefficients (a, -a, a), as
@@ -240,6 +265,7 @@ class ConsecutiveRatio(DilationFamily):
     finitely generated group n and n - 1 both lie in it for finitely many n
     (Størmer)."""
 
+    __slots__ = ()
     kind = "consecutive_ratio"
 
     def shape_at(self, shape, n):
@@ -295,27 +321,30 @@ class ConsecutiveRatio(DilationFamily):
 FAMILIES = {cls.kind: cls for cls in (PrimePower, ExplicitList, ConsecutiveRatio)}
 
 
-@dataclass(frozen=True)
-class NonMixingCertificate:
-    order: int
-    shape: tuple
-    coefficients: tuple
-    family: DilationFamily
-    transcript: Tuple[Tuple[int, int], ...]
-    grade: str  # "proof" | "evidence"
+class NonMixingCertificate(_Value):
+    __slots__ = ("order", "shape", "coefficients", "family", "transcript", "grade")
+
+    def __init__(self, order: int, shape: tuple, coefficients: tuple, family: DilationFamily,
+                 transcript: Tuple[Tuple[int, int], ...], grade: str):
+        self.order = order
+        self.shape = shape
+        self.coefficients = coefficients
+        self.family = family
+        self.transcript = transcript
+        self.grade = grade  # "proof" | "evidence"
 
     def dilations(self):
         return [n for n, _ in self.transcript]
 
 
-@dataclass
 class VerificationReport:
     """Verdicts, the first that applies: `FAIL at dilation n`,
     `FAIL: separation`, `FAIL: grade`, else PASS."""
 
-    lines: List[str]
-    verdict: str
-    first_failure: Optional[int] = None
+    __slots__ = ("lines", "verdict", "first_failure")
+
+    def __init__(self, lines: List[str], verdict: str, first_failure: Optional[int] = None):
+        self.lines, self.verdict, self.first_failure = lines, verdict, first_failure
 
     @property
     def ok(self) -> bool:
@@ -443,10 +472,11 @@ def frobenius_certificate(
 
 # -- exhaustive shape search in characteristic p -----------------------------
 
-@dataclass
 class SearchOutcome:
-    certificates: List[NonMixingCertificate]
-    region: dict
+    __slots__ = ("certificates", "region")
+
+    def __init__(self, certificates: List[NonMixingCertificate], region: dict):
+        self.certificates, self.region = certificates, region
 
     def __iter__(self):
         return iter(self.certificates)
@@ -644,13 +674,16 @@ def ess_bound_exponent(n: int, r: int) -> int:
     return (6 * n) ** (3 * n) * (r + 1)
 
 
-@dataclass(frozen=True)
 class UnitEquationProblem:
-    field: NumberField
-    coefficients: Tuple[FieldElement, ...]
-    generators: Tuple[FieldElement, ...]
-    box: int
-    budget: int = 500_000
+    __slots__ = ("field", "coefficients", "generators", "box", "budget")
+
+    def __init__(self, field: NumberField, coefficients: Tuple[FieldElement, ...],
+                 generators: Tuple[FieldElement, ...], box: int, budget: int = 500_000):
+        self.field = field
+        self.coefficients = coefficients
+        self.generators = generators
+        self.box = box
+        self.budget = budget
 
     @staticmethod
     def make(field: NumberField, coefficients, generators, box: int, budget: int = 500_000):
@@ -663,17 +696,19 @@ class UnitEquationProblem:
         return UnitEquationProblem(field, coeffs, gens, box, budget)
 
 
-@dataclass(frozen=True)
-class UnitSolution:
-    exponents: Tuple[Tuple[int, ...], ...]  # one exponent vector per x_i
-    values: Tuple[FieldElement, ...]
+class UnitSolution(_Value):
+    __slots__ = ("exponents", "values")
+
+    def __init__(self, exponents: Tuple[Tuple[int, ...], ...], values: Tuple[FieldElement, ...]):
+        self.exponents = exponents  # one exponent vector per x_i
+        self.values = values
 
 
-@dataclass
 class UnitEquationResult:
-    solutions: List[UnitSolution]
-    bound_exponent: int
-    bound_ok: bool
+    __slots__ = ("solutions", "bound_exponent", "bound_ok")
+
+    def __init__(self, solutions: List[UnitSolution], bound_exponent: int, bound_ok: bool):
+        self.solutions, self.bound_exponent, self.bound_ok = solutions, bound_exponent, bound_ok
 
     @property
     def count(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -44,11 +43,11 @@ def system_hash(normalized: dict) -> str:
     return hashlib.sha256(canonical_json(normalized).encode()).hexdigest()
 
 
-@dataclass
 class LoadedSystem:
-    system: AlgebraicSystem
-    name: str
-    hash: str
+    __slots__ = ("system", "name", "hash")
+
+    def __init__(self, system: AlgebraicSystem, name: str, hash: str):
+        self.system, self.name, self.hash = system, name, hash
 
 
 def _object(value, name: str) -> dict:

@@ -11,7 +11,6 @@ those.  Coefficients are ints reduced mod p; no floating point anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
@@ -21,11 +20,21 @@ class DomainError(ValueError):
     """Raised on coefficient-field, exponent or dimension mismatches."""
 
 
-@dataclass(frozen=True)
 class Domain:
-    """The prime field F_p."""
+    """The prime field F_p, equal to any other Domain with the same p."""
 
-    p: int
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     def __repr__(self) -> str:
         return f"GF({self.p})"

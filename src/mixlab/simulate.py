@@ -45,7 +45,6 @@ pair (seed, i), so its seed lies in [0, 2^64).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, sqrt
 from operator import add, sub
@@ -131,11 +130,13 @@ class WindowError(ValueError):
     """Pins fall outside the window, or the window does not fit the system."""
 
 
-@dataclass(frozen=True)
 class CylinderSet:
     """Finitely many pinned coordinates: site -> symbol in F_p."""
 
-    pins: Tuple[Tuple[Site, int], ...]
+    __slots__ = ("pins",)
+
+    def __init__(self, pins: Tuple[Tuple[Site, int], ...]):
+        self.pins = pins
 
     @staticmethod
     def make(pins: Dict[Site, int]) -> "CylinderSet":
@@ -300,11 +301,13 @@ def _measure(ideal, pins: Sequence[Tuple[Site, int]]) -> Fraction:
     return Fraction(1, p ** rank)
 
 
-@dataclass
 class MeasureResult:
-    value: Fraction
-    stable: bool  # always: the value is exact, whatever the window
-    window: Tuple[Tuple[int, int], ...]
+    __slots__ = ("value", "stable", "window")
+
+    def __init__(self, value: Fraction, stable: bool, window: Tuple[Tuple[int, int], ...]):
+        self.value = value
+        self.stable = stable  # always: the value is exact, whatever the window
+        self.window = window
 
 
 def cylinder_measure(
@@ -333,12 +336,17 @@ def correlation_exact(
     return _measure(ideal, _shifted_pins(ideal, window, sets, shifts))
 
 
-@dataclass
 class EstimateResult:
-    estimate: float
-    stderr: float
-    samples: int
-    seed: int
+    __slots__ = ("estimate", "stderr", "samples", "seed")
+
+    def __init__(self, estimate: float, stderr: float, samples: int, seed: int):
+        self.estimate, self.stderr, self.samples, self.seed = estimate, stderr, samples, seed
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.estimate, self.stderr, self.samples, self.seed)
+                    == (other.estimate, other.stderr, other.samples, other.seed))
+        return NotImplemented
 
     def within_sigma(self, reference: Fraction, sigma: float = 4.0) -> bool:
         band = max(self.stderr, 1e-12) * sigma

@@ -16,7 +16,6 @@ correlation bit), its fixed-shift scan and the coefficients it reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import add, mul, neg, sub
@@ -35,19 +34,17 @@ class UnsupportedOperationError(ValueError):
     """Operation not available for this module presentation."""
 
 
-@dataclass(frozen=True)
 class GroupDescriptor:
     """The acting group.  The positive rationals are generated by a finite
     list of primes, or by every prime when `primes` is None: the whole
     group, free abelian of infinite rank."""
 
-    kind: str  # "free_abelian" | "rational_vector" | "positive_rationals"
-    d: int = 0
-    primes: Optional[Tuple[int, ...]] = ()
+    __slots__ = ("kind", "d", "primes")
 
-    def __post_init__(self):
-        if self.kind not in ("free_abelian", "rational_vector", "positive_rationals"):
-            raise DomainError(f"unknown group kind {self.kind!r}")
+    def __init__(self, kind: str, d: int = 0, primes: Optional[Tuple[int, ...]] = ()):
+        if kind not in ("free_abelian", "rational_vector", "positive_rationals"):
+            raise DomainError(f"unknown group kind {kind!r}")
+        self.kind, self.d, self.primes = kind, d, primes
 
     @property
     def rank(self) -> Union[int, float]:
@@ -94,6 +91,7 @@ class Module:
     """A module presentation; each subclass holds its module's rules.  The
     defaults are those of rationals or field elements, zero when formally so."""
 
+    __slots__ = ()
     characteristic = 0
     coefficient_forms = ("rational",)  # or a "polynomial" text, a "power_basis" list
     shifts_by_ratio = False  # shifts are positive rationals, not exponent vectors
@@ -115,10 +113,12 @@ class Module:
         return value
 
 
-@dataclass(frozen=True)
 class CharPModule(Module):
-    ideal: IdealPresentation
+    __slots__ = ("ideal",)
     coefficient_forms = ("polynomial",)
+
+    def __init__(self, ideal: IdealPresentation):
+        self.ideal = ideal
 
     @property
     def characteristic(self) -> int:
@@ -169,12 +169,15 @@ class CharPModule(Module):
         return LaurentPoly.parse(text, self.ideal.d, GF(self.characteristic))
 
 
-@dataclass(frozen=True)
 class EvaluationModule(Module):
-    field: NumberField
-    assignment: Tuple[Tuple[int, FieldElement], ...]  # (variable index, unit at level L)
-    level: int = 1
+    __slots__ = ("field", "assignment", "level")
     coefficient_forms = ("power_basis", "rational")
+
+    def __init__(self, field: NumberField, assignment: Tuple[Tuple[int, FieldElement], ...],
+                 level: int = 1):
+        self.field = field
+        self.assignment = assignment  # (variable index, unit at level L) pairs
+        self.level = level
 
     @staticmethod
     def make(field: NumberField, assignment: Mapping[int, FieldElement], level: int = 1):
@@ -220,8 +223,8 @@ class EvaluationModule(Module):
         return value if isinstance(value, FieldElement) else self.field.from_rational(value)
 
 
-@dataclass(frozen=True)
 class RationalDualModule(Module):
+    __slots__ = ()
     shifts_by_ratio = True
 
     def check(self, group: GroupDescriptor) -> None:
@@ -236,14 +239,14 @@ class RationalDualModule(Module):
         return None  # gamma*a = a in Q forces gamma = 1: multiplication is injective.
 
 
-@dataclass(frozen=True)
 class AlgebraicSystem:
-    group: GroupDescriptor
-    module: Module
-    name: str = ""
+    """A group acting on a module; the module checks that it fits the group."""
 
-    def __post_init__(self):
-        self.module.check(self.group)
+    __slots__ = ("group", "module", "name")
+
+    def __init__(self, group: GroupDescriptor, module: Module, name: str = ""):
+        module.check(group)
+        self.group, self.module, self.name = group, module, name
 
 
 def _gamma_key(g):

@@ -985,12 +985,15 @@ class TestSimulate:
         ('[{"0,0": 0}]', "[5]", "--shifts must be a JSON list of integer vectors"),
         ('[{"0,0": 0}]', '{"0": [0, 0]}', "--shifts must be a JSON list of integer vectors"),
         ('[{"0,0": 0}]', "[[0.5,0]]", "a shift coordinate must be an integer, not 0.5"),
+        ('[{"0,0": 1.0}]', "[[0.0, 2.0]]", "the symbol pinned at '0,0' must be an integer, not 1.0"),
+        ('[{"0,0": 1}]', "[[0, 2.0]]", "a shift coordinate must be an integer, not 2.0"),
     ])
     def test_malformed_sets_and_shifts_refused(self, capsys, sets, shifts, message):
         # These crashed with a traceback, were truncated by int() to the
         # answer 1/2, were read by int() as another site ("1_0" as 10, the
-        # Arabic-Indic one as 1), or (an object as --sets) were read as no
-        # set at all.
+        # Arabic-Indic one as 1), (an object as --sets) were read as no set
+        # at all, or (an integral float) were read as an integer, which no
+        # other integer field takes.
         code, out, err = run(capsys, "simulate", THREE_DOT, "--sets", sets, "--shifts", shifts)
         assert code == 2
         assert out == ""
@@ -1000,7 +1003,6 @@ class TestSimulate:
         argv = ["simulate", THREE_DOT, "--sets", '[{"0,0": 1}, {"1, 0": -1}]']
         code, out, _ = run(capsys, *argv, "--shifts", "[[0,0],[0,2]]")
         assert code == 0
-        assert run(capsys, *argv, "--shifts", "[[0.0,0],[0,2.0]]") == (0, out, "")
         assert out.splitlines()[0] == "exact correlation:  1/4"
 
 
@@ -1051,19 +1053,33 @@ class TestUniteq:
         assert code == 4
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--coeffs", "1/0,1"], "field '--coeffs' cannot hold '1/0'"),
+        (["--coeffs", "1,1", "--gens", "2/0"], "field '--gens' cannot hold '2/0'"),
+        (["--coeffs", "1,1", "--gens", "2", "--modulus", "1/0,1"],
+         "field '--modulus' cannot hold '1/0'"),
+    ])
+    def test_zero_denominators_are_input_errors(self, capsys, argv, message):
+        # Each ended in a ZeroDivisionError traceback (exit 1).
+        assert run(capsys, "uniteq", *argv) == (2, "", f"error: {message}\n")
+
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
     # Only `simulate` needs dense arrays; the exact commands stay pure Python.
+    # They load no dataclasses either: with its inspect import it cost more
+    # than half of `import mixlab.cli`.
     script = f"""
 import sys
 import mixlab.cli as cli
-assert "numpy" not in sys.modules, "import"
+def loaded():
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+assert not loaded(), ("import", loaded())
 for argv in (["analyze", {THREE_DOT!r}],
              ["certify", {THREE_DOT!r}, "--order", "3", "--out", {str(tmp_path)!r}],
              ["verify", {str(tmp_path / "ledrappier-order3-0.cert.json")!r}, {THREE_DOT!r}],
              ["uniteq", "--coeffs", "1,1", "--gens", "2,3", "--box", "2"]):
     assert cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv[0]
+    assert not loaded(), (argv[0], loaded())
 """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", script], env=env,

@@ -1,6 +1,5 @@
 """Certificates, searches, subsum reduction, and the unit equation."""
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -400,6 +399,12 @@ def _search_result(search, *args):
     return [certificate_to_dict(c) for c in outcome], outcome.region
 
 
+def replaced(cert: NonMixingCertificate, **change) -> NonMixingCertificate:
+    """A copy of the certificate with the named parts changed."""
+    parts = {name: getattr(cert, name) for name in NonMixingCertificate.__slots__}
+    return NonMixingCertificate(**{**parts, **change})
+
+
 def _poly_text(terms, names, negate=None):
     """The polynomial with the given terms (negated mod `negate` if set)."""
     return " + ".join(
@@ -562,8 +567,8 @@ class TestFrobeniusCertificates:
         assert verify_certificate(solenoid_23, exact).verdict == "FAIL at dilation 1"
         assert replayed == [[((1, 0), Fraction(1))]]
         # At n = 0 every shift collides; that dilation is refused outright.
-        at_zero = replace(cert, shape=((0, 0), (1, 0)), family=ExplicitList((1, 0)),
-                          transcript=((1, 1), (0, 1)))
+        at_zero = replaced(cert, shape=((0, 0), (1, 0)), family=ExplicitList((1, 0)),
+                           transcript=((1, 1), (0, 1)))
         with pytest.raises(CertificateError, match="positive"):
             verify_certificate(three_dot, at_zero)
 
@@ -633,7 +638,7 @@ class TestCertificateChecks:
     def test_parts_must_agree(self, three_dot, change, message):
         cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2)
         with pytest.raises(CertificateError, match=message):
-            verify_certificate(three_dot, replace(cert, **change))
+            verify_certificate(three_dot, replaced(cert, **change))
 
     @pytest.mark.parametrize("change, message", [
         ({"transcript": ((1, 1), (2, 1))}, "at least 2"),
@@ -642,7 +647,7 @@ class TestCertificateChecks:
     def test_ratio_family_range_and_order(self, rational_dual, change, message):
         cert = rational_dual_certificate(rational_dual, n_max=4)
         with pytest.raises(CertificateError, match=message):
-            verify_certificate(rational_dual, replace(cert, **change))
+            verify_certificate(rational_dual, replaced(cert, **change))
 
     @pytest.mark.parametrize("change, message", [
         ({"shape": ((Fraction(1), Fraction(0)), (0, 1), (0, 0))}, "integer shape points"),
@@ -654,12 +659,12 @@ class TestCertificateChecks:
         # The rules a decoded certificate meets hold for one built in memory.
         cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2)
         with pytest.raises(CertificateError, match=message):
-            verify_certificate(three_dot, replace(cert, **change))
+            verify_certificate(three_dot, replaced(cert, **change))
 
     def test_rational_dual_takes_only_its_family(self, rational_dual):
         cert = rational_dual_certificate(rational_dual, n_max=4)
         with pytest.raises(CertificateError, match="not explicit_list"):
-            verify_certificate(rational_dual, replace(cert, family=ExplicitList((2, 3, 4))))
+            verify_certificate(rational_dual, replaced(cert, family=ExplicitList((2, 3, 4))))
 
     @pytest.mark.parametrize("change, grade", [
         ({}, "proof"),
@@ -669,8 +674,8 @@ class TestCertificateChecks:
         ({"family": ExplicitList((1, 2, 4))}, "evidence"),
     ])
     def test_prime_power_grade_is_derived(self, three_dot, change, grade):
-        cert = replace(frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2), **change)
-        assert verify_certificate(three_dot, replace(cert, grade="evidence")).ok
+        cert = replaced(frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2), **change)
+        assert verify_certificate(three_dot, replaced(cert, grade="evidence")).ok
         report = verify_certificate(three_dot, cert)
         assert report.ok == (grade == "proof")
         assert report.verdict == ("PASS" if grade == "proof" else "FAIL: grade")
@@ -682,7 +687,7 @@ class TestCertificateChecks:
 
     def test_separation_failure_has_no_failing_dilation(self, three_dot):
         cert = frobenius_certificate(three_dot, p2("1 + u1 + u2"), kmax=2)
-        report = verify_certificate(three_dot, replace(cert, transcript=((2, 1), (2, 1))))
+        report = verify_certificate(three_dot, replaced(cert, transcript=((2, 1), (2, 1))))
         assert not report.ok and report.verdict == "FAIL: separation"
         assert report.first_failure is None
 
@@ -718,16 +723,16 @@ class TestFrobeniusShortcut:
             # The chain is a rule of both lattice families: relabelled as an
             # explicit list of its transcript, the certificate costs the same.
             explicit = ExplicitList(tuple(cert.dilations()))
-            assert verify_certificate(system, replace(cert, family=explicit,
-                                                      grade="evidence")).ok
+            assert verify_certificate(system, replaced(cert, family=explicit,
+                                                       grade="evidence")).ok
             assert oracle.call_count == 3
             # u1 (1 + u1^n + u2^n) = u1 f^n lies in the ideal at every n = p^j,
             # but the p-th power map does not fix u1: every dilation is replayed.
-            polynomial = replace(cert, coefficients=(LaurentPoly.parse("u1", 2, GF(p)),) * 3,
-                                 grade="evidence")
+            polynomial = replaced(cert, coefficients=(LaurentPoly.parse("u1", 2, GF(p)),) * 3,
+                                  grade="evidence")
             assert verify_certificate(system, polynomial).ok
             assert oracle.call_count == 3 + k + 1
-            assert verify_certificate(system, replace(polynomial, family=explicit)).ok
+            assert verify_certificate(system, replaced(polynomial, family=explicit)).ok
             assert oracle.call_count == 3 + 2 * (k + 1)
 
 
@@ -866,6 +871,14 @@ class TestDilationFamilies:
         fam = ExplicitList((1, 2, 4))
         assert fam.to_json() == {"kind": "explicit_list", "dilations": [1, 2, 4]}
         assert ExplicitList.from_json(fam.to_json()) == fam
+        # Families compare, and hash, by class and value.
+        assert PrimePower(2) == PrimePower(2)
+        assert hash(PrimePower(2)) == hash(PrimePower(2))
+        assert PrimePower(2) != PrimePower(3)
+        assert ExplicitList((1, 2)) != PrimePower(2)
+        assert ExplicitList((1, 2)) == ExplicitList((1, 2)) != ExplicitList((1, 2, 4))
+        assert ConsecutiveRatio() == ConsecutiveRatio()
+        assert hash(ConsecutiveRatio()) == hash(ConsecutiveRatio())
 
 
 class TestSubsums:
@@ -1133,7 +1146,7 @@ class TestRationalDual:
         assert report.ok == (not strays)
         assert report.first_failure == (strays[0] if strays else None)
         # Proof grade needs the whole group.
-        proof = replace(cert, grade="proof")
+        proof = replaced(cert, grade="proof")
         assert verify_certificate(system, proof).verdict == (
             f"FAIL at dilation {strays[0]}" if strays else "FAIL: grade")
         whole = AlgebraicSystem(positive_rationals(None), RationalDualModule())

@@ -5,7 +5,6 @@ transcript dilation that the Frobenius identity does not give."""
 
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -42,6 +41,8 @@ from mixlab.systems import (
     free_abelian,
     rational_vector,
 )
+
+from test_mixing import replaced
 
 SAMPLES = Path(__file__).resolve().parents[1] / "presentations"
 QQ = NumberField([-1, 1])
@@ -351,8 +352,8 @@ class TestUnitPowerBudget:
         limit = UNIT_POWER_BIT_LIMIT // 4
 
         def at(*dilations):
-            return replace(cert, family=ExplicitList(tuple(dilations)),
-                           transcript=tuple((n, 0) for n in dilations))
+            return replaced(cert, family=ExplicitList(tuple(dilations)),
+                            transcript=tuple((n, 0) for n in dilations))
 
         assert verify_certificate(system, at(limit)).ok is False
         with pytest.raises(BudgetExceededError) as raised:

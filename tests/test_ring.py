@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixlab.ideals import _dilated
-from mixlab.ring import GF, DomainError, LaurentPoly, ParseError, expvec, rational
+from mixlab.ring import GF, Domain, DomainError, LaurentPoly, ParseError, expvec, rational
 
 F2 = GF(2)
 F3 = GF(3)
@@ -52,6 +52,8 @@ class TestBasics:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             poly("u1", d=1) + poly("u1", d=2)
+        with pytest.raises(DomainError, match=r"^domain mismatch: GF\(5\) vs GF\(3\)$"):
+            poly("u1") + poly("u1", dom=F3)
 
     def test_expvec_normalizes_strings(self):
         assert expvec(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
@@ -122,6 +124,10 @@ class TestArithmetic:
 class TestPrimeField:
     def test_one_domain_per_prime(self):
         assert GF(2**31 - 1) is GF(2**31 - 1)
+        # A Domain built apart from GF is the same field by value.
+        assert Domain(5) == F5 and hash(Domain(5)) == hash(F5)
+        assert Domain(5) != F3 and Domain(5) != 5
+        assert poly("u1", dom=Domain(5)) + poly("u2") == poly("u1 + u2")
 
     def test_composite_rejected_every_time(self):
         for _ in range(2):

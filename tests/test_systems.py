@@ -83,6 +83,8 @@ class TestGroups:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             GroupDescriptor("cyclic", d=1)
+        with pytest.raises(DomainError, match="^unknown group kind 'bogus'$"):
+            GroupDescriptor("bogus")
 
 
 class TestCharacterTuples:
