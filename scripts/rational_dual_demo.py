@@ -1,55 +1,44 @@
 #!/usr/bin/env python3
 """The rational-dual system: mixing on 2 sets but not on 3.
 
-Checks the coefficient vector of the shape (1, n, n-1) family, replays the
-transcript, and runs the exhaustive order-2 search that comes back empty.
+Runs `mixlab certify` on presentations/rational_dual.json at order 3, checks
+the coefficient vector of the shape (1, n, n-1) family, replays the
+certificate with `mixlab verify`, and shows that order 2 has no certificate.
 """
 
-import argparse
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
-from mixlab.mixing import (
-    rational_dual_certificate,
-    rational_dual_order2_search,
-    verify_certificate,
-)
-from mixlab.systems import AlgebraicSystem, RationalDualModule, positive_rationals
+from inprocess import mixlab_json
+
+PRESENTATION = str(Path(__file__).resolve().parents[1] / "presentations" / "rational_dual.json")
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--nmax", type=int, default=1000)
-    parser.add_argument("--coeff-height", type=int, default=20)
-    parser.add_argument("--shape-height", type=int, default=50)
-    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as out:
+        path = mixlab_json("certify", PRESENTATION, "--order", "3", "--out", out)["certificates"][0]
+        cert = json.loads(Path(path).read_text())
+        # A failed replay exits 1, which ends the script.
+        mixlab_json("verify", path, PRESENTATION)
+        order2 = mixlab_json("certify", PRESENTATION, "--order", "2", "--out", out)
 
-    system = AlgebraicSystem(
-        positive_rationals(None), RationalDualModule(), name="rational-dual"
-    )
-
-    cert = rational_dual_certificate(system, n_max=args.nmax)
-    a = cert.coefficients
+    a = [Fraction(x) for x in cert["coefficients"]]
     # a1 + n a2 + (n - 1) a3 = (a1 - a3) + n (a2 + a3) vanishes for every n.
     print(f"coefficients for (1, n, n-1): ({', '.join(map(str, a))})")
     identities = a[0] - a[2] == 0 and a[1] + a[2] == 0 and a[0] != 0
     print(f"  a1 - a3 = {a[0] - a[2]}, a2 + a3 = {a[1] + a[2]}")
     print(f"  check at n=5: {a[0] * 1 + a[1] * 5 + a[2] * 4}")
 
-    report = verify_certificate(system, cert)
-    bits = [bit for _, bit in cert.transcript]
-    status = "ok" if report.ok and identities else "FAIL"
+    bits = [bit for _, bit in cert["transcript"]]
     print(
-        f"order-3 family verified for n=2..{args.nmax}: "
-        f"{sum(bits)}/{len(bits)} transcript bits are 1, report {status}"
+        f"order-3 family verified for n=2..{cert['transcript'][-1][0]}: "
+        f"{sum(bits)}/{len(bits)} transcript bits are 1, "
+        f"report {'ok' if identities else 'FAIL'}"
     )
-
-    outcome = rational_dual_order2_search(
-        system, coeff_height=args.coeff_height, shape_height=args.shape_height
-    )
-    print(
-        f"order-2 exhaustive search: {len(outcome)} certificates over "
-        f"{outcome.region['constant_ratio_families']} constant-ratio families"
-    )
-    print(outcome.region["note"])
+    print(f"order 2: {order2['count']} certificates")
+    print(order2["region"]["note"])
 
 
 if __name__ == "__main__":

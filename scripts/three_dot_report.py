@@ -8,8 +8,6 @@ and backs the exact numbers with a Monte Carlo estimate.
 """
 
 import argparse
-import contextlib
-import io
 import json
 import sys
 import tempfile
@@ -27,19 +25,11 @@ from mixlab.simulate import (
     cylinder_measure,
 )
 
+from inprocess import mixlab_json
+
 PRESENTATION = str(Path(__file__).resolve().parents[1] / "presentations" / "ledrappier.json")
 # The certify search region: shapes in [0, 3]^2, coefficients in [0, 2]^2.
 REGION = ["--box", "3", "--window", "2", "--dilations", "1,2,4"]
-
-
-def mixlab_json(*argv) -> dict:
-    """Run `mixlab argv --json` in-process and return its payload."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main([*argv, "--json"])
-    if code not in (cli.EXIT_OK, cli.EXIT_EMPTY):
-        sys.exit(code)
-    return json.loads(out.getvalue())
 
 
 def order_report() -> None:

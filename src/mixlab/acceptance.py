@@ -28,7 +28,6 @@ from .mixing import (
     frobenius_certificate,
     PrimePower,
     rational_dual_certificate,
-    rational_dual_order2_search,
     UnitEquationProblem,
     verify_certificate,
 )
@@ -45,11 +44,10 @@ from .systems import character_correlation
 
 
 class CriterionResult:
-    __slots__ = ("number", "name", "passed", "detail", "runtime")
+    __slots__ = ("number", "name", "passed", "detail")
 
-    def __init__(self, number: int, name: str, passed: bool, detail: str, runtime: float = 0.0):
+    def __init__(self, number: int, name: str, passed: bool, detail: str):
         self.number, self.name, self.passed, self.detail = number, name, passed, detail
-        self.runtime = runtime
 
 
 _THREE_DOT = {
@@ -96,9 +94,9 @@ _TIMES_2_3 = {
 }
 
 
-def _run_certify(order: int, tmp: str) -> int:
+def _run_certify(presentation: dict, order: int, tmp: str) -> int:
     pres = Path(tmp) / "system.json"
-    pres.write_text(json.dumps(_THREE_DOT))
+    pres.write_text(json.dumps(presentation))
     with contextlib.redirect_stdout(io.StringIO()):
         return cli_main(
             ["certify", str(pres), "--order", str(order), "--out", tmp]
@@ -108,7 +106,7 @@ def _run_certify(order: int, tmp: str) -> int:
 def _criterion_1() -> CriterionResult:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        rc = _run_certify(3, tmp)
+        rc = _run_certify(_THREE_DOT, 3, tmp)
         files = sorted(Path(tmp).glob("*.cert.json"))
         data = json.loads(files[0].read_text()) if files else {}
     dt = time.perf_counter() - t0
@@ -126,18 +124,18 @@ def _criterion_1() -> CriterionResult:
     detail = f"exit {rc}, {len(files)} certificate(s), {dt:.3f}s"
     if not all(checks):
         detail += f"; failed checks at positions {[i for i, c in enumerate(checks) if not c]}"
-    return CriterionResult(1, "prime-power certificate at order 3", all(checks), detail, dt)
+    return CriterionResult(1, "prime-power certificate at order 3", all(checks), detail)
 
 
 def _criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        rc = _run_certify(2, tmp)
+        rc = _run_certify(_THREE_DOT, 2, tmp)
         files = sorted(Path(tmp).glob("*.cert.json"))
     dt = time.perf_counter() - t0
     ok = rc == 3 and not files and dt < 60.0
     detail = f"exit {rc}, {len(files)} certificate(s), {dt:.1f}s"
-    return CriterionResult(2, "order-2 exhaustive search comes back empty", ok, detail, dt)
+    return CriterionResult(2, "order-2 exhaustive search comes back empty", ok, detail)
 
 
 def _brute_force_window7():
@@ -160,7 +158,6 @@ def _brute_force_window7():
 
 
 def _criterion_3() -> CriterionResult:
-    t0 = time.perf_counter()
     system = parse_system(_THREE_DOT).system
     cyl = CylinderSet.make({(0, 0): 0})
     window = [(0, 6), (0, 6)]
@@ -188,7 +185,6 @@ def _criterion_3() -> CriterionResult:
         Fraction(joint2, len(grids)) == exact2
         and Fraction(one_pin, len(grids)) == single.value
     )
-    dt = time.perf_counter() - t0
     ok = (
         exact4 == Fraction(1, 4)
         and exact_far == Fraction(1, 4)
@@ -202,7 +198,7 @@ def _criterion_3() -> CriterionResult:
         f"mc {est.estimate:.4f}+/-{est.stderr:.4f}, "
         f"brute force {Fraction(joint2, len(grids))} == {exact2}"
     )
-    return CriterionResult(3, "measure gap 1/4 vs 1/8 with independent oracle", ok, detail, dt)
+    return CriterionResult(3, "measure gap 1/4 vs 1/8 with independent oracle", ok, detail)
 
 
 def _criterion_4() -> CriterionResult:
@@ -216,19 +212,19 @@ def _criterion_4() -> CriterionResult:
         and all(bit == 1 for _, bit in cert.transcript)
         and cert.grade == "proof"
     )
-    search = rational_dual_order2_search(system, coeff_height=20, shape_height=50)
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = _run_certify(_RATIONAL_DUAL, 2, tmp)
+        files = sorted(Path(tmp).glob("*.cert.json"))
     dt = time.perf_counter() - t0
-    ok = coeffs_ok and transcript_ok and len(search) == 0 and dt < 10.0
+    ok = coeffs_ok and transcript_ok and rc == 3 and not files and dt < 10.0
     detail = (
         f"coefficients ({a1}, {a2}, {a3}), family holds for n=2..1000, "
-        f"order-2 search empty over {search.region['constant_ratio_families']} "
-        f"ratio families, {dt:.1f}s"
+        f"order 2: exit {rc}, {len(files)} certificate(s), {dt:.1f}s"
     )
-    return CriterionResult(4, "order-3 family on the rational dual, no order-2", ok, detail, dt)
+    return CriterionResult(4, "order-3 family on the rational dual, no order-2", ok, detail)
 
 
 def _criterion_5() -> CriterionResult:
-    t0 = time.perf_counter()
     system = parse_system(_SPLIT).system
     ideal = system.module.ideal
     dom = GF(2)
@@ -276,17 +272,15 @@ def _criterion_5() -> CriterionResult:
 
     # The order-3 certificate of the generator, shape {0, e2, e3}.
     lift_ok = verify_certificate(system, frobenius_certificate(system, ideal.generators[0])).ok
-    dt = time.perf_counter() - t0
     ok = total >= 1000 and agree == total and vanishing > 0 and lift_ok
     detail = (
         f"{agree}/{total} tuples agree ({vanishing} vanishing), "
         f"order-3 lift {'verifies' if lift_ok else 'FAILS'}"
     )
-    return CriterionResult(5, "split correlations match the direct oracle", ok, detail, dt)
+    return CriterionResult(5, "split correlations match the direct oracle", ok, detail)
 
 
 def _criterion_6() -> CriterionResult:
-    t0 = time.perf_counter()
     values_ok = (
         ess_bound_exponent(1, 0) == 216
         and ess_bound_exponent(2, 1) == 5_971_968
@@ -299,14 +293,13 @@ def _criterion_6() -> CriterionResult:
         tuple(Fraction(v.coeffs[0]) for v in sol.values) for sol in result.solutions
     ]
     solutions_ok = values == [(Fraction(1, 2), Fraction(1, 2))]
-    dt = time.perf_counter() - t0
     ok = values_ok and solutions_ok and result.bound_ok
     detail = (
         f"exponents 216/5971968/432 {'ok' if values_ok else 'WRONG'}, "
         f"x+y=1 over <2>: {values}, bound assertion "
         f"{'passes' if result.bound_ok else 'FAILS'}"
     )
-    return CriterionResult(6, "uniform bound values and the x+y=1 enumeration", ok, detail, dt)
+    return CriterionResult(6, "uniform bound values and the x+y=1 enumeration", ok, detail)
 
 
 def _criterion_7() -> CriterionResult:
@@ -323,11 +316,10 @@ def _criterion_7() -> CriterionResult:
         f"{out3.region['shapes_examined']} shapes, all empty "
         f"(bounded evidence), {dt:.1f}s"
     )
-    return CriterionResult(7, "no vanishing sums for the times-2-times-3 system", ok, detail, dt)
+    return CriterionResult(7, "no vanishing sums for the times-2-times-3 system", ok, detail)
 
 
 def _criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
     dom = GF(2)
     gen = LaurentPoly.parse("1 + u1 + u2", 2, dom)
     groebner = IdealPresentation([gen], 2)
@@ -358,13 +350,12 @@ def _criterion_8() -> CriterionResult:
         return blob.encode()
 
     stable = replay() == replay()
-    dt = time.perf_counter() - t0
     ok = agree == trials and stable
     detail = (
         f"{agree}/{trials} membership calls agree, replay "
         f"{'byte-stable' if stable else 'UNSTABLE'}"
     )
-    return CriterionResult(8, "engine agreement and byte-stable replays", ok, detail, dt)
+    return CriterionResult(8, "engine agreement and byte-stable replays", ok, detail)
 
 
 _CRITERIA: List[Callable[[], CriterionResult]] = [

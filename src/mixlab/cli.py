@@ -23,7 +23,6 @@ from .mixing import (
     evaluation_shape_search,
     frobenius_certificate,
     rational_dual_certificate,
-    rational_dual_order2_search,
     shape_search,
     UnitEquationProblem,
     verify_certificate,
@@ -159,12 +158,7 @@ def cmd_certify(args) -> int:
                 [(0, args.box)] * d, [(0, args.window)] * d, dilations or (1, 2, 4, 8),
             )
             region = outcome.region
-            # Search results are pairwise distinct; only a prime-power
-            # family can repeat one.
-            proof = list(certs)
-            certs += [c for c in outcome.certificates
-                      if not any(c.shape == f.shape and c.coefficients == f.coefficients
-                                 for f in proof)]
+            certs += outcome.certificates
     elif isinstance(m, EvaluationModule):
         d = len(m.assignment)
         outcome = evaluation_shape_search(
@@ -182,8 +176,10 @@ def cmd_certify(args) -> int:
         elif args.order == 3:
             certs = [rational_dual_certificate(system)]
         elif args.order == 2:
-            outcome = rational_dual_order2_search(system)
-            region = outcome.region
+            # g*a + h*b = 0 forces h/g = -a/b, one ratio for every dilation.
+            region = {"order": 2, "note": (
+                "every vanishing order-2 family has a constant shift ratio, so its "
+                "differences never leave a finite set; no certificate exists")}
         else:
             region = {"note": "non-mixing on 3 sets already implies all higher orders"}
     paths = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import ceil, comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -727,6 +727,15 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
     n = len(problem.coefficients)
     rgen = len(problem.generators)
     B = problem.box
+    region = {"box": B, "generators": rgen, "terms": n}
+    # Over Q a generator other than 1 and -1 has 2B + 1 distinct powers, so
+    # |U| >= 2B + 1; when that alone breaks the budget, refuse before
+    # building any product.
+    if K.degree == 1 and any(abs(g.coeffs[0]) != 1 for g in problem.generators):
+        least = (2 * B + 1) ** (n - 1)
+        if least > problem.budget:
+            raise BudgetExceededError(
+                f"at least {least} combinations exceed the budget {problem.budget}", region)
     # One power table per generator; the products over exponent vectors are
     # built generator by generator, in lexicographic order of the vectors.
     rows: List[Tuple[Tuple[int, ...], FieldElement]] = [((), K.one)]
@@ -741,9 +750,7 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
     total = len(unit_items) ** (n - 1)
     if total > problem.budget:
         raise BudgetExceededError(
-            f"{total} combinations exceed the budget {problem.budget}",
-            {"box": B, "generators": rgen, "terms": n},
-        )
+            f"{total} combinations exceed the budget {problem.budget}", region)
     # x_n is fixed by the others: x_n = (1 - a1 x1 - ... - a_{n-1} x_{n-1}) / a_n,
     # so each prefix has at most one completion and the order is unchanged.
     *head, last = problem.coefficients
@@ -874,30 +881,3 @@ def rational_dual_certificate(
         grade="proof",
     ))
 
-
-def rational_dual_order2_search(
-    system: AlgebraicSystem, coeff_height: int = 20, shape_height: int = 50
-) -> SearchOutcome:
-    """Exhaustive order-2 check on the rational dual.
-
-    Fixed nonzero coefficients force a constant ratio between the two shifts,
-    so no candidate family can move apart: g*a1 + h*a2 = 0 gives h/g = -a1/a2.
-    The search counts the constant-ratio families over all coefficient pairs
-    of bounded height and records the exhausted region.
-    """
-    if not isinstance(system.module, RationalDualModule):
-        raise CertificateError("needs a rational-dual system")
-    ratios = {Fraction(p, q) for p in range(1, coeff_height + 1)
-              for q in range(1, coeff_height + 1)}
-    families = 0
-    for rho in ratios - {1}:  # coincident shifts are not a two-set family
-        # Every pair (g, rho*g) satisfies g*rho + (rho*g)*(-1) = 0 in Q; the
-        # family counts when two shifts g have rho*g of height <= shape_height.
-        fits = (g for g in range(1, shape_height + 1)
-                if max((rho * g).numerator, (rho * g).denominator) <= shape_height)
-        families += len(list(islice(fits, 2))) == 2
-    return SearchOutcome([], {
-        "coeff_height": coeff_height, "shape_height": shape_height, "order": 2,
-        "constant_ratio_families": families,
-        "note": ("every vanishing order-2 family has a constant shift ratio, so its "
-                 "differences never leave a finite set; no certificate exists")})

@@ -302,12 +302,11 @@ def _measure(ideal, pins: Sequence[Tuple[Site, int]]) -> Fraction:
 
 
 class MeasureResult:
-    __slots__ = ("value", "stable", "window")
+    __slots__ = ("value", "stable")
 
-    def __init__(self, value: Fraction, stable: bool, window: Tuple[Tuple[int, int], ...]):
+    def __init__(self, value: Fraction, stable: bool):
         self.value = value
         self.stable = stable  # always: the value is exact, whatever the window
-        self.window = window
 
 
 def cylinder_measure(
@@ -318,7 +317,7 @@ def cylinder_measure(
     """Exact Haar measure of a cylinder set, wherever its pins lie."""
     ideal = _require_charp(system).ideal
     value = _measure(ideal, _shifted_pins(ideal, window, [cylinder], [[0] * ideal.d]))
-    return MeasureResult(value=value, stable=True, window=tuple(tuple(w) for w in window))
+    return MeasureResult(value=value, stable=True)
 
 
 def correlation_exact(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -195,14 +196,15 @@ class TestCertify:
             "grade: FAILED (labelled proof, but a consecutive_ratio certificate off the "
             "whole group of positive rationals is evidence)", "FAIL at dilation 5"]
 
-    def test_rational_dual_order2_counts_constant_ratio_families(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "certify", RATIONAL_DUAL, "--order", "2", "--json", "--out", str(tmp_path)
-        )
+    def test_rational_dual_order2_answers_by_the_ratio_identity(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "certify", RATIONAL_DUAL, "--order", "2", "--json",
+                           "--out", str(tmp_path / "out"))
         assert code == 3
-        data = json.loads(out)
-        assert data["count"] == 0
-        assert data["region"]["constant_ratio_families"] == 254
+        assert json.loads(out) == {"certificates": [], "count": 0, "grades": [], "region": {
+            "note": "every vanishing order-2 family has a constant shift ratio, so its "
+                    "differences never leave a finite set; no certificate exists",
+            "order": 2}}
+        assert not (tmp_path / "out").exists()
 
     def test_rational_dual_higher_order_is_implied(self, capsys, tmp_path):
         code, out, _ = run(
@@ -242,10 +244,19 @@ class TestCertify:
             "--box", "2", "--window", "1", "--dilations", "1,2,4", "--out", str(tmp_path),
         )
         assert code == 0
-        grades = [json.loads(Path(line.split(": ", 1)[1]).read_text())["grade"]
-                  for line in out.splitlines()]
+        certs = [json.loads(Path(line.split(": ", 1)[1]).read_text())
+                 for line in out.splitlines()]
+        grades = [c["grade"] for c in certs]
         assert grades[0] == "proof"
         assert len(grades) > 1 and set(grades[1:]) == {"evidence"}
+        # The generator's shape is listed twice: as its prime-power family,
+        # support in descending order, and as the search's explicit-list
+        # find, box points in ascending order.
+        twins = [(c["family"]["kind"], c["shape"]) for c in certs
+                 if sorted(map(tuple, c["shape"])) == [("0", "0"), ("0", "1"), ("1", "0")]
+                 and c["coefficients"] == [{"poly": "1"}] * 3]
+        assert twins == [("prime_power", [["1", "0"], ["0", "1"], ["0", "0"]]),
+                         ("explicit_list", [["0", "0"], ["0", "1"], ["1", "0"]])]
 
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "certify", THREE_DOT, "--order", "1")
@@ -1052,6 +1063,18 @@ class TestUniteq:
         )
         assert code == 4
         assert "budget" in err
+
+    def test_box_alone_refuses_before_any_product(self, capsys):
+        # 2 alone has 2 * 10^11 + 1 powers in this box; the refusal once came
+        # only after every product of 2 and 3 was built.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "uniteq", "--coeffs", "1,1", "--gens", "2,3",
+                             "--box", "100000000000", "--budget", "1")
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "budget exhausted: at least 200000000001 combinations exceed the budget 1",
+            'region: {"box": 100000000000, "generators": 2, "terms": 2}']
 
     @pytest.mark.parametrize("argv, message", [
         (["--coeffs", "1/0,1"], "field '--coeffs' cannot hold '1/0'"),

@@ -32,7 +32,6 @@ from mixlab.mixing import (
     evaluation_shape_search,
     frobenius_certificate,
     rational_dual_certificate,
-    rational_dual_order2_search,
     shape_search,
     vanishing_subsums,
     verify_certificate,
@@ -367,13 +366,19 @@ def ref_enumerate_unit_solutions(problem):
         units.setdefault(val, e)
     unit_items = sorted(units.items(), key=lambda kv: kv[1])
     # The enumerator's refusal rule: it makes one lookup per choice of
-    # x1..x_{n-1}, although this reference tries all |U|^n tuples.
+    # x1..x_{n-1}, although this reference tries all |U|^n tuples.  Over Q
+    # it first refuses when a generator other than 1 and -1 alone, with its
+    # 2B + 1 distinct powers, breaks the budget.
+    region = {"box": B, "generators": rgen, "terms": n}
+    least = (2 * B + 1) ** (n - 1)
+    if (K.degree == 1 and any(abs(g.coeffs[0]) != 1 for g in problem.generators)
+            and least > problem.budget):
+        raise BudgetExceededError(
+            f"at least {least} combinations exceed the budget {problem.budget}", region)
     total = len(unit_items) ** (n - 1)
     if total > problem.budget:
         raise BudgetExceededError(
-            f"{total} combinations exceed the budget {problem.budget}",
-            {"box": B, "generators": rgen, "terms": n},
-        )
+            f"{total} combinations exceed the budget {problem.budget}", region)
     solutions = []
     for combo in product(unit_items, repeat=n):
         values = tuple(v for v, _ in combo)
@@ -1152,31 +1157,18 @@ class TestRationalDual:
         whole = AlgebraicSystem(positive_rationals(None), RationalDualModule())
         assert verify_certificate(whole, proof).ok
 
-    def test_order2_search_empty(self, rational_dual):
-        outcome = rational_dual_order2_search(
-            rational_dual, coeff_height=8, shape_height=20
-        )
-        assert len(outcome) == 0
-        assert outcome.region["constant_ratio_families"] > 0
-
-    def test_order2_families_correlate_with_constant_ratio(self, rational_dual):
-        # The search counts families without replaying them: check every
-        # counted family through the oracle, over all its fitting shifts.
-        coeff_height, shape_height = 8, 20
-        ratios = {Fraction(p, q) for p in range(1, coeff_height + 1)
-                  for q in range(1, coeff_height + 1)} - {1}
-        families = 0
-        for rho in sorted(ratios):
-            pairs = [(Fraction(g), rho * g) for g in range(1, shape_height + 1)
-                     if max((rho * g).numerator, (rho * g).denominator) <= shape_height]
-            if len(pairs) < 2:
-                continue
-            families += 1
-            for g, h in pairs:
-                assert character_correlation(rational_dual, [(g, rho), (h, Fraction(-1))]) == 1
-            assert {h / g for g, h in pairs} == {rho}
-        outcome = rational_dual_order2_search(
-            rational_dual, coeff_height=coeff_height, shape_height=shape_height
-        )
-        assert outcome.region["constant_ratio_families"] == families
+    @given(a=st.fractions(-9, 9, max_denominator=9).filter(bool),
+           b=st.fractions(-9, 9, max_denominator=9).filter(bool),
+           g=st.fractions(0, 50, max_denominator=50).filter(bool),
+           h=st.none() | st.fractions(0, 50, max_denominator=50).filter(bool))
+    @example(a=Fraction(2), b=Fraction(-3), g=Fraction(3), h=Fraction(2))
+    @example(a=Fraction(2), b=Fraction(3), g=Fraction(3), h=Fraction(2))
+    @settings(max_examples=200, deadline=None)
+    def test_order2_vanishes_exactly_at_the_ratio(self, rational_dual, a, b, g, h):
+        # Why order 2 has no certificate: g*a + h*b = 0 forces h/g = -a/b,
+        # one ratio at every dilation, so a vanishing pair never separates.
+        if h is None:
+            h = g * abs(a / b)  # the ratio itself whenever a and b differ in sign
+        vanishes = character_correlation(rational_dual, [(g, a), (h, b)]) == 1
+        assert vanishes == (h / g == -a / b)
 
