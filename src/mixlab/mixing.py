@@ -677,23 +677,18 @@ def ess_bound_exponent(n: int, r: int) -> int:
 class UnitEquationProblem:
     __slots__ = ("field", "coefficients", "generators", "box", "budget")
 
-    def __init__(self, field: NumberField, coefficients: Tuple[FieldElement, ...],
-                 generators: Tuple[FieldElement, ...], box: int, budget: int = 500_000):
+    def __init__(self, field: NumberField, coefficients, generators, box: int,
+                 budget: int = 500_000):
+        def element(x):
+            return x if isinstance(x, FieldElement) else field.from_rational(x)
+
         self.field = field
-        self.coefficients = coefficients
-        self.generators = generators
+        self.coefficients = tuple(map(element, coefficients))
+        self.generators = tuple(map(element, generators))
+        if any(x.is_zero() for x in self.coefficients + self.generators):
+            raise DomainError("coefficients and generators must be nonzero")
         self.box = box
         self.budget = budget
-
-    @staticmethod
-    def make(field: NumberField, coefficients, generators, box: int, budget: int = 500_000):
-        def element(x):
-            return x if isinstance(x, FieldElement) else field.from_rational(Fraction(x))
-
-        coeffs, gens = tuple(map(element, coefficients)), tuple(map(element, generators))
-        if any(x.is_zero() for x in coeffs + gens):
-            raise DomainError("coefficients and generators must be nonzero")
-        return UnitEquationProblem(field, coeffs, gens, box, budget)
 
 
 class UnitSolution(_Value):
@@ -704,50 +699,55 @@ class UnitSolution(_Value):
         self.values = values
 
 
-class UnitEquationResult:
-    __slots__ = ("solutions", "bound_exponent", "bound_ok")
+def _order(g: FieldElement) -> Optional[int]:
+    """The least k >= 1 with g^k = 1, or None: a root of unity of order k in a
+    field of degree D has phi(k) <= D and phi(k) >= sqrt(k/2), so k <= 2 D^2."""
+    one, x = g.field.one, g
+    for k in range(1, 2 * g.field.degree ** 2 + 1):
+        if x == one:
+            return k
+        x = x * g
+    return None
 
-    def __init__(self, solutions: List[UnitSolution], bound_exponent: int, bound_ok: bool):
-        self.solutions, self.bound_exponent, self.bound_ok = solutions, bound_exponent, bound_ok
 
-    @property
-    def count(self) -> int:
-        return len(self.solutions)
-
-
-def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult:
+def enumerate_unit_solutions(problem: UnitEquationProblem) -> List[UnitSolution]:
     """All nondegenerate solutions of a1 x1 + ... + an xn = 1 in the box.
 
     Each x_i ranges over products of the generators with exponents bounded by
     the box; x1..x_{n-1} are enumerated and x_n is solved for and looked up
     among the units.  Solutions with a vanishing proper subsum are discarded,
-    and the count is checked against the uniform bound (in exact log form).
+    and a count above the uniform bound (in exact log form) raises
+    `EssBoundViolation`.
     """
     K = problem.field
     n = len(problem.coefficients)
     rgen = len(problem.generators)
     B = problem.box
     region = {"box": B, "generators": rgen, "terms": n}
-    # Over Q a generator other than 1 and -1 has 2B + 1 distinct powers, so
-    # |U| >= 2B + 1; when that alone breaks the budget, refuse before
-    # building any product.
-    if K.degree == 1 and any(abs(g.coeffs[0]) != 1 for g in problem.generators):
-        least = (2 * B + 1) ** (n - 1)
-        if least > problem.budget:
-            raise BudgetExceededError(
-                f"at least {least} combinations exceed the budget {problem.budget}", region)
+    # A generator of infinite order has 2B + 1 distinct powers, so |U| >= 2B + 1;
+    # when that alone breaks the budget, refuse before building any product.
+    # g^-1 has the order of g, and a non-invertible generator is refused first.
+    orders = [_order(g.inv()) for g in problem.generators]
+    least = (2 * B + 1) ** (n - 1)
+    if None in orders and least > problem.budget:
+        raise BudgetExceededError(
+            f"at least {least} combinations exceed the budget {problem.budget}", region)
     # One power table per generator; the products over exponent vectors are
-    # built generator by generator, in lexicographic order of the vectors.
+    # built generator by generator, in lexicographic order of the vectors.  A
+    # generator of order o needs only the exponents -B..-B + o - 1: a larger
+    # one repeats the value of a lexicographically smaller vector.
     rows: List[Tuple[Tuple[int, ...], FieldElement]] = [((), K.one)]
-    for g in problem.generators:
-        table = sorted(power_table(g, -B, B).items())
+    for g, o in zip(problem.generators, orders):
+        if o is None:
+            table = sorted(power_table(g, -B, B).items())
+        else:
+            table = [(k, g ** (k % o)) for k in range(-B, min(B, o - 1 - B) + 1)]
         rows = [(e + (k,), val * power) for e, val in rows for k, power in table]
     units: Dict[FieldElement, Tuple[int, ...]] = {}
     for e, val in rows:
         units.setdefault(val, e)  # keep the first exponent vector per group element
-    unit_items = sorted(units.items(), key=lambda kv: kv[1])
     # One lookup per choice of x1..x_{n-1}.
-    total = len(unit_items) ** (n - 1)
+    total = len(units) ** (n - 1)
     if total > problem.budget:
         raise BudgetExceededError(
             f"{total} combinations exceed the budget {problem.budget}", region)
@@ -756,7 +756,7 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
     *head, last = problem.coefficients
     inv_last = last.inv()
     solutions = []
-    for prefix in product(unit_items, repeat=n - 1):
+    for prefix in product(units.items(), repeat=n - 1):
         rest = K.one
         for a, (x, _) in zip(head, prefix):
             rest = rest - a * x
@@ -769,14 +769,10 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> UnitEquationResult
         if n >= 2 and any(len(s) < n for s in vanishing_subsums(terms)):
             continue  # a proper subsum vanishes
         solutions.append(UnitSolution(tuple(e for _, e in prefix) + (e_last,), values))
-    exponent = ess_bound_exponent(n, rgen)
-    count = len(solutions)
-    bound_ok = (count + 1).bit_length() <= exponent
-    if not bound_ok:
-        raise EssBoundViolation(
-            f"log2(count+1) ~ {(count + 1).bit_length()} exceeds exponent {exponent}"
-        )
-    return UnitEquationResult(solutions, exponent, bound_ok)
+    exponent, bits = ess_bound_exponent(n, rgen), (len(solutions) + 1).bit_length()
+    if bits > exponent:
+        raise EssBoundViolation(f"log2(count+1) ~ {bits} exceeds exponent {exponent}")
+    return solutions
 
 
 # -- evaluation-system search (characteristic zero) --------------------------
@@ -785,11 +781,11 @@ def evaluation_shape_search(
     system: AlgebraicSystem,
     r: int,
     shape_box: Sequence[Tuple[int, int]],
-    dilations: Sequence[int] = (1, 2, 3, 4),
+    dilations: Optional[Sequence[int]] = None,
 ) -> SearchOutcome:
     """Search an evaluation system for coefficient vectors vanishing at every
-    listed dilation simultaneously.  Bounded evidence, not proof: the region
-    and dilation set are recorded alongside any finding.
+    listed dilation (1..r + 1 by default) simultaneously.  Bounded evidence,
+    not proof: the region and dilation set are recorded alongside any finding.
 
     Every shape in the box is decided.  Dilations 1..r make rows 1..r of a
     shape's system a scaled Vandermonde matrix in its unit values x_s, with
@@ -807,6 +803,8 @@ def evaluation_shape_search(
     m = system.module
     if not isinstance(m, EvaluationModule):
         raise CertificateError("evaluation_shape_search needs an Evaluation module")
+    if dilations is None:
+        dilations = tuple(range(1, r + 2))
     _require_positive_dilations(dilations)
     if not set(range(1, r + 1)) <= set(dilations):
         raise CertificateError(

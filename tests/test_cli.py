@@ -1036,6 +1036,27 @@ def test_negative_budgets_are_input_errors(capsys, tmp_path, argv, flag):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0662", "2.0", "0x5"])
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", THREE_DOT, "--box", "TEXT"], "--box"),
+    (["certify", THREE_DOT, "--order", "TEXT", "--out", "OUT"], "--order"),
+    (["certify", THREE_DOT, "--order", "3", "--window", "TEXT", "--out", "OUT"], "--window"),
+    (["certify", THREE_DOT, "--order", "3", "--kmax", "TEXT", "--out", "OUT"], "--kmax"),
+    (["simulate", THREE_DOT, "--sets", "[]", "--shifts", "[]", "--seed", "TEXT"], "--seed"),
+    (["simulate", THREE_DOT, "--sets", "[]", "--shifts", "[]", "--samples", "TEXT"], "--samples"),
+    (["uniteq", "--coeffs", "1,1", "--budget", "TEXT"], "--budget"),
+    (["--threads", "TEXT", "analyze", THREE_DOT], "--threads"),
+])
+def test_integer_flags_take_ascii_digits_only(capsys, tmp_path, argv, flag, text):
+    # int() read 1_0 as 10 and the Arabic-Indic two as 2; every integer flag
+    # now reads its text as each --dilations entry is read.
+    argv = [text if a == "TEXT" else str(tmp_path) if a == "OUT" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"argument {flag}: invalid decimal value: {text!r}")
+    assert not list(tmp_path.iterdir())
+
+
 def test_zero_box_and_window_stay_legal(capsys, tmp_path):
     code, out, _ = run(capsys, "certify", THREE_DOT, "--order", "2", "--box", "0",
                        "--window", "0", "--out", str(tmp_path))

@@ -23,7 +23,6 @@ from mixlab.mixing import (
     PrimePower,
     SearchOutcome,
     UnitEquationProblem,
-    UnitEquationResult,
     UnitSolution,
     _canonical_shapes,
     _projective_combinations,
@@ -37,7 +36,7 @@ from mixlab.mixing import (
     verify_certificate,
 )
 from mixlab.cli import main
-from mixlab.numfield import NumberField
+from mixlab.numfield import FieldPresentationError, NumberField
 from mixlab.presentation import certificate_to_dict
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.systems import (
@@ -366,12 +365,14 @@ def ref_enumerate_unit_solutions(problem):
         units.setdefault(val, e)
     unit_items = sorted(units.items(), key=lambda kv: kv[1])
     # The enumerator's refusal rule: it makes one lookup per choice of
-    # x1..x_{n-1}, although this reference tries all |U|^n tuples.  Over Q
-    # it first refuses when a generator other than 1 and -1 alone, with its
-    # 2B + 1 distinct powers, breaks the budget.
+    # x1..x_{n-1}, although this reference tries all |U|^n tuples.  It first
+    # refuses when a generator of infinite order alone, with its 2B + 1
+    # distinct powers, breaks the budget.  A root of unity in a field of
+    # degree D has an order k <= 2 D^2, so it is fixed by g^lcm(1..2 D^2).
     region = {"box": B, "generators": rgen, "terms": n}
     least = (2 * B + 1) ** (n - 1)
-    if (K.degree == 1 and any(abs(g.coeffs[0]) != 1 for g in problem.generators)
+    period = lcm(*range(1, 2 * K.degree ** 2 + 1))
+    if (any(g ** period != K.one for g in problem.generators)
             and least > problem.budget):
         raise BudgetExceededError(
             f"at least {least} combinations exceed the budget {problem.budget}", region)
@@ -391,8 +392,7 @@ def ref_enumerate_unit_solutions(problem):
         if n >= 2 and any(0 < len(s) < n for s in vanishing_subsums(terms)):
             continue
         solutions.append(UnitSolution(tuple(e for _, e in combo), values))
-    exponent = ess_bound_exponent(n, rgen)
-    return UnitEquationResult(solutions, exponent, (len(solutions) + 1).bit_length() <= exponent)
+    return solutions
 
 
 def _search_result(search, *args):
@@ -930,41 +930,79 @@ def field():
 
 class TestUnitEquation:
     def test_x_plus_y(self, field):
-        problem = UnitEquationProblem.make(field, [1, 1], [2], box=5)
-        result = enumerate_unit_solutions(problem)
+        problem = UnitEquationProblem(field, [1, 1], [2], box=5)
         values = [
-            tuple(Fraction(v.coeffs[0]) for v in s.values) for s in result.solutions
+            tuple(Fraction(v.coeffs[0]) for v in s.values)
+            for s in enumerate_unit_solutions(problem)
         ]
         assert values == [(Fraction(1, 2), Fraction(1, 2))]
-        assert result.bound_ok
 
     def test_x_minus_y(self, field):
-        problem = UnitEquationProblem.make(field, [1, -1], [2], box=5)
-        result = enumerate_unit_solutions(problem)
+        problem = UnitEquationProblem(field, [1, -1], [2], box=5)
         values = [
-            tuple(Fraction(v.coeffs[0]) for v in s.values) for s in result.solutions
+            tuple(Fraction(v.coeffs[0]) for v in s.values)
+            for s in enumerate_unit_solutions(problem)
         ]
         assert values == [(Fraction(2), Fraction(1))]
 
     def test_budget_enforced(self, field):
-        problem = UnitEquationProblem.make(field, [1, 1], [2, 3], box=5, budget=10)
+        problem = UnitEquationProblem(field, [1, 1], [2, 3], box=5, budget=10)
         with pytest.raises(BudgetExceededError) as e:
             enumerate_unit_solutions(problem)
         assert e.value.region["box"] == 5
 
     def test_budget_counts_lookups(self, field):
         # 121 units 2^a 3^b in the box, and x2 is solved for: 121 lookups.
-        problem = UnitEquationProblem.make(field, [1, 1], [2, 3], box=5, budget=121)
-        assert enumerate_unit_solutions(problem).solutions == (
-            ref_enumerate_unit_solutions(problem).solutions
-        )
-        short = UnitEquationProblem.make(field, [1, 1], [2, 3], box=5, budget=120)
+        problem = UnitEquationProblem(field, [1, 1], [2, 3], box=5, budget=121)
+        assert enumerate_unit_solutions(problem) == ref_enumerate_unit_solutions(problem)
+        short = UnitEquationProblem(field, [1, 1], [2, 3], box=5, budget=120)
         with pytest.raises(BudgetExceededError, match="^121 combinations exceed the budget 120$"):
             enumerate_unit_solutions(short)
 
     def test_zero_coefficient_rejected(self, field):
         with pytest.raises(DomainError):
-            UnitEquationProblem.make(field, [0, 1], [2], box=2)
+            UnitEquationProblem(field, [0, 1], [2], box=2)
+
+    def test_number_field_refuses_before_any_power_table(self):
+        # 2 has infinite order in Q(sqrt 2), so |U| >= 40001 > 1.
+        problem = UnitEquationProblem(SQRT2, [1, 1], [2], box=20_000, budget=1)
+        with mock.patch.object(mixing, "power_table", side_effect=AssertionError("built")):
+            with pytest.raises(BudgetExceededError) as e:
+                enumerate_unit_solutions(problem)
+        assert str(e.value) == "at least 40001 combinations exceed the budget 1"
+        assert e.value.region == {"box": 20_000, "generators": 1, "terms": 2}
+
+    def test_non_invertible_generator_is_refused_before_the_budget(self):
+        # x^2 + 1 divides zero modulo (x^2 + 1)^2, a reducible modulus that
+        # escapes the rational-root screen: an input error, not exit 4.
+        K = NumberField([1, 0, 2, 0, 1])
+        problem = UnitEquationProblem(K, [1, 1], [K.element([1, 0, 1])], box=20_000, budget=1)
+        with pytest.raises(FieldPresentationError):
+            enumerate_unit_solutions(problem)
+
+    @pytest.mark.parametrize("coeffs, gens, box, budget", [
+        ([1, 1], [[0, 1]], 5, 4),  # |U| = 4 units i^k, under the budget of 4
+        ([1, 1], [[0, 1], [2]], 2, 500_000),
+        ([1, -1, 1], [[0, 1], [2]], 1, 500_000),
+    ])
+    def test_root_of_unity_in_gaussian_field(self, coeffs, gens, box, budget):
+        # i has order 4 in Q(i): no early refusal, and exponents -B..-B+3 suffice.
+        K = NumberField([1, 0, 1])
+        problem = UnitEquationProblem(K, coeffs, [K.element(g) for g in gens], box, budget)
+        assert enumerate_unit_solutions(problem) == ref_enumerate_unit_solutions(problem)
+
+    def test_finite_order_generator_builds_its_period_only(self, field):
+        # -1 contributes exponents -B, -B + 1 only: 2 * 21 rows, not 21 * 21.
+        problem = UnitEquationProblem(field, [1, 1], [-1, 2], box=10)
+        built = []
+        real = mixing.power_table
+        with mock.patch.object(mixing, "power_table",
+                               side_effect=lambda *a: built.append(a) or real(*a)):
+            found = enumerate_unit_solutions(problem)
+        assert built == [(field.from_rational(2), -10, 10)]
+        assert found == ref_enumerate_unit_solutions(problem)
+        assert [s.exponents for s in found] == [
+            ((-10, -1), (-10, -1)), ((-10, 1), (-9, 0)), ((-9, 0), (-10, 1))]
 
     @given(
         field=st.sampled_from([QQ1, SQRT2]),
@@ -989,7 +1027,7 @@ class TestUnitEquation:
         units = (2 * box + 1) ** len(gens)
         if units ** len(coeffs) > 5000:
             budget = 20  # keeps the reference's |U|^n loop small
-        problem = UnitEquationProblem.make(field, coeffs, gens, box=box, budget=budget)
+        problem = UnitEquationProblem(field, coeffs, gens, box=box, budget=budget)
         try:
             expected = ref_enumerate_unit_solutions(problem)
         except BudgetExceededError as e:
@@ -997,11 +1035,7 @@ class TestUnitEquation:
                 enumerate_unit_solutions(problem)
             assert (str(got.value), got.value.region) == (str(e), e.region)
             return
-        result = enumerate_unit_solutions(problem)
-        assert result.solutions == expected.solutions
-        assert (result.bound_exponent, result.bound_ok) == (
-            expected.bound_exponent, expected.bound_ok
-        )
+        assert enumerate_unit_solutions(problem) == expected
 
 
 class TestEvaluationSearch:
@@ -1009,6 +1043,12 @@ class TestEvaluationSearch:
         outcome = evaluation_shape_search(solenoid_23, 2, [(-3, 3)] * 2)
         assert len(outcome) == 0
         assert "bounded evidence" in outcome.region["note"]
+
+    def test_default_dilations_are_one_to_r_plus_one(self, solenoid_23):
+        # The default once was 1..4 at every order, refused at r = 5.
+        outcome = evaluation_shape_search(solenoid_23, 5, [(-1, 1)] * 2)
+        assert outcome.region["dilations"] == [1, 2, 3, 4, 5, 6]
+        assert len(outcome) == 0 and outcome.region["shapes_examined"] == 70
 
     def test_underdetermined_dilations_rejected(self, solenoid_23):
         with pytest.raises(CertificateError):
