@@ -21,7 +21,8 @@ def main() -> None:
     parser.add_argument("--box", type=int, default=5)
     args = parser.parse_args()
 
-    result = mixlab_json("uniteq", "--coeffs", args.coeffs, "--gens", args.gens,
+    # One argument per flag, so a list may start with a minus sign.
+    result = mixlab_json("uniteq", f"--coeffs={args.coeffs}", f"--gens={args.gens}",
                          "--box", str(args.box))
 
     lhs = " + ".join(f"{a}*x{i + 1}" for i, a in enumerate(args.coeffs.split(",")))
@@ -31,7 +32,8 @@ def main() -> None:
     for sol in result["solutions"]:
         print(f"  ({', '.join(sol['values'])})  exponents {sol['exponents']}")
     print(f"uniform bound exponent (6n)^(3n)(r+1) = {result['bound_exponent']}")
-    # The enumerator raises rather than return a count above the bound.
+    # Each lookup gives at most one solution and the budget bounds the lookups,
+    # so the count passes the bound only after 2^216 - 1 of them.
     print("log-form bound assertion: pass")
     print(f"for scale: n=1, r=0 gives exponent {ess_bound_exponent(1, 0)}")
 

@@ -1,15 +1,17 @@
 """Command-line surface: analyze, certify, verify, simulate, uniteq, suite.
 
-Exit codes: 0 success, 2 input error, 3 clean-but-empty search, 4 budget
-exhaustion.  Every command is deterministic given its flags and seed, and
---json output is stable under re-run.  The simulator is the one module that
-needs NumPy, so only `simulate` and `suite` import it, when they run.
+Exit codes: 0 success, 1 failed verification or a closed stdout, 2 input
+error, 3 clean-but-empty search, 4 budget exhaustion.  Every command is
+deterministic given its flags and seed, and --json output is stable under
+re-run.  The simulator is the one module that needs NumPy, so only
+`simulate` and `suite` import it, when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +28,6 @@ from .mixing import (
     frobenius_certificate,
     rational_dual_certificate,
     shape_search,
-    UnitEquationProblem,
     ess_bound_exponent,
     verify_certificate,
 )
@@ -332,15 +333,16 @@ def cmd_uniteq(args) -> int:
     field = NumberField(_parse_rationals(args.modulus, "--modulus"))
     coeffs = _parse_rationals(args.coeffs, "--coeffs")
     gens = _parse_rationals(args.gens, "--gens")
-    # The enumerator raises past the uniform bound, so a returned list passes it.
-    found = enumerate_unit_solutions(
-        UnitEquationProblem(field, coeffs, gens, args.box, args.budget))
+    found = enumerate_unit_solutions(field, coeffs, gens, args.box, args.budget)
     exponent = ess_bound_exponent(len(coeffs), len(gens))
     # A value over Q prints as one rational, else as its coefficient list.
     solutions = [{"exponents": [list(e) for e in sol.exponents],
                   "values": [str(Fraction(v.coeffs[0])) if field.degree == 1
                              else [str(c) for c in v.coeffs] for v in sol.values]}
                  for sol in found]
+    # The bound holds by counting: each lookup gives at most one solution and
+    # --budget bounds the lookups, while the exponent is at least 216, so the
+    # count could pass exp(exponent) only after 2^216 - 1 lookups.
     payload = {"count": len(found), "bound_exponent": str(exponent),
                "bound_ok": True, "solutions": solutions}
     lines = [f"solutions: {len(found)}"]
@@ -453,7 +455,14 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise PresentationError("--threads must be at least 1")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (`mixlab ... | head`): end quietly, and point stdout
+        # at the null device so the flush at exit raises no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         print(f"region: {json.dumps(e.region, sort_keys=True)}", file=sys.stderr)

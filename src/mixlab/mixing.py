@@ -1,5 +1,4 @@
-"""Non-mixing certificates, shape search, subsum reduction and the unit
-equation enumerator.
+"""Non-mixing certificates, shape search and the unit equation enumerator.
 
 A certificate packages an order-r shape, nonzero module coefficients, a
 dilation family and a finite verification transcript.  Each family is one
@@ -46,11 +45,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, region: dict):
         super().__init__(message)
         self.region = region
-
-
-class EssBoundViolation(AssertionError):
-    """The enumerated solution count exceeds the uniform bound (impossible
-    at desk scale; raised rather than silently ignored)."""
 
 
 # -- dilation families -------------------------------------------------------
@@ -645,26 +639,6 @@ def shape_search(
     return SearchOutcome(found, region)
 
 
-# -- subsum machinery --------------------------------------------------------
-
-def vanishing_subsums(terms: Sequence) -> List[Tuple[int, ...]]:
-    """All inclusion-minimal nonempty index subsets with exactly zero sum,
-    by size and then lexicographically."""
-    if not 2 <= len(terms) <= 20:
-        raise DomainError("term count out of range [2, 20]")
-    minimal: List[Tuple[int, ...]] = []
-    for size in range(1, len(terms) + 1):
-        for subset in combinations(range(len(terms)), size):
-            if any(set(m) <= set(subset) for m in minimal):
-                continue
-            total = terms[subset[0]]
-            for i in subset[1:]:
-                total = total + terms[i]
-            if Module.is_zero(total):
-                minimal.append(subset)
-    return minimal
-
-
 # -- the uniform bound and the desk-scale enumerator -------------------------
 
 def ess_bound_exponent(n: int, r: int) -> int:
@@ -672,23 +646,6 @@ def ess_bound_exponent(n: int, r: int) -> int:
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
     return (6 * n) ** (3 * n) * (r + 1)
-
-
-class UnitEquationProblem:
-    __slots__ = ("field", "coefficients", "generators", "box", "budget")
-
-    def __init__(self, field: NumberField, coefficients, generators, box: int,
-                 budget: int = 500_000):
-        def element(x):
-            return x if isinstance(x, FieldElement) else field.from_rational(x)
-
-        self.field = field
-        self.coefficients = tuple(map(element, coefficients))
-        self.generators = tuple(map(element, generators))
-        if any(x.is_zero() for x in self.coefficients + self.generators):
-            raise DomainError("coefficients and generators must be nonzero")
-        self.box = box
-        self.budget = budget
 
 
 class UnitSolution(_Value):
@@ -710,34 +667,42 @@ def _order(g: FieldElement) -> Optional[int]:
     return None
 
 
-def enumerate_unit_solutions(problem: UnitEquationProblem) -> List[UnitSolution]:
+def enumerate_unit_solutions(field: NumberField, coefficients, generators, box: int,
+                             budget: int = 500_000) -> List[UnitSolution]:
     """All nondegenerate solutions of a1 x1 + ... + an xn = 1 in the box.
 
-    Each x_i ranges over products of the generators with exponents bounded by
-    the box; x1..x_{n-1} are enumerated and x_n is solved for and looked up
-    among the units.  Solutions with a vanishing proper subsum are discarded,
-    and a count above the uniform bound (in exact log form) raises
-    `EssBoundViolation`.
+    Coefficients and generators are field elements or rationals.  Each x_i
+    ranges over products of the generators with exponents bounded by the box;
+    x1..x_{n-1} are enumerated and x_n is solved for and looked up among the
+    units.  Solutions with a vanishing proper subsum are discarded.
     """
-    K = problem.field
-    n = len(problem.coefficients)
-    rgen = len(problem.generators)
-    B = problem.box
-    region = {"box": B, "generators": rgen, "terms": n}
+    n = len(coefficients)
+    # The degenerate test below tries up to 2^n subsets.
+    if not 1 <= n <= 20:
+        raise DomainError(f"a unit equation takes 1 to 20 terms, not {n}")
+
+    def element(x):
+        return x if isinstance(x, FieldElement) else field.from_rational(x)
+
+    coefficients, generators = tuple(map(element, coefficients)), tuple(map(element, generators))
+    if any(x.is_zero() for x in coefficients + generators):
+        raise DomainError("coefficients and generators must be nonzero")
+    B = box
+    region = {"box": B, "generators": len(generators), "terms": n}
     # A generator of infinite order has 2B + 1 distinct powers, so |U| >= 2B + 1;
     # when that alone breaks the budget, refuse before building any product.
     # g^-1 has the order of g, and a non-invertible generator is refused first.
-    orders = [_order(g.inv()) for g in problem.generators]
+    orders = [_order(g.inv()) for g in generators]
     least = (2 * B + 1) ** (n - 1)
-    if None in orders and least > problem.budget:
+    if None in orders and least > budget:
         raise BudgetExceededError(
-            f"at least {least} combinations exceed the budget {problem.budget}", region)
+            f"at least {least} combinations exceed the budget {budget}", region)
     # One power table per generator; the products over exponent vectors are
     # built generator by generator, in lexicographic order of the vectors.  A
     # generator of order o needs only the exponents -B..-B + o - 1: a larger
     # one repeats the value of a lexicographically smaller vector.
-    rows: List[Tuple[Tuple[int, ...], FieldElement]] = [((), K.one)]
-    for g, o in zip(problem.generators, orders):
+    rows: List[Tuple[Tuple[int, ...], FieldElement]] = [((), field.one)]
+    for g, o in zip(generators, orders):
         if o is None:
             table = sorted(power_table(g, -B, B).items())
         else:
@@ -748,16 +713,15 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> List[UnitSolution]
         units.setdefault(val, e)  # keep the first exponent vector per group element
     # One lookup per choice of x1..x_{n-1}.
     total = len(units) ** (n - 1)
-    if total > problem.budget:
-        raise BudgetExceededError(
-            f"{total} combinations exceed the budget {problem.budget}", region)
+    if total > budget:
+        raise BudgetExceededError(f"{total} combinations exceed the budget {budget}", region)
     # x_n is fixed by the others: x_n = (1 - a1 x1 - ... - a_{n-1} x_{n-1}) / a_n,
     # so each prefix has at most one completion and the order is unchanged.
-    *head, last = problem.coefficients
+    *head, last = coefficients
     inv_last = last.inv()
     solutions = []
     for prefix in product(units.items(), repeat=n - 1):
-        rest = K.one
+        rest = field.one
         for a, (x, _) in zip(head, prefix):
             rest = rest - a * x
         x_last = rest * inv_last
@@ -765,13 +729,13 @@ def enumerate_unit_solutions(problem: UnitEquationProblem) -> List[UnitSolution]
         if e_last is None:
             continue
         values = tuple(x for x, _ in prefix) + (x_last,)
-        terms = [a * x for a, x in zip(problem.coefficients, values)]
-        if n >= 2 and any(len(s) < n for s in vanishing_subsums(terms)):
-            continue  # a proper subsum vanishes
+        # Each term is nonzero and all n sum to 1, so a proper subsum vanishes
+        # exactly when some 2..n - 1 of the terms sum to zero.
+        terms = [a * x for a, x in zip(coefficients, values)]
+        if any(sum(s, field.zero).is_zero()
+               for k in range(2, n) for s in combinations(terms, k)):
+            continue
         solutions.append(UnitSolution(tuple(e for _, e in prefix) + (e_last,), values))
-    exponent, bits = ess_bound_exponent(n, rgen), (len(solutions) + 1).bit_length()
-    if bits > exponent:
-        raise EssBoundViolation(f"log2(count+1) ~ {bits} exceeds exponent {exponent}")
     return solutions
 
 

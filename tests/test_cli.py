@@ -1107,6 +1107,40 @@ class TestUniteq:
         # Each ended in a ZeroDivisionError traceback (exit 1).
         assert run(capsys, "uniteq", *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("coeffs, n", [("", 0), (",".join(["1"] * 21), 21)])
+    @pytest.mark.parametrize("budget", ["0", "500000"])
+    def test_term_count_is_an_input_error(self, capsys, coeffs, n, budget):
+        # No terms ended in "not enough values to unpack" (exit 2), or with
+        # --budget 0 in "at least 0.0909... combinations" (exit 4).
+        assert run(capsys, "uniteq", "--coeffs", coeffs, "--gens", "2",
+                   "--budget", budget) == (
+            2, "", f"error: a unit equation takes 1 to 20 terms, not {n}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--coeffs", "1,1", "--gens", "2", "--box", "5"],  # flushed at exit
+        ["--coeffs", "1,1,1", "--gens=-1,2,3", "--box", "3"],  # past one buffer
+    ])
+    def test_closed_pipe_ends_quietly(self, argv):
+        # The reader leaves before the first write, as `| head -1` may.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        child = subprocess.Popen([sys.executable, "-m", "mixlab.cli", "uniteq", *argv],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(), err) == (1, b"")
+
+
+def test_unit_equation_demo_takes_a_leading_minus():
+    # `--gens -1,2` read -1,2 as a flag: the demo passes each list as --gens=...
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "unit_equation_demo.py"),
+                           "--coeffs=1,1", "--gens=-1,2", "--box", "3"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "nondegenerate solutions: 3" in done.stdout.splitlines()
+
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
     # Only `simulate` needs dense arrays; the exact commands stay pure Python.

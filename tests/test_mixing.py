@@ -1,4 +1,4 @@
-"""Certificates, searches, subsum reduction, and the unit equation."""
+"""Certificates, searches, and the unit equation."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,7 +22,6 @@ from mixlab.mixing import (
     NonMixingCertificate,
     PrimePower,
     SearchOutcome,
-    UnitEquationProblem,
     UnitSolution,
     _canonical_shapes,
     _projective_combinations,
@@ -32,11 +31,10 @@ from mixlab.mixing import (
     frobenius_certificate,
     rational_dual_certificate,
     shape_search,
-    vanishing_subsums,
     verify_certificate,
 )
 from mixlab.cli import main
-from mixlab.numfield import FieldPresentationError, NumberField
+from mixlab.numfield import FieldElement, FieldPresentationError, NumberField
 from mixlab.presentation import certificate_to_dict
 from mixlab.ring import GF, DomainError, LaurentPoly
 from mixlab.systems import (
@@ -351,16 +349,33 @@ def ref_separation_check(cert):
     return True
 
 
-def ref_enumerate_unit_solutions(problem):
+def _proper_subsum_vanishes(K, terms):
+    """Whether some nonempty proper subset of the terms sums to zero, tried
+    as every bit mask short of the full set."""
+    n = len(terms)
+    for mask in range(1, 2 ** n - 1):
+        total = K.zero
+        for i in range(n):
+            if mask >> i & 1:
+                total = total + terms[i]
+        if total == K.zero:
+            return True
+    return False
+
+
+def ref_enumerate_unit_solutions(K, coefficients, generators, box, budget=500_000):
     """Every n-tuple of units in the box, tested against the equation."""
-    K = problem.field
-    n = len(problem.coefficients)
-    rgen = len(problem.generators)
-    B = problem.box
+    coefficients = [a if isinstance(a, FieldElement) else K.from_rational(a)
+                    for a in coefficients]
+    generators = [g if isinstance(g, FieldElement) else K.from_rational(g)
+                  for g in generators]
+    n = len(coefficients)
+    rgen = len(generators)
+    B = box
     units = {}
     for e in sorted(product(range(-B, B + 1), repeat=rgen)):
         val = K.one
-        for g, k in zip(problem.generators, e):
+        for g, k in zip(generators, e):
             val = val * g ** k
         units.setdefault(val, e)
     unit_items = sorted(units.items(), key=lambda kv: kv[1])
@@ -372,24 +387,21 @@ def ref_enumerate_unit_solutions(problem):
     region = {"box": B, "generators": rgen, "terms": n}
     least = (2 * B + 1) ** (n - 1)
     period = lcm(*range(1, 2 * K.degree ** 2 + 1))
-    if (any(g ** period != K.one for g in problem.generators)
-            and least > problem.budget):
+    if any(g ** period != K.one for g in generators) and least > budget:
         raise BudgetExceededError(
-            f"at least {least} combinations exceed the budget {problem.budget}", region)
+            f"at least {least} combinations exceed the budget {budget}", region)
     total = len(unit_items) ** (n - 1)
-    if total > problem.budget:
-        raise BudgetExceededError(
-            f"{total} combinations exceed the budget {problem.budget}", region)
+    if total > budget:
+        raise BudgetExceededError(f"{total} combinations exceed the budget {budget}", region)
     solutions = []
     for combo in product(unit_items, repeat=n):
         values = tuple(v for v, _ in combo)
         total_sum = K.zero
-        for a, x in zip(problem.coefficients, values):
+        for a, x in zip(coefficients, values):
             total_sum = total_sum + a * x
         if total_sum != K.one:
             continue
-        terms = [a * x for a, x in zip(problem.coefficients, values)]
-        if n >= 2 and any(0 < len(s) < n for s in vanishing_subsums(terms)):
+        if _proper_subsum_vanishes(K, [a * x for a, x in zip(coefficients, values)]):
             continue
         solutions.append(UnitSolution(tuple(e for _, e in combo), values))
     return solutions
@@ -886,32 +898,6 @@ class TestDilationFamilies:
         assert hash(ConsecutiveRatio()) == hash(ConsecutiveRatio())
 
 
-class TestSubsums:
-    def test_minimal_subsums(self):
-        terms = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
-        subs = vanishing_subsums(terms)
-        assert (0, 1) in subs and (2, 3) in subs
-        # The full set sums to zero but is not inclusion-minimal.
-        assert (0, 1, 2, 3) not in subs
-
-    def test_size_limits(self):
-        with pytest.raises(DomainError):
-            vanishing_subsums([Fraction(1)])
-
-    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=7))
-    @settings(max_examples=80, deadline=None)
-    def test_vanishing_subsets_match_the_old_loops(self, values):
-        terms = [Fraction(v) for v in values]
-        n = len(terms)
-        every = [s for size in range(1, n + 1) for s in combinations(range(n), size)
-                 if sum(terms[i] for i in s) == 0]
-        minimal = []
-        for s in every:
-            if not any(set(m) <= set(s) for m in minimal):
-                minimal.append(s)
-        assert vanishing_subsums(terms) == minimal
-
-
 class TestEssBound:
     def test_pinned_values(self):
         assert ess_bound_exponent(1, 0) == 216
@@ -930,45 +916,54 @@ def field():
 
 class TestUnitEquation:
     def test_x_plus_y(self, field):
-        problem = UnitEquationProblem(field, [1, 1], [2], box=5)
         values = [
             tuple(Fraction(v.coeffs[0]) for v in s.values)
-            for s in enumerate_unit_solutions(problem)
+            for s in enumerate_unit_solutions(field, [1, 1], [2], box=5)
         ]
         assert values == [(Fraction(1, 2), Fraction(1, 2))]
 
     def test_x_minus_y(self, field):
-        problem = UnitEquationProblem(field, [1, -1], [2], box=5)
         values = [
             tuple(Fraction(v.coeffs[0]) for v in s.values)
-            for s in enumerate_unit_solutions(problem)
+            for s in enumerate_unit_solutions(field, [1, -1], [2], box=5)
         ]
         assert values == [(Fraction(2), Fraction(1))]
 
     def test_budget_enforced(self, field):
-        problem = UnitEquationProblem(field, [1, 1], [2, 3], box=5, budget=10)
         with pytest.raises(BudgetExceededError) as e:
-            enumerate_unit_solutions(problem)
+            enumerate_unit_solutions(field, [1, 1], [2, 3], box=5, budget=10)
         assert e.value.region["box"] == 5
 
     def test_budget_counts_lookups(self, field):
         # 121 units 2^a 3^b in the box, and x2 is solved for: 121 lookups.
-        problem = UnitEquationProblem(field, [1, 1], [2, 3], box=5, budget=121)
-        assert enumerate_unit_solutions(problem) == ref_enumerate_unit_solutions(problem)
-        short = UnitEquationProblem(field, [1, 1], [2, 3], box=5, budget=120)
+        assert (enumerate_unit_solutions(field, [1, 1], [2, 3], box=5, budget=121)
+                == ref_enumerate_unit_solutions(field, [1, 1], [2, 3], box=5, budget=121))
         with pytest.raises(BudgetExceededError, match="^121 combinations exceed the budget 120$"):
-            enumerate_unit_solutions(short)
+            enumerate_unit_solutions(field, [1, 1], [2, 3], box=5, budget=120)
 
     def test_zero_coefficient_rejected(self, field):
-        with pytest.raises(DomainError):
-            UnitEquationProblem(field, [0, 1], [2], box=2)
+        with pytest.raises(DomainError, match="^coefficients and generators must be nonzero$"):
+            enumerate_unit_solutions(field, [0, 1], [2], box=2)
+
+    @pytest.mark.parametrize("n", [0, 21])
+    def test_term_count_is_refused_before_any_power_table(self, field, n):
+        # With no terms the solved-for x_n did not exist, and a budget of 0
+        # was compared with (2B + 1)^-1 first; 21 terms broke the budget.
+        with mock.patch.object(mixing, "power_table", side_effect=AssertionError("built")):
+            for budget in (0, 500_000):
+                with pytest.raises(DomainError,
+                                   match=f"^a unit equation takes 1 to 20 terms, not {n}$"):
+                    enumerate_unit_solutions(field, [1] * n, [2], box=3, budget=budget)
+
+    def test_twenty_terms_are_taken(self, field):
+        # The one unit 1 gives 20 terms summing to 20, never 1: an empty answer.
+        assert enumerate_unit_solutions(field, [1] * 20, [], box=3) == []
 
     def test_number_field_refuses_before_any_power_table(self):
         # 2 has infinite order in Q(sqrt 2), so |U| >= 40001 > 1.
-        problem = UnitEquationProblem(SQRT2, [1, 1], [2], box=20_000, budget=1)
         with mock.patch.object(mixing, "power_table", side_effect=AssertionError("built")):
             with pytest.raises(BudgetExceededError) as e:
-                enumerate_unit_solutions(problem)
+                enumerate_unit_solutions(SQRT2, [1, 1], [2], box=20_000, budget=1)
         assert str(e.value) == "at least 40001 combinations exceed the budget 1"
         assert e.value.region == {"box": 20_000, "generators": 1, "terms": 2}
 
@@ -976,9 +971,8 @@ class TestUnitEquation:
         # x^2 + 1 divides zero modulo (x^2 + 1)^2, a reducible modulus that
         # escapes the rational-root screen: an input error, not exit 4.
         K = NumberField([1, 0, 2, 0, 1])
-        problem = UnitEquationProblem(K, [1, 1], [K.element([1, 0, 1])], box=20_000, budget=1)
         with pytest.raises(FieldPresentationError):
-            enumerate_unit_solutions(problem)
+            enumerate_unit_solutions(K, [1, 1], [K.element([1, 0, 1])], box=20_000, budget=1)
 
     @pytest.mark.parametrize("coeffs, gens, box, budget", [
         ([1, 1], [[0, 1]], 5, 4),  # |U| = 4 units i^k, under the budget of 4
@@ -988,19 +982,19 @@ class TestUnitEquation:
     def test_root_of_unity_in_gaussian_field(self, coeffs, gens, box, budget):
         # i has order 4 in Q(i): no early refusal, and exponents -B..-B+3 suffice.
         K = NumberField([1, 0, 1])
-        problem = UnitEquationProblem(K, coeffs, [K.element(g) for g in gens], box, budget)
-        assert enumerate_unit_solutions(problem) == ref_enumerate_unit_solutions(problem)
+        gens = [K.element(g) for g in gens]
+        assert (enumerate_unit_solutions(K, coeffs, gens, box, budget)
+                == ref_enumerate_unit_solutions(K, coeffs, gens, box, budget))
 
     def test_finite_order_generator_builds_its_period_only(self, field):
         # -1 contributes exponents -B, -B + 1 only: 2 * 21 rows, not 21 * 21.
-        problem = UnitEquationProblem(field, [1, 1], [-1, 2], box=10)
         built = []
         real = mixing.power_table
         with mock.patch.object(mixing, "power_table",
                                side_effect=lambda *a: built.append(a) or real(*a)):
-            found = enumerate_unit_solutions(problem)
+            found = enumerate_unit_solutions(field, [1, 1], [-1, 2], box=10)
         assert built == [(field.from_rational(2), -10, 10)]
-        assert found == ref_enumerate_unit_solutions(problem)
+        assert found == ref_enumerate_unit_solutions(field, [1, 1], [-1, 2], box=10)
         assert [s.exponents for s in found] == [
             ((-10, -1), (-10, -1)), ((-10, 1), (-9, 0)), ((-9, 0), (-10, 1))]
 
@@ -1027,15 +1021,14 @@ class TestUnitEquation:
         units = (2 * box + 1) ** len(gens)
         if units ** len(coeffs) > 5000:
             budget = 20  # keeps the reference's |U|^n loop small
-        problem = UnitEquationProblem(field, coeffs, gens, box=box, budget=budget)
         try:
-            expected = ref_enumerate_unit_solutions(problem)
+            expected = ref_enumerate_unit_solutions(field, coeffs, gens, box, budget)
         except BudgetExceededError as e:
             with pytest.raises(BudgetExceededError) as got:
-                enumerate_unit_solutions(problem)
+                enumerate_unit_solutions(field, coeffs, gens, box, budget)
             assert (str(got.value), got.value.region) == (str(e), e.region)
             return
-        assert enumerate_unit_solutions(problem) == expected
+        assert enumerate_unit_solutions(field, coeffs, gens, box, budget) == expected
 
 
 class TestEvaluationSearch:
@@ -1162,7 +1155,9 @@ class TestRationalDual:
         for n in cert.dilations():
             shifts = cert.family.shape_at(cert.shape, n)
             terms = [g * a for g, a in zip(shifts, cert.coefficients)]
-            assert vanishing_subsums(terms) == [(0, 1, 2)]
+            assert sum(terms) == 0
+            assert all(sum(terms[i] for i in s) != 0
+                       for k in (1, 2) for s in combinations(range(3), k))
 
     @given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4,
                     unique=True),
