@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +23,6 @@ from pathlib import Path
 from . import ideals  # noqa: F401
 from .mixing import (
     BudgetExceededError,
-    CertificateError,
     enumerate_unit_solutions,
     evaluation_shape_search,
     frobenius_certificate,
@@ -35,6 +35,7 @@ from .numfield import NumberField
 from .presentation import (
     INTEGER_TEXT,
     PresentationError,
+    _convert,
     certificate_from_dict,
     certificate_to_dict,
     integer,
@@ -150,10 +151,7 @@ def cmd_certify(args) -> int:
     if isinstance(m, CharPModule):
         for g in m.ideal.generators:
             if len(g.support()) == args.order:
-                try:
-                    certs.append(frobenius_certificate(system, g, kmax=args.kmax))
-                except CertificateError:
-                    pass
+                certs.append(frobenius_certificate(system, g, kmax=args.kmax))
         if certs and not args.force_search:
             # A prime-power family already certifies this order for every
             # dilation; the exhaustive search would only add evidence-grade
@@ -243,7 +241,7 @@ def _integer(x, what: str) -> int:
 def _parse_sets(text: str):
     from .simulate import CylinderSet
 
-    raw = json.loads(text)
+    raw = _convert(json.loads, text, "--sets")
     if not isinstance(raw, list) or not all(isinstance(block, dict) for block in raw):
         raise PresentationError('--sets must be a JSON list of pin maps, e.g. [{"0,0": 0}]')
     sets = []
@@ -261,7 +259,7 @@ def _parse_sets(text: str):
 
 
 def _parse_shifts(text: str):
-    raw = json.loads(text)
+    raw = _convert(json.loads, text, "--shifts")
     if not isinstance(raw, list) or not all(isinstance(shift, list) for shift in raw):
         raise PresentationError("--shifts must be a JSON list of integer vectors, e.g. [[0, 0]]")
     return [tuple(_integer(x, "a shift coordinate") for x in shift) for shift in raw]
@@ -315,17 +313,8 @@ def cmd_simulate(args) -> int:
 
 # -- uniteq ------------------------------------------------------------------
 
-def _rational(text: str, flag: str) -> Fraction:
-    """The rational a flag entry names; a zero denominator is an input
-    error naming the flag."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise PresentationError(f"field {flag!r} cannot hold {text!r}") from None
-
-
 def _parse_rationals(text: str, flag: str):
-    return [_rational(x, flag) for x in text.split(",")] if text else []
+    return [_convert(Fraction, x, flag) for x in text.split(",")] if text else []
 
 
 def cmd_uniteq(args) -> int:
@@ -426,6 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("uniteq", help="desk-scale unit-equation enumeration")
+    # A list value may start with a minus sign and a digit (`--gens -1,2`).
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--gens", default="")
     p.add_argument("--box", type=decimal, default=5)

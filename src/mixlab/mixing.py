@@ -21,7 +21,7 @@ from math import ceil, comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .numfield import FieldElement, NumberField, power_table
+from .numfield import FieldElement, NumberField, power_products
 from .ring import GF, DomainError, LaurentPoly, expvec
 from .systems import (
     AlgebraicSystem,
@@ -697,19 +697,12 @@ def enumerate_unit_solutions(field: NumberField, coefficients, generators, box: 
     if None in orders and least > budget:
         raise BudgetExceededError(
             f"at least {least} combinations exceed the budget {budget}", region)
-    # One power table per generator; the products over exponent vectors are
-    # built generator by generator, in lexicographic order of the vectors.  A
-    # generator of order o needs only the exponents -B..-B + o - 1: a larger
-    # one repeats the value of a lexicographically smaller vector.
-    rows: List[Tuple[Tuple[int, ...], FieldElement]] = [((), field.one)]
-    for g, o in zip(generators, orders):
-        if o is None:
-            table = sorted(power_table(g, -B, B).items())
-        else:
-            table = [(k, g ** (k % o)) for k in range(-B, min(B, o - 1 - B) + 1)]
-        rows = [(e + (k,), val * power) for e, val in rows for k, power in table]
+    # The products over the box, in lexicographic order of the exponent
+    # vectors.  A generator of order o needs only the exponents -B..-B + o - 1:
+    # a larger one repeats the value of a lexicographically smaller vector.
+    ranges = [(-B, B if o is None else min(B, o - 1 - B)) for o in orders]
     units: Dict[FieldElement, Tuple[int, ...]] = {}
-    for e, val in rows:
+    for e, val in power_products(field, generators, ranges).items():
         units.setdefault(val, e)  # keep the first exponent vector per group element
     # One lookup per choice of x1..x_{n-1}.
     total = len(units) ** (n - 1)

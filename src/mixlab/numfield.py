@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .ring import DomainError
 
@@ -226,19 +226,20 @@ class FieldElement:
         return f"FieldElement({[str(c) for c in self.coeffs]})"
 
 
-def power_table(a: FieldElement, lo: int, hi: int) -> Dict[int, FieldElement]:
-    """a^k for every k in lo..hi and for k = 0, by successive products; a
-    negative range costs one inverse.  Field arithmetic is exact and
-    canonical, so each entry equals a ** k."""
-    one = a.field.one
-    table = {0: one}
-    x = one
-    for k in range(1, hi + 1):
-        x = x * a
-        table[k] = x
-    if lo < 0:
-        inv, x = a.inv(), one
-        for k in range(-1, lo - 1, -1):
-            x = x * inv
-            table[k] = x
-    return table
+def power_products(field: NumberField, units: Sequence[FieldElement],
+                   box: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, ...], FieldElement]:
+    """u_1^e_1 ... u_k^e_k for every integer point e of the box of (lo, hi)
+    ranges, one range per unit, in lexicographic order.  Each unit's run
+    starts at a^lo with one `**` and steps up to a^hi by successive products,
+    so a far range costs its length, not its distance from 0; field
+    arithmetic is exact and canonical, so each entry equals the product of
+    `**` powers."""
+    if len(box) != len(units):
+        raise DomainError(f"a box of {len(box)} ranges for {len(units)} units")
+    rows = {(): field.one}
+    for a, (lo, hi) in zip(units, box):
+        run = {}
+        for k in range(lo, hi + 1):
+            run[k] = run[k - 1] * a if run else a ** lo
+        rows = {e + (k,): x * y for e, x in rows.items() for k, y in run.items()}
+    return rows

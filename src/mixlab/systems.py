@@ -16,13 +16,12 @@ correlation bit), its fixed-shift scan and the coefficients it reads.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from itertools import product
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .ideals import IdealPresentation
-from .numfield import FieldElement, NumberField, power_table
+from .numfield import FieldElement, NumberField, power_products
 from .ring import GF, DomainError, LaurentPoly, expvec, rational
 
 
@@ -276,22 +275,12 @@ def _unit_power(module: EvaluationModule, gamma) -> FieldElement:
 
 def unit_powers(module: EvaluationModule, box: Sequence[Tuple[int, int]]
                 ) -> Dict[Tuple[int, ...], FieldElement]:
-    """The unit u^e for every integer point e of the box and for the origin.
-
-    One power table w_i^(Lk) per variable, so a point costs d - 1 products;
-    each value equals `_unit_power` at that point."""
-    amap = dict(module.assignment)
-    one = module.field.one
-    tables = []
-    for i, (lo, hi) in enumerate(box):
-        if not any(range(lo, hi + 1)):  # the exponent 0 alone
-            tables.append({0: one})
-            continue
-        if i not in amap:
-            raise DomainError(f"no unit assigned to variable u{i + 1}")
-        tables.append(power_table(amap[i] ** module.level, lo, hi))
-    return {e: reduce(mul, [t[k] for t, k in zip(tables, e)] or [one])
-            for e in [tuple(0 for _ in box), *box_points(box)]}
+    """The unit u^e for every integer point e of the box and for the origin:
+    the products of u_i = w_i^L, one range per unit.  Each value equals
+    `_unit_power` at that point."""
+    units = [w ** module.level for _, w in module.assignment]
+    return {tuple(0 for _ in box): module.field.one,
+            **power_products(module.field, units, box)}
 
 
 def character_correlation(system: AlgebraicSystem, pairs) -> int:

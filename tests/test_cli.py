@@ -998,13 +998,16 @@ class TestSimulate:
         ('[{"0,0": 0}]', "[[0.5,0]]", "a shift coordinate must be an integer, not 0.5"),
         ('[{"0,0": 1.0}]', "[[0.0, 2.0]]", "the symbol pinned at '0,0' must be an integer, not 1.0"),
         ('[{"0,0": 1}]', "[[0, 2.0]]", "a shift coordinate must be an integer, not 2.0"),
+        ("not-json", "[[0,0]]", "field '--sets' cannot hold 'not-json'"),
+        ('[{"0,0": 0}]', "[[0,0]", "field '--shifts' cannot hold '[[0,0]'"),
     ])
     def test_malformed_sets_and_shifts_refused(self, capsys, sets, shifts, message):
         # These crashed with a traceback, were truncated by int() to the
         # answer 1/2, were read by int() as another site ("1_0" as 10, the
         # Arabic-Indic one as 1), (an object as --sets) were read as no set
         # at all, or (an integral float) were read as an integer, which no
-        # other integer field takes.
+        # other integer field takes.  Text that is not JSON got the decoder's
+        # message, naming no flag.
         code, out, err = run(capsys, "simulate", THREE_DOT, "--sets", sets, "--shifts", shifts)
         assert code == 2
         assert out == ""
@@ -1102,10 +1105,31 @@ class TestUniteq:
         (["--coeffs", "1,1", "--gens", "2/0"], "field '--gens' cannot hold '2/0'"),
         (["--coeffs", "1,1", "--gens", "2", "--modulus", "1/0,1"],
          "field '--modulus' cannot hold '1/0'"),
+        (["--coeffs", "abc"], "field '--coeffs' cannot hold 'abc'"),
+        (["--coeffs", "1,1", "--gens", "2,x"], "field '--gens' cannot hold 'x'"),
+        (["--coeffs", "1,1", "--modulus", "abc"], "field '--modulus' cannot hold 'abc'"),
     ])
     def test_zero_denominators_are_input_errors(self, capsys, argv, message):
-        # Each ended in a ZeroDivisionError traceback (exit 1).
+        # Each ended in a ZeroDivisionError traceback (exit 1); an entry that
+        # is not a rational printed "Invalid literal for Fraction", naming no flag.
         assert run(capsys, "uniteq", *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag, value, rest", [
+        ("--gens", "-1,2", ["--coeffs", "1,1", "--box", "3"]),
+        ("--coeffs", "-1,2", ["--gens", "2", "--box", "3"]),
+        ("--coeffs", "-.5,3", ["--gens", "2", "--box", "3"]),
+        ("--modulus", "-2,0,1", ["--coeffs", "1,1", "--gens", "2", "--box", "2"]),
+    ])
+    def test_leading_minus_lists_are_values(self, capsys, flag, value, rest):
+        # argparse read "-1,2" as a flag: "--gens: expected one argument".
+        spaced = run(capsys, "uniteq", flag, value, *rest)
+        assert spaced == run(capsys, "uniteq", f"{flag}={value}", *rest)
+        assert spaced[0] in (0, 3) and spaced[2] == ""
+
+    def test_a_flag_is_still_not_a_value(self, capsys):
+        code, _, err = run(capsys, "uniteq", "--coeffs", "1,1", "--gens", "--box", "3")
+        assert code == 2
+        assert "argument --gens: expected one argument" in err
 
     @pytest.mark.parametrize("coeffs, n", [("", 0), (",".join(["1"] * 21), 21)])
     @pytest.mark.parametrize("budget", ["0", "500000"])

@@ -949,7 +949,7 @@ class TestUnitEquation:
     def test_term_count_is_refused_before_any_power_table(self, field, n):
         # With no terms the solved-for x_n did not exist, and a budget of 0
         # was compared with (2B + 1)^-1 first; 21 terms broke the budget.
-        with mock.patch.object(mixing, "power_table", side_effect=AssertionError("built")):
+        with mock.patch.object(mixing, "power_products", side_effect=AssertionError("built")):
             for budget in (0, 500_000):
                 with pytest.raises(DomainError,
                                    match=f"^a unit equation takes 1 to 20 terms, not {n}$"):
@@ -961,7 +961,7 @@ class TestUnitEquation:
 
     def test_number_field_refuses_before_any_power_table(self):
         # 2 has infinite order in Q(sqrt 2), so |U| >= 40001 > 1.
-        with mock.patch.object(mixing, "power_table", side_effect=AssertionError("built")):
+        with mock.patch.object(mixing, "power_products", side_effect=AssertionError("built")):
             with pytest.raises(BudgetExceededError) as e:
                 enumerate_unit_solutions(SQRT2, [1, 1], [2], box=20_000, budget=1)
         assert str(e.value) == "at least 40001 combinations exceed the budget 1"
@@ -989,14 +989,18 @@ class TestUnitEquation:
     def test_finite_order_generator_builds_its_period_only(self, field):
         # -1 contributes exponents -B, -B + 1 only: 2 * 21 rows, not 21 * 21.
         built = []
-        real = mixing.power_table
-        with mock.patch.object(mixing, "power_table",
-                               side_effect=lambda *a: built.append(a) or real(*a)):
+        real = mixing.power_products
+        with mock.patch.object(mixing, "power_products",
+                               side_effect=lambda *a: built.append(a[2]) or real(*a)):
             found = enumerate_unit_solutions(field, [1, 1], [-1, 2], box=10)
-        assert built == [(field.from_rational(2), -10, 10)]
+        assert built == [[(-10, -9), (-10, 10)]]
         assert found == ref_enumerate_unit_solutions(field, [1, 1], [-1, 2], box=10)
         assert [s.exponents for s in found] == [
             ((-10, -1), (-10, -1)), ((-10, 1), (-9, 0)), ((-9, 0), (-10, 1))]
+
+    def test_finite_order_generator_in_a_far_box(self, field):
+        # -1 at exponents -10^9, -10^9 + 1: two products, not a walk from 0.
+        assert enumerate_unit_solutions(field, [1, 1], [-1], box=10 ** 9) == []
 
     @given(
         field=st.sampled_from([QQ1, SQRT2]),

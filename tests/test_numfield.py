@@ -2,7 +2,9 @@
 
 import time
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from mixlab.numfield import (
     NumberField,
     _divisors,
     _has_rational_root,
-    power_table,
+    power_products,
 )
+from mixlab.ring import DomainError
+from mixlab.systems import box_points
 
 
 def ref_has_rational_root(coeffs):
@@ -44,6 +48,30 @@ def rationals():
 
 
 rational_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+QQ = NumberField([-1, 1])
+SQRT2 = NumberField([-2, 0, 1])
+# Units of infinite order (power-basis coordinates) for ranges near 0.
+UNITS = {QQ: [[2], [Fraction(-1, 3)], [Fraction(3, 2)]],
+         SQRT2: [[1, 1], [0, 1], [Fraction(1, 2), -1]]}
+
+
+@st.composite
+def units_and_box(draw):
+    """A field, 0-3 units and one (lo, hi) range per unit: ranges near 0
+    (lo < 0, lo = hi, lo > 0) take a unit of infinite order, and ranges near
+    -10^6 take -1, whose powers stay small."""
+    field = draw(st.sampled_from([QQ, SQRT2]))
+    units, box = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            units.append(field.element(draw(st.sampled_from(UNITS[field]))))
+            lo = draw(st.integers(-4, 4))
+        else:
+            units.append(field.from_rational(-1))
+            lo = draw(st.integers(-10 ** 6, -10 ** 6 + 3))
+        box.append((lo, lo + draw(st.integers(0, 3))))
+    return field, units, box
 
 
 class TestConstruction:
@@ -117,13 +145,21 @@ class TestArithmetic:
         two = rationals.from_rational(2)
         assert two ** -3 == rationals.from_rational(Fraction(1, 8))
 
-    @pytest.mark.parametrize("lo, hi", [(-4, 3), (0, 5), (2, 4), (-3, -1), (0, 0)])
-    def test_power_table_matches_pow(self, sqrt2, lo, hi):
-        a = sqrt2.element([1, 1])  # 1 + sqrt(2), a unit of infinite order
-        table = power_table(a, lo, hi)
-        assert set(range(lo, hi + 1)) | {0} <= set(table)
-        for k, value in table.items():
-            assert value == a ** k and value.coeffs == (a ** k).coeffs
+    @settings(max_examples=60, deadline=None)
+    @given(units_and_box())
+    def test_power_products_match_pow(self, drawn):
+        field, units, box = drawn
+        table = power_products(field, units, box)
+        expected = [(e, reduce(mul, [a ** k for a, k in zip(units, e)], field.one))
+                    for e in box_points(box)]
+        assert list(table.items()) == expected
+
+    def test_power_products_refuse_a_box_of_the_wrong_length(self, sqrt2):
+        a = sqrt2.element([1, 1])
+        for units, box in (([a], [(0, 1), (0, 1)]), ([a, a], [(0, 1)]), ([], [(0, 0)])):
+            with pytest.raises(DomainError, match=f"^a box of {len(box)} ranges for "
+                                                  f"{len(units)} units$"):
+                power_products(sqrt2, units, box)
 
     def test_field_mul_alias(self, sqrt2):
         g = sqrt2.element([0, 1])

@@ -290,11 +290,13 @@ class TestNonMixingElements:
             assert x.coeffs == _unit_power(module, e).coeffs
 
     def test_unit_powers_need_assigned_units(self):
+        # One range per assigned unit: a box naming u2, even at (0, 0) alone,
+        # is refused when only u1 has a unit.
         K = NumberField([-1, 1])
         module = EvaluationModule.make(K, {0: K.from_rational(2)})
-        assert set(unit_powers(module, [(-1, 1), (0, 0)])) == {(-1, 0), (0, 0), (1, 0)}
-        for box in ([(-1, 1), (0, 1)], [(-1, 1), (-2, 0)]):
-            with pytest.raises(DomainError, match="no unit assigned to variable u2"):
+        assert set(unit_powers(module, [(-1, 1)])) == {(-1,), (0,), (1,)}
+        for box in ([(-1, 1), (0, 0)], [(-1, 1), (0, 1)], [(-1, 1), (-2, 0)]):
+            with pytest.raises(DomainError, match="^a box of 2 ranges for 1 units$"):
                 unit_powers(module, box)
 
     def test_rational_dual_has_none(self, rational_dual):
