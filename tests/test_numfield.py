@@ -145,6 +145,14 @@ class TestArithmetic:
         two = rationals.from_rational(2)
         assert two ** -3 == rationals.from_rational(Fraction(1, 8))
 
+    @pytest.mark.parametrize("lo, hi", [(-4, 3), (0, 5), (2, 4), (-3, -1), (0, 0)])
+    def test_power_table_matches_pow(self, sqrt2, lo, hi):
+        a = sqrt2.element([1, 1])  # 1 + sqrt(2), a unit of infinite order
+        table = power_products(sqrt2, [a], [(lo, hi)])
+        assert list(table) == [(k,) for k in range(lo, hi + 1)]
+        for (k,), value in table.items():
+            assert value == a ** k and value.coeffs == (a ** k).coeffs
+
     @settings(max_examples=60, deadline=None)
     @given(units_and_box())
     def test_power_products_match_pow(self, drawn):
