@@ -8,6 +8,7 @@ comparison.
 """
 
 import argparse
+import re
 
 from mixlab.mixing import ess_bound_exponent
 
@@ -16,6 +17,9 @@ from inprocess import mixlab_json
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
+    # A list value may start with a minus sign and a digit (`--gens -1,2`), as
+    # `mixlab uniteq` reads it.
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("--coeffs", default="1,1", help="comma-separated rationals")
     parser.add_argument("--gens", default="2", help="comma-separated rational units")
     parser.add_argument("--box", type=int, default=5)

@@ -268,6 +268,7 @@ def _parse_shifts(text: str):
 def cmd_simulate(args) -> int:
     from .simulate import correlation_estimate, correlation_exact, cylinder_measure
 
+    _require_nonnegative(args, "window")
     loaded = load_system(args.file)
     system = loaded.system
     if not isinstance(system.module, CharPModule):

@@ -5,9 +5,17 @@ pattern is seen on X exactly when it is orthogonal to every relation
 sum c_s u^s in I with s in W.  Those relations are the kernel of the matrix
 N whose column s is NF(u^(s - lo)), lo the window's lower corner (a unit
 shift), so the valid patterns are exactly the row space of N.  A window
-space keeps its reduced echelon basis K with each row's lead at its highest
+space has the reduced echelon basis K with each row's lead at its highest
 nonzero site: row f is 1 at site f, 0 at the other leads and 0 above f, and
 the valid patterns are the combinations x @ K mod p of the free values x.
+Column s of K is column s of N in the basis of the lead columns: a site is
+a lead exactly when its column is not a combination of the columns above
+it, and every other site combines leads above it.  Over F_2 the columns of
+N are packed ints, one XOR per term to build, and they are reduced highest
+site first, each tagged with the leads it combines, as `linalg.nullspace`
+reduces a matrix's columns.  That gives the rank and each site's column of
+K as a packed int, and the dense K is built only when it is read.  Over
+odd p the rows of N go through `linalg.rref`, which gives K.
 
 A cylinder or correlation measure needs no window space.  A point of X is
 an F_p-linear functional chi on R/I, x_s = chi(u^s), and Haar measure on X
@@ -37,9 +45,12 @@ only the pinned support, the free values whose kernel row is nonzero at
 some pin, and multiplies.  Over F_2 it decodes nothing: a free value
 (h·2) >> 32 is the sign bit of its half h, a pin reads the XOR of the free
 values on its kernel column, and the sign bit of an XOR is the XOR of the
-sign bits, so each pin is the sign bit of the XOR of its column's halves.
-Either way an estimate's block i reads the stream keyed by the exact uint64
-pair (seed, i), so its seed lies in [0, 2^64).
+sign bits.  The support's sign bits are packed eight samples to a byte
+along the sample axis, so a pin is the XOR of its column's packed bytes,
+512 of them for a chunk of 4,096 samples.  Either way an estimate reads
+only the rank and the pinned columns of K, and its block i reads the
+stream keyed by the exact uint64 pair (seed, i), so its seed lies in
+[0, 2^64).
 """
 
 from __future__ import annotations
@@ -183,53 +194,132 @@ def _shifted_pins(
     return pins
 
 
-def _normal_forms(ideal, shape: Sequence[int]) -> List[Dict[Tuple[int, ...], int]]:
+def _normal_forms(ideal, shape: Sequence[int]) -> list:
     """NF(u^e) for every e in the box [0, shape), in lexicographic order, each
     from a neighbour r = NF(u^(e - e_i)) by the linear map `_reduced` applies:
-    NF(u_i r) is the sum of c_mu NF(u^(mu + e_i)) over the terms of r."""
+    NF(u_i r) is the sum of c_mu NF(u^(mu + e_i)) over the terms of r.
+
+    Over F_2 a normal form is a packed int, bit b the b-th monomial met, and
+    the sum is one XOR per term of r; over odd p it is a {monomial:
+    coefficient} dict."""
     p = ideal.characteristic
     nf = ideal.normal_form_monomial
     d = len(shape)
-    out: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
-    steps = {}  # (i, mu) -> NF(u^(mu + e_i))
+    bits: Dict[Tuple[int, ...], int] = {}
+    monomials: List[Tuple[int, ...]] = []
+
+    def form(e):
+        terms = nf(e)
+        if p != 2:
+            return terms
+        col = 0
+        for mu in terms:
+            b = bits.get(mu)
+            if b is None:
+                b = bits[mu] = len(monomials)
+                monomials.append(mu)
+            col |= 1 << b
+        return col
+
+    out: dict = {}
+    # i -> {mu: NF(u^(mu + e_i))}, mu a monomial (odd p) or its bit (F_2).
+    # A normal-form key carries the saturation slot last; a step drops it.
+    steps: List[dict] = [{} for _ in range(d)]
     for e in box_points([(0, n - 1) for n in shape]):
         moved = [i for i in range(d) if e[i]]
         if not moved:
-            out[e] = nf(e)
+            out[e] = form(e)
             continue
         i = moved[-1]
-        col: Dict[Tuple[int, ...], int] = {}
-        for mu, c in out[e[:i] + (e[i] - 1,) + e[i + 1:]].items():
-            step = steps.get((i, mu))
+        r = out[e[:i] + (e[i] - 1,) + e[i + 1:]]
+        step_i = steps[i]
+        if p == 2:
+            col = 0
+            while r:
+                low = r & -r
+                r ^= low
+                b = low.bit_length() - 1
+                step = step_i.get(b)
+                if step is None:
+                    mu = monomials[b]
+                    step = step_i[b] = form(mu[:i] + (mu[i] + 1,) + mu[i + 1:d])
+                col ^= step
+            out[e] = col
+            continue
+        acc: Dict[Tuple[int, ...], int] = {}
+        for mu, c in r.items():
+            step = step_i.get(mu)
             if step is None:
-                # A normal-form key carries the saturation slot last; drop it.
-                step = steps[i, mu] = nf(mu[:i] + (mu[i] + 1,) + mu[i + 1:d])
+                step = step_i[mu] = nf(mu[:i] + (mu[i] + 1,) + mu[i + 1:d])
             for nu, a in step.items():
-                col[nu] = (col.get(nu, 0) + c * a) % p
-        out[e] = {nu: c for nu, c in col.items() if c}
+                acc[nu] = (acc.get(nu, 0) + c * a) % p
+        out[e] = {nu: c for nu, c in acc.items() if c}
     return list(out.values())
 
 
-# The most sites a window space lists.  It keeps every site and a dense
-# kernel over them with one row per free value (2 side - 1 of them for
-# `ledrappier`), so its cost grows with the cube of a 2-dimensional window's
-# side: at 2^14 sites (side 128) the build took 0.9 s and 130 MB for
-# `ledrappier` and 4.6 s and 180 MB for `tests/f3_substitution.json`.  The
-# windows sampled in CI (side 40, 1,600 sites) and in the benchmark (side
-# 20, 400 sites) lie well inside.
+def _lead_coordinates(columns: Sequence[int]) -> Tuple[int, List[int]]:
+    """The rank k of packed F_2 columns and each column's coordinates in the
+    basis of their lead columns, as packed ints.
+
+    The columns are reduced last first, as `linalg.nullspace` reduces a
+    matrix's columns: an echelon table keyed by lowest set bit holds each
+    reduced lead column tagged with the leads it is the sum of.  A column
+    that reduces to zero is the sum of the leads its tags combine; one that
+    does not is a new lead f, numbered from 0 in the order met, with
+    coordinates bit f alone.  So a column is a lead exactly when it is not a
+    combination of the columns after it.
+    """
+    table: Dict[int, Tuple[int, int]] = {}
+    tags = [0] * len(columns)
+    k = 0
+    for j in range(len(columns) - 1, -1, -1):
+        col, tag = columns[j], 0
+        while col:
+            low = col & -col
+            entry = table.get(low)
+            if entry is None:
+                lead = 1 << k
+                k += 1
+                table[low] = (col, tag ^ lead)
+                tag = lead
+                break
+            col ^= entry[0]
+            tag ^= entry[1]
+        tags[j] = tag
+    return k, tags
+
+
+def _unpack_coordinates(tags: Sequence[int], k: int) -> np.ndarray:
+    """Coordinates from `_lead_coordinates` as the int64 columns of a
+    `(k, len(tags))` array, lead f in row k - 1 - f."""
+    width = (k + 7) // 8
+    raw = np.frombuffer(b"".join(t.to_bytes(width, "little") for t in tags), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(tags), width), axis=1, count=k, bitorder="little")
+    return np.ascontiguousarray(bits[:, ::-1].T, dtype=np.int64)
+
+
+# The most sites a window space lists.  It keeps every site, and each
+# site's column of the kernel, with one entry per free value (2 side - 1 of
+# them for `ledrappier`).  Builds measured on one core of a 2-core Xeon
+# container, peak memory of the whole process: at 2^14 sites (side 128)
+# 0.22 s and 38 MB for `ledrappier` (0.31 s and 75 MB with the dense kernel
+# read), and 3.4 s and 180 MB for `tests/f3_substitution.json`, whose rows
+# go through `linalg.rref`.  The windows sampled in CI (side 40, 1,600
+# sites, and side 128) and in the benchmark (side 20, 400 sites) lie inside.
 WINDOW_SITE_LIMIT = 1 << 14
 
 # The most entries, rows times sites, of the matrix N a window space reduces.
 # Its rows are the distinct normal-form monomials, which bound the kernel's
-# rank, so this bounds the dense kernel too, and the build's cost follows
-# it: about 17 bytes of peak memory per entry.  Where the basis leaves
-# variables free the rows grow with the window.  Builds measured on one
-# core: `split_ledrappier` (d = 4) at side 10, 1,900 rows over 10,000 sites
-# (1.9e7 entries), 1.4 s and 330 MB; the full shift at side 76, one row per
-# site (3.3e7), 2.0 s and 550 MB, and at side 90 (6.6e7) 4.1 s and 1.0 GB.
-# `split_ledrappier` at side 11 (2,541 rows over 14,641 sites, 3.7e7) is
-# refused; every window the site limit admits for `ledrappier` (255 rows at
-# side 128) builds.
+# rank, so this bounds the dense kernel too: 8 bytes an entry when it is
+# read.  Where the basis leaves variables free the rows grow with the window.
+# Builds measured as above, over F_2 with packed columns: `split_ledrappier`
+# (d = 4) at side 10, 1,900 rows over 10,000 sites (1.9e7 entries), 0.07 s
+# and 40 MB (0.19 s and 210 MB with the dense kernel); the full shift at
+# side 76, one row per site (3.3e7), 0.07 s and 45 MB (0.36 s and 340 MB),
+# and at side 90 (6.6e7, past the limit) 0.12 s and 55 MB (0.71 s and
+# 630 MB).  `split_ledrappier` at side 11 (2,541 rows over 14,641 sites,
+# 3.7e7) is refused; every window the site limit admits for `ledrappier`
+# (255 rows at side 128) builds.
 WINDOW_ENTRY_LIMIT = 1 << 25
 
 
@@ -249,24 +339,51 @@ class WindowConfigSpace:
         self.sites = list(box_points(self.window))
         self.site_index = {s: i for i, s in enumerate(self.sites)}
         columns = _normal_forms(ideal, [hi - lo + 1 for lo, hi in self.window])
-        # N has one row per normal-form monomial; its columns are numbered
-        # from the far end, so rref's lowest leads are the highest sites.
-        rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
-        for j, col in enumerate(columns):
-            for mu, c in col.items():
-                rows.setdefault(mu, {})[nsites - 1 - j] = c
-        if len(rows) * nsites > WINDOW_ENTRY_LIMIT:
+        if self.p == 2:
+            union = 0
+            for col in columns:
+                union |= col
+            nrows = union.bit_count()
+        else:
+            # N has one row per normal-form monomial; its columns are
+            # numbered from the far end, so rref's lowest leads are the
+            # highest sites.
+            rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
+            for j, col in enumerate(columns):
+                for mu, c in col.items():
+                    rows.setdefault(mu, {})[nsites - 1 - j] = c
+            nrows = len(rows)
+        if nrows * nsites > WINDOW_ENTRY_LIMIT:
             raise BudgetExceededError(
-                f"a window space of {len(rows)} rows over {nsites} sites exceeds the entry limit",
-                {"window": [list(w) for w in self.window], "rows": len(rows), "sites": nsites,
+                f"a window space of {nrows} rows over {nsites} sites exceeds the entry limit",
+                {"window": [list(w) for w in self.window], "rows": nrows, "sites": nsites,
                  "entry_limit": WINDOW_ENTRY_LIMIT})
-        basis, _ = linalg.rref(list(rows.values()), nsites, self.p)
-        basis = np.array(basis, dtype=np.int64).reshape(len(basis), nsites)
-        self.kernel = np.ascontiguousarray(basis[::-1, ::-1])
+        self._kernel = self._coordinates = None
+        if self.p == 2:
+            self.rank, self._coordinates = _lead_coordinates(columns)
+        else:
+            basis, _ = linalg.rref(list(rows.values()), nsites, self.p)
+            basis = np.array(basis, dtype=np.int64).reshape(len(basis), nsites)
+            self._kernel = np.ascontiguousarray(basis[::-1, ::-1])
+            self.rank = len(basis)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """K as a dense int64 `(rank, sites)` array, built over F_2 on first read."""
+        if self._kernel is None:
+            self._kernel = _unpack_coordinates(self._coordinates, self.rank)
+        return self._kernel
+
+    def columns(self, indices: Sequence[int]) -> np.ndarray:
+        """The columns of K at the given site indices, as a `(rank,
+        len(indices))` int64 array; over F_2 without building K."""
+        if self._kernel is None:
+            return _unpack_coordinates([self._coordinates[j] for j in indices], self.rank)
+        return self._kernel[:, indices]
 
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
         """Uniform samples of valid configurations; Philox keyed by the seed."""
-        chunks = _halves(np.random.Philox(seed), self.p, count, len(self.kernel))
+        chunks = _halves(np.random.Philox(seed), self.p, count, self.rank)
         return np.concatenate([matmul_mod(_decode(h, self.p), self.kernel, self.p)
                                for h in chunks])
 
@@ -361,23 +478,27 @@ def _hit_counter(
     """A function counting the samples in a `(rows, k)` chunk of accepted
     halves that show symbol pin_vals[j] at every pin j, where column j of
     pin_cols is pin j's kernel column."""
-    if p == 2:
-        # A free value is (h·2) >> 32, the sign bit of its half h, and a pin
-        # reads the XOR of the free values on its kernel column: the sign bit
-        # of the XOR of their halves.  A symbol 1 flips that bit, so a sample
-        # hits every pin exactly when the OR over the pins has sign bit 0.
-        parities = [(np.flatnonzero(column), np.uint32(value << 31))
-                    for column, value in zip(pin_cols.T, pin_vals)]
-
-        def hits(halves: np.ndarray) -> int:
-            missed = np.zeros(len(halves), dtype=np.uint32)
-            for rows, flip in parities:
-                missed |= np.bitwise_xor.reduce(halves[:, rows], axis=1) ^ flip
-            return int(np.count_nonzero(missed < 1 << 31))
-        return hits
-
     support = np.flatnonzero(pin_cols.any(axis=1))
     support_cols = pin_cols[support]
+    if p == 2:
+        # A free value is (h·2) >> 32, the sign bit of its half h, and a pin
+        # reads the XOR of the free values on its kernel column: the XOR of
+        # their sign bits.  The sign bits of the support are packed eight
+        # samples to a byte along the sample axis, so a pin is the XOR of its
+        # columns' bytes.  A symbol 1 flips every bit, and a sample hits every
+        # pin exactly when its bit of the OR over the pins is 0.
+        parities = [(np.flatnonzero(column), np.uint8(0xFF * value))
+                    for column, value in zip(support_cols.T, pin_vals)]
+        top = np.uint32(1 << 31)
+
+        def hits(halves: np.ndarray) -> int:
+            signs = np.packbits(halves[:, support] >= top, axis=0)
+            missed = np.zeros(len(signs), dtype=np.uint8)
+            for rows, flip in parities:
+                missed |= np.bitwise_xor.reduce(signs[:, rows], axis=1) ^ flip
+            # The last byte is padded with 0 bits past the chunk's samples.
+            return len(halves) - int(np.count_nonzero(np.unpackbits(missed, count=len(halves))))
+        return hits
 
     def hits(halves: np.ndarray) -> int:
         pinned = matmul_mod(_decode(halves[:, support], p), support_cols, p)
@@ -422,8 +543,8 @@ def correlation_estimate(
         (i, min(_BLOCK, samples - i * _BLOCK))
         for i in range((samples + _BLOCK - 1) // _BLOCK)
     ]
-    p, k = space.p, len(space.kernel)
-    hits = _hit_counter(space.kernel[:, columns], [v % p for _, v in pins], p)
+    p, k = space.p, space.rank
+    hits = _hit_counter(space.columns(columns), [v % p for _, v in pins], p)
 
     def run_block(block):
         index, size = block

@@ -1027,10 +1027,13 @@ class TestSimulate:
     (["analyze", THREE_DOT, "--box", "-1"], "--box"),
     (["uniteq", "--coeffs", "1,1", "--gens", "2,3", "--box", "-1"], "--box"),
     (["uniteq", "--coeffs", "1,1", "--gens", "2,3", "--budget", "-1"], "--budget"),
+    (["simulate", THREE_DOT, "--sets", '[{"0,0": 0}]', "--shifts", "[[0,0]]", "--window", "-3",
+      "--json"], "--window"),
 ])
 def test_negative_budgets_are_input_errors(capsys, tmp_path, argv, flag):
     # A negative box or window named an empty "exhausted region" (exit 3),
-    # and uniteq asserted its bound over no box at all.
+    # uniteq asserted its bound over no box at all, and simulate printed the
+    # negative window as if it had been used.
     out_dir = ["--out", str(tmp_path)] if argv[0] == "certify" else []
     code, out, err = run(capsys, *argv, *out_dir)
     assert code == 2
@@ -1156,14 +1159,24 @@ class TestUniteq:
 
 
 def test_unit_equation_demo_takes_a_leading_minus():
-    # `--gens -1,2` read -1,2 as a flag: the demo passes each list as --gens=...
+    # `--gens -1,2` read -1,2 as a flag, in the demo's own parser and in the
+    # uniteq it runs: both spellings now print the same, and a missing value
+    # is still refused.
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, str(root / "scripts" / "unit_equation_demo.py"),
-                           "--coeffs=1,1", "--gens=-1,2", "--box", "3"],
-                          env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert "nondegenerate solutions: 3" in done.stdout.splitlines()
+
+    def demo(*argv):
+        return subprocess.run([sys.executable, str(root / "scripts" / "unit_equation_demo.py"),
+                               *argv], env=env, capture_output=True, text=True)
+
+    joined = demo("--coeffs=1,1", "--gens=-1,2", "--box", "3")
+    assert (joined.returncode, joined.stderr) == (0, "")
+    assert "nondegenerate solutions: 3" in joined.stdout.splitlines()
+    split = demo("--coeffs", "1,1", "--gens", "-1,2", "--box", "3")
+    assert (split.returncode, split.stdout, split.stderr) == (0, joined.stdout, "")
+    missing = demo("--gens", "--box", "3")
+    assert missing.returncode == 2
+    assert missing.stderr.splitlines()[-1].endswith("argument --gens: expected one argument")
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):

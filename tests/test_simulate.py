@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from pathlib import Path
-from unittest.mock import patch
+from unittest.mock import PropertyMock, patch
 
 import numpy as np
 import pytest
@@ -494,6 +494,23 @@ class TestFreeValues:
         assert sum(map(parity, chunks)) == sum(ref_hits(h, pin_cols, pin_vals, 2)
                                                for h in chunks)
 
+    @pytest.mark.parametrize("rows", [0, 1, 7, 9, 4095, 4096])
+    def test_f2_hits_on_packed_sign_columns(self, rows):
+        # Real kernel columns (ledrappier at window 20, k = 39) and a zero
+        # column, over chunks that fill no byte, part of one, and a whole
+        # 512-byte column; then the same chunk with no pins at all.
+        system = load_system(LEDRAPPIER).system
+        space = WindowConfigSpace(system, [(0, 19)] * 2)
+        sites = [space.site_index[s] for s in [(0, 0), (8, 0), (0, 8), (19, 19)]]
+        pin_cols = np.column_stack([space.columns(sites), np.zeros(space.rank, dtype=np.int64)])
+        (halves,) = _halves(np.random.Philox(rows), 2, rows, space.rank)
+        for pin_vals in ([0, 0, 0, 1, 0], [1, 0, 1, 1, 0], [0, 1, 0, 0, 1]):
+            expected = ref_hits(halves, pin_cols, pin_vals, 2)
+            assert _hit_counter(pin_cols, pin_vals, 2)(halves) == expected
+        assert expected == 0
+        no_pins = pin_cols[:, :0]
+        assert _hit_counter(no_pins, [], 2)(halves) == ref_hits(halves, no_pins, [], 2) == rows
+
 
 class TestSeeds:
     """Block i of an estimate is keyed by the exact pair (seed, i)."""
@@ -655,6 +672,59 @@ class TestWindowsFromNormalForms:
 
 
 @pytest.fixture(scope="module")
+def reference_kernels():
+    """Each characteristic-p file's kernel on its small window by the dense
+    reference elimination: the canonical basis of the row space of the
+    normal-form matrix, as the kernel of its kernel."""
+    out = {}
+    for name, path in CHAR_P_FILES.items():
+        ideal = load_system(path).system.module.ideal
+        p, window = ideal.characteristic, SMALL_WINDOWS[ideal.d]
+        sites = list(box_points(window))
+        forms = [ideal.normal_form_monomial(tuple(s - lo for s, (lo, _) in zip(site, window)))
+                 for site in sites]
+        monos = list(dict.fromkeys(mu for form in forms for mu in form))
+        rows = [[form.get(mu, 0) % p for form in forms] for mu in monos]
+        kernel = ref_nullspace(ref_nullspace(rows, len(sites), p), len(sites), p)
+        out[name] = np.array(kernel, dtype=np.int64).reshape(len(kernel), len(sites))
+    return out
+
+
+class TestPinnedColumns:
+    """An estimate reads the rank and its pinned columns of the window's
+    kernel K, not K itself."""
+
+    @given(name=st.sampled_from(sorted(CHAR_P_FILES)),
+           picks=st.lists(st.integers(0, 10 ** 6), max_size=6))
+    @example(name="ledrappier.json", picks=[0, 35, 35, 17])
+    @example(name="f3_two_generators.json", picks=[0, 1, 29, 35])
+    @example(name="f5_two_generators.json", picks=[2, 3, 30, 31])
+    @example(name="trivial_unit.json", picks=[0, 11])
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_reference_kernel(self, reference_kernels, name, picks):
+        # Over F_2, F_3 and F_5, in d = 1..4, repeated sites and no sites.
+        system = load_system(CHAR_P_FILES[name]).system
+        space = WindowConfigSpace(system, SMALL_WINDOWS[system.module.ideal.d])
+        reference = reference_kernels[name]
+        sites = [i % len(space.sites) for i in picks]
+        assert space.rank == len(reference)
+        columns = space.columns(sites)
+        assert columns.dtype == np.int64
+        assert columns.tolist() == reference[:, sites].tolist()
+        assert space.kernel.tolist() == reference.tolist()
+
+    @pytest.mark.parametrize("path, window", [(LEDRAPPIER, 20), (F3_SUBSTITUTION, 10)])
+    def test_estimate_builds_no_dense_kernel(self, path, window):
+        system = load_system(path).system
+        cyl = CylinderSet.make({(0, 0): 0, (1, 1): 1})
+        args = (system, [cyl] * 2, [(0, 0), (3, 3)], [(0, window - 1)] * 2)
+        before = correlation_estimate(*args, samples=30_000, seed=4)
+        with patch.object(WindowConfigSpace, "kernel", new_callable=PropertyMock) as kernel:
+            assert correlation_estimate(*args, samples=30_000, seed=4) == before
+        assert kernel.call_count == 0
+
+
+@pytest.fixture(scope="module")
 def window_oracles():
     """Each characteristic-p file's system and its small window's space."""
     out = {}
@@ -796,10 +866,11 @@ class TestWindowFreeMeasures:
         # over 14,641 sites, within the site limit but not the entry limit.
         system = load_system(CHAR_P_FILES["split_ledrappier.json"]).system
         window = [(0, 10)] * 4
-        with patch.object(linalg, "rref") as reduced:
+        with patch.object(linalg, "rref") as reduced, \
+                patch.object(simulate, "_lead_coordinates") as reduced_f2:
             with pytest.raises(BudgetExceededError) as info:
                 WindowConfigSpace(system, window)
-        assert reduced.call_count == 0
+        assert reduced.call_count == reduced_f2.call_count == 0
         assert str(info.value) == (
             "a window space of 2541 rows over 14641 sites exceeds the entry limit")
         assert info.value.region == {"window": [[0, 10]] * 4, "rows": 2541, "sites": 14641,
