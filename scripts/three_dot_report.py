@@ -20,6 +20,7 @@ from mixlab.ring import DomainError
 from mixlab.simulate import (
     CylinderSet,
     WindowConfigSpace,
+    WindowError,
     correlation_estimate,
     correlation_exact,
     cylinder_measure,
@@ -85,7 +86,8 @@ def main() -> None:
             system, [cyl] * 3, [(0, 0), (4, 0), (0, 4)], window,
             samples=args.samples, seed=args.seed,
         )
-    except DomainError as e:  # a seed outside [0, 2^64) or no samples
+    except (DomainError, WindowError) as e:
+        # A seed outside [0, 2^64), no samples, or a pin outside the window.
         print(f"error: {e}", file=sys.stderr)
         sys.exit(cli.EXIT_INPUT)
     except BudgetExceededError as e:  # a window of more sites than the sampler lists

@@ -1,41 +1,46 @@
 """Linear algebra over prime fields, used by search and simulation.
 
-A row is sparse, a {column: value} dict, and rows go into an echelon table
-keyed by their lead, the lowest column where the row is nonzero.  A new row
-is reduced only by the table row that shares its current lead, until it is
-zero or its lead is new to the table.  Over F_2 a table row is packed into
-one Python int (bit c is column c) and reduction is an XOR; over odd p it is
-a dict scaled so the lead entry is 1.  Over F_2 a row may also come packed.
+One routine, `coordinates`, reduces a matrix A given by its columns, first
+to last.  A column that does not reduce to zero becomes pivot g, numbered
+from 0 in the order met, and every column j gets its coordinates in the
+basis of the pivot columns:
 
-Every echelon form of a row space has the same leads, and they are the
-pivot columns of its reduced row echelon form R, whatever order the rows
-came in.  `rref` builds the table, then clears each row at the higher
-pivots, highest pivot first, which gives R.  `rref` and `nullspace`
-return lists of Python ints, exact for any p.
+    column j of A = sum over g of coords[j][g] * (pivot column g of A).
 
-`nullspace` takes its matrix A (m rows, n columns) by columns and reduces
-the transpose with a reversed identity appended: row j is column j of A
-followed by a 1 at position m + n - 1 - j.  The table spans every
-(x^T A, x reversed), so its rows whose transposed part reduces to zero span
-the kernel, and a kernel row's lead is its highest nonzero column f.  That
-f is free (column f of A is a combination of the columns before it), and
-every free column is one such lead.  The same clearing sweep on the kernel
-rows alone leaves, for each free column f, the one kernel vector that is 1
-at f and 0 at the other free columns: e_f - sum_q R[q, f] e_q over the
-pivots q, the basis read off R, whatever the order of the rows of A.
+So column j is a pivot exactly when it is not a combination of the columns
+before it, and the coordinates of the columns, read one column at a time,
+are the reduced row echelon form R of A: row g of R is 1 at pivot g, 0 at
+the other pivots and 0 before pivot g.  R and the pivots depend on A alone,
+not on how its rows are numbered or ordered.
+
+The pass keeps an echelon table keyed by lead, each entry a reduced column
+tagged with its coordinates, so the invariant holds for every entry too.  A
+new column is reduced only by the entry that shares its current lead, and
+its tag takes up each entry it subtracts, until the column is zero (its tag
+is then its coordinates) or its lead is new to the table (it is then a new
+pivot).  Over F_2 a column and a tag are packed into Python ints (bit i is
+row i, bit g is pivot g), a step is two XORs, and the lead is the lowest
+set bit.  Over odd p both are sparse dicts, a column scaled so its lead,
+its lowest row, is 1.  A column may be a {row: value} dict whose rows are
+any sortable keys, or over F_2 a packed int (the columns of one call are
+all dicts or all packed ints).  Coordinates are Python ints, exact for any
+p.
+
+`rref` is that reduction under the name callers use for dict columns;
+perfbench's tracer wraps it and sizes its first column, so it never takes
+packed ints.  `nullspace` reads the kernel off R: free column f gives
+e_f - sum over g of R[g, f] e_(pivot g).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
 
-# '0'/'1' characters to the bytes 0/1, for unpacking F_2 rows at C speed.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-Row = Union[int, Dict[int, int]]
+Column = Union[int, Mapping[Hashable, int]]
+Coordinates = Union[int, Dict[int, int]]
 
 
-def _subtract(target: Dict[int, int], factor: int, source: Dict[int, int], p: int) -> None:
+def _subtract(target: Dict, factor: int, source: Mapping, p: int) -> None:
     """target -= factor * source, in place, mod p."""
     for c, x in source.items():
         v = (target.get(c, 0) - factor * x) % p
@@ -45,89 +50,69 @@ def _subtract(target: Dict[int, int], factor: int, source: Dict[int, int], p: in
             del target[c]
 
 
-def _echelon(rows: Iterable[Row], p: int) -> Dict[int, Row]:
-    """The echelon table of the rows: lead column -> row with that lead.
-    Over F_2 a row may be a packed int as well as a dict."""
-    table: Dict[int, Row] = {}
-    for entries in rows:
-        if p == 2:
-            if isinstance(entries, int):
-                row = entries
-            else:
-                row = 0
-                for c, x in entries.items():
-                    if x % 2:
-                        row |= 1 << c
-            while row:
-                lead = (row & -row).bit_length() - 1
-                if lead not in table:
-                    table[lead] = row
-                    break
-                row ^= table[lead]
-        else:
-            row = {c: x % p for c, x in entries.items() if x % p}
-            while row:
-                lead = min(row)
-                if lead not in table:
-                    inv = pow(row[lead], -1, p)
-                    table[lead] = {c: x * inv % p for c, x in row.items()}
-                    break
-                _subtract(row, row[lead], table[lead], p)
-    return table
+def coordinates(columns: Sequence[Column], p: int) -> Tuple[List[Coordinates], List[int]]:
+    """(each column's coordinates in the basis of the pivot columns, the
+    pivot column indices in increasing order), mod p.
 
-
-def _clear(table: Dict[int, Row], pivots: Sequence[int], p: int) -> None:
-    """Clear each table row led by one of the pivots (increasing) at the
-    higher of those pivots, highest pivot first, in place.  A row already
-    cleared is zero at every listed pivot but its own, so subtracting it
-    clears one column and touches no other listed pivot."""
-    above = 0
-    for q in reversed(pivots):
-        row = table[q]
-        if p == 2:
-            hits = row & above
-            while hits:
-                low = hits & -hits
-                row ^= table[low.bit_length() - 1]
-                hits ^= low
-            table[q] = row
-            above |= 1 << q
-        else:
-            for j in [c for c in row if c > q and c in table]:
-                _subtract(row, row[j], table[j], p)
-
-
-def rref(rows: Sequence[Mapping[int, int]], ncols: int, p: int) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form mod p of sparse {column: value} rows.
-
-    Returns (R, pivot column list): R holds the pivot rows in pivot order,
-    each a list of ncols ints reduced mod p.
+    Over F_2 coordinates are packed ints, bit g for pivot g; over odd p they
+    are {g: value} dicts.  Pivot column pivots[g] has coordinates bit g (or
+    {g: 1}) alone.
     """
-    table = _echelon(rows, p)
-    pivots = sorted(table)
-    _clear(table, pivots, p)
+    coords: List[Coordinates] = []
+    pivots: List[int] = []
     if p == 2:
-        return [list(format(table[q], f"0{ncols}b").encode()[::-1].translate(_BITS))
-                for q in pivots], pivots
-    reduced = []
-    for q in pivots:
-        row = [0] * ncols
-        for c, x in table[q].items():
-            row[c] = x
-        reduced.append(row)
-    return reduced, pivots
+        bits: Dict[Hashable, int] = {}
+        table: Dict[int, Tuple[int, int]] = {}
+        for j, entries in enumerate(columns):
+            col, tag = entries, 0
+            if not isinstance(col, int):
+                col = 0
+                for r, x in entries.items():
+                    if x % 2:
+                        col |= 1 << bits.setdefault(r, len(bits))
+            while col:
+                low = col & -col
+                entry = table.get(low)
+                if entry is None:
+                    lead = 1 << len(pivots)
+                    pivots.append(j)
+                    table[low] = (col, tag ^ lead)
+                    tag = lead
+                    break
+                col ^= entry[0]
+                tag ^= entry[1]
+            coords.append(tag)
+        return coords, pivots
+    reduced: Dict[Hashable, Tuple[Dict, Dict[int, int]]] = {}
+    for j, entries in enumerate(columns):
+        col = {r: x % p for r, x in entries.items() if x % p}
+        tag: Dict[int, int] = {}
+        while col:
+            lead = min(col)
+            entry = reduced.get(lead)
+            if entry is None:
+                # col = A_j - sum tag[h] A_h, scaled so col[lead] = 1.
+                inv = pow(col[lead], -1, p)
+                scaled = {h: -a * inv % p for h, a in tag.items()}
+                scaled[len(pivots)] = inv
+                reduced[lead] = ({r: x * inv % p for r, x in col.items()}, scaled)
+                tag = {len(pivots): 1}
+                pivots.append(j)
+                break
+            factor = col[lead]
+            _subtract(col, factor, entry[0], p)
+            _subtract(tag, -factor, entry[1], p)
+        coords.append(tag)
+    return coords, pivots
 
 
-def affine_consistent_rank(rows_aug: Sequence[Sequence[int]], p: int) -> Tuple[bool, int]:
-    """For dense augmented rows [A | b]: (consistent, rank of A)."""
-    rhs = len(rows_aug[0]) - 1
-    table = _echelon(({c: x for c, x in enumerate(r) if x} for r in rows_aug), p)
-    # A row led by the right-hand side reads 0 = b with b nonzero.
-    inconsistent = rhs in table
-    return not inconsistent, len(table) - inconsistent
+def rref(columns: Sequence[Mapping[Hashable, int]], p: int) -> Tuple[List[Coordinates], List[int]]:
+    """`coordinates` of sparse {row: value} columns: R by columns, and the
+    pivots."""
+    return coordinates(columns, p)
 
 
-def nullspace(columns: Sequence[Row], ncols: int, p: int) -> List[List[int]]:
+def nullspace(columns: Sequence[Column], ncols: int, p: int) -> List[List[int]]:
     """Basis of the right kernel mod p of a matrix given by its ncols columns.
 
     A column is a sparse {row: value} dict, or over F_2 also a packed int
@@ -137,21 +122,21 @@ def nullspace(columns: Sequence[Row], ncols: int, p: int) -> List[List[int]]:
     """
     if len(columns) != ncols:
         raise ValueError(f"nullspace got {len(columns)} columns, expected {ncols}")
-    height = max((c.bit_length() if isinstance(c, int) else max(c, default=-1) + 1
-                  for c in columns), default=0)
-    top = height + ncols - 1
-    table = _echelon((c | 1 << (top - j) if isinstance(c, int) else {**c, top - j: 1}
-                      for j, c in enumerate(columns)), p)
-    kernel = sorted(q for q in table if q >= height)
-    _clear(table, kernel, p)
-    # Lead top - f is free column f, so the highest lead comes first.
-    if p == 2:
-        return [list(format(table[q] >> height, f"0{ncols}b").encode().translate(_BITS))
-                for q in reversed(kernel)]
+    coords, pivots = coordinates(columns, p)
+    pivot_columns = set(pivots)
     basis = []
-    for q in reversed(kernel):
+    for f, tag in enumerate(coords):
+        if f in pivot_columns:
+            continue
         vec = [0] * ncols
-        for c, x in table[q].items():
-            vec[top - c] = x
+        vec[f] = 1
+        if p == 2:
+            while tag:
+                low = tag & -tag
+                tag ^= low
+                vec[pivots[low.bit_length() - 1]] = 1
+        else:
+            for g, x in tag.items():
+                vec[pivots[g]] = -x % p
         basis.append(vec)
     return basis

@@ -556,11 +556,7 @@ def shape_search(
     # dependent ones removes exactly the coefficient vectors that are zero in
     # the quotient, which could otherwise flood the kernel with degenerate
     # (block-in-ideal) solutions.
-    nf_rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
-    for j, w in enumerate(window):
-        for mu, c in ideal.normal_form_monomial(w).items():
-            nf_rows.setdefault(mu, {})[j] = c
-    _, pivots = linalg.rref(list(nf_rows.values()), len(window), p)
+    _, pivots = linalg.rref([ideal.normal_form_monomial(w) for w in window], p)
     window = [window[j] for j in pivots]
     points = list(box_points([(0, hi - lo) for lo, hi in shape_box]))
     shapes = _canonical_shapes(points, r)

@@ -10,12 +10,11 @@ nonzero site: row f is 1 at site f, 0 at the other leads and 0 above f, and
 the valid patterns are the combinations x @ K mod p of the free values x.
 Column s of K is column s of N in the basis of the lead columns: a site is
 a lead exactly when its column is not a combination of the columns above
-it, and every other site combines leads above it.  Over F_2 the columns of
-N are packed ints, one XOR per term to build, and they are reduced highest
-site first, each tagged with the leads it combines, as `linalg.nullspace`
-reduces a matrix's columns.  That gives the rank and each site's column of
-K as a packed int, and the dense K is built only when it is read.  Over
-odd p the rows of N go through `linalg.rref`, which gives K.
+it, and every other site combines leads above it.  So K is one call of
+`linalg.coordinates` on the columns of N, highest site first, for every p.
+Over F_2 the columns are packed ints, one XOR per term to build, and each
+site's column of K comes back as a packed int; over odd p both are dicts.
+The dense K is built only when it is read.
 
 A cylinder or correlation measure needs no window space.  A point of X is
 an F_p-linear functional chi on R/I, x_s = chi(u^s), and Haar measure on X
@@ -257,44 +256,18 @@ def _normal_forms(ideal, shape: Sequence[int]) -> list:
     return list(out.values())
 
 
-def _lead_coordinates(columns: Sequence[int]) -> Tuple[int, List[int]]:
-    """The rank k of packed F_2 columns and each column's coordinates in the
-    basis of their lead columns, as packed ints.
-
-    The columns are reduced last first, as `linalg.nullspace` reduces a
-    matrix's columns: an echelon table keyed by lowest set bit holds each
-    reduced lead column tagged with the leads it is the sum of.  A column
-    that reduces to zero is the sum of the leads its tags combine; one that
-    does not is a new lead f, numbered from 0 in the order met, with
-    coordinates bit f alone.  So a column is a lead exactly when it is not a
-    combination of the columns after it.
-    """
-    table: Dict[int, Tuple[int, int]] = {}
-    tags = [0] * len(columns)
-    k = 0
-    for j in range(len(columns) - 1, -1, -1):
-        col, tag = columns[j], 0
-        while col:
-            low = col & -col
-            entry = table.get(low)
-            if entry is None:
-                lead = 1 << k
-                k += 1
-                table[low] = (col, tag ^ lead)
-                tag = lead
-                break
-            col ^= entry[0]
-            tag ^= entry[1]
-        tags[j] = tag
-    return k, tags
-
-
-def _unpack_coordinates(tags: Sequence[int], k: int) -> np.ndarray:
-    """Coordinates from `_lead_coordinates` as the int64 columns of a
-    `(k, len(tags))` array, lead f in row k - 1 - f."""
+def _unpack_coordinates(coords: Sequence, k: int, p: int) -> np.ndarray:
+    """Coordinates from `linalg.coordinates` over k pivots as the int64
+    columns of a `(k, len(coords))` array, pivot g in row k - 1 - g."""
+    if p != 2:
+        out = np.zeros((k, len(coords)), dtype=np.int64)
+        for j, tag in enumerate(coords):
+            for g, x in tag.items():
+                out[k - 1 - g, j] = x
+        return out
     width = (k + 7) // 8
-    raw = np.frombuffer(b"".join(t.to_bytes(width, "little") for t in tags), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(tags), width), axis=1, count=k, bitorder="little")
+    raw = np.frombuffer(b"".join(t.to_bytes(width, "little") for t in coords), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(coords), width), axis=1, count=k, bitorder="little")
     return np.ascontiguousarray(bits[:, ::-1].T, dtype=np.int64)
 
 
@@ -302,10 +275,10 @@ def _unpack_coordinates(tags: Sequence[int], k: int) -> np.ndarray:
 # site's column of the kernel, with one entry per free value (2 side - 1 of
 # them for `ledrappier`).  Builds measured on one core of a 2-core Xeon
 # container, peak memory of the whole process: at 2^14 sites (side 128)
-# 0.22 s and 38 MB for `ledrappier` (0.31 s and 75 MB with the dense kernel
-# read), and 3.4 s and 180 MB for `tests/f3_substitution.json`, whose rows
-# go through `linalg.rref`.  The windows sampled in CI (side 40, 1,600
-# sites, and side 128) and in the benchmark (side 20, 400 sites) lie inside.
+# 0.22 s and 40 MB for `ledrappier` (0.31 s and 75 MB with the dense kernel
+# read), and 4.9 s and 90 MB for `tests/f3_substitution.json`, whose
+# columns are dicts.  The windows sampled in CI (side 40, 1,600 sites, and
+# side 128) and in the benchmark (side 20, 400 sites) lie inside.
 WINDOW_SITE_LIMIT = 1 << 14
 
 # The most entries, rows times sites, of the matrix N a window space reduces.
@@ -345,40 +318,30 @@ class WindowConfigSpace:
                 union |= col
             nrows = union.bit_count()
         else:
-            # N has one row per normal-form monomial; its columns are
-            # numbered from the far end, so rref's lowest leads are the
-            # highest sites.
-            rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
-            for j, col in enumerate(columns):
-                for mu, c in col.items():
-                    rows.setdefault(mu, {})[nsites - 1 - j] = c
-            nrows = len(rows)
+            nrows = len({mu for col in columns for mu in col})
         if nrows * nsites > WINDOW_ENTRY_LIMIT:
             raise BudgetExceededError(
                 f"a window space of {nrows} rows over {nsites} sites exceeds the entry limit",
                 {"window": [list(w) for w in self.window], "rows": nrows, "sites": nsites,
                  "entry_limit": WINDOW_ENTRY_LIMIT})
-        self._kernel = self._coordinates = None
-        if self.p == 2:
-            self.rank, self._coordinates = _lead_coordinates(columns)
-        else:
-            basis, _ = linalg.rref(list(rows.values()), nsites, self.p)
-            basis = np.array(basis, dtype=np.int64).reshape(len(basis), nsites)
-            self._kernel = np.ascontiguousarray(basis[::-1, ::-1])
-            self.rank = len(basis)
+        # Highest site first, so a site is a lead exactly when its column is
+        # not a combination of the columns above it.
+        coords, pivots = linalg.coordinates(columns[::-1], self.p)
+        self._coordinates, self.rank = coords[::-1], len(pivots)
+        self._kernel = None
 
     @property
     def kernel(self) -> np.ndarray:
-        """K as a dense int64 `(rank, sites)` array, built over F_2 on first read."""
+        """K as a dense int64 `(rank, sites)` array, built on first read."""
         if self._kernel is None:
-            self._kernel = _unpack_coordinates(self._coordinates, self.rank)
+            self._kernel = _unpack_coordinates(self._coordinates, self.rank, self.p)
         return self._kernel
 
     def columns(self, indices: Sequence[int]) -> np.ndarray:
         """The columns of K at the given site indices, as a `(rank,
-        len(indices))` int64 array; over F_2 without building K."""
+        len(indices))` int64 array, without building K."""
         if self._kernel is None:
-            return _unpack_coordinates([self._coordinates[j] for j in indices], self.rank)
+            return _unpack_coordinates([self._coordinates[j] for j in indices], self.rank, self.p)
         return self._kernel[:, indices]
 
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
@@ -408,14 +371,16 @@ def _measure(ideal, pins: Sequence[Tuple[Site, int]]) -> Fraction:
         return Fraction(1)
     p = ideal.characteristic
     low = [min(axis) for axis in zip(*(site for site, _ in pins))]
-    forms = [ideal.normal_form_monomial(tuple(map(sub, site, low))) for site, _ in pins]
-    monomials = list(dict.fromkeys(mu for nf in forms for mu in nf))
-    aug = [[nf.get(mu, 0) for mu in monomials] + [value % p]
-           for nf, (_, value) in zip(forms, pins)]
-    consistent, rank = linalg.affine_consistent_rank(aug, p)
-    if not consistent:
+    # Column mu holds the coefficient of mu in each pin's row, and the last
+    # column is the pins' symbols: they contradict exactly when it is a pivot.
+    columns: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for i, (site, _) in enumerate(pins):
+        for mu, c in ideal.normal_form_monomial(tuple(map(sub, site, low))).items():
+            columns.setdefault(mu, {})[i] = c
+    _, pivots = linalg.rref([*columns.values(), {i: v for i, (_, v) in enumerate(pins)}], p)
+    if pivots and pivots[-1] == len(columns):
         return Fraction(0)
-    return Fraction(1, p ** rank)
+    return Fraction(1, p ** len(pivots))
 
 
 class MeasureResult:

@@ -1179,6 +1179,18 @@ def test_unit_equation_demo_takes_a_leading_minus():
     assert missing.stderr.splitlines()[-1].endswith("argument --gens: expected one argument")
 
 
+@pytest.mark.parametrize("window, site", [("3", "(4, 0)"), ("-2", "(0, 0)")])
+def test_three_dot_report_refuses_a_window_missing_a_pin(window, site):
+    # As `mixlab simulate` does: one error line and exit 2, no traceback.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "three_dot_report.py"),
+                           "--window", window, "--samples", "10"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == f"error: shifted pin {site} outside the window; enlarge it\n"
+
+
 def test_exact_commands_do_not_load_numpy(tmp_path):
     # Only `simulate` needs dense arrays; the exact commands stay pure Python.
     # They load no dataclasses either: with its inspect import it cost more

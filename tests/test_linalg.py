@@ -1,4 +1,4 @@
-"""Echelon-table F_p elimination against a slow dense reference."""
+"""The tagged column pass of F_p elimination against a slow dense reference."""
 
 import pytest
 from hypothesis import given, settings
@@ -57,12 +57,29 @@ def ref_nullspace(rows, ncols, p):
     return basis
 
 
-def nonzero_rows(rows, p):
-    return [[x % p for x in r] for r in rows if any(x % p for x in r)]
+def dense_columns(coords, pivots, p):
+    """The coordinates `linalg.coordinates` returns as dense columns of R,
+    one entry per pivot; over F_2 bit g of a packed int is pivot g."""
+    if p == 2:
+        return [[tag >> g & 1 for g in range(len(pivots))] for tag in coords]
+    return [[tag.get(g, 0) for g in range(len(pivots))] for tag in coords]
 
 
-def sparse(rows):
-    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+def ref_columns(rows, ncols, p):
+    """The columns of R from the reference, pivot rows only."""
+    reduced, pivots = ref_rref(rows, p)
+    return [[reduced[g][c] % p for g in range(len(pivots))] for c in range(ncols)], pivots
+
+
+def assert_matches_reference(reduced, pivots, rows, ncols, p):
+    """pivots and every column of R agree with the reference, each entry an
+    int reduced mod p."""
+    ref_reduced, ref_pivots = ref_columns(rows, ncols, p)
+    assert pivots == ref_pivots
+    assert len(reduced) == ncols
+    assert dense_columns(reduced, pivots, p) == ref_reduced
+    if p != 2:
+        assert all(type(x) is int and 0 < x < p for tag in reduced for x in tag.values())
 
 
 def columns(rows, ncols):
@@ -103,13 +120,10 @@ def matrices(draw, max_rows=12, max_cols=12):
 @given(matrices())
 def test_rref_matches_reference(case):
     p, ncols, rows = case
-    reduced, pivots = linalg.rref(sparse(rows), ncols, p)
-    ref_reduced, ref_pivots = ref_rref(rows, p)
-    assert pivots == ref_pivots
-    # The pivot rows alone, no zero padding, every entry an int reduced mod p.
-    assert reduced == nonzero_rows(ref_reduced, p)
-    assert all(len(r) == ncols for r in reduced)
-    assert all(type(x) is int and 0 <= x < p for r in reduced for x in r)
+    reduced, pivots = linalg.rref(columns(rows, ncols), p)
+    assert_matches_reference(reduced, pivots, rows, ncols, p)
+    if p == 2:
+        assert linalg.coordinates(packed(rows, ncols), p) == (reduced, pivots)
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,11 +132,20 @@ def test_rref_matches_reference(case):
 def test_rref_at_the_largest_characteristic(rows):
     # Entries near 2^31 must come back exact, as Python ints.
     p = 2 ** 31 - 1
-    reduced, pivots = linalg.rref(sparse(rows), 6, p)
-    ref_reduced, ref_pivots = ref_rref(rows, p)
-    assert pivots == ref_pivots
-    assert reduced == nonzero_rows(ref_reduced, p)
-    assert all(type(x) is int for r in reduced for x in r)
+    reduced, pivots = linalg.rref(columns(rows, 6), p)
+    assert_matches_reference(reduced, pivots, rows, 6, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rref_keyed_by_monomials(case, rng):
+    # Normal-form columns keyed by monomial tuples, as `shape_search` passes
+    # them, give the pivots and R of the same columns keyed by row number.
+    p, ncols, rows = case
+    monomials = [(i % 3, -i, i * i) for i in range(len(rows))]
+    rng.shuffle(monomials)
+    keyed = [{monomials[i]: x for i, x in col.items()} for col in columns(rows, ncols)]
+    assert linalg.rref(keyed, p) == linalg.rref(columns(rows, ncols), p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,7 +198,9 @@ def test_nullspace_at_the_largest_characteristic(rows):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(max_cols=13), st.data())
-def test_affine_consistent_rank_matches_reference(case, data):
+def test_rref_reads_affine_consistency(case, data):
+    # Rows [A | b] are consistent exactly when the right-hand column is not a
+    # pivot, and the other pivots are the rank of A.
     p, width, rows = case
     if not rows:
         rows = [[0] * width]
@@ -183,7 +208,9 @@ def test_affine_consistent_rank_matches_reference(case, data):
     if width > 1 and data.draw(st.booleans()):
         x = data.draw(st.lists(st.integers(0, p - 1), min_size=width - 1, max_size=width - 1))
         rows = [r[:-1] + [sum(a * b for a, b in zip(r, x))] for r in rows]
-    assert linalg.affine_consistent_rank(rows, p) == ref_affine_consistent_rank(rows, p)
+    _, pivots = linalg.rref(columns(rows, width), p)
+    inconsistent = width - 1 in pivots
+    assert (not inconsistent, len(pivots) - inconsistent) == ref_affine_consistent_rank(rows, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -195,10 +222,10 @@ def test_window_sized_system(p):
         row = [0] * ncols
         row[c] = row[c + 1] = row[c + 7] = 1
         rows.append(row)
-    reduced, pivots = linalg.rref(sparse(rows), ncols, p)
-    ref_reduced, ref_pivots = ref_rref(rows, p)
-    assert (reduced, pivots) == (nonzero_rows(ref_reduced, p), ref_pivots)
-    assert all(type(x) is int for r in reduced for x in r)
+    reduced, pivots = linalg.rref(columns(rows, ncols), p)
+    assert_matches_reference(reduced, pivots, rows, ncols, p)
+    if p == 2:
+        assert linalg.coordinates(packed(rows, ncols), p) == (reduced, pivots)
     kernel = linalg.nullspace(columns(rows, ncols), ncols, p)
     assert kernel == ref_nullspace(rows, ncols, p)
     assert len(kernel) == 7

@@ -255,8 +255,8 @@ def ref_shape_search(system, r, shape_box, coeff_window, dilations):
     window = list(box_points(coeff_window))
     nf_cols = [ideal.normal_form_monomial(w) for w in window]
     mono_keys = sorted({mu for col in nf_cols for mu in col})
-    mat = [{j: col[mu] for j, col in enumerate(nf_cols) if mu in col} for mu in mono_keys]
-    _, pivots = linalg.rref(mat, len(window), p)
+    row_of = {mu: i for i, mu in enumerate(mono_keys)}
+    _, pivots = linalg.rref([{row_of[mu]: c for mu, c in col.items()} for col in nf_cols], p)
     window = [window[j] for j in pivots]
     points = list(box_points(shape_box))
     shapes = sorted({_canonical_shape(c) for c in combinations(points, r)})
