@@ -586,16 +586,14 @@ def shape_search(
     # u^(n*q_s + w) over the dilations, and row (n, mu) is the coefficient of
     # mu at dilation n.  A column depends on the point q_s alone, so each
     # point's block of columns is built once and a shape's matrix is its
-    # points' blocks side by side.  Over F_2 a column is packed into an int.
+    # points' blocks side by side.  A column is packed into an int.
     row_of: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    nf = ideal.normal_form_monomial
 
     def column(q, w):
-        col: Dict[int, int] = {}
-        for n in dilations:
-            mono = tuple(n * a + e for a, e in zip(q, w))
-            for mu, c in ideal.normal_form_monomial(mono).items():
-                col[row_of.setdefault((n, mu), len(row_of))] = c
-        return sum(1 << i for i in col) if p == 2 else col
+        terms = (((n, mu), c) for n in dilations
+                 for mu, c in nf(tuple(n * a + e for a, e in zip(q, w))).items())
+        return linalg.pack(terms, p, row_of)
 
     block = {q: [column(q, w) for w in window] for q in points}
 

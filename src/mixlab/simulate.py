@@ -11,10 +11,10 @@ the valid patterns are the combinations x @ K mod p of the free values x.
 Column s of K is column s of N in the basis of the lead columns: a site is
 a lead exactly when its column is not a combination of the columns above
 it, and every other site combines leads above it.  So K is one call of
-`linalg.coordinates` on the columns of N, highest site first, for every p.
-Over F_2 the columns are packed ints, one XOR per term to build, and each
-site's column of K comes back as a packed int; over odd p both are dicts.
-The dense K is built only when it is read.
+`linalg.coordinates` on the columns of N, highest site first.  A column of
+N and a site's column of K are packed ints, a w-bit slot per entry (one
+bit over F_2), and a column takes one slot add per term to build.  The
+dense K, read off the slots, is built only when it is read.
 
 A cylinder or correlation measure needs no window space.  A point of X is
 an F_p-linear functional chi on R/I, x_s = chi(u^s), and Haar measure on X
@@ -57,7 +57,8 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import prod, sqrt
-from operator import add, sub
+from functools import reduce
+from operator import add, or_, sub
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -193,36 +194,31 @@ def _shifted_pins(
     return pins
 
 
-def _normal_forms(ideal, shape: Sequence[int]) -> list:
-    """NF(u^e) for every e in the box [0, shape), in lexicographic order, each
-    from a neighbour r = NF(u^(e - e_i)) by the linear map `_reduced` applies:
-    NF(u_i r) is the sum of c_mu NF(u^(mu + e_i)) over the terms of r.
-
-    Over F_2 a normal form is a packed int, bit b the b-th monomial met, and
-    the sum is one XOR per term of r; over odd p it is a {monomial:
-    coefficient} dict."""
+def _normal_forms(ideal, shape: Sequence[int]) -> List[int]:
+    """NF(u^e) for every e in the box [0, shape), in lexicographic order, as
+    packed ints, slot b the b-th monomial met.  Each comes from a neighbour
+    r = NF(u^(e - e_i)) by the linear map `_reduced` applies: NF(u_i r) is
+    the sum of c_mu NF(u^(mu + e_i)) over the terms of r.  A term is one XOR
+    over F_2, and over odd p one slot add of NF(u^(mu + e_i)) or, where c_mu
+    is not 1, of its multiple, kept once made."""
     p = ideal.characteristic
-    nf = ideal.normal_form_monomial
-    d = len(shape)
-    bits: Dict[Tuple[int, ...], int] = {}
+    w = linalg.width(p)
+    d, top = len(shape), (1 << w) - 1
+    rows: Dict[Tuple[int, ...], int] = {}
     monomials: List[Tuple[int, ...]] = []
+    slot_add = linalg.adder(p, 0)
 
     def form(e):
-        terms = nf(e)
-        if p != 2:
-            return terms
-        col = 0
-        for mu in terms:
-            b = bits.get(mu)
-            if b is None:
-                b = bits[mu] = len(monomials)
-                monomials.append(mu)
-            col |= 1 << b
+        nonlocal slot_add
+        col = linalg.pack(ideal.normal_form_monomial(e).items(), p, rows)
+        if len(rows) > len(monomials):
+            monomials.extend(list(rows)[len(monomials):])
+            slot_add = linalg.adder(p, len(rows))
         return col
 
-    out: dict = {}
-    # i -> {mu: NF(u^(mu + e_i))}, mu a monomial (odd p) or its bit (F_2).
-    # A normal-form key carries the saturation slot last; a step drops it.
+    out: Dict[Tuple[int, ...], int] = {}
+    # i -> {b: NF(u^(mu + e_i))} over F_2, {b: {c: c NF(u^(mu + e_i))}} over
+    # odd p, mu the monomial at bit b, less the saturation slot a key ends in.
     steps: List[dict] = [{} for _ in range(d)]
     for e in box_points([(0, n - 1) for n in shape]):
         moved = [i for i in range(d) if e[i]]
@@ -232,8 +228,8 @@ def _normal_forms(ideal, shape: Sequence[int]) -> list:
         i = moved[-1]
         r = out[e[:i] + (e[i] - 1,) + e[i + 1:]]
         step_i = steps[i]
+        col = 0
         if p == 2:
-            col = 0
             while r:
                 low = r & -r
                 r ^= low
@@ -243,42 +239,44 @@ def _normal_forms(ideal, shape: Sequence[int]) -> list:
                     mu = monomials[b]
                     step = step_i[b] = form(mu[:i] + (mu[i] + 1,) + mu[i + 1:d])
                 col ^= step
-            out[e] = col
-            continue
-        acc: Dict[Tuple[int, ...], int] = {}
-        for mu, c in r.items():
-            step = step_i.get(mu)
-            if step is None:
-                step = step_i[mu] = nf(mu[:i] + (mu[i] + 1,) + mu[i + 1:d])
-            for nu, a in step.items():
-                acc[nu] = (acc.get(nu, 0) + c * a) % p
-        out[e] = {nu: c for nu, c in acc.items() if c}
+        else:
+            while r:
+                b = (r & -r).bit_length() - 1
+                b -= b % w
+                c = r >> b & top
+                r ^= c << b
+                multiples = step_i.get(b)
+                if multiples is None:
+                    mu = monomials[b // w]
+                    multiples = step_i[b] = {1: form(mu[:i] + (mu[i] + 1,) + mu[i + 1:d])}
+                term = multiples.get(c)
+                if term is None:
+                    term = multiples[c] = linalg.multiple(slot_add, multiples[1], c)
+                col = slot_add(col, term)
+        out[e] = col
     return list(out.values())
 
 
-def _unpack_coordinates(coords: Sequence, k: int, p: int) -> np.ndarray:
-    """Coordinates from `linalg.coordinates` over k pivots as the int64
-    columns of a `(k, len(coords))` array, pivot g in row k - 1 - g."""
-    if p != 2:
-        out = np.zeros((k, len(coords)), dtype=np.int64)
-        for j, tag in enumerate(coords):
-            for g, x in tag.items():
-                out[k - 1 - g, j] = x
-        return out
-    width = (k + 7) // 8
-    raw = np.frombuffer(b"".join(t.to_bytes(width, "little") for t in coords), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(coords), width), axis=1, count=k, bitorder="little")
-    return np.ascontiguousarray(bits[:, ::-1].T, dtype=np.int64)
+def _unpack_coordinates(coords: Sequence[int], k: int, p: int) -> np.ndarray:
+    """Packed coordinates from `linalg.coordinates` over k pivots as the
+    int64 columns of a `(k, len(coords))` array, pivot g in row k - 1 - g."""
+    w = linalg.width(p)
+    size = (k * w + 7) // 8
+    raw = np.frombuffer(b"".join(t.to_bytes(size, "little") for t in coords), dtype=np.uint8)
+    planes = np.unpackbits(raw.reshape(len(coords), size), axis=1, count=k * w,
+                           bitorder="little").reshape(len(coords), k, w)[:, ::-1].T
+    low = np.ascontiguousarray(planes[0], dtype=np.int64)
+    return sum((np.ascontiguousarray(planes[i], dtype=np.int64) << i for i in range(1, w)), low)
 
 
 # The most sites a window space lists.  It keeps every site, and each
 # site's column of the kernel, with one entry per free value (2 side - 1 of
 # them for `ledrappier`).  Builds measured on one core of a 2-core Xeon
 # container, peak memory of the whole process: at 2^14 sites (side 128)
-# 0.22 s and 40 MB for `ledrappier` (0.31 s and 75 MB with the dense kernel
-# read), and 4.9 s and 90 MB for `tests/f3_substitution.json`, whose
-# columns are dicts.  The windows sampled in CI (side 40, 1,600 sites, and
-# side 128) and in the benchmark (side 20, 400 sites) lie inside.
+# 0.16 s and 37 MB for `ledrappier` (0.20 s and 74 MB with the dense kernel
+# read), and 0.75 s and 39 MB for `tests/f3_substitution.json`, whose
+# columns hold 3-bit slots.  The windows sampled in CI (side 40, 1,600
+# sites, and side 128) and in the benchmark (side 20, 400 sites) lie inside.
 WINDOW_SITE_LIMIT = 1 << 14
 
 # The most entries, rows times sites, of the matrix N a window space reduces.
@@ -312,13 +310,8 @@ class WindowConfigSpace:
         self.sites = list(box_points(self.window))
         self.site_index = {s: i for i, s in enumerate(self.sites)}
         columns = _normal_forms(ideal, [hi - lo + 1 for lo, hi in self.window])
-        if self.p == 2:
-            union = 0
-            for col in columns:
-                union |= col
-            nrows = union.bit_count()
-        else:
-            nrows = len({mu for col in columns for mu in col})
+        union = reduce(or_, columns, 0)
+        nrows = int(np.count_nonzero(_unpack_coordinates([union], union.bit_length(), self.p)))
         if nrows * nsites > WINDOW_ENTRY_LIMIT:
             raise BudgetExceededError(
                 f"a window space of {nrows} rows over {nsites} sites exceeds the entry limit",

@@ -1,7 +1,7 @@
 """The tagged column pass of F_p elimination against a slow dense reference."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixlab import linalg
@@ -59,10 +59,11 @@ def ref_nullspace(rows, ncols, p):
 
 def dense_columns(coords, pivots, p):
     """The coordinates `linalg.coordinates` returns as dense columns of R,
-    one entry per pivot; over F_2 bit g of a packed int is pivot g."""
-    if p == 2:
-        return [[tag >> g & 1 for g in range(len(pivots))] for tag in coords]
-    return [[tag.get(g, 0) for g in range(len(pivots))] for tag in coords]
+    one entry per pivot: slot g of a packed int, w bits from bit w g, is
+    pivot g."""
+    w = linalg.width(p)
+    mask = (1 << w) - 1
+    return [[tag >> w * g & mask for g in range(len(pivots))] for tag in coords]
 
 
 def ref_columns(rows, ncols, p):
@@ -78,8 +79,11 @@ def assert_matches_reference(reduced, pivots, rows, ncols, p):
     assert pivots == ref_pivots
     assert len(reduced) == ncols
     assert dense_columns(reduced, pivots, p) == ref_reduced
-    if p != 2:
-        assert all(type(x) is int and 0 < x < p for tag in reduced for x in tag.values())
+    # Each tag is a Python int with an entry in [0, p) in each pivot's slot
+    # and nothing above them.
+    w = linalg.width(p)
+    assert all(type(tag) is int and 0 <= tag < 1 << w * len(pivots) for tag in reduced)
+    assert all(x < p for column in dense_columns(reduced, pivots, p) for x in column)
 
 
 def columns(rows, ncols):
@@ -87,16 +91,18 @@ def columns(rows, ncols):
     return [{i: r[c] for i, r in enumerate(rows) if r[c]} for c in range(ncols)]
 
 
-def packed(rows, ncols):
-    """The columns of dense rows over F_2, packed into ints (bit i is row i)."""
-    return [sum(1 << i for i, r in enumerate(rows) if r[c] % 2) for c in range(ncols)]
+def packed(rows, ncols, p):
+    """The columns of dense rows packed into ints, row i in slot i."""
+    w = linalg.width(p)
+    return [sum(r[c] % p << w * i for i, r in enumerate(rows)) for c in range(ncols)]
 
 
-# -- matrices: random, all-zero and rank-deficient, entries not yet reduced ---
+# -- matrices: random, all-zero and rank-deficient, entries not yet reduced,
+#    some columns empty and some repeated ------------------------------------
 
 @st.composite
-def matrices(draw, max_rows=12, max_cols=12):
-    p = draw(st.sampled_from([2, 3, 5]))
+def matrices(draw, max_rows=12, max_cols=12, primes=(2, 3, 5, 7)):
+    p = draw(st.sampled_from(primes))
     nrows = draw(st.integers(0, max_rows))
     ncols = draw(st.integers(1, max_cols))
     entry = st.integers(-p, 2 * p)
@@ -113,7 +119,53 @@ def matrices(draw, max_rows=12, max_cols=12):
     else:
         rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                              min_size=nrows, max_size=nrows))
+    # Column dst becomes empty (src -1) or a copy of an earlier column src.
+    for dst in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+        src = draw(st.integers(-1, dst - 1))
+        for r in rows:
+            r[dst] = r[src] if src >= 0 else 0
     return p, ncols, rows
+
+
+# -- slot arithmetic: each slot of a sum or a multiple, one at a time --------
+
+def slot_values(x, p, n):
+    """The first n slots of a packed int."""
+    w = linalg.width(p)
+    return [x >> w * i & (1 << w) - 1 for i in range(n)]
+
+
+@st.composite
+def slot_vectors(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 31, 2 ** 31 - 1]))
+    n = draw(st.integers(1, 24))
+    vector = st.one_of(st.just([p - 1] * n),
+                       st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return p, n, draw(vector), draw(vector), draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_vectors())
+@example((3, 5, [2] * 5, [2] * 5, 2))
+@example((7, 3, [0, 0, 6], [0, 0, 6], 6))
+@example((2 ** 31 - 1, 3, [2 ** 31 - 2] * 3, [2 ** 31 - 2] * 3, 2 ** 31 - 2))
+@example((2 ** 31 - 1, 2, [0, 2 ** 31 - 2], [1, 1], 2 ** 30))
+def test_slot_arithmetic_matches_each_slot(case):
+    # The adder is sized to n slots, so the top slot of its masks is used;
+    # slot n must stay empty.
+    p, n, xs, ys, v = case
+    w = linalg.width(p)
+    x, y = (sum(a << w * i for i, a in enumerate(vector)) for vector in (xs, ys))
+    add = linalg.adder(p, n)
+    assert slot_values(add(x, y), p, n + 1) == [(a + b) % p for a, b in zip(xs, ys)] + [0]
+    assert slot_values(linalg.multiple(add, x, v), p, n + 1) == [v * a % p for a in xs] + [0]
+    # pack reduces each value mod p and numbers new rows as it meets their
+    # nonzero values.
+    entries = [(("row", i), a - p) for i, a in enumerate(xs)]
+    assert linalg.pack(entries, p, {("row", i): i for i in range(n)}) == x
+    rows = {}
+    linalg.pack(entries, p, rows)
+    assert rows == {("row", i): k for k, i in enumerate(i for i, a in enumerate(xs) if a)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,8 +174,7 @@ def test_rref_matches_reference(case):
     p, ncols, rows = case
     reduced, pivots = linalg.rref(columns(rows, ncols), p)
     assert_matches_reference(reduced, pivots, rows, ncols, p)
-    if p == 2:
-        assert linalg.coordinates(packed(rows, ncols), p) == (reduced, pivots)
+    assert linalg.coordinates(packed(rows, ncols, p), p) == (reduced, pivots)
 
 
 @settings(max_examples=50, deadline=None)
@@ -161,8 +212,7 @@ def test_nullspace_matches_reference(case, rng, duplicate):
     shuffled = rows + rows if duplicate else list(rows)
     rng.shuffle(shuffled)
     assert linalg.nullspace(columns(shuffled, ncols), ncols, p) == kernel
-    if p == 2:
-        assert linalg.nullspace(packed(shuffled, ncols), ncols, p) == kernel
+    assert linalg.nullspace(packed(shuffled, ncols, p), ncols, p) == kernel
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,8 +226,7 @@ def test_nullspace_with_zero_and_repeated_columns(case, data):
     width = ncols + len(picks)
     kernel = linalg.nullspace(columns(wide, width), width, p)
     assert kernel == ref_nullspace(wide, width, p)
-    if p == 2:
-        assert linalg.nullspace(packed(wide, width), width, p) == kernel
+    assert linalg.nullspace(packed(wide, width, p), width, p) == kernel
 
 
 def test_nullspace_needs_ncols_columns():
@@ -224,12 +273,22 @@ def test_window_sized_system(p):
         rows.append(row)
     reduced, pivots = linalg.rref(columns(rows, ncols), p)
     assert_matches_reference(reduced, pivots, rows, ncols, p)
-    if p == 2:
-        assert linalg.coordinates(packed(rows, ncols), p) == (reduced, pivots)
+    assert linalg.coordinates(packed(rows, ncols, p), p) == (reduced, pivots)
     kernel = linalg.nullspace(columns(rows, ncols), ncols, p)
     assert kernel == ref_nullspace(rows, ncols, p)
     assert len(kernel) == 7
-    if p == 2:
-        assert linalg.nullspace(packed(rows, ncols), ncols, p) == kernel
+    assert linalg.nullspace(packed(rows, ncols, p), ncols, p) == kernel
     for vec in kernel:
         assert all(sum(a * x for a, x in zip(r, vec)) % p == 0 for r in rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 31 - 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_columns_at_every_characteristic(p, data):
+    # One column format for every p: packed columns give R, the pivots and
+    # the kernel of the reference.
+    _, ncols, rows = data.draw(matrices(primes=(p,)))
+    reduced, pivots = linalg.coordinates(packed(rows, ncols, p), p)
+    assert_matches_reference(reduced, pivots, rows, ncols, p)
+    assert linalg.nullspace(packed(rows, ncols, p), ncols, p) == ref_nullspace(rows, ncols, p)
